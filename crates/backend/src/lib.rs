@@ -119,7 +119,7 @@ impl PointBatch {
         self.data.extend_from_slice(point);
     }
 
-    /// Appends one 3-D point from coordinates (the localization hot path).
+    /// Appends one 3-D point from coordinates.
     ///
     /// # Panics
     ///
@@ -127,6 +127,24 @@ impl PointBatch {
     pub fn push_xyz(&mut self, x: f64, y: f64, z: f64) {
         assert_eq!(self.dim, 3, "push_xyz requires a 3-d batch");
         self.data.extend_from_slice(&[x, y, z]);
+    }
+
+    /// Appends `n` zeroed points and returns their flat storage
+    /// (`n × dim` doubles) for the caller to fill in place — the bulk
+    /// path for writers that produce many points at once.
+    ///
+    /// When the batch must grow, its capacity becomes the next power of
+    /// two of the new flat length: the same sizes one-point-at-a-time
+    /// pushes settle into, so a batch refilled every frame reaches the
+    /// same steady-state capacity either way.
+    pub fn extend_zeroed(&mut self, n: usize) -> &mut [f64] {
+        let start = self.data.len();
+        let end = start + n * self.dim;
+        if end > self.data.capacity() {
+            self.data.reserve_exact(end.next_power_of_two() - start);
+        }
+        self.data.resize(end, 0.0);
+        &mut self.data[start..end]
     }
 
     /// Appends every point of `other`, preserving order — the bulk path
@@ -313,6 +331,28 @@ mod tests {
         let mut b = PointBatch::new(3);
         b.push_xyz(1.0, 2.0, 3.0);
         assert_eq!(b.point(0), &[1.0, 2.0, 3.0]);
+    }
+
+    #[test]
+    fn extend_zeroed_appends_and_grows_to_powers_of_two() {
+        let mut b = PointBatch::new(3);
+        b.push_xyz(1.0, 2.0, 3.0);
+        let out = b.extend_zeroed(2);
+        assert_eq!(out.len(), 6);
+        out.copy_from_slice(&[4.0, 5.0, 6.0, 7.0, 8.0, 9.0]);
+        assert_eq!(b.len(), 3);
+        assert_eq!(b.point(0), &[1.0, 2.0, 3.0]);
+        assert_eq!(b.point(2), &[7.0, 8.0, 9.0]);
+        assert!(b.extend_zeroed(0).is_empty());
+        // Growth lands on the next power of two of the flat length (the
+        // capacity probe counts whole points: 32 doubles hold 10 points).
+        b.clear();
+        b.extend_zeroed(7);
+        assert_eq!(b.capacity(), 32 / 3);
+        // Refilling within capacity keeps the allocation.
+        b.clear();
+        b.extend_zeroed(10);
+        assert_eq!(b.capacity(), 32 / 3);
     }
 
     #[test]

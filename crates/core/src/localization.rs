@@ -30,6 +30,7 @@ use navicim_gmm::fit::FitConfig;
 use navicim_gmm::prune::PruneConfig;
 use navicim_math::geom::{Pose, Quat, Vec3};
 use navicim_math::rng::{Rng64, SampleExt};
+use navicim_math::simd::F64x4;
 use navicim_scene::camera::{DepthCamera, DepthImage};
 use navicim_scene::dataset::LocalizationDataset;
 
@@ -51,7 +52,8 @@ pub enum WeightPath {
 pub struct LocalizerConfig {
     /// Number of particles.
     pub num_particles: usize,
-    /// Depth-pixel subsampling stride for the measurement model.
+    /// Depth-pixel subsampling stride for the measurement model (at
+    /// least 1; the pipeline rejects 0 at build).
     pub pixel_stride: usize,
     /// Number of mixture components in the map model.
     pub components: usize,
@@ -179,9 +181,12 @@ impl std::fmt::Debug for CimLocalizer {
 /// Reusable buffers of the scan measurement model, owned by the pipeline
 /// so the per-frame weight step allocates nothing in steady state.
 #[derive(Debug)]
-pub(crate) struct ScanScratch {
-    /// Reused projection buffer.
-    points: Vec<Vec3>,
+pub struct ScanScratch {
+    /// Camera-frame x of the frame's valid strided pixels (row-major
+    /// pixel order; `cam_y`/`cam_z` are the other two SoA columns).
+    cam_x: Vec<f64>,
+    cam_y: Vec<f64>,
+    cam_z: Vec<f64>,
     /// Reused frame-wide query batch.
     pub(crate) batch: PointBatch,
     /// Reused per-particle point counts.
@@ -197,7 +202,9 @@ pub(crate) struct ScanScratch {
 impl Default for ScanScratch {
     fn default() -> Self {
         Self {
-            points: Vec::new(),
+            cam_x: Vec::new(),
+            cam_y: Vec::new(),
+            cam_z: Vec::new(),
             batch: PointBatch::new(3),
             counts: Vec::new(),
             lls: Vec::new(),
@@ -206,38 +213,132 @@ impl Default for ScanScratch {
     }
 }
 
+impl ScanScratch {
+    /// The frame-wide query batch staged by the last
+    /// [`stage_scan_batch`]: every particle's world-frame scan,
+    /// concatenated in particle order.
+    pub fn batch(&self) -> &PointBatch {
+        &self.batch
+    }
+
+    /// Per-particle point counts of the staged batch (every entry equals
+    /// the frame's number of valid strided pixels).
+    pub fn counts(&self) -> &[usize] {
+        &self.counts
+    }
+}
+
 /// Penalty for a hypothesis whose scan projects to no valid points:
 /// heavily penalized but finite.
-pub(crate) const BLIND_LL: f64 = -1e3;
+pub const BLIND_LL: f64 = -1e3;
 
-/// Phase A of the batched weight step: projects every particle's scan and
-/// stages the frame-wide query batch plus per-particle point counts into
-/// `scratch`. Shared verbatim by [`ScanSensor::log_likelihood_batch`] and
-/// `LocalizationPipeline::begin_frame`, so the split (externally served)
-/// evaluation path is bit-identical to the monolithic one by
-/// construction.
-pub(crate) fn stage_scan_batch(
+/// Phase A of the weight step: stages every particle's world-frame scan
+/// into `scratch` as one frame-wide query batch plus per-particle point
+/// counts. Shared by the pipeline's `step` and `begin_frame`, so the
+/// split (externally served) evaluation path is bit-identical to the
+/// monolithic one by construction.
+///
+/// Staging is split by what each part depends on:
+///
+/// - **per frame**, the valid pixels whose row-major index is a multiple
+///   of `stride` are backprojected once into camera-frame SoA columns;
+/// - **per particle**, those columns are rotated by the particle's
+///   quaternion and translated four lanes at a time, written straight
+///   into the batch.
+///
+/// The result is bit-identical to concatenating
+/// [`DepthCamera::project_to_world`] over `states`: the lanes repeat
+/// `Pose::transform_point` operation for operation.
+///
+/// # Panics
+///
+/// Panics if `stride` is zero.
+pub fn stage_scan_batch(
     camera: &DepthCamera,
     obs: &DepthImage,
     stride: usize,
     states: &[Pose],
     scratch: &mut ScanScratch,
 ) {
+    assert!(stride > 0, "pixel stride must be positive");
+    scratch.cam_x.clear();
+    scratch.cam_y.clear();
+    scratch.cam_z.clear();
+    let width = obs.width();
+    for (u, v, d) in obs.valid_pixels() {
+        if !(u + v * width).is_multiple_of(stride) {
+            continue;
+        }
+        let p = camera.intrinsics.backproject(u, v, d);
+        scratch.cam_x.push(p.x);
+        scratch.cam_y.push(p.y);
+        scratch.cam_z.push(p.z);
+    }
+    let n = scratch.cam_x.len();
     scratch.batch.clear();
     scratch.counts.clear();
     for state in states {
-        camera.project_to_world_into(obs, *state, stride, &mut scratch.points);
-        scratch.counts.push(scratch.points.len());
-        for p in &scratch.points {
-            scratch.batch.push_xyz(p.x, p.y, p.z);
-        }
+        scratch.counts.push(n);
+        let out = scratch.batch.extend_zeroed(n);
+        transform_scan(state, [&scratch.cam_x, &scratch.cam_y, &scratch.cam_z], out);
     }
 }
 
-/// Phase B of the batched weight step: reduces per-point log-likelihoods
-/// (aligned with the staged batch) to per-particle weights; particles
-/// whose scan projected to no valid points score [`BLIND_LL`].
-pub(crate) fn reduce_scan_lls(sharpness: f64, counts: &[usize], lls: &[f64], out: &mut [f64]) {
+/// Writes `pose.transform_point` of every camera-frame point in the SoA
+/// columns `cam` into the interleaved `out` (`3 × n` doubles).
+///
+/// Four points per step with [`F64x4`]; each lane repeats
+/// `Quat::rotate` + translation operation for operation (the cross
+/// products written as `Vec3::cross` writes them, no fused multiply-add),
+/// so every output bit matches the scalar path, which serves the
+/// remainder.
+fn transform_scan(pose: &Pose, cam: [&[f64]; 3], out: &mut [f64]) {
+    let [xs, ys, zs] = cam;
+    let q = pose.rotation;
+    let (ux, uy, uz, w) = (
+        F64x4::splat(q.x),
+        F64x4::splat(q.y),
+        F64x4::splat(q.z),
+        F64x4::splat(q.w),
+    );
+    let p = pose.translation;
+    let (px, py, pz) = (F64x4::splat(p.x), F64x4::splat(p.y), F64x4::splat(p.z));
+    let two = F64x4::splat(2.0);
+    let lanes = xs.len() - xs.len() % 4;
+    let columns = xs[..lanes]
+        .chunks_exact(4)
+        .zip(ys.chunks_exact(4))
+        .zip(zs.chunks_exact(4));
+    for (((x4, y4), z4), o) in columns.zip(out.chunks_exact_mut(12)) {
+        let (vx, vy, vz) = (F64x4::load(x4), F64x4::load(y4), F64x4::load(z4));
+        // t = (u × v) * 2
+        let tx = (uy * vz - uz * vy) * two;
+        let ty = (uz * vx - ux * vz) * two;
+        let tz = (ux * vy - uy * vx) * two;
+        // r = ((v + t*w) + u × t) + translation
+        let rx = ((vx + tx * w) + (uy * tz - uz * ty)) + px;
+        let ry = ((vy + ty * w) + (uz * tx - ux * tz)) + py;
+        let rz = ((vz + tz * w) + (ux * ty - uy * tx)) + pz;
+        let (rx, ry, rz) = (rx.to_array(), ry.to_array(), rz.to_array());
+        for (lane, point) in o.chunks_exact_mut(3).enumerate() {
+            point.copy_from_slice(&[rx[lane], ry[lane], rz[lane]]);
+        }
+    }
+    for (i, point) in (lanes..xs.len()).zip(out[3 * lanes..].chunks_exact_mut(3)) {
+        let r = pose.transform_point(Vec3::new(xs[i], ys[i], zs[i]));
+        point.copy_from_slice(&[r.x, r.y, r.z]);
+    }
+}
+
+/// Phase B of the weight step: reduces per-point log-likelihoods
+/// (aligned with the batch [`stage_scan_batch`] staged) to per-particle
+/// weights; particles whose scan projected to no valid points score
+/// [`BLIND_LL`].
+///
+/// # Panics
+///
+/// Panics if `lls` holds fewer values than `counts` sums to.
+pub fn reduce_scan_lls(sharpness: f64, counts: &[usize], lls: &[f64], out: &mut [f64]) {
     let mut offset = 0;
     for (o, &count) in out.iter_mut().zip(counts) {
         if count == 0 {
@@ -277,38 +378,39 @@ impl<'a> ScanSensor<'a> {
             scratch,
         }
     }
-
-    /// Reduces one particle's per-point log-likelihoods to its weight.
-    fn reduce(sharpness: f64, sum: f64, count: usize) -> f64 {
-        sharpness * sum / count as f64
-    }
 }
 
 impl Measurement<Pose, DepthImage> for ScanSensor<'_> {
     fn log_likelihood(&mut self, state: &Pose, obs: &DepthImage) -> f64 {
-        let sharpness = self.sharpness;
         let scratch = &mut *self.scratch;
-        self.camera
-            .project_to_world_into(obs, *state, self.stride, &mut scratch.points);
-        scratch.batch.clear();
-        for p in &scratch.points {
-            scratch.batch.push_xyz(p.x, p.y, p.z);
-        }
+        stage_scan_batch(
+            self.camera,
+            obs,
+            self.stride,
+            std::slice::from_ref(state),
+            scratch,
+        );
+        // Blind particles skip the backend, as in the batched path.
         if scratch.batch.is_empty() {
             return BLIND_LL;
         }
         scratch.lls.resize(scratch.batch.len(), 0.0);
         self.map
             .log_likelihood_into(&scratch.batch, &mut scratch.lls);
-        let sum: f64 = scratch.lls.iter().sum();
-        Self::reduce(sharpness, sum, scratch.lls.len())
+        let mut ll = 0.0;
+        reduce_scan_lls(
+            self.sharpness,
+            &scratch.counts,
+            &scratch.lls,
+            std::slice::from_mut(&mut ll),
+        );
+        ll
     }
 
-    /// The tentpole weight step: projects every particle's scan, gathers
-    /// all query points into one frame-wide [`PointBatch`] and serves it
-    /// to the map backend in a single call. Bit-identical to the scalar
-    /// path — points are evaluated in the same order, so even the CIM
-    /// engine's noise stream lines up.
+    /// The frame-wide weight step: stages every particle's scan into one
+    /// [`PointBatch`] and serves it to the map backend in a single call.
+    /// Bit-identical to the scalar path — points are evaluated in the
+    /// same order, so even the CIM engine's noise stream lines up.
     fn log_likelihood_batch(&mut self, states: &[Pose], obs: &DepthImage, out: &mut [f64]) {
         assert_eq!(
             states.len(),

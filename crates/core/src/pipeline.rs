@@ -1792,8 +1792,9 @@ impl LocalizationPipeline {
     ///
     /// # Errors
     ///
-    /// Rejects empty datasets, unknown backend names and inconsistent
-    /// gate configurations; propagates fit/compile errors.
+    /// Rejects empty datasets, a zero `pixel_stride`, unknown backend
+    /// names and inconsistent gate configurations; propagates
+    /// fit/compile errors.
     pub fn build_with_registry(
         dataset: &LocalizationDataset,
         config: LocalizerConfig,
@@ -1816,8 +1817,8 @@ impl LocalizationPipeline {
     ///
     /// # Errors
     ///
-    /// Rejects empty datasets and slot lists; propagates registry and
-    /// fit errors.
+    /// Rejects empty datasets, empty slot lists and a zero
+    /// `pixel_stride`; propagates registry and fit errors.
     pub fn with_gate(
         dataset: &LocalizationDataset,
         config: LocalizerConfig,
@@ -1831,6 +1832,11 @@ impl LocalizationPipeline {
         if slot_names.is_empty() {
             return Err(CoreError::InvalidArgument(
                 "pipeline requires at least one backend slot".into(),
+            ));
+        }
+        if config.pixel_stride == 0 {
+            return Err(CoreError::InvalidArgument(
+                "pixel_stride must be at least 1".into(),
             ));
         }
         let mut rng = Pcg32::seed_from_u64(config.seed);
@@ -2223,9 +2229,13 @@ impl LocalizationPipeline {
     /// pending slot's backend — possibly coalesced with other sessions —
     /// commits backend state via [`MapBackend::absorb_served`] on
     /// [`Self::backend_mut`], and completes the frame with
-    /// [`Self::finish_frame`]. The staged evaluation is the
-    /// [`crate::localization::WeightPath::Batched`] route, which is
-    /// bit-identical to the scalar route (property-tested).
+    /// [`Self::finish_frame`].
+    ///
+    /// Staging is [`crate::localization::stage_scan_batch`], the same
+    /// routine [`Self::step`] weighs through: the frame's valid strided
+    /// pixels are backprojected once, then rotated and translated per
+    /// particle. The staged batch equals every particle's
+    /// `DepthCamera::project_to_world` bit for bit (property-tested).
     ///
     /// # Errors
     ///
@@ -3755,5 +3765,42 @@ mod tests {
             .unwrap();
         let err = pipeline.fork_session(1).unwrap_err().to_string();
         assert!(err.contains("pristine"), "{err}");
+    }
+
+    #[test]
+    fn zero_pixel_stride_rejected_at_build() {
+        let ds = small_dataset();
+        let config = LocalizerConfig {
+            pixel_stride: 0,
+            ..small_config(GateConfig::default())
+        };
+        let err = LocalizationPipeline::build(&ds, config).unwrap_err();
+        assert!(matches!(err, CoreError::InvalidArgument(_)), "{err}");
+        assert!(err.to_string().contains("pixel_stride"), "{err}");
+    }
+
+    #[test]
+    fn staged_batch_capacity_steady_across_identical_frames() {
+        // The staged batch's capacity is exactly the next power of two
+        // of its flat length, and a second identical frame keeps it.
+        // Growing by plain `resize` or by an exact reserve misses that
+        // capacity, and either one raised benchmark peak heap.
+        let ds = small_dataset();
+        let mut pipeline =
+            LocalizationPipeline::build(&ds, small_config(GateConfig::default())).unwrap();
+        let control = ds.control_deltas()[0];
+        let frame = &ds.frames[1];
+        pipeline.step(&control, &frame.depth, frame.pose).unwrap();
+        let first = pipeline.staged_batch().capacity();
+        pipeline.step(&control, &frame.depth, frame.pose).unwrap();
+        let batch = pipeline.staged_batch();
+        assert!(!batch.is_empty());
+        assert_eq!(batch.capacity(), first);
+        let flat = batch.len() * batch.dim();
+        assert_eq!(
+            batch.capacity(),
+            flat.next_power_of_two() / batch.dim(),
+            "capacity in points for {flat} staged doubles"
+        );
     }
 }

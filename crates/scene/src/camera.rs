@@ -235,42 +235,21 @@ impl DepthCamera {
     }
 
     /// Projects the valid pixels of a depth image into world coordinates
-    /// under a *hypothesized* pose — the scan-projection step of the
-    /// particle-filter measurement model. `stride` subsamples pixels.
+    /// under a *hypothesized* pose — the scan projection of the
+    /// particle-filter measurement model, one hypothesis at a time.
+    /// `stride` keeps the pixels whose row-major index is a multiple of
+    /// it.
     ///
     /// # Panics
     ///
     /// Panics if `stride` is zero.
     pub fn project_to_world(&self, image: &DepthImage, pose: Pose, stride: usize) -> Vec<Vec3> {
-        let mut out = Vec::new();
-        self.project_to_world_into(image, pose, stride, &mut out);
-        out
-    }
-
-    /// Allocation-free variant of [`DepthCamera::project_to_world`]:
-    /// clears `out` and appends the projected points, keeping the buffer's
-    /// allocation across calls. The particle-filter weight step projects
-    /// every particle each frame, so buffer reuse matters there.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stride` is zero.
-    pub fn project_to_world_into(
-        &self,
-        image: &DepthImage,
-        pose: Pose,
-        stride: usize,
-        out: &mut Vec<Vec3>,
-    ) {
         assert!(stride > 0, "stride must be positive");
-        out.clear();
-        for (u, v, d) in image.valid_pixels() {
-            if !(u + v * image.width()).is_multiple_of(stride) {
-                continue;
-            }
-            let cam_pt = self.intrinsics.backproject(u, v, d);
-            out.push(pose.transform_point(cam_pt));
-        }
+        image
+            .valid_pixels()
+            .filter(|&(u, v, _)| (u + v * image.width()).is_multiple_of(stride))
+            .map(|(u, v, d)| pose.transform_point(self.intrinsics.backproject(u, v, d)))
+            .collect()
     }
 }
 

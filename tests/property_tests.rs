@@ -829,6 +829,101 @@ proptest! {
             prop_assert!((*code as f64 * m.step() - orig).abs() <= m.step() * 0.5 + 1e-12);
         }
     }
+
+    /// Scan staging (per-frame backprojection, then per-particle 4-wide
+    /// rotation) equals, bit for bit, each particle's scan projected on
+    /// its own with `DepthCamera::project_to_world`, concatenated in
+    /// particle order — at every stride 1..=12, with every point-count
+    /// remainder mod 4, under NaN/±inf/negative depths and non-unit
+    /// quaternions. An all-invalid image stages nothing and scores every
+    /// particle `BLIND_LL`.
+    #[test]
+    fn staged_scan_matches_per_particle_projection(
+        seed in 0u64..1_000,
+        width in 1usize..24,
+        height in 1usize..10,
+        particles in 1usize..6,
+    ) {
+        use navicim::core::localization::{
+            reduce_scan_lls, stage_scan_batch, ScanScratch, BLIND_LL,
+        };
+        use navicim::math::rng::SampleExt;
+        use navicim::scene::camera::{DepthCamera, DepthImage};
+        let mut rng = Pcg32::seed_from_u64(seed ^ 0x57a6);
+        let camera = DepthCamera::kinect_like(width, height);
+        let mut image = DepthImage::new(width, height);
+        let mut blank = DepthImage::new(width, height);
+        for v in 0..height {
+            for u in 0..width {
+                let roll = rng.sample_uniform(0.0, 1.0);
+                let d = if roll < 0.6 {
+                    rng.sample_uniform(0.3, 5.0)
+                } else if roll < 0.7 {
+                    f64::INFINITY
+                } else {
+                    [0.0, f64::NAN, f64::NEG_INFINITY, -1.5][(roll * 40.0) as usize % 4]
+                };
+                image.set_depth(u, v, d);
+                // Every invalid kind, so the blank image has no valid pixel.
+                blank.set_depth(u, v, [0.0, f64::NAN, f64::NEG_INFINITY, -0.25][(u + v) % 4]);
+            }
+        }
+        let states: Vec<Pose> = (0..particles)
+            .map(|_| {
+                let rotation = Quat {
+                    w: rng.sample_uniform(-2.0, 2.0),
+                    x: rng.sample_uniform(-2.0, 2.0),
+                    y: rng.sample_uniform(-2.0, 2.0),
+                    z: rng.sample_uniform(-2.0, 2.0),
+                };
+                let translation = Vec3::new(
+                    rng.sample_uniform(-5.0, 5.0),
+                    rng.sample_uniform(-5.0, 5.0),
+                    rng.sample_uniform(-5.0, 5.0),
+                );
+                Pose::new(rotation, translation)
+            })
+            .collect();
+        let mut scratch = ScanScratch::default();
+        let mut remainders = [false; 4];
+        for stride in 1..=12 {
+            for trim in 0..4 {
+                // Invalidating the last `trim` kept pixels walks the point
+                // count through every remainder mod 4.
+                let mut img = image.clone();
+                let kept: Vec<usize> = (0..width * height)
+                    .filter(|&i| i % stride == 0 && img.as_slice()[i] > 0.0)
+                    .collect();
+                for &i in kept.iter().rev().take(trim) {
+                    img.set_depth(i % width, i / width, 0.0);
+                }
+                stage_scan_batch(&camera, &img, stride, &states, &mut scratch);
+                let mut expected = Vec::new();
+                let mut n = 0;
+                for state in &states {
+                    let points = camera.project_to_world(&img, *state, stride);
+                    n = points.len();
+                    expected.extend(points.iter().flat_map(|p| [p.x, p.y, p.z]).map(f64::to_bits));
+                }
+                let staged: Vec<u64> =
+                    scratch.batch().as_flat().iter().map(|v| v.to_bits()).collect();
+                prop_assert_eq!(staged, expected);
+                prop_assert_eq!(scratch.counts().len(), particles);
+                prop_assert!(scratch.counts().iter().all(|&c| c == n));
+                remainders[n % 4] = true;
+            }
+        }
+        if image.valid_count() >= 3 {
+            prop_assert_eq!(remainders, [true; 4]);
+        }
+
+        stage_scan_batch(&camera, &blank, 1, &states, &mut scratch);
+        prop_assert!(scratch.batch().is_empty());
+        prop_assert_eq!(scratch.counts().to_vec(), vec![0; particles]);
+        let mut lls = vec![0.0; particles];
+        reduce_scan_lls(4.0, scratch.counts(), &[], &mut lls);
+        prop_assert!(lls.iter().all(|&ll| ll == BLIND_LL));
+    }
 }
 
 // Full gated localization runs are expensive, so this block draws fewer
