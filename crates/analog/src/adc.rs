@@ -60,16 +60,30 @@ impl LogAdc {
         1u64 << self.bits
     }
 
+    /// The covered log-current interval `(ln i_min, ln i_max)`.
+    pub fn ln_range(&self) -> (f64, f64) {
+        (self.ln_min, self.ln_max)
+    }
+
     /// Log-domain step per code.
     pub fn log_lsb(&self) -> f64 {
         (self.ln_max - self.ln_min) / (self.levels() - 1) as f64
     }
 
-    /// Code for a current (clamped into range).
+    /// Code for a current (clamped into range): the code nearest
+    /// [`Self::code_coord`] of `ln(current)`.
     pub fn code_for(&self, current: f64) -> u64 {
-        let ln_i = current.max(1e-300).ln().clamp(self.ln_min, self.ln_max);
+        let coord = self.code_coord(current.max(1e-300).ln());
+        (coord.round() as u64).min(self.levels() - 1)
+    }
+
+    /// Fractional code coordinate `ŷ = (clamp(ln I) − ln_min)/(ln_max −
+    /// ln_min)·(2^bits − 1)` of a log current `ln_i`; [`Self::code_for`]
+    /// returns the code nearest it.
+    pub fn code_coord(&self, ln_i: f64) -> f64 {
+        let ln_i = ln_i.clamp(self.ln_min, self.ln_max);
         let frac = (ln_i - self.ln_min) / (self.ln_max - self.ln_min);
-        ((frac * (self.levels() - 1) as f64).round() as u64).min(self.levels() - 1)
+        frac * (self.levels() - 1) as f64
     }
 
     /// Reconstructed `ln(I)` for a code.

@@ -71,6 +71,11 @@ impl Dac {
         1u64 << self.bits
     }
 
+    /// Output span `(v_lo, v_hi)` in volts (before the INL bow).
+    pub fn range(&self) -> (f64, f64) {
+        (self.v_lo, self.v_hi)
+    }
+
     /// Code corresponding to a target voltage (clamped to the span).
     pub fn code_for(&self, v_target: f64) -> u64 {
         let v = v_target.clamp(self.v_lo, self.v_hi);

@@ -17,13 +17,48 @@
 //!   the `Arc`'d fabric, and a serving layer can coalesce many sessions'
 //!   queries into one [`CimCompute::eval_segments`] call (each segment
 //!   carrying its own stream) with bit-identical per-session results.
+//!
+//! # The evaluation chain, exact and 4-wide
+//!
+//! The direct path ([`HmgmCimEngine::with_direct_eval`]) is the physical
+//! reference: per point, DAC voltages feed the device model, the array
+//! sums its column currents, a counter-indexed standard normal
+//! ([`NoiseStream::at`]) perturbs the total, and the log-ADC converts it
+//! with libm `ln`. The default LUT path reproduces it **bit for bit** and
+//! runs every group of four points through one lane body, gated or not:
+//!
+//! 1. **DAC codes.** The constants of `AxisMap::to_voltage` and
+//!    `Dac::code_for` are hoisted per axis at build; each lane repeats the
+//!    scalar clamps, division, `round` and `min` exactly.
+//! 2. **Currents.** The per-code reciprocal table is column-contiguous
+//!    (`recips[(axis·levels + code)·K + column]`), so a point's per-column
+//!    reciprocal sums, `1/Σ` and `replicas·` are 4-wide loads over
+//!    columns, added into the total one column at a time in column order.
+//! 3. **Noise + log-ADC.** The ADC emits only an integer code, so the
+//!    lanes compute its coordinate `ŷ = (clamp(ln Î) − ln_min)/(ln_max −
+//!    ln_min)·(2^bits − 1)` with bounded-error lane approximations of the
+//!    Box–Muller `ln`/`cos` and of the ADC `ln`
+//!    ([`navicim_math::simd::ln_fast`],
+//!    [`navicim_math::simd::cos_turns_fast`]) and a one-root noise scale.
+//!    The code `round(ŷ)` is emitted only when `ŷ` is farther than
+//!    [`ADC_GUARD_CODES`] from a rounding boundary *and* the lane's
+//!    worst-case deviation from the exact `ŷ` — the ADC `ln` error plus
+//!    the noise error [`Z_FAST_MAX_ABS_ERR`]` · rms / Î` — provably stays
+//!    within [`GUARD_DEVIATION_SHARE`] of that budget. Then the exact
+//!    chain rounds to the same code, so the output `ln_min + code · lsb`
+//!    is the exact one. Every other lane, every non-finite lane and every
+//!    lane of a short remainder group runs the exact scalar chain with
+//!    `stream.at(index)`.
+//!
+//! The pre-noise current — and with it [`EngineStats`] and energy — never
+//! goes through an approximation.
 
 use std::sync::Arc;
 
 use crate::adc::LogAdc;
 use crate::array::{calibrate_overlap, device_sigma_range, CimArray, CimColumn};
 use crate::dac::Dac;
-use crate::mapping::SpaceMap;
+use crate::mapping::{AxisMap, SpaceMap};
 use crate::{AnalogError, Result};
 use navicim_backend::{check_batch_shape, par, LikelihoodBackend, PointBatch};
 use navicim_device::inverter::{GaussianLikeCell, MultiInputInverter};
@@ -33,7 +68,7 @@ use navicim_device::variation::ProcessVariation;
 use navicim_gmm::hmg::HmgmModel;
 use navicim_gmm::prune::{PruneConfig, PruneIndex, PruneScratch, PRUNE_TILE};
 use navicim_math::rng::Pcg32;
-use navicim_math::simd::{F64x4, LANES};
+use navicim_math::simd::{F64x4, COS_TURNS_FAST_MAX_ABS_ERR, LANES, LN_FAST_MAX_ULP};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Device slack (nats) in the CIM column-gating margin, which totals
@@ -137,27 +172,114 @@ impl EngineStats {
 /// evaluation noise stream, both derived from [`CimEngineConfig::seed`].
 const NOISE_STREAM_SALT: u64 = 0xa0a1_0c1a_77ab_1e5e;
 
-/// Precomputed per-DAC-code reciprocal cell currents.
+/// Error budget of the guarded fast ADC decision, in ADC code units.
+///
+/// The 4-wide readout computes the code coordinate `ŷ` with lane
+/// approximations and emits `round(ŷ)` only when `|frac(ŷ) − ½|` exceeds
+/// this budget *and* the lane's worst-case deviation from the exact
+/// chain's `ŷ` provably stays within [`GUARD_DEVIATION_SHARE`] of it —
+/// half for the ADC `ln`, half for the noise sample (see
+/// [`Z_FAST_MAX_ABS_ERR`]). The exact `ŷ` then rounds to the same code.
+/// Every other lane runs the exact libm chain; only a `~2·10⁻⁶` share of
+/// lanes lands inside the budget and pays for it.
+pub const ADC_GUARD_CODES: f64 = 1e-6;
+
+/// Share of [`ADC_GUARD_CODES`] a decided lane's worst-case deviation may
+/// use. Keeping the bound a thousand times inside the budget leaves the
+/// guard ≥ 1000× the worst deviation any decided lane can carry.
+pub const GUARD_DEVIATION_SHARE: f64 = 1e-3;
+
+/// Bound on the fast chain's noise-sample deviation from the exact one,
+/// in units of the exact noise RMS: `|rms_f·z_f − rms_e·z_e| ≤
+/// Z_FAST_MAX_ABS_ERR · rms_e`, where `z_e` is [`NoiseStream::at`].
+///
+/// The radius `r = √(−2·ln u)` is below `√(2·53·ln 2) < 8.58` because
+/// `u ≥ 2⁻⁵³`, and so is `|z|`. `ln_fast` is within [`LN_FAST_MAX_ULP`]
+/// ulp, a relative `LN_FAST_MAX_ULP·ε`, which the square root halves; the
+/// roundings of `−2·ln u` and `√` add `ε` relative; `cos_turns_fast` is
+/// within [`COS_TURNS_FAST_MAX_ABS_ERR`]; `r·cos` and `rms·z` round once
+/// each in both chains (`2·ε/2·r`); and the one-root noise scale
+/// ([`NoiseModel::variance_per_amp`]) is within `4·ε` relative of
+/// [`NoiseModel::total_rms`].
+pub const Z_FAST_MAX_ABS_ERR: f64 =
+    8.58 * ((LN_FAST_MAX_ULP as f64 + 6.0) * f64::EPSILON + COS_TURNS_FAST_MAX_ABS_ERR);
+
+/// Per-DAC-code reciprocal cell currents, laid out column-contiguous.
 ///
 /// The DAC quantizes every axis to `2^dac_bits` output voltages, so the
 /// device model's EKV exponentials only ever see a finite set of inputs.
 /// This table caches `1/I_cell(dac.output(code))` for every
-/// `(column, axis, code)` triple after process variation is applied —
+/// `(axis, code, column)` triple after process variation is applied —
 /// the *exact* reciprocal the direct path divides by, so replaying the
 /// direct path's summation order over table entries reproduces its
 /// total current bit for bit while skipping all per-evaluation device
 /// math. Built once per engine; disabled (falling back to the direct
 /// path) when the code space is too large to cache.
+///
+/// Layout: `recips[(axis·levels + code)·K + column]`. A point's DAC code
+/// on an axis selects one *row* of `K` consecutive columns, so the
+/// per-column reciprocal sums, `1/Σ` and `replicas·` of a point run over
+/// contiguous 4-wide loads (see [`Self::totals`]).
 #[derive(Debug, Clone)]
 struct CodeLut {
-    /// `1/I_cell` laid out as `(column × axis) × code` strips:
-    /// index `(col·dim + axis)·levels + code`.
+    /// `1/I_cell`, index `(axis·levels + code)·K + column`.
     recips: Vec<f64>,
     /// Per-column replica counts as f64 — the exact factor
     /// `CimColumn::current` multiplies by.
     replicas: Vec<f64>,
     levels: usize,
-    dim: usize,
+}
+
+/// A set of array columns a LUT evaluation drives, in ascending order:
+/// every column ([`AllColumns`]) or a gated survivor list (`&[u32]`).
+/// Monomorphized, so the ungated loop loads contiguously and the gated
+/// one gathers, with no per-column dispatch.
+trait ColumnSet: Copy {
+    /// Number of columns in the set.
+    fn len(self) -> usize;
+    /// The `i`-th column of the set.
+    fn col(self, i: usize) -> usize;
+    /// `table[row + col(i + l)]` for lanes `l = 0..4`.
+    fn load4(self, table: &[f64], row: usize, i: usize) -> F64x4;
+}
+
+/// Every one of the array's `K` columns.
+#[derive(Debug, Clone, Copy)]
+struct AllColumns(usize);
+
+impl ColumnSet for AllColumns {
+    #[inline(always)]
+    fn len(self) -> usize {
+        self.0
+    }
+    #[inline(always)]
+    fn col(self, i: usize) -> usize {
+        i
+    }
+    #[inline(always)]
+    fn load4(self, table: &[f64], row: usize, i: usize) -> F64x4 {
+        F64x4::load(&table[row + i..])
+    }
+}
+
+impl ColumnSet for &[u32] {
+    #[inline(always)]
+    fn len(self) -> usize {
+        <[u32]>::len(self)
+    }
+    #[inline(always)]
+    fn col(self, i: usize) -> usize {
+        self[i] as usize
+    }
+    #[inline(always)]
+    fn load4(self, table: &[f64], row: usize, i: usize) -> F64x4 {
+        F64x4::new([
+            table[row + self[i] as usize],
+            table[row + self[i + 1] as usize],
+            table[row + self[i + 2] as usize],
+            table[row + self[i + 3] as usize],
+        ])
+    }
 }
 
 impl CodeLut {
@@ -168,19 +290,21 @@ impl CodeLut {
 
     fn build(array: &CimArray, dacs: &[Dac]) -> Option<Self> {
         let dim = array.num_inputs();
+        let k = array.num_columns();
         let levels = dacs.first()?.levels() as usize;
         if dacs.len() != dim || dacs.iter().any(|d| d.levels() as usize != levels) {
             return None;
         }
-        let entries = array.num_columns().checked_mul(dim)?.checked_mul(levels)?;
+        let entries = k.checked_mul(dim)?.checked_mul(levels)?;
         if entries > Self::MAX_ENTRIES {
             return None;
         }
-        let mut recips = Vec::with_capacity(entries);
-        for col in array.columns() {
+        let mut recips = vec![0.0; entries];
+        for (j, col) in array.columns().iter().enumerate() {
             for (axis, cell) in col.inverter().cells().iter().enumerate() {
                 for code in 0..levels {
-                    recips.push(1.0 / cell.current(dacs[axis].output(code as u64)));
+                    recips[(axis * levels + code) * k + j] =
+                        1.0 / cell.current(dacs[axis].output(code as u64));
                 }
             }
         }
@@ -193,96 +317,263 @@ impl CodeLut {
             recips,
             replicas,
             levels,
-            dim,
         })
     }
 
-    /// Total array current for one point's DAC codes (`codes[axis]`).
+    /// Offset of the row holding `code` on `axis`.
+    #[inline(always)]
+    fn row(&self, axis: usize, code: usize) -> usize {
+        (axis * self.levels + code) * self.replicas.len()
+    }
+
+    /// Total array currents of four points over the column set `cols`;
+    /// point `p`'s row offsets (one per axis, see [`Self::row`]) are
+    /// `rows[p·dim..(p + 1)·dim]`.
     ///
-    /// Reproduces `CimArray::total_current` exactly: per-column
-    /// reciprocal sum in axis order, `replicas · (1/Σ)` per column,
-    /// column-order total — all from 0.0, mul *then* add.
-    fn total_current(&self, codes: &[usize]) -> f64 {
-        let mut i_total = 0.0;
-        for (j, &repl) in self.replicas.iter().enumerate() {
-            let col = j * self.dim * self.levels;
-            let mut inv_sum = 0.0;
-            for (axis, &code) in codes.iter().enumerate() {
-                inv_sum += self.recips[col + axis * self.levels + code];
+    /// Reproduces `CimArray::total_current` per point exactly: per-column
+    /// reciprocal sum in axis order from 0.0, `replicas · (1/Σ)` per
+    /// column, column-order total from 0.0 — mul *then* add. Four columns
+    /// at a time share one vector of sums, reciprocals and products; the
+    /// total then adds their lanes one column at a time, so no column
+    /// order changes. Over the full set this is bit-identical to the
+    /// direct path; over a gated subset, to the same subset evaluated one
+    /// column at a time.
+    #[inline(always)]
+    fn totals<S: ColumnSet>(&self, rows: &[usize], cols: S) -> [f64; LANES] {
+        let dim = rows.len() / LANES;
+        let n = cols.len();
+        let mut totals = [0.0; LANES];
+        let mut i = 0;
+        while i + LANES <= n {
+            let repl = cols.load4(&self.replicas, 0, i);
+            for (p, total) in totals.iter_mut().enumerate() {
+                let mut inv_sum = F64x4::splat(0.0);
+                for &row in &rows[p * dim..(p + 1) * dim] {
+                    inv_sum = inv_sum + cols.load4(&self.recips, row, i);
+                }
+                for term in (repl * (F64x4::splat(1.0) / inv_sum)).to_array() {
+                    *total += term;
+                }
             }
-            i_total += repl * (1.0 / inv_sum);
+            i += LANES;
         }
-        i_total
+        for i in i..n {
+            let j = cols.col(i);
+            for (p, total) in totals.iter_mut().enumerate() {
+                let mut inv_sum = 0.0;
+                for &row in &rows[p * dim..(p + 1) * dim] {
+                    inv_sum += self.recips[row + j];
+                }
+                *total += self.replicas[j] * (1.0 / inv_sum);
+            }
+        }
+        totals
+    }
+}
+
+/// One axis's world → DAC-code conversion with every constant of
+/// [`AxisMap::to_voltage`] and [`Dac::code_for`] hoisted out of the
+/// per-point loop: the same clamps, the same division, `round` and `min`,
+/// operation for operation, so the code is the one
+/// `dac.code_for(axis.to_voltage(x))` returns for every `x` (`NaN`
+/// included, which lands on code 0).
+#[derive(Debug, Clone, Copy)]
+struct AxisCode {
+    x_lo: f64,
+    scale: f64,
+    v_lo: f64,
+    v_hi: f64,
+    dac_lo: f64,
+    dac_hi: f64,
+    dac_span: f64,
+    top: f64,
+    top_code: u64,
+}
+
+impl AxisCode {
+    fn new(axis: &AxisMap, dac: &Dac) -> Self {
+        let (v_lo, v_hi) = axis.voltage_range();
+        let (dac_lo, dac_hi) = dac.range();
+        Self {
+            x_lo: axis.world_range().0,
+            scale: axis.scale(),
+            v_lo,
+            v_hi,
+            dac_lo,
+            dac_hi,
+            dac_span: dac_hi - dac_lo,
+            top: (dac.levels() - 1) as f64,
+            top_code: dac.levels() - 1,
+        }
     }
 
-    /// Total current over a gated column subset (`cols` ascending), one
-    /// point. Per-column math and iteration order match
-    /// [`Self::total_current`] exactly, so the full-set subset
-    /// reproduces it bit for bit.
-    fn total_current_cols(&self, codes: &[usize], cols: &[u32]) -> f64 {
-        let mut i_total = 0.0;
-        for &j in cols {
-            let col = j as usize * self.dim * self.levels;
-            let mut inv_sum = 0.0;
-            for (axis, &code) in codes.iter().enumerate() {
-                inv_sum += self.recips[col + axis * self.levels + code];
-            }
-            i_total += self.replicas[j as usize] * (1.0 / inv_sum);
-        }
-        i_total
+    #[inline(always)]
+    fn code(&self, x: f64) -> usize {
+        let v = (self.v_lo + (x - self.x_lo) * self.scale).clamp(self.v_lo, self.v_hi);
+        let frac = (v.clamp(self.dac_lo, self.dac_hi) - self.dac_lo) / self.dac_span;
+        ((frac * self.top).round() as u64).min(self.top_code) as usize
     }
 
-    /// Gated-subset counterpart of [`Self::total_current4`]: four points,
-    /// columns restricted to `cols`, each lane bit-identical to the
-    /// scalar [`Self::total_current_cols`].
-    fn total_current4_cols(&self, codes: &[usize], cols: &[u32]) -> [f64; LANES] {
-        debug_assert_eq!(codes.len(), LANES * self.dim);
-        let mut i_total = F64x4::splat(0.0);
-        for &j in cols {
-            let col = j as usize * self.dim * self.levels;
-            let mut inv_sum = F64x4::splat(0.0);
-            for axis in 0..self.dim {
-                let strip = col + axis * self.levels;
-                let g = F64x4::new([
-                    self.recips[strip + codes[axis]],
-                    self.recips[strip + codes[self.dim + axis]],
-                    self.recips[strip + codes[2 * self.dim + axis]],
-                    self.recips[strip + codes[3 * self.dim + axis]],
-                ]);
-                inv_sum = inv_sum + g;
-            }
-            i_total =
-                i_total + F64x4::splat(self.replicas[j as usize]) * (F64x4::splat(1.0) / inv_sum);
+    /// [`Self::code`] of four lanes, written out so the lanes vectorize.
+    #[inline(always)]
+    fn code4(&self, x: [f64; LANES]) -> [usize; LANES] {
+        [
+            self.code(x[0]),
+            self.code(x[1]),
+            self.code(x[2]),
+            self.code(x[3]),
+        ]
+    }
+}
+
+/// The per-evaluation noise + log-ADC readout, shared by every
+/// evaluation path: the exact scalar chain ([`Self::finish`]) and the
+/// guarded 4-wide one ([`Self::finish4`]).
+#[derive(Debug, Clone, Copy)]
+struct Readout {
+    noise: NoiseModel,
+    adc: LogAdc,
+    /// Floor the noisy current is clamped to (1% of the leakage current).
+    i_floor: f64,
+    /// `n·U_T`: the subthreshold transconductance estimate is `I/(n·U_T)`.
+    gm_denom: f64,
+    /// [`NoiseModel::variance_per_amp`] at that transconductance, so the
+    /// fast chain's noise scale is one `√(I·var_per_amp)`.
+    var_per_amp: f64,
+    /// Smallest `|frac(ŷ) − ½|` a fast lane is decided at:
+    /// [`ADC_GUARD_CODES`], or `+inf` (no fast decisions) for an ADC
+    /// whose `ln` error alone could exceed half the deviation share.
+    margin_min: f64,
+    /// Noise admission: a lane whose noisy current `Î` clears its floor
+    /// is decided only if `rms · rms_gain ≤ Î`, which holds the noise
+    /// sample's effect on `ŷ` to half the deviation share.
+    rms_gain: f64,
+    /// `ln i_min`, `ln i_max`, the log step and its inverse
+    /// `(2^bits − 1)/(ln i_max − ln i_min)`, hoisted from [`LogAdc`].
+    ln_min: f64,
+    ln_max: f64,
+    log_lsb: f64,
+    codes_per_nat: f64,
+}
+
+impl Readout {
+    fn new(noise: NoiseModel, adc: LogAdc, tech: &TechParams) -> Self {
+        let gm_denom = tech.slope_n * tech.u_t;
+        let (ln_min, ln_max) = adc.ln_range();
+        let top = (adc.levels() - 1) as f64;
+        let per_nat = top / (ln_max - ln_min);
+        let cap = ADC_GUARD_CODES * GUARD_DEVIATION_SHARE;
+        // Log part: ln_fast's error where it can matter — currents whose
+        // log lies inside the ADC window (outside it both chains clamp to
+        // the same edge) — the relative rounding of the noisy sum, and the
+        // roundings of both chains' coordinates (the fast one multiplies
+        // by a rounded `per_nat` where the exact one divides).
+        let ln_mag = ln_min.abs().max(ln_max.abs()) + 1.0;
+        let log_part = per_nat
+            * (LN_FAST_MAX_ULP as f64 * ln_mag * f64::EPSILON + 2.0 * f64::EPSILON)
+            + 8.0 * f64::EPSILON * top;
+        let margin_min = if log_part <= cap / 2.0 {
+            ADC_GUARD_CODES
+        } else {
+            f64::INFINITY
+        };
+        // Noise part: the noisy sums differ by at most rms·Z, so while
+        // rms·Z ≤ Î/2, |Δ ln Î| ≤ 2·rms·Z/Î; holding that to cap/2 codes
+        // gives the gain.
+        let rms_gain = 4.0 * per_nat * Z_FAST_MAX_ABS_ERR / cap;
+        Self {
+            noise,
+            adc,
+            i_floor: tech.i_leak * 0.01,
+            gm_denom,
+            var_per_amp: noise.variance_per_amp(1.0 / gm_denom),
+            margin_min,
+            rms_gain,
+            ln_min,
+            ln_max,
+            log_lsb: adc.log_lsb(),
+            codes_per_nat: per_nat,
         }
-        i_total.to_array()
     }
 
-    /// Total array currents for four points at once (`codes[p·dim + axis]`)
-    /// through explicit f64 lanes.
-    ///
-    /// Each lane applies the scalar [`Self::total_current`] operation
-    /// sequence verbatim (same gathers, same addition order, same
-    /// mul-then-add), so every lane result is bit-identical to evaluating
-    /// that point alone — and therefore to the direct device-model path.
-    fn total_current4(&self, codes: &[usize]) -> [f64; LANES] {
-        debug_assert_eq!(codes.len(), LANES * self.dim);
-        let mut i_total = F64x4::splat(0.0);
-        for (j, &repl) in self.replicas.iter().enumerate() {
-            let col = j * self.dim * self.levels;
-            let mut inv_sum = F64x4::splat(0.0);
-            for axis in 0..self.dim {
-                let strip = col + axis * self.levels;
-                let g = F64x4::new([
-                    self.recips[strip + codes[axis]],
-                    self.recips[strip + codes[self.dim + axis]],
-                    self.recips[strip + codes[2 * self.dim + axis]],
-                    self.recips[strip + codes[3 * self.dim + axis]],
-                ]);
-                inv_sum = inv_sum + g;
-            }
-            i_total = i_total + F64x4::splat(repl) * (F64x4::splat(1.0) / inv_sum);
+    /// The exact chain: noise from the counter-based `z` scaled by the
+    /// device model's RMS at the subthreshold transconductance estimate,
+    /// then the log-ADC with libm `ln`.
+    #[inline]
+    fn finish(&self, i_total: f64, z: f64) -> f64 {
+        let gm = i_total / self.gm_denom;
+        let i_noisy = (i_total + self.noise.sample_with_z(gm, i_total, z)).max(self.i_floor);
+        self.adc.convert(i_noisy)
+    }
+
+    /// The fast chain for four lanes: Box–Muller with
+    /// [`ln_fast`](navicim_math::simd::ln_fast) and
+    /// [`cos_turns_fast`](navicim_math::simd::cos_turns_fast), the noise
+    /// scale with one square root, and the log-ADC code coordinate with
+    /// `ln_fast` (scaled by a multiply where [`LogAdc::code_coord`]
+    /// divides). Returns `(ŷ, rms, s)` — the coordinates, the noise scale
+    /// and the noisy sum before its floor clamp.
+    #[inline(always)]
+    fn approx_coords(&self, i_total: F64x4, u: F64x4, v: F64x4) -> (F64x4, F64x4, F64x4) {
+        let z = (F64x4::splat(-2.0) * u.ln()).sqrt() * v.cos_turns();
+        let rms = (i_total * F64x4::splat(self.var_per_amp)).sqrt();
+        let sum = i_total + rms * z;
+        let i_noisy = sum.max(F64x4::splat(self.i_floor));
+        let ln_i = i_noisy.max(F64x4::splat(1e-300)).ln();
+        let clamped = ln_i
+            .max(F64x4::splat(self.ln_min))
+            .min(F64x4::splat(self.ln_max));
+        let y = (clamped - F64x4::splat(self.ln_min)) * F64x4::splat(self.codes_per_nat);
+        (y, rms, sum)
+    }
+
+    /// The fast chain's code coordinates where the guard can decide the
+    /// code from them, `NaN` elsewhere (including every non-finite lane).
+    #[inline(always)]
+    fn guarded_coords(&self, i_total: F64x4, u: F64x4, v: F64x4) -> [f64; LANES] {
+        let (y, rms, sum) = self.approx_coords(i_total, u, v);
+        let margin = (y - y.floor() - F64x4::splat(0.5)).abs().to_array();
+        let noise_bound = (rms * F64x4::splat(self.rms_gain)).to_array();
+        // Floor admission: a noisy sum at least twice its worst noise
+        // error below the floor reads `Î = i_floor` in both chains.
+        let floor_reach = (sum + rms * F64x4::splat(2.0 * Z_FAST_MAX_ABS_ERR)).to_array();
+        let i_noisy = sum.max(F64x4::splat(self.i_floor)).to_array();
+        let mut y = y.to_array();
+        for p in 0..LANES {
+            // Non-short-circuit `&`/`|`: a branch-free select per lane.
+            let decided = (margin[p] > self.margin_min)
+                & ((noise_bound[p] <= i_noisy[p]) | (floor_reach[p] <= self.i_floor))
+                & (i_noisy[p] <= f64::MAX);
+            y[p] = if decided { y[p] } else { f64::NAN };
         }
-        i_total.to_array()
+        y
+    }
+
+    /// Four evaluations' outputs from their pre-noise currents and noise
+    /// draws; bit-identical to [`Self::finish`] with `stream.at(index)`
+    /// per lane.
+    #[inline(always)]
+    fn finish4(&self, i_total: [f64; LANES], draws: &[(NoiseStream, u64); LANES], out: &mut [f64]) {
+        let mut u = [0.0; LANES];
+        let mut v = [0.0; LANES];
+        for p in 0..LANES {
+            let (stream, index) = draws[p];
+            (u[p], v[p]) = stream.uniforms(index);
+        }
+        let coords = self.guarded_coords(F64x4::new(i_total), F64x4::new(u), F64x4::new(v));
+        // A decided coordinate lies in [0, 2^bits − 1], so its rounding
+        // is exactly the code `LogAdc::code_for` picks, and this is
+        // `LogAdc::log_current` of it.
+        let codes = F64x4::new(coords).round();
+        let decided = (F64x4::splat(self.ln_min) + codes * F64x4::splat(self.log_lsb)).to_array();
+        for p in 0..LANES {
+            out[p] = if coords[p].is_nan() {
+                let (stream, index) = draws[p];
+                self.finish(i_total[p], stream.at(index))
+            } else {
+                decided[p]
+            };
+        }
     }
 }
 
@@ -298,12 +589,45 @@ pub struct NoiseSegment {
     pub stream: NoiseStream,
 }
 
-/// Reusable DAC scratch buffers for [`CimCompute::eval_segments`]
-/// (sequential single-chunk path only; threaded chunks carry their own).
+/// Resolves batch point `idx` to its `(stream, absolute index)` noise
+/// draw through a monotone segment cursor: every evaluation path consumes
+/// its chunk's indices in increasing order, so after one binary search at
+/// the chunk's first point the cursor only ever steps forward — O(1)
+/// amortized per point, where a per-point `partition_point` becomes a
+/// visible share of noise lookup once a coalesced batch carries many
+/// sessions' segments. The lookup stays pure in (segments, idx), so chunk
+/// boundaries and thread counts remain unobservable in the output bits.
+struct SegCursor<'a> {
+    segments: &'a [NoiseSegment],
+    pos: usize,
+}
+
+impl<'a> SegCursor<'a> {
+    fn new(segments: &'a [NoiseSegment], idx: usize) -> Self {
+        Self {
+            segments,
+            pos: segments.partition_point(|s| s.start <= idx) - 1,
+        }
+    }
+
+    #[inline(always)]
+    fn draw(&mut self, idx: usize) -> (NoiseStream, u64) {
+        while self.pos + 1 < self.segments.len() && self.segments[self.pos + 1].start <= idx {
+            self.pos += 1;
+        }
+        let seg = &self.segments[self.pos];
+        (seg.stream, seg.stream.cursor() + (idx - seg.start) as u64)
+    }
+}
+
+/// Reusable scratch for [`CimCompute::eval_segments`] (sequential
+/// single-chunk path only; threaded chunks carry their own).
 #[derive(Debug, Default)]
 pub struct EvalScratch {
+    /// DAC output voltages of one point (direct path).
     voltages: Vec<f64>,
-    codes: Vec<usize>,
+    /// LUT row offsets of one lane group, `LANES × dim`.
+    rows: Vec<usize>,
     prune: PruneScratch,
     /// Per-segment column-activation tallies of the gated LUT path,
     /// zeroed each call (atomics: one segment's tiles may land in
@@ -316,7 +640,7 @@ impl Clone for EvalScratch {
     fn clone(&self) -> Self {
         Self {
             voltages: self.voltages.clone(),
-            codes: self.codes.clone(),
+            rows: self.rows.clone(),
             prune: self.prune.clone(),
             acts: self
                 .acts
@@ -357,10 +681,11 @@ struct CimPrune {
 pub struct CimCompute {
     array: CimArray,
     dacs: Vec<Dac>,
-    adc: LogAdc,
     map: SpaceMap,
-    noise: NoiseModel,
-    tech: TechParams,
+    /// Per-axis hoisted world → DAC-code constants of the LUT path.
+    axis_codes: Vec<AxisCode>,
+    /// Noise model, log-ADC and the fast-path guard.
+    readout: Readout,
     /// Per-DAC-code reciprocal current table; `None` forces the direct
     /// device-model path (see [`HmgmCimEngine::with_direct_eval`]). Both
     /// paths produce bit-identical outputs.
@@ -388,7 +713,7 @@ impl CimCompute {
 
     /// The output ADC.
     pub fn adc(&self) -> &LogAdc {
-        &self.adc
+        &self.readout.adc
     }
 
     /// The seed sessions forked from this fabric start their noise
@@ -482,259 +807,232 @@ impl CimCompute {
             segments[segments.len() - 1].start < n,
             "segment start past the end of the batch"
         );
+        if let Some(acts_out) = seg_activations.as_deref() {
+            assert_eq!(acts_out.len(), segments.len(), "seg_activations length");
+        }
         let dim = self.dacs.len();
+        let k_cols = self.array.num_columns();
         scratch.voltages.resize(dim, 0.0);
-        scratch.codes.resize(LANES * dim, 0);
-        let array = &self.array;
-        let dacs = &self.dacs;
-        let adc = &self.adc;
-        let axes = self.map.axes();
-        let noise = &self.noise;
-        let lut = self.lut.as_ref();
-        let i_floor = self.tech.i_leak * 0.01;
-        let gm_denom = self.tech.slope_n * self.tech.u_t;
-        // The standard normal for batch point `idx`, resolved through a
-        // monotone segment cursor: every evaluation path consumes its
-        // chunk's indices in increasing order, so after one binary
-        // search at the chunk's first point the cursor only ever steps
-        // forward — O(1) amortized per point, where a per-point
-        // `partition_point` becomes a visible share of noise lookup
-        // once a coalesced batch carries many sessions' segments. The
-        // lookup stays pure in (segments, idx), so chunk boundaries and
-        // thread counts remain unobservable in the output bits.
-        struct SegCursor<'a> {
-            segments: &'a [NoiseSegment],
-            pos: usize,
-        }
-        impl SegCursor<'_> {
-            fn z(&mut self, idx: usize) -> f64 {
-                while self.pos + 1 < self.segments.len() && self.segments[self.pos + 1].start <= idx
-                {
-                    self.pos += 1;
+        scratch.rows.resize(LANES * dim, 0);
+        let Some(lut) = self.lut.as_ref() else {
+            // Direct device-model path: the parity reference every LUT
+            // path is bit-identical to.
+            let run_direct = |start: usize,
+                              out_chunk: &mut [f64],
+                              cur_chunk: &mut [f64],
+                              voltages: &mut [f64]| {
+                let mut cursor = SegCursor::new(segments, start);
+                for (i, (o, cur)) in out_chunk.iter_mut().zip(cur_chunk).enumerate() {
+                    let idx = start + i;
+                    for ((v, &x), (axis, dac)) in voltages
+                        .iter_mut()
+                        .zip(batch.point(idx))
+                        .zip(self.map.axes().iter().zip(&self.dacs))
+                    {
+                        *v = dac.convert(axis.to_voltage(x));
+                    }
+                    *cur = self.array.total_current(voltages);
+                    let (stream, index) = cursor.draw(idx);
+                    *o = self.readout.finish(*cur, stream.at(index));
                 }
-                let seg = &self.segments[self.pos];
-                seg.stream
-                    .at(seg.stream.cursor() + (idx - seg.start) as u64)
+            };
+            if policy.is_single_chunk(n) {
+                // Sequential path: reuse the caller's scratch — zero
+                // allocation per batch.
+                run_direct(0, out, currents, &mut scratch.voltages);
+            } else {
+                par::zip_chunks_policy(policy, out, currents, |start, out_chunk, cur_chunk| {
+                    // lint: allow(hot-path-alloc) threaded chunk closures own their scratch
+                    let mut voltages = vec![0.0; dim];
+                    run_direct(start, out_chunk, cur_chunk, &mut voltages);
+                });
             }
-        }
-        let cursor_at = |idx: usize| SegCursor {
-            segments,
-            pos: segments.partition_point(|s| s.start <= idx) - 1,
-        };
-        // Noise + ADC stage, shared by every evaluation path; pure in
-        // (index, pre-noise current).
-        let finish = |cursor: &mut SegCursor<'_>, idx: usize, i_total: f64| -> (f64, f64) {
-            // Subthreshold-style transconductance estimate for the
-            // noise scale; the counter-based z keeps the draw tied
-            // to the absolute evaluation index of the owning session.
-            let gm = i_total / gm_denom;
-            let z = cursor.z(idx);
-            let i_noisy = (i_total + noise.sample_with_z(gm, i_total, z)).max(i_floor);
-            (adc.convert(i_noisy), i_total)
-        };
-        // Direct device-model evaluation of one point.
-        let eval_direct = |cursor: &mut SegCursor<'_>, idx: usize, voltages: &mut [f64]| {
-            for ((v, &x), (axis, dac)) in voltages
-                .iter_mut()
-                .zip(batch.point(idx))
-                .zip(axes.iter().zip(dacs))
-            {
-                *v = dac.convert(axis.to_voltage(x));
+            if let Some(acts_out) = seg_activations {
+                ungated_activations(segments, n, k_cols, acts_out);
             }
-            finish(cursor, idx, array.total_current(voltages))
+            return;
         };
-        // DAC codes of point `idx` into `codes[p*dim..]`.
-        let codes_for = |idx: usize, p: usize, codes: &mut [usize]| {
-            for ((c, &x), (axis, dac)) in codes[p * dim..(p + 1) * dim]
-                .iter_mut()
-                .zip(batch.point(idx))
-                .zip(axes.iter().zip(dacs))
-            {
-                *c = dac.code_for(axis.to_voltage(x)) as usize;
-            }
-        };
-        if let (Some(gate), Some(lut)) = (self.prune.as_ref(), lut) {
-            // Column-gated LUT path. Tiles anchor at segment starts (see
-            // the method docs); pieces are chunk ∩ segment ∩ tile, each
-            // evaluated over the full tile's survivor set so chunk and
-            // segment geometry never leak into the gating decision.
-            // Activations are counted per segment through atomics because
-            // one segment's tiles may land in concurrently-running
-            // chunks; the sums are exact u64 counts, so the tally is
-            // deterministic regardless of interleaving.
-            let k_cols = self.array.num_columns() as u64;
-            // Per-segment tallies live in the reusable scratch so the
-            // steady state stays allocation-free once the scratch has
-            // grown to the segment count.
+        // LUT path, gated or not. Column gating splits each chunk into
+        // pieces (chunk ∩ segment ∩ tile, tiles anchored at segment
+        // starts; see the method docs), each evaluated over the full
+        // tile's survivor set so chunk and segment geometry never leak
+        // into the gating decision. Activations are counted per segment
+        // through atomics because one segment's tiles may land in
+        // concurrently-running chunks; the sums are exact u64 counts, so
+        // the tally is deterministic regardless of interleaving. The
+        // per-segment tallies live in the reusable scratch so the steady
+        // state stays allocation-free once it has grown to the segment
+        // count.
+        let gate = self.prune.as_ref();
+        if gate.is_some() {
             scratch.acts.clear();
             scratch
                 .acts
                 .resize_with(segments.len(), || AtomicU64::new(0));
-            let acts = &scratch.acts;
-            let seg_end_of = |si: usize| segments.get(si + 1).map_or(n, |s| s.start);
-            let run_range_gated = |start: usize,
-                                   out_chunk: &mut [f64],
-                                   cur_chunk: &mut [f64],
-                                   codes: &mut [usize],
-                                   pscratch: &mut PruneScratch| {
-                let mut cursor = cursor_at(start);
-                let end = start + out_chunk.len();
-                let mut si = segments.partition_point(|s| s.start <= start) - 1;
-                let mut pos = start;
-                while pos < end {
-                    let seg_start = segments[si].start;
-                    let seg_end = seg_end_of(si);
-                    let tile_lo = seg_start + ((pos - seg_start) / PRUNE_TILE) * PRUNE_TILE;
-                    let tile_hi = (tile_lo + PRUNE_TILE).min(seg_end);
-                    let piece_end = end.min(tile_hi);
-                    let cands = gate.index.candidates_for_points_clamped(
-                        batch.flat_range(tile_lo, tile_hi),
-                        &gate.pad,
-                        &gate.ranges,
-                        pscratch,
-                    );
-                    let piece = (piece_end - pos) as u64;
-                    let mut i = pos;
-                    match cands {
-                        Some(cols) => {
-                            acts[si].fetch_add(piece * cols.len() as u64, Ordering::Relaxed);
-                            while i + LANES <= piece_end {
-                                for p in 0..LANES {
-                                    codes_for(i + p, p, codes);
-                                }
-                                let totals = lut.total_current4_cols(codes, cols);
-                                for (p, &i_total) in totals.iter().enumerate() {
-                                    let (o, cur) = finish(&mut cursor, i + p, i_total);
-                                    out_chunk[i + p - start] = o;
-                                    cur_chunk[i + p - start] = cur;
-                                }
-                                i += LANES;
-                            }
-                            for idx in i..piece_end {
-                                codes_for(idx, 0, codes);
-                                let (o, cur) = finish(
-                                    &mut cursor,
-                                    idx,
-                                    lut.total_current_cols(&codes[..dim], cols),
-                                );
-                                out_chunk[idx - start] = o;
-                                cur_chunk[idx - start] = cur;
-                            }
-                        }
-                        None => {
-                            // Non-finite tile: full-array evaluation,
-                            // bit-identical to the ungated path.
-                            acts[si].fetch_add(piece * k_cols, Ordering::Relaxed);
-                            while i + LANES <= piece_end {
-                                for p in 0..LANES {
-                                    codes_for(i + p, p, codes);
-                                }
-                                let totals = lut.total_current4(codes);
-                                for (p, &i_total) in totals.iter().enumerate() {
-                                    let (o, cur) = finish(&mut cursor, i + p, i_total);
-                                    out_chunk[i + p - start] = o;
-                                    cur_chunk[i + p - start] = cur;
-                                }
-                                i += LANES;
-                            }
-                            for idx in i..piece_end {
-                                codes_for(idx, 0, codes);
-                                let (o, cur) =
-                                    finish(&mut cursor, idx, lut.total_current(&codes[..dim]));
-                                out_chunk[idx - start] = o;
-                                cur_chunk[idx - start] = cur;
-                            }
-                        }
-                    }
-                    pos = piece_end;
-                    if pos >= seg_end {
-                        si += 1;
-                    }
-                }
-            };
-            if policy.is_single_chunk(n) {
-                run_range_gated(0, out, currents, &mut scratch.codes, &mut scratch.prune);
-            } else {
-                par::zip_chunks_policy(policy, out, currents, |start, out_chunk, cur_chunk| {
-                    let mut codes = vec![0usize; LANES * dim];
-                    let mut pscratch = PruneScratch::default();
-                    run_range_gated(start, out_chunk, cur_chunk, &mut codes, &mut pscratch);
-                });
-            }
-            if let Some(acts_out) = seg_activations {
-                assert_eq!(acts_out.len(), segments.len(), "seg_activations length");
-                for (o, a) in acts_out.iter_mut().zip(acts) {
-                    *o = a.load(Ordering::Relaxed);
-                }
-            }
-            return;
         }
-        // One chunk of evaluations. The 4-wide LUT body is the
-        // vectorization seam: grouping is per-chunk-internal and the
-        // lane math is per-point identical to the scalar/direct path,
-        // so chunk boundaries, thread counts and the LUT toggle are
-        // all unobservable in the output bits. Noise stays tied to
-        // per-session absolute indices either way.
-        let run_range = |start: usize,
-                         out_chunk: &mut [f64],
-                         cur_chunk: &mut [f64],
-                         voltages: &mut [f64],
-                         codes: &mut [usize]| {
-            let mut cursor = cursor_at(start);
-            match lut {
-                Some(lut) => {
-                    let mut k = 0;
-                    while k + LANES <= out_chunk.len() {
-                        for p in 0..LANES {
-                            codes_for(start + k + p, p, codes);
-                        }
-                        let totals = lut.total_current4(codes);
-                        for (p, &i_total) in totals.iter().enumerate() {
-                            let (o, cur) = finish(&mut cursor, start + k + p, i_total);
-                            out_chunk[k + p] = o;
-                            cur_chunk[k + p] = cur;
-                        }
-                        k += LANES;
-                    }
-                    // Scalar remainder tail through the same table.
-                    for i in k..out_chunk.len() {
-                        codes_for(start + i, 0, codes);
-                        let (o, cur) =
-                            finish(&mut cursor, start + i, lut.total_current(&codes[..dim]));
-                        out_chunk[i] = o;
-                        cur_chunk[i] = cur;
-                    }
+        let acts = &scratch.acts;
+        let run_lut = |start: usize,
+                       out_chunk: &mut [f64],
+                       cur_chunk: &mut [f64],
+                       rows: &mut [usize],
+                       pscratch: &mut PruneScratch| {
+            let mut cursor = SegCursor::new(segments, start);
+            let Some(gate) = gate else {
+                self.eval_lut(
+                    lut,
+                    AllColumns(k_cols),
+                    batch,
+                    start,
+                    &mut cursor,
+                    out_chunk,
+                    cur_chunk,
+                    rows,
+                );
+                return;
+            };
+            let end = start + out_chunk.len();
+            let mut si = segments.partition_point(|s| s.start <= start) - 1;
+            let mut pos = start;
+            while pos < end {
+                let seg_start = segments[si].start;
+                let seg_end = segments.get(si + 1).map_or(n, |s| s.start);
+                let tile_lo = seg_start + ((pos - seg_start) / PRUNE_TILE) * PRUNE_TILE;
+                let tile_hi = (tile_lo + PRUNE_TILE).min(seg_end);
+                let piece_end = end.min(tile_hi);
+                let piece = pos - start..piece_end - start;
+                let cands = gate.index.candidates_for_points_clamped(
+                    batch.flat_range(tile_lo, tile_hi),
+                    &gate.pad,
+                    &gate.ranges,
+                    pscratch,
+                );
+                let driven = cands.map_or(k_cols, <[u32]>::len) as u64;
+                acts[si].fetch_add(piece.len() as u64 * driven, Ordering::Relaxed);
+                let (out_piece, cur_piece) = (&mut out_chunk[piece.clone()], &mut cur_chunk[piece]);
+                match cands {
+                    Some(cols) => self.eval_lut(
+                        lut,
+                        cols,
+                        batch,
+                        pos,
+                        &mut cursor,
+                        out_piece,
+                        cur_piece,
+                        rows,
+                    ),
+                    // Non-finite tile: full-array evaluation, bit-identical
+                    // to the ungated path.
+                    None => self.eval_lut(
+                        lut,
+                        AllColumns(k_cols),
+                        batch,
+                        pos,
+                        &mut cursor,
+                        out_piece,
+                        cur_piece,
+                        rows,
+                    ),
                 }
-                None => {
-                    for (i, (o, cur)) in out_chunk.iter_mut().zip(cur_chunk.iter_mut()).enumerate()
-                    {
-                        (*o, *cur) = eval_direct(&mut cursor, start + i, voltages);
-                    }
+                pos = piece_end;
+                if pos >= seg_end {
+                    si += 1;
                 }
             }
         };
         if policy.is_single_chunk(n) {
-            // Sequential path: reuse the caller's scratch — zero
-            // allocation per batch.
-            run_range(0, out, currents, &mut scratch.voltages, &mut scratch.codes);
+            run_lut(0, out, currents, &mut scratch.rows, &mut scratch.prune);
         } else {
             par::zip_chunks_policy(policy, out, currents, |start, out_chunk, cur_chunk| {
-                // Per-chunk scratch (chunks may run concurrently).
-                let mut voltages = vec![0.0; dim];
-                let mut codes = vec![0usize; LANES * dim];
-                run_range(start, out_chunk, cur_chunk, &mut voltages, &mut codes);
+                // lint: allow(hot-path-alloc) threaded chunk closures own their scratch
+                let mut rows = vec![0usize; LANES * dim];
+                let mut pscratch = PruneScratch::default();
+                run_lut(start, out_chunk, cur_chunk, &mut rows, &mut pscratch);
             });
         }
         if let Some(acts_out) = seg_activations {
-            // Ungated (or direct-path): every evaluation drives every
-            // column.
-            assert_eq!(acts_out.len(), segments.len(), "seg_activations length");
-            let k_cols = self.array.num_columns() as u64;
-            for (si, o) in acts_out.iter_mut().enumerate() {
-                let seg_len = segments.get(si + 1).map_or(n, |s| s.start) - segments[si].start;
-                *o = seg_len as u64 * k_cols;
+            if gate.is_some() {
+                for (o, a) in acts_out.iter_mut().zip(acts) {
+                    *o = a.load(Ordering::Relaxed);
+                }
+            } else {
+                ungated_activations(segments, n, k_cols, acts_out);
             }
         }
+    }
+
+    /// LUT evaluation of the batch points `start..start + out.len()` over
+    /// one column set, in groups of four lanes.
+    ///
+    /// Each group computes its DAC codes and table rows, its four total
+    /// currents ([`CodeLut::totals`]) and its readout
+    /// ([`Readout::finish4`]); a short remainder group repeats its last
+    /// point in the spare lanes (their results are dropped) and reads out
+    /// through the exact scalar chain. Every lane's arithmetic is the
+    /// scalar/direct path's, so grouping, chunk boundaries, thread counts
+    /// and the LUT toggle are all unobservable in the output bits, and
+    /// noise stays tied to per-session absolute indices.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    fn eval_lut<S: ColumnSet>(
+        &self,
+        lut: &CodeLut,
+        cols: S,
+        batch: &PointBatch,
+        start: usize,
+        cursor: &mut SegCursor<'_>,
+        out: &mut [f64],
+        cur: &mut [f64],
+        rows: &mut [usize],
+    ) {
+        let dim = self.axis_codes.len();
+        let flat = batch.as_flat();
+        let mut draws = [(NoiseStream::new(0), 0u64); LANES];
+        let mut i = 0;
+        while i < out.len() {
+            let m = (out.len() - i).min(LANES);
+            let last = start + i + m - 1;
+            let lanes = [
+                &flat[(start + i) * dim..],
+                &flat[(start + i + 1).min(last) * dim..],
+                &flat[(start + i + 2).min(last) * dim..],
+                &flat[last * dim..],
+            ];
+            for (axis, ac) in self.axis_codes.iter().enumerate() {
+                let x = [
+                    lanes[0][axis],
+                    lanes[1][axis],
+                    lanes[2][axis],
+                    lanes[3][axis],
+                ];
+                let codes = ac.code4(x);
+                for p in 0..LANES {
+                    rows[p * dim + axis] = lut.row(axis, codes[p]);
+                }
+            }
+            let totals = lut.totals(rows, cols);
+            for (p, draw) in draws[..m].iter_mut().enumerate() {
+                *draw = cursor.draw(start + i + p);
+            }
+            if m == LANES {
+                self.readout.finish4(totals, &draws, &mut out[i..i + LANES]);
+            } else {
+                for p in 0..m {
+                    let (stream, index) = draws[p];
+                    out[i + p] = self.readout.finish(totals[p], stream.at(index));
+                }
+            }
+            cur[i..i + m].copy_from_slice(&totals[..m]);
+            i += m;
+        }
+    }
+}
+
+/// Ungated (or direct-path) activations: every evaluation drives every
+/// column, so segment `s` reports `len(s) × K`.
+fn ungated_activations(segments: &[NoiseSegment], n: usize, k_cols: usize, acts_out: &mut [u64]) {
+    for (si, o) in acts_out.iter_mut().enumerate() {
+        let seg_len = segments.get(si + 1).map_or(n, |s| s.start) - segments[si].start;
+        *o = seg_len as u64 * k_cols as u64;
     }
 }
 
@@ -828,6 +1126,13 @@ impl HmgmCimEngine {
         // Cache per-code cell currents (post-variation) for the fast
         // evaluation path; exact, so no behavior change.
         let lut = CodeLut::build(&array, &dacs);
+        let axis_codes = map
+            .axes()
+            .iter()
+            .zip(&dacs)
+            .map(|(axis, dac)| AxisCode::new(axis, dac))
+            .collect();
+        let noise = NoiseModel::room_temperature(config.noise_bandwidth);
 
         // The evaluation-noise seed comes from the config seed directly
         // (not from `rng`), so the noise sequence does not depend on how
@@ -837,10 +1142,9 @@ impl HmgmCimEngine {
             compute: Arc::new(CimCompute {
                 array,
                 dacs,
-                adc,
                 map,
-                noise: NoiseModel::room_temperature(config.noise_bandwidth),
-                tech,
+                axis_codes,
+                readout: Readout::new(noise, adc, &tech),
                 lut,
                 prune: None,
                 noise_seed,
@@ -1158,7 +1462,7 @@ impl HmgmCimEngine {
 
     /// The output ADC.
     pub fn adc(&self) -> &LogAdc {
-        &self.compute.adc
+        self.compute.adc()
     }
 
     /// Operation counters accumulated since construction or the last
@@ -1654,5 +1958,176 @@ mod tests {
         let on_data = engine.log_likelihood(&[0.0, 0.5, -0.5]);
         let off_data = engine.log_likelihood(&[1.0, 2.0, 2.0]);
         assert!(on_data > off_data);
+    }
+
+    #[test]
+    fn hoisted_dac_codes_match_scalar_chain() {
+        // The hoisted per-axis constants reproduce
+        // `dac.code_for(axis.to_voltage(x))` for every input, including
+        // NaN, ±inf and coordinates outside the map window.
+        let map = test_map();
+        let model = test_model(&map);
+        for dac_bits in [1, 4, 6, 12] {
+            let config = CimEngineConfig {
+                dac_bits,
+                ..CimEngineConfig::default()
+            };
+            let engine = HmgmCimEngine::build(&model, map.clone(), config).unwrap();
+            let c = &engine.compute;
+            for ((axis, dac), ac) in c.map.axes().iter().zip(&c.dacs).zip(&c.axis_codes) {
+                let mut xs: Vec<f64> = (0..=4000).map(|k| -2.0 + k as f64 * 1e-3).collect();
+                xs.extend([f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e300, -1e300]);
+                for x in xs {
+                    let want = dac.code_for(axis.to_voltage(x)) as usize;
+                    assert_eq!(ac.code(x), want, "x = {x}, {dac_bits} bits");
+                    assert_eq!(ac.code4([x; LANES]), [want; LANES]);
+                }
+            }
+        }
+    }
+
+    /// The exact chain's code coordinate for a current and stream draw,
+    /// written out from `Readout::finish` and `LogAdc::code_for`.
+    fn exact_coord(r: &Readout, i_total: f64, z: f64) -> f64 {
+        let gm = i_total / r.gm_denom;
+        let i_noisy = (i_total + r.noise.sample_with_z(gm, i_total, z)).max(r.i_floor);
+        r.adc.code_coord(i_noisy.max(1e-300).ln())
+    }
+
+    /// Engines spanning the readout regimes: the default 8-bit ADC, the
+    /// benchmark's 6-bit / 10 MHz setting and a 16-bit ADC.
+    fn guard_engines() -> Vec<HmgmCimEngine> {
+        let map = test_map();
+        let model = test_model(&map);
+        let configs = [
+            CimEngineConfig::default(),
+            CimEngineConfig {
+                dac_bits: 6,
+                adc_bits: 6,
+                variation_severity: 0.3,
+                noise_bandwidth: 1e7,
+                ..CimEngineConfig::default()
+            },
+            CimEngineConfig {
+                adc_bits: 16,
+                ..CimEngineConfig::default()
+            },
+        ];
+        configs
+            .iter()
+            .map(|&c| HmgmCimEngine::build(&model, map.clone(), c).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn adc_guard_budget_covers_measured_error() {
+        // Sweep pre-noise currents from below the noise floor to past the
+        // ADC range against many stream draws: the fast coordinate never
+        // strays more than 1/1000 of the guard budget from the exact one,
+        // the noise sample stays within its documented bound, and every
+        // lane — decided fast or sent to the exact chain — reads out the
+        // exact chain's bits.
+        let stream = NoiseStream::new(0xadc);
+        for engine in guard_engines() {
+            let r = &engine.compute.readout;
+            let i_max = engine.array().max_current() * 2.0;
+            let (lo, hi) = ((r.i_floor * 0.1).ln(), i_max.ln());
+            let (mut worst_coord, mut worst_noise) = (0.0f64, 0.0f64);
+            let mut fallbacks = 0;
+            let n = 2048;
+            for k in 0..n {
+                let i_total = (lo + (hi - lo) * k as f64 / (n - 1) as f64).exp();
+                let base = 64 * k as u64;
+                let draws: [(NoiseStream, u64); LANES] = [0, 1, 2, 3].map(|p| (stream, base + p));
+                let it = F64x4::splat(i_total);
+                let uv = draws.map(|(s, index)| s.uniforms(index));
+                let (u, v) = (F64x4::new(uv.map(|x| x.0)), F64x4::new(uv.map(|x| x.1)));
+                let (y, rms, _) = r.approx_coords(it, u, v);
+                let coords = r.guarded_coords(it, u, v);
+                let mut out = [0.0; LANES];
+                r.finish4([i_total; LANES], &draws, &mut out);
+                // The fast noise sample, as `approx_coords` draws it.
+                let z_f = (F64x4::splat(-2.0) * u.ln()).sqrt() * v.cos_turns();
+                for p in 0..LANES {
+                    let z = stream.at(base + p as u64);
+                    let rms_e = r.noise.total_rms(i_total / r.gm_denom, i_total);
+                    let noise_f = rms.lane(p) * z_f.lane(p);
+                    worst_noise = worst_noise.max((noise_f - rms_e * z).abs() / rms_e);
+                    if !coords[p].is_nan() {
+                        let d = (y.lane(p) - exact_coord(r, i_total, z)).abs();
+                        worst_coord = worst_coord.max(d);
+                    }
+                    fallbacks += usize::from(coords[p].is_nan());
+                    assert_eq!(
+                        out[p].to_bits(),
+                        r.finish(i_total, z).to_bits(),
+                        "I = {i_total:e}, lane {p}"
+                    );
+                }
+            }
+            assert!(
+                ADC_GUARD_CODES >= 1000.0 * worst_coord,
+                "worst coordinate error {worst_coord:e} codes"
+            );
+            assert!(
+                worst_noise <= Z_FAST_MAX_ABS_ERR,
+                "worst noise error {worst_noise:e} rms"
+            );
+            // Fallbacks are rare wherever the noise is not far above the
+            // signal; the 16-bit ADC's tighter noise admission sends the
+            // noise-dominated low end of this sweep to the exact chain.
+            let allowed = if r.adc.bits() <= 8 { 0.001 } else { 0.1 };
+            assert!(
+                (fallbacks as f64) < allowed * (n * LANES) as f64,
+                "{fallbacks} fallbacks of {} at {} bits",
+                n * LANES,
+                r.adc.bits()
+            );
+        }
+    }
+
+    #[test]
+    fn adc_guard_forces_exact_fallback_at_code_boundary() {
+        // With zero noise bandwidth the noisy current is the pre-noise
+        // one. A current exactly between two ADC codes puts `ŷ` on a
+        // rounding boundary: the guard must send the lane to the exact
+        // chain, whose code is `LogAdc::code_for`.
+        let map = test_map();
+        let model = test_model(&map);
+        let config = CimEngineConfig {
+            noise_bandwidth: 0.0,
+            ..CimEngineConfig::default()
+        };
+        let engine = HmgmCimEngine::build(&model, map, config).unwrap();
+        let r = &engine.compute.readout;
+        let adc = engine.adc();
+        let (ln_min, _) = adc.ln_range();
+        let stream = NoiseStream::new(3);
+        for c in [0u64, 1, 17, 100, adc.levels() - 3] {
+            let i_boundary = (ln_min + (c as f64 + 0.5) * adc.log_lsb()).exp();
+            let i_inside = (ln_min + (c as f64 + 0.25) * adc.log_lsb()).exp();
+            let it = [i_boundary, i_inside, i_boundary, i_inside];
+            let draws = [0, 1, 2, 3].map(|p| (stream, 10 * c + p));
+            let uv = draws.map(|(s, index)| s.uniforms(index));
+            let coords = r.guarded_coords(
+                F64x4::new(it),
+                F64x4::new(uv.map(|x| x.0)),
+                F64x4::new(uv.map(|x| x.1)),
+            );
+            assert!(
+                coords[0].is_nan() && coords[2].is_nan(),
+                "code {c}: {coords:?}"
+            );
+            assert_eq!(coords[1].round() as u64, c, "code {c}: {coords:?}");
+            let mut out = [0.0; LANES];
+            r.finish4(it, &draws, &mut out);
+            for (p, &i) in it.iter().enumerate() {
+                assert_eq!(
+                    out[p],
+                    adc.log_current(adc.code_for(i)),
+                    "code {c}, lane {p}"
+                );
+            }
+        }
     }
 }

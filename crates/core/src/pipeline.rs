@@ -2273,22 +2273,22 @@ impl LocalizationPipeline {
     ///
     /// # Errors
     ///
-    /// Propagates filter degeneracy and pricing errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lls` is not aligned with the staged batch.
+    /// Returns [`CoreError::InvalidArgument`] — before any state changes —
+    /// if `lls` is not aligned with the staged batch, and propagates
+    /// filter degeneracy and pricing errors.
     pub fn finish_frame(
         &mut self,
         pending: PendingFrame,
         lls: &[f64],
         truth: Pose,
     ) -> Result<FrameReport> {
-        assert_eq!(
-            lls.len(),
-            self.scratch.batch.len(),
-            "per-point log-likelihoods must align with the staged batch"
-        );
+        if lls.len() != self.scratch.batch.len() {
+            return Err(CoreError::InvalidArgument(format!(
+                "finish_frame got {} per-point log-likelihoods for a staged batch of {} points",
+                lls.len(),
+                self.scratch.batch.len()
+            )));
+        }
         let sharpness = self.config.sharpness;
         self.scratch
             .particle_lls
@@ -3729,6 +3729,40 @@ mod tests {
             assert_eq!(report, expected, "frame {t} diverged");
         }
         assert!(served_analog, "gate never exercised the analog slot");
+    }
+
+    #[test]
+    fn finish_frame_rejects_misaligned_lls_without_side_effects() {
+        // A log-likelihood slice that does not match the staged batch is
+        // an InvalidArgument naming both lengths, raised before any state
+        // changes: retrying with the right slice still reproduces step().
+        let ds = small_dataset();
+        let config = small_config(GateConfig::always(vec![DIGITAL_GMM, CIM_HMGM], ANALOG_SLOT));
+        let mut mono = LocalizationPipeline::build(&ds, config.clone()).unwrap();
+        let mut split = LocalizationPipeline::build(&ds, config).unwrap();
+        let control = ds.control_deltas()[0];
+        let (depth, truth) = (&ds.frames[1].depth, ds.frames[1].pose);
+        let expected = mono.step(&control, depth, truth).unwrap();
+        let pending = split.begin_frame(&control, depth).unwrap();
+        let batch = split.staged_batch().clone();
+        assert!(batch.len() > 1);
+        for wrong in [0, batch.len() - 1, batch.len() + 1] {
+            let err = split
+                .finish_frame(pending.clone(), &vec![0.0; wrong], truth)
+                .unwrap_err();
+            let msg = err.to_string();
+            assert!(matches!(err, CoreError::InvalidArgument(_)), "{msg}");
+            assert!(
+                msg.contains(&wrong.to_string()) && msg.contains(&batch.len().to_string()),
+                "{msg}"
+            );
+        }
+        let mut lls = vec![0.0; batch.len()];
+        split
+            .backend_mut(pending.slot())
+            .log_likelihood_into(&batch, &mut lls);
+        let report = split.finish_frame(pending, &lls, truth).unwrap();
+        assert_eq!(report, expected);
     }
 
     #[test]

@@ -60,6 +60,18 @@ impl NoiseModel {
         (t * t + s * s).sqrt()
     }
 
+    /// Total noise variance per ampere of bias, `(4kTγ·g + 2q)·Δf`, for a
+    /// device whose transconductance tracks its bias current as
+    /// `g_m = g·I` (the subthreshold estimate `g = 1/(n·U_T)`).
+    ///
+    /// `√(I · variance_per_amp(g))` is [`Self::total_rms`]`(g·I, I)` for
+    /// any `I ≥ 0` with one square root instead of three; the two differ
+    /// only by rounding, at most `4·ε` relative (`ε = f64::EPSILON`).
+    pub fn variance_per_amp(&self, gm_per_amp: f64) -> f64 {
+        (4.0 * BOLTZMANN * self.temperature * self.gamma * gm_per_amp + 2.0 * ELECTRON_CHARGE)
+            * self.bandwidth
+    }
+
     /// Draws one integrated noise-current sample for the operating point.
     pub fn sample<R: Rng64 + ?Sized>(&self, gm: f64, i_bias: f64, rng: &mut R) -> f64 {
         self.sample_with_z(gm, i_bias, rng.sample_standard_normal())
@@ -83,6 +95,7 @@ const SM64_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 /// The `k`-th output word of a SplitMix64 generator seeded with `seed`,
 /// computed directly from the counter (SplitMix64's state after `k + 1`
 /// steps is `seed + (k + 1)·γ`, so any word is random-access).
+#[inline(always)]
 fn splitmix_word(seed: u64, k: u64) -> u64 {
     let mut z = seed.wrapping_add(SM64_GAMMA.wrapping_mul(k.wrapping_add(1)));
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -92,6 +105,7 @@ fn splitmix_word(seed: u64, k: u64) -> u64 {
 
 /// Uniform `[0, 1)` from the high 53 bits of a word (the same mapping
 /// `Rng64::next_f64` uses).
+#[inline(always)]
 fn unit_f64(word: u64) -> f64 {
     (word >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
@@ -152,11 +166,28 @@ impl NoiseStream {
     }
 
     /// The standard-normal sample at absolute stream index `index`,
-    /// independent of the cursor and of any other draw.
+    /// independent of the cursor and of any other draw: the Box–Muller
+    /// transform `√(−2·ln u)·cos(2π·v)` of [`Self::uniforms`]`(index)`,
+    /// with libm `ln` and `cos`.
+    ///
+    /// This is the one exact definition of the sample. The CIM engine's
+    /// vectorized ADC path evaluates the same transform of the same
+    /// uniforms with bounded-error lane approximations, but only to
+    /// decide codes it can prove equal to the ones this value yields;
+    /// every other lane calls `at` (see `navicim_analog::engine`).
     pub fn at(&self, index: u64) -> f64 {
+        let (u, v) = self.uniforms(index);
+        (-2.0 * u.ln()).sqrt() * (2.0 * std::f64::consts::PI * v).cos()
+    }
+
+    /// The Box–Muller uniforms behind [`Self::at`]`(index)`: `u ∈ [2⁻⁵³, 1]`
+    /// (the radius draw, never zero) from word `2·index` and
+    /// `v ∈ [0, 1)` (the angle in turns) from word `2·index + 1`.
+    #[inline(always)]
+    pub fn uniforms(&self, index: u64) -> (f64, f64) {
         let u = 1.0 - unit_f64(splitmix_word(self.seed, 2 * index));
         let v = unit_f64(splitmix_word(self.seed, 2 * index + 1));
-        (-2.0 * u.ln()).sqrt() * (2.0 * std::f64::consts::PI * v).cos()
+        (u, v)
     }
 
     /// Draws the sample at the cursor and advances it by one.
@@ -340,6 +371,37 @@ mod tests {
         let mut rng = SplitMix64::seed_from_u64(0xfeed);
         for i in 0..64 {
             assert_eq!(stream.at(i), rng.sample_standard_normal(), "index {i}");
+        }
+    }
+
+    #[test]
+    fn variance_per_amp_matches_total_rms_to_rounding() {
+        for bw in [1e6, 1e7, 1e8, 1e10] {
+            let m = NoiseModel::room_temperature(bw);
+            // The CIM engine's transconductance estimate g_m = I/(n·U_T).
+            let n_ut = 1.4 * 0.025852;
+            let vpa = m.variance_per_amp(1.0 / n_ut);
+            for k in 0..400 {
+                let i = 1e-16 * 10f64.powf(k as f64 * 0.03);
+                let exact = m.total_rms(i / n_ut, i);
+                let fast = (i * vpa).sqrt();
+                assert!(
+                    (fast - exact).abs() <= 4.0 * f64::EPSILON * exact,
+                    "bw {bw}, I {i}: {fast} vs {exact}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn uniforms_feed_box_muller_and_stay_in_range() {
+        let s = NoiseStream::new(0x5eed);
+        for i in 0..4096 {
+            let (u, v) = s.uniforms(i);
+            assert!((f64::EPSILON / 2.0..=1.0).contains(&u), "u = {u}");
+            assert!((0.0..1.0).contains(&v), "v = {v}");
+            let z = (-2.0 * u.ln()).sqrt() * (2.0 * std::f64::consts::PI * v).cos();
+            assert_eq!(s.at(i).to_bits(), z.to_bits(), "index {i}");
         }
     }
 

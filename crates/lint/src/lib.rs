@@ -155,6 +155,7 @@ const HOT_PATH_FNS: &[(&str, &str)] = &[
     ("crates/gmm/src/hmg.rs", "eval_range"),
     ("crates/gmm/src/hmg.rs", "eval_range_pruned"),
     ("crates/analog/src/engine.rs", "log_likelihood_into_chunked"),
+    ("crates/analog/src/engine.rs", "eval_segments_counted"),
 ];
 
 /// Allocating calls forbidden inside hot-path function bodies.

@@ -31,6 +31,19 @@
 //! but carry this documented ulp-bounded tolerance relative to a
 //! `f64::exp` reference implementation. The property-test suite enforces
 //! the bound (`tests/property_tests.rs` and the tests below).
+//!
+//! # `ln_fast`, `cos_turns_fast` and their error bounds
+//!
+//! The CIM engine's noise + log-ADC chain needs `ln` (Box–Muller radius
+//! and the log-ADC) and `cos(2π·v)` (Box–Muller angle) four lanes at a
+//! time. [`ln_fast`] and [`cos_turns_fast`] are branch-free lane-friendly
+//! versions with documented absolute error bounds against the libm
+//! results: [`LN_FAST_MAX_ULP`] ulp of the result for `ln_fast` and
+//! [`COS_TURNS_FAST_MAX_ABS_ERR`] for `cos_turns_fast`. Unlike
+//! `exp_fast`, no likelihood value is ever computed from them directly:
+//! the engine only uses them to *decide* an 8-bit ADC code when the
+//! decision is provably the one the exact chain makes, and sends every
+//! other lane through the exact libm chain (see `navicim_analog::engine`).
 
 use std::ops::{Add, Div, Mul, Sub};
 
@@ -41,6 +54,19 @@ pub const LANES: usize = 4;
 /// correctly rounded `f64::exp`, in units in the last place, for finite
 /// inputs with normal (non-subnormal) results.
 pub const EXP_FAST_MAX_ULP: u64 = 4;
+
+/// Documented accuracy gate for [`ln_fast`]: for every positive finite
+/// input, `|ln_fast(x) − f64::ln(x)|` is at most this many ulp of the
+/// result — an absolute error of at most `2⁻⁵¹·|ln x|`, e.g. `≤ 1.7e-14`
+/// over `[2⁻⁵³, 1]` and `≤ 3.3e-13` over the whole positive range.
+pub const LN_FAST_MAX_ULP: u64 = 2;
+
+/// Documented accuracy gate for [`cos_turns_fast`]: for `v ∈ [0, 1)`,
+/// `|cos_turns_fast(v) − f64::cos(2.0 * PI * v)|` never exceeds this. The
+/// bound covers the reference's own argument rounding (`2π·v` is rounded
+/// before libm sees it, worth up to `2π·2⁻⁵³ ≈ 7e-16`), which
+/// `cos_turns_fast` avoids by reducing in turns.
+pub const COS_TURNS_FAST_MAX_ABS_ERR: f64 = 1.5e-15;
 
 /// Four f64 lanes with strictly per-lane arithmetic.
 ///
@@ -127,6 +153,51 @@ impl F64x4 {
         ])
     }
 
+    /// Per-lane minimum with [`f64::min`] NaN semantics (NaN lanes yield
+    /// the other operand).
+    #[inline(always)]
+    pub fn min(self, o: Self) -> Self {
+        Self([
+            self.0[0].min(o.0[0]),
+            self.0[1].min(o.0[1]),
+            self.0[2].min(o.0[2]),
+            self.0[3].min(o.0[3]),
+        ])
+    }
+
+    /// Per-lane [`f64::floor`].
+    #[inline(always)]
+    pub fn floor(self) -> Self {
+        Self([
+            self.0[0].floor(),
+            self.0[1].floor(),
+            self.0[2].floor(),
+            self.0[3].floor(),
+        ])
+    }
+
+    /// Per-lane [`f64::abs`].
+    #[inline(always)]
+    pub fn abs(self) -> Self {
+        Self([
+            self.0[0].abs(),
+            self.0[1].abs(),
+            self.0[2].abs(),
+            self.0[3].abs(),
+        ])
+    }
+
+    /// Per-lane [`f64::round`] (half away from zero).
+    #[inline(always)]
+    pub fn round(self) -> Self {
+        Self([
+            self.0[0].round(),
+            self.0[1].round(),
+            self.0[2].round(),
+            self.0[3].round(),
+        ])
+    }
+
     /// Per-lane [`exp_fast`].
     #[inline(always)]
     pub fn exp(self) -> Self {
@@ -135,6 +206,39 @@ impl F64x4 {
             exp_fast(self.0[1]),
             exp_fast(self.0[2]),
             exp_fast(self.0[3]),
+        ])
+    }
+
+    /// Per-lane [`ln_fast`].
+    #[inline(always)]
+    pub fn ln(self) -> Self {
+        Self([
+            ln_fast(self.0[0]),
+            ln_fast(self.0[1]),
+            ln_fast(self.0[2]),
+            ln_fast(self.0[3]),
+        ])
+    }
+
+    /// Per-lane [`cos_turns_fast`]: `cos(2π·v)` of each lane `v`.
+    #[inline(always)]
+    pub fn cos_turns(self) -> Self {
+        Self([
+            cos_turns_fast(self.0[0]),
+            cos_turns_fast(self.0[1]),
+            cos_turns_fast(self.0[2]),
+            cos_turns_fast(self.0[3]),
+        ])
+    }
+
+    /// Per-lane [`f64::sqrt`] (correctly rounded, so exact per lane).
+    #[inline(always)]
+    pub fn sqrt(self) -> Self {
+        Self([
+            self.0[0].sqrt(),
+            self.0[1].sqrt(),
+            self.0[2].sqrt(),
+            self.0[3].sqrt(),
         ])
     }
 }
@@ -250,6 +354,119 @@ pub fn exp_fast(x: f64) -> f64 {
     }
 }
 
+/// `√½` as f64 bits with the low word cleared: the reduction in
+/// [`ln_fast`] moves mantissas at or above this into the next binade.
+const SQRT_HALF_HI_BITS: u64 = 0x3fe6_a09e_0000_0000;
+/// Bits of `1.0` (biased exponent 1023, empty mantissa).
+const ONE_BITS: u64 = 0x3ff0_0000_0000_0000;
+/// Mantissa field of an f64.
+const MANTISSA_MASK: u64 = 0x000f_ffff_ffff_ffff;
+/// `2^54`, the prescale that lifts subnormal inputs into the normal range.
+const TWO_54: f64 = 18_014_398_509_481_984.0;
+/// Coefficients of the `ln(1+f)` remainder polynomial in `s = f/(2+f)`
+/// (the classic fdlibm `Lg1..Lg7` minimax fit, error < 2⁻⁵⁸·⁴⁵).
+const LG: [f64; 7] = [
+    6.666_666_666_666_735e-1,
+    3.999_999_999_940_942e-1,
+    2.857_142_874_366_239e-1,
+    2.222_219_843_214_978_4e-1,
+    1.818_357_216_161_805e-1,
+    1.531_383_769_920_937_3e-1,
+    1.479_819_860_511_658_6e-1,
+];
+
+/// Fast natural logarithm, within [`LN_FAST_MAX_ULP`] ulp of `f64::ln`
+/// for every positive finite input.
+///
+/// The classic fdlibm reduction `x = 2^k·(1+f)` with `1+f ∈ [√½, √2)`,
+/// `ln(1+f) = f − f²/2 + s·(f²/2 + R(s²))`, `s = f/(2+f)`, written without
+/// branches so mapping it over four lanes vectorizes: the exponent is
+/// split off with integer bit operations and turned into a float with the
+/// 2^52 magic-bias trick (as in [`exp_fast`]), subnormals are prescaled by
+/// a select, and the special inputs are repaired by selects at the end.
+/// `ln_fast(0) = −inf`, `ln_fast(+inf) = +inf`, negative and `NaN`
+/// inputs give `NaN` — as `f64::ln`.
+///
+/// ```
+/// use navicim_math::simd::ln_fast;
+/// assert_eq!(ln_fast(1.0), 0.0);
+/// assert_eq!(ln_fast(0.0), f64::NEG_INFINITY);
+/// assert!(ln_fast(-1.0).is_nan());
+/// assert!((ln_fast(std::f64::consts::E) - 1.0).abs() < 1e-15);
+/// ```
+#[inline(always)]
+pub fn ln_fast(x: f64) -> f64 {
+    const MANTISSA_MAGIC: f64 = 4_503_599_627_370_496.0; // 2^52
+    let tiny = x < f64::MIN_POSITIVE;
+    let xs = if tiny { x * TWO_54 } else { x };
+    // Biasing the bits by (1.0 − √½) carries into the exponent field
+    // exactly when the mantissa is ≥ √½·2, so the exponent read below is
+    // k and the re-biased mantissa lands in [√½, √2).
+    let ix = xs.to_bits().wrapping_add(ONE_BITS - SQRT_HALF_HI_BITS);
+    let e = f64::from_bits((ix >> 52) | MANTISSA_MAGIC.to_bits()) - MANTISSA_MAGIC;
+    let k = e - if tiny { 1023.0 + 54.0 } else { 1023.0 };
+    let f = f64::from_bits((ix & MANTISSA_MASK) + SQRT_HALF_HI_BITS) - 1.0;
+    let hfsq = 0.5 * f * f;
+    let s = f / (2.0 + f);
+    let z = s * s;
+    let w = z * z;
+    let t1 = w * (LG[1] + w * (LG[3] + w * LG[5]));
+    let t2 = z * (LG[0] + w * (LG[2] + w * (LG[4] + w * LG[6])));
+    let r = t2 + t1;
+    let v = s * (hfsq + r) + k * LN2_LO - hfsq + f + k * LN2_HI;
+    // Repair the special inputs (NaN fails every comparison).
+    let v = if x == 0.0 { f64::NEG_INFINITY } else { v };
+    let v = if x == f64::INFINITY { x } else { v };
+    if x < 0.0 || x.is_nan() {
+        f64::NAN
+    } else {
+        v
+    }
+}
+
+/// Odd Taylor coefficients `(−1)^j/(2j+1)!` of `sin`, through `x²¹`.
+const SIN_TAYLOR: [f64; 11] = [
+    1.0,
+    -1.0 / 6.0,
+    1.0 / 120.0,
+    -1.0 / 5_040.0,
+    1.0 / 362_880.0,
+    -1.0 / 39_916_800.0,
+    1.0 / 6_227_020_800.0,
+    -1.0 / 1_307_674_368_000.0,
+    1.0 / 355_687_428_096_000.0,
+    -1.0 / 121_645_100_408_832_000.0,
+    1.0 / 51_090_942_171_709_440_000.0,
+];
+
+/// Fast `cos(2π·v)` for an angle `v` in turns, within
+/// [`COS_TURNS_FAST_MAX_ABS_ERR`] of `f64::cos(2.0 * PI * v)` on
+/// `v ∈ [0, 1)`.
+///
+/// Reduction is exact in turns: `a = |v − round(v)| ∈ [0, ½]` and
+/// `cos(2π·a) = sin(2π·(¼ − a))` with `¼ − a ∈ [−¼, ¼]`, so one odd
+/// Taylor polynomial through `x²¹` on `[−π/2, π/2]` (truncation
+/// `< 1.3e-18`) covers every angle, with no branch. Non-finite `v` gives
+/// `NaN`.
+///
+/// ```
+/// use navicim_math::simd::cos_turns_fast;
+/// assert_eq!(cos_turns_fast(0.0), 1.0);
+/// assert_eq!(cos_turns_fast(0.5), -1.0);
+/// assert!(cos_turns_fast(0.25).abs() < 1e-16);
+/// ```
+#[inline(always)]
+pub fn cos_turns_fast(v: f64) -> f64 {
+    let a = (v - v.round()).abs();
+    let x = (0.25 - a) * std::f64::consts::TAU;
+    let x2 = x * x;
+    let mut p = SIN_TAYLOR[10];
+    for &c in SIN_TAYLOR[..10].iter().rev() {
+        p = p.mul_add(x2, c);
+    }
+    x * p
+}
+
 /// Numerically stable `log(Σ exp(x_i))` using [`exp_fast`] for the
 /// rescaled exponentials.
 ///
@@ -324,6 +541,13 @@ mod tests {
             );
             assert_eq!(a.max(b).lane(i), a.lane(i).max(b.lane(i)));
             assert_eq!(a.exp().lane(i), exp_fast(a.lane(i)));
+            assert_eq!(a.ln().lane(i).to_bits(), ln_fast(a.lane(i)).to_bits());
+            assert_eq!(a.cos_turns().lane(i), cos_turns_fast(a.lane(i)));
+            assert_eq!(a.sqrt().lane(i).to_bits(), a.lane(i).sqrt().to_bits());
+            assert_eq!(a.round().lane(i), a.lane(i).round());
+            assert_eq!(a.min(b).lane(i), a.lane(i).min(b.lane(i)));
+            assert_eq!(a.floor().lane(i), a.lane(i).floor());
+            assert_eq!(a.abs().lane(i), a.lane(i).abs());
         }
     }
 
@@ -376,6 +600,93 @@ mod tests {
             let v = exp_fast(x);
             assert!((0.0..1e-300).contains(&v), "exp_fast({x}) = {v}");
         }
+    }
+
+    /// Worst `ln_fast` distance from `f64::ln`, in ulp of the result, over
+    /// `n + 1` log-spaced points of `[lo, hi]`.
+    fn ln_sweep_worst_ulp(lo: f64, hi: f64, n: u32) -> u64 {
+        let (a, b) = (lo.ln(), hi.ln());
+        let mut worst = 0;
+        for k in 0..=n {
+            let x = (a + (b - a) * k as f64 / n as f64).exp().clamp(lo, hi);
+            worst = worst.max(ulp_distance(ln_fast(x), x.ln()));
+        }
+        worst
+    }
+
+    #[test]
+    fn ln_fast_within_ulp_gate_on_uniform_and_current_ranges() {
+        // The Box–Muller radius draws u ∈ [2⁻⁵³, 1]; the log-ADC reads
+        // currents from the leakage floor (~1e-16 A) up to ~1e-3 A. Both
+        // ranges, plus mantissas straddling the √½ reduction boundary
+        // and every binade edge near 1.
+        let eps = f64::EPSILON / 2.0;
+        let mut worst = ln_sweep_worst_ulp(eps, 1.0, 400_000);
+        worst = worst.max(ln_sweep_worst_ulp(1e-18, 1e-2, 400_000));
+        for e in -60..60 {
+            let b = 2f64.powi(e);
+            for x in [
+                b,
+                b * std::f64::consts::FRAC_1_SQRT_2,
+                b * (1.0 - eps),
+                b * (1.0 + 2.0 * eps),
+            ] {
+                worst = worst.max(ulp_distance(ln_fast(x), x.ln()));
+            }
+        }
+        for k in 0..10_000 {
+            // Just below and above 1, where ln x → 0.
+            for x in [1.0 - k as f64 * eps, 1.0 + 2.0 * k as f64 * eps] {
+                worst = worst.max(ulp_distance(ln_fast(x), x.ln()));
+            }
+        }
+        assert!(
+            worst <= LN_FAST_MAX_ULP,
+            "worst ln_fast distance {worst} ulp"
+        );
+    }
+
+    #[test]
+    fn ln_fast_specials_and_extremes() {
+        assert_eq!(ln_fast(1.0), 0.0);
+        assert_eq!(ln_fast(0.0), f64::NEG_INFINITY);
+        assert_eq!(ln_fast(-0.0), f64::NEG_INFINITY);
+        assert_eq!(ln_fast(f64::INFINITY), f64::INFINITY);
+        assert!(ln_fast(-1.0).is_nan());
+        assert!(ln_fast(f64::NEG_INFINITY).is_nan());
+        assert!(ln_fast(f64::NAN).is_nan());
+        for x in [
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            1e-310,
+            3e-320,
+        ] {
+            let d = ulp_distance(ln_fast(x), x.ln());
+            assert!(d <= LN_FAST_MAX_ULP, "ln_fast({x:e}) off by {d} ulp");
+        }
+    }
+
+    #[test]
+    fn cos_turns_fast_within_abs_gate() {
+        let n = 1 << 21;
+        let mut worst = 0.0f64;
+        for k in 0..n {
+            // Exact multiples of 2⁻²¹ plus an off-grid jitter, so both
+            // stream-like and arbitrary mantissas are covered.
+            for v in [k as f64 / n as f64, (k as f64 + 0.377_123) / n as f64] {
+                let reference = (2.0 * std::f64::consts::PI * v).cos();
+                worst = worst.max((cos_turns_fast(v) - reference).abs());
+            }
+        }
+        assert!(
+            worst <= COS_TURNS_FAST_MAX_ABS_ERR,
+            "worst cos_turns_fast error {worst:e}"
+        );
+        assert_eq!(cos_turns_fast(0.0), 1.0);
+        assert_eq!(cos_turns_fast(0.5), -1.0);
+        assert!(cos_turns_fast(f64::NAN).is_nan());
+        assert!(cos_turns_fast(f64::INFINITY).is_nan());
     }
 
     #[test]

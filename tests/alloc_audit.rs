@@ -20,16 +20,18 @@
 
 use std::sync::Mutex;
 
-use navicim::analog::engine::{CimEngineConfig, HmgmCimEngine};
+use navicim::analog::engine::{CimEngineConfig, HmgmCimEngine, NoiseSegment};
 use navicim::analog::mapping::SpaceMap;
 use navicim::backend::par::ChunkPolicy;
 use navicim::backend::PointBatch;
 use navicim::core::localization::LocalizerConfig;
 use navicim::core::pipeline::{GateConfig, LocalizationPipeline};
 use navicim::core::registry::DIGITAL_GMM;
+use navicim::device::noise::NoiseStream;
 use navicim::device::params::TechParams;
 use navicim::gmm::gaussian::{Covariance, Gmm};
 use navicim::gmm::hmg::{HmgKernel, HmgmModel};
+use navicim::gmm::prune::PruneConfig;
 use navicim::math::alloc_audit;
 use navicim::scene::dataset::{LocalizationConfig, LocalizationDataset};
 use navicim::serve::{Fleet, FleetConfig, TaskOrder};
@@ -112,17 +114,46 @@ fn hmgm_batch_kernel_is_zero_alloc_when_warm() {
     assert_eq!(out, warm, "steady-state pass changed the output bits");
 }
 
-#[test]
-fn cim_engine_batch_path_is_zero_alloc_when_warm() {
-    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+/// The unit-cube map and an HMG mixture of `k` device-realizable kernels
+/// at the narrowest programmable width, scattered over the map so a
+/// tight point cloud gates most columns out.
+fn cim_fixture(k: usize) -> (SpaceMap, HmgmModel) {
+    use navicim::math::rng::{Pcg32, SampleExt};
     let pts = vec![vec![-1.0, -1.0, -1.0], vec![1.0, 1.0, 1.0]];
     let map = SpaceMap::fit_to_points(&pts, 0.15, 0.85, 0.2).expect("map fits");
     let tech = TechParams::cmos_45nm();
-    let (floor, ceil) = HmgmCimEngine::recommended_sigma_bounds(&tech, &map);
-    let sigma = (floor * 2.0).min(ceil);
-    let k1 = HmgKernel::new(vec![-0.5, 0.0, 0.2], vec![sigma; 3], 1.0).expect("kernel");
-    let k2 = HmgKernel::new(vec![0.6, 0.3, -0.4], vec![sigma; 3], 1.0).expect("kernel");
-    let model = HmgmModel::new(vec![1.0, 0.5], vec![k1, k2]).expect("model builds");
+    let (floor, _) = HmgmCimEngine::recommended_sigma_bounds(&tech, &map);
+    let mut rng = Pcg32::seed_from_u64(41);
+    let kernels = (0..k)
+        .map(|_| {
+            let mean = (0..3).map(|_| rng.sample_uniform(-0.95, 0.95)).collect();
+            HmgKernel::new(mean, vec![floor; 3], 1.0).expect("kernel")
+        })
+        .collect();
+    let weights = (0..k).map(|_| rng.sample_uniform(0.2, 1.0)).collect();
+    let model = HmgmModel::new(weights, kernels).expect("model builds");
+    (map, model)
+}
+
+/// `n` points in a ±0.01 box around `center`: a tight particle cloud,
+/// so the gated engine drops the far columns.
+fn clustered_batch(center: &[f64], n: usize) -> PointBatch {
+    let mut batch = PointBatch::new(center.len());
+    for i in 0..n {
+        let point: Vec<f64> = center
+            .iter()
+            .enumerate()
+            .map(|(d, &c)| c + 0.02 * ((i as f64 * (0.618 + 0.1 * d as f64)).fract() - 0.5))
+            .collect();
+        batch.push(&point);
+    }
+    batch
+}
+
+#[test]
+fn cim_engine_batch_path_is_zero_alloc_when_warm() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let (map, model) = cim_fixture(2);
     let mut engine =
         HmgmCimEngine::build(&model, map, CimEngineConfig::default()).expect("engine builds");
     let batch = query_batch(3, 64);
@@ -136,6 +167,94 @@ fn cim_engine_batch_path_is_zero_alloc_when_warm() {
     assert_zero_alloc("HmgmCimEngine::log_likelihood_into_chunked", || {
         engine.log_likelihood_into_chunked(&batch, &mut out, policy);
     });
+}
+
+/// The column-gated engine: per-tile candidate lists and per-segment
+/// activation tallies live in the engine's scratch, so a warm gated
+/// batch (several prune tiles, a remainder lane group) allocates
+/// nothing.
+#[test]
+fn cim_gated_engine_batch_path_is_zero_alloc_when_warm() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let (map, model) = cim_fixture(24);
+    let mut engine = HmgmCimEngine::build_with_pruning(
+        &model,
+        map,
+        CimEngineConfig::default(),
+        PruneConfig::enabled(),
+    )
+    .expect("engine builds");
+    let batch = clustered_batch(model.kernels()[0].means(), 603);
+    let mut out = vec![0.0; batch.len()];
+    let policy = sequential(batch.len());
+    engine.log_likelihood_into_chunked(&batch, &mut out, policy);
+    engine.log_likelihood_into_chunked(&batch, &mut out, policy);
+    assert_zero_alloc("gated HmgmCimEngine::log_likelihood_into_chunked", || {
+        engine.log_likelihood_into_chunked(&batch, &mut out, policy);
+    });
+    let stats = engine.stats();
+    assert!(
+        stats.column_activations < stats.column_slots,
+        "the audit batch should exercise column gating"
+    );
+}
+
+/// Coalesced serving over several sessions' segments (starts inside lane
+/// groups), gated and ungated: warm `serve_segments_counted` calls
+/// allocate nothing.
+#[test]
+fn cim_serve_segments_counted_is_zero_alloc_when_warm() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let (map, model) = cim_fixture(24);
+    for prune in [PruneConfig::default(), PruneConfig::enabled()] {
+        let root = HmgmCimEngine::build_with_pruning(
+            &model,
+            map.clone(),
+            CimEngineConfig::default(),
+            prune,
+        )
+        .expect("engine builds");
+        let mut evaluator = root.fork_session();
+        let batch = clustered_batch(model.kernels()[0].means(), 530);
+        let segments: Vec<NoiseSegment> = [0usize, 3, 258, 301]
+            .iter()
+            .enumerate()
+            .map(|(s, &start)| NoiseSegment {
+                start,
+                stream: NoiseStream::with_cursor(root.compute().noise_seed(), 1000 * s as u64),
+            })
+            .collect();
+        let mut out = vec![0.0; batch.len()];
+        let mut currents = vec![0.0; batch.len()];
+        let mut acts = vec![0u64; segments.len()];
+        let policy = sequential(batch.len());
+        evaluator.serve_segments_counted(
+            &batch,
+            &segments,
+            &mut out,
+            &mut currents,
+            policy,
+            &mut acts,
+        );
+        let warm = out.clone();
+        assert_zero_alloc("HmgmCimEngine::serve_segments_counted", || {
+            evaluator.serve_segments_counted(
+                &batch,
+                &segments,
+                &mut out,
+                &mut currents,
+                policy,
+                &mut acts,
+            );
+        });
+        assert_eq!(out, warm, "steady-state pass changed the output bits");
+        let slots = (batch.len() * root.array().num_columns()) as u64;
+        assert_eq!(
+            acts.iter().sum::<u64>() < slots,
+            prune.enabled,
+            "column gating should fire exactly when compiled in"
+        );
+    }
 }
 
 fn audit_dataset() -> LocalizationDataset {

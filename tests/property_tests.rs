@@ -26,6 +26,50 @@ use navicim::sram::cim_macro::{MacroConfig, SramCimMacro};
 use navicim::sram::reuse::{greedy_order, hamming, path_cost};
 use proptest::prelude::*;
 
+/// A CIM parity fixture: the unit-cube map and a `k`-component HMG
+/// mixture with random centers, device-realizable widths and weights
+/// spread so the programmed replica counts span 1–5.
+fn cim_parity_model(k: usize, rng: &mut Pcg32) -> (SpaceMap, HmgmModel) {
+    use navicim::math::rng::SampleExt;
+    let pts = vec![vec![-1.0, -1.0, -1.0], vec![1.0, 1.0, 1.0]];
+    let space = SpaceMap::fit_to_points(&pts, 0.15, 0.85, 0.2).expect("map fits");
+    let tech = TechParams::cmos_45nm();
+    let (floor, ceil) = HmgmCimEngine::recommended_sigma_bounds(&tech, &space);
+    let mut weights = Vec::with_capacity(k);
+    let mut kernels = Vec::with_capacity(k);
+    for j in 0..k {
+        let mean = [0; 3].map(|_| rng.sample_uniform(-0.9, 0.9));
+        let sigma = rng.sample_uniform(floor * 1.2, (floor * 4.0).min(ceil));
+        kernels.push(HmgKernel::new(mean.to_vec(), vec![sigma; 3], 1.0).expect("kernel"));
+        // Cycle the weight through the five replica bands.
+        weights.push(0.2 * (j % 5) as f64 + rng.sample_uniform(0.01, 0.09));
+    }
+    let model = HmgmModel::new(weights, kernels).expect("model");
+    (space, model)
+}
+
+/// `n` query points, mostly inside the map window, with ~5% of the
+/// coordinates replaced by NaN, ±inf or values far outside the window.
+fn cim_parity_batch(rng: &mut Pcg32, n: usize) -> PointBatch {
+    use navicim::math::rng::SampleExt;
+    let mut batch = PointBatch::new(3);
+    for _ in 0..n {
+        let p = [0; 3].map(|_| {
+            let x = rng.sample_uniform(-1.6, 1.6);
+            match (rng.sample_uniform(0.0, 100.0)) as u32 {
+                0 => f64::NAN,
+                1 => f64::INFINITY,
+                2 => f64::NEG_INFINITY,
+                3 => x * 1e6,
+                4 => -5.0,
+                _ => x,
+            }
+        });
+        batch.push(&p);
+    }
+    batch
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -772,45 +816,26 @@ proptest! {
         }
     }
 
-    /// The CIM engine's DAC-code lookup table is a pure acceleration:
-    /// for arbitrary batch sizes (covering all lane-group remainders)
-    /// the LUT engine and a direct-evaluation engine built from the
-    /// same config produce bit-identical outputs and EngineStats.
+    /// `ln_fast` and `cos_turns_fast` honour their documented error
+    /// bounds on random inputs: Box–Muller radii `u ∈ [2⁻⁵³, 1]`, log-ADC
+    /// currents over twenty decades, and angles `v ∈ [0, 1)`.
     #[test]
-    fn cim_lut_matches_direct_eval(seed in 0u64..100, n in 1usize..48) {
-        let mut rng = Pcg32::seed_from_u64(seed ^ 0x1111);
-        use navicim::math::rng::SampleExt;
-        let pts = vec![vec![-1.0, -1.0, -1.0], vec![1.0, 1.0, 1.0]];
-        let space = SpaceMap::fit_to_points(&pts, 0.15, 0.85, 0.2).expect("map fits");
-        let tech = TechParams::cmos_45nm();
-        let (floor, ceil) = HmgmCimEngine::recommended_sigma_bounds(&tech, &space);
-        let sigma = (floor * 2.0).min(ceil);
-        let model = HmgmModel::new(
-            vec![1.0, 0.5],
-            vec![
-                HmgKernel::new(vec![-0.5, 0.0, 0.2], vec![sigma; 3], 1.0).expect("kernel"),
-                HmgKernel::new(vec![0.6, 0.3, -0.4], vec![sigma; 3], 1.0).expect("kernel"),
-            ],
-        )
-        .expect("model");
-        let config = CimEngineConfig { seed, ..CimEngineConfig::default() };
-        let mut fast =
-            HmgmCimEngine::build(&model, space.clone(), config).expect("engine builds");
-        let mut direct = HmgmCimEngine::build(&model, space, config)
-            .expect("engine builds")
-            .with_direct_eval();
-        let mut batch = PointBatch::new(3);
-        for _ in 0..n {
-            batch.push(&[
-                rng.sample_uniform(-1.0, 1.0),
-                rng.sample_uniform(-1.0, 1.0),
-                rng.sample_uniform(-1.0, 1.0),
-            ]);
+    fn ln_fast_and_cos_turns_randomized(
+        t in 0.0f64..1.0,
+        decades in -20.0f64..0.0,
+        v in 0.0f64..1.0,
+    ) {
+        use navicim::math::simd::{
+            cos_turns_fast, ln_fast, ulp_distance, COS_TURNS_FAST_MAX_ABS_ERR, LN_FAST_MAX_ULP,
+        };
+        let u = (t * -36.7f64).exp().max(f64::EPSILON / 2.0);
+        let i = 1e-3 * 10f64.powf(decades);
+        for x in [u, i] {
+            let d = ulp_distance(ln_fast(x), x.ln());
+            prop_assert!(d <= LN_FAST_MAX_ULP, "ln_fast({x:e}) is {d} ulp from f64::ln");
         }
-        let a = LikelihoodBackend::log_likelihood_batch(&mut fast, &batch);
-        let b = LikelihoodBackend::log_likelihood_batch(&mut direct, &batch);
-        prop_assert_eq!(a, b);
-        prop_assert_eq!(fast.stats(), direct.stats());
+        let err = (cos_turns_fast(v) - (2.0 * std::f64::consts::PI * v).cos()).abs();
+        prop_assert!(err <= COS_TURNS_FAST_MAX_ABS_ERR, "cos_turns_fast({v}) off by {err:e}");
     }
 
     /// Weight quantization reconstruction error is bounded by the step.
@@ -923,6 +948,142 @@ proptest! {
         let mut lls = vec![0.0; particles];
         reduce_scan_lls(4.0, scratch.counts(), &[], &mut lls);
         prop_assert!(lls.iter().all(|&ll| ll == BLIND_LL));
+    }
+}
+
+// Direct device-model evaluation of hundreds of points over up to 24
+// columns is slow in unoptimized test builds, so the widened CIM parity
+// properties draw fewer, larger cases.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The CIM engine's LUT path (hoisted DAC codes, column-contiguous
+    /// current table, guarded 4-wide noise + log-ADC) is a pure
+    /// acceleration: for 1–24 components with replica counts 1–5,
+    /// batches of up to ~600 points served as consecutive calls whose
+    /// lengths take every value mod 4, coordinates that are NaN, ±inf or
+    /// outside the map window, and a range of DAC/ADC resolutions and
+    /// noise bandwidths, the LUT engine and a direct-evaluation engine
+    /// built from the same config produce bit-identical outputs and
+    /// EngineStats.
+    #[test]
+    fn cim_lut_matches_direct_eval(
+        seed in 0u64..1_000,
+        n in 1usize..600,
+        k in 1usize..25,
+        dac_bits in 3u32..8,
+        adc_bits in 4u32..11,
+    ) {
+        use navicim::math::rng::Rng64;
+        let mut rng = Pcg32::seed_from_u64(seed ^ 0x1111);
+        let (space, model) = cim_parity_model(k, &mut rng);
+        let replicas = |e: &HmgmCimEngine| -> Vec<u32> {
+            e.array().columns().iter().map(|c| c.replicas()).collect()
+        };
+        let config = CimEngineConfig {
+            seed,
+            dac_bits,
+            adc_bits,
+            noise_bandwidth: [1e6, 1e7, 1e8, 1e9][(seed % 4) as usize],
+            ..CimEngineConfig::default()
+        };
+        let mut fast =
+            HmgmCimEngine::build(&model, space.clone(), config).expect("engine builds");
+        let mut direct = HmgmCimEngine::build(&model, space, config)
+            .expect("engine builds")
+            .with_direct_eval();
+        prop_assert!(replicas(&fast).iter().all(|r| (1..=5).contains(r)));
+        // Consecutive calls of lengths ≡ 1, 2, 3, 0 (mod 4), then the
+        // rest: every remainder tail runs in every case.
+        let mut remaining = n;
+        for r in [1, 2, 3, 0, 0] {
+            let len = if r == 0 && remaining <= 80 {
+                remaining
+            } else {
+                remaining.min(4 * (rng.next_u32() % 20) as usize + r)
+            };
+            remaining -= len;
+            let batch = cim_parity_batch(&mut rng, len);
+            let a = LikelihoodBackend::log_likelihood_batch(&mut fast, &batch);
+            let b = LikelihoodBackend::log_likelihood_batch(&mut direct, &batch);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&a), bits(&b));
+            prop_assert_eq!(fast.stats(), direct.stats());
+        }
+        let batch = cim_parity_batch(&mut rng, remaining);
+        let a = LikelihoodBackend::log_likelihood_batch(&mut fast, &batch);
+        let b = LikelihoodBackend::log_likelihood_batch(&mut direct, &batch);
+        prop_assert_eq!(a.len(), remaining);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&a), bits(&b));
+        prop_assert_eq!(fast.stats(), direct.stats());
+        prop_assert_eq!(fast.stats().evaluations, n as u64);
+    }
+
+    /// Coalesced serving on the LUT engine: several sessions' segments —
+    /// with their own seeds and stream cursors, and starts that fall mid
+    /// lane-group — evaluated in one `CimCompute::eval_segments` call
+    /// reproduce, bit for bit (outputs and pre-noise currents), each
+    /// session's solo evaluation on the direct device-model path, under
+    /// any chunk policy.
+    #[test]
+    fn cim_coalesced_segments_match_solo_direct(
+        seed in 0u64..1_000,
+        sessions in 1usize..6,
+        k in 1usize..17,
+        chunk in 1usize..90,
+        workers in 1usize..4,
+    ) {
+        use navicim::analog::engine::{EvalScratch, NoiseSegment};
+        use navicim::device::noise::NoiseStream;
+        use navicim::math::rng::Rng64;
+        let mut rng = Pcg32::seed_from_u64(seed ^ 0x5e95);
+        let (space, model) = cim_parity_model(k, &mut rng);
+        let config = CimEngineConfig { seed, ..CimEngineConfig::default() };
+        let lut = HmgmCimEngine::build(&model, space, config).expect("engine builds");
+        let direct = lut.clone().with_direct_eval();
+        let mut mega = PointBatch::new(3);
+        let mut segments = Vec::new();
+        let mut solo = Vec::new();
+        for s in 0..sessions {
+            let len = 1 + (rng.next_u64() % 150) as usize;
+            let stream = NoiseStream::with_cursor(
+                lut.compute().noise_seed() ^ s as u64,
+                rng.next_u64() % 10_000,
+            );
+            segments.push(NoiseSegment { start: mega.len(), stream });
+            let part = cim_parity_batch(&mut rng, len);
+            mega.extend_from_batch(&part);
+            // Direct-path solo evaluation of this session alone.
+            let mut out = vec![0.0; len];
+            let mut cur = vec![0.0; len];
+            direct.compute().eval_segments(
+                &part,
+                &[NoiseSegment { start: 0, stream }],
+                &mut out,
+                &mut cur,
+                ChunkPolicy::auto(),
+                &mut EvalScratch::default(),
+            );
+            solo.push((out, cur));
+        }
+        let mut out = vec![0.0; mega.len()];
+        let mut cur = vec![0.0; mega.len()];
+        lut.compute().eval_segments(
+            &mega,
+            &segments,
+            &mut out,
+            &mut cur,
+            ChunkPolicy::exact(chunk, workers),
+            &mut EvalScratch::default(),
+        );
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (s, (want_out, want_cur)) in solo.iter().enumerate() {
+            let lo = segments[s].start;
+            let hi = lo + want_out.len();
+            prop_assert_eq!(bits(&out[lo..hi]), bits(want_out));
+            prop_assert_eq!(bits(&cur[lo..hi]), bits(want_cur));
+        }
     }
 }
 
