@@ -731,34 +731,15 @@ impl CimCompute {
     /// many, each segment's outputs are bit-identical to the owning
     /// session evaluating its sub-batch alone — the invariant the serving
     /// layer's cross-agent batcher is built on. Pre-noise currents land in
-    /// `currents` so each session can fold its slice into its stats in
-    /// index order (see [`HmgmCimEngine::absorb_served_evals`]).
+    /// `currents`, and per-segment column activations in `seg_activations`
+    /// when given (same length as `segments`), so each session can fold
+    /// its slice into its stats in index order and price its gated DAC
+    /// drive (see [`HmgmCimEngine::absorb_served_evals`]). Without gating
+    /// every segment reports `len × columns`.
     ///
     /// Segments must start at 0, be strictly increasing, and lie inside
     /// the batch. Nothing in `self` mutates; `scratch` is buffer reuse
     /// only.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch, output/current length mismatch, or an
-    /// invalid segment list.
-    pub fn eval_segments(
-        &self,
-        batch: &PointBatch,
-        segments: &[NoiseSegment],
-        out: &mut [f64],
-        currents: &mut [f64],
-        policy: par::ChunkPolicy,
-        scratch: &mut EvalScratch,
-    ) {
-        self.eval_segments_counted(batch, segments, out, currents, policy, scratch, None);
-    }
-
-    /// [`Self::eval_segments`] that additionally reports per-segment
-    /// column activations into `seg_activations` (same length as
-    /// `segments`), so each owning session can price its gated DAC drive
-    /// (see [`HmgmCimEngine::absorb_served_evals_gated`]). Without
-    /// gating every segment reports `len × columns`.
     ///
     /// Column gating, when compiled in ([`HmgmCimEngine::build_with_pruning`])
     /// and on the LUT path, works in fixed tiles of [`PRUNE_TILE`]
@@ -771,8 +752,13 @@ impl CimCompute {
     /// noise draws stay tied to per-session absolute indices as always.
     /// A tile containing any non-finite coordinate falls back to the
     /// full column set, bit-identical to the ungated path.
+    ///
+    /// # Panics
+    ///
+    /// Panics on dimension mismatch, output/current length mismatch, an
+    /// invalid segment list, or a `seg_activations` of the wrong length.
     #[allow(clippy::too_many_arguments)]
-    pub fn eval_segments_counted(
+    pub fn eval_segments(
         &self,
         batch: &PointBatch,
         segments: &[NoiseSegment],
@@ -1066,7 +1052,7 @@ impl HmgmCimEngine {
     /// Returns [`AnalogError::InvalidArgument`] on dimension mismatch and
     /// [`AnalogError::Unrealizable`] when a kernel sigma falls outside the
     /// device's programmable range (constrain the fit with
-    /// [`recommended_sigma_bounds`] to avoid this).
+    /// [`Self::recommended_sigma_bounds`] to avoid this).
     pub fn build(model: &HmgmModel, map: SpaceMap, config: CimEngineConfig) -> Result<Self> {
         if model.dim() != map.dim() {
             return Err(AnalogError::InvalidArgument(format!(
@@ -1250,27 +1236,12 @@ impl HmgmCimEngine {
     }
 
     /// Evaluates a coalesced multi-session batch against the shared
-    /// fabric (see [`CimCompute::eval_segments`]). This instance acts as
-    /// the *evaluator* — its own cursor and counters are untouched; each
-    /// owning session commits its slice of `currents` through
-    /// [`Self::absorb_served_evals`] afterwards.
+    /// fabric, reporting per-segment column activations (see
+    /// [`CimCompute::eval_segments`]). This instance acts as the
+    /// *evaluator* — its own cursor and counters are untouched; each
+    /// owning session commits its slice of `currents` and its activation
+    /// count through [`Self::absorb_served_evals`] afterwards.
     pub fn serve_segments(
-        &mut self,
-        batch: &PointBatch,
-        segments: &[NoiseSegment],
-        out: &mut [f64],
-        currents: &mut [f64],
-        policy: par::ChunkPolicy,
-    ) {
-        self.compute
-            .eval_segments(batch, segments, out, currents, policy, &mut self.scratch);
-    }
-
-    /// [`Self::serve_segments`] that also reports per-segment column
-    /// activations (see [`CimCompute::eval_segments_counted`]), so each
-    /// owning session can commit its slice through
-    /// [`Self::absorb_served_evals_gated`].
-    pub fn serve_segments_counted(
         &mut self,
         batch: &PointBatch,
         segments: &[NoiseSegment],
@@ -1279,7 +1250,7 @@ impl HmgmCimEngine {
         policy: par::ChunkPolicy,
         seg_activations: &mut [u64],
     ) {
-        self.compute.eval_segments_counted(
+        self.compute.eval_segments(
             batch,
             segments,
             out,
@@ -1296,18 +1267,10 @@ impl HmgmCimEngine {
     /// pre-noise currents into the stats in index order — exactly the
     /// bookkeeping [`Self::log_likelihood_into_chunked`] performs after
     /// evaluating the same points itself, so a served session's state
-    /// stays bit-identical to a solo run.
-    pub fn absorb_served_evals(&mut self, currents: &[f64]) {
-        let slots = currents.len() as u64 * self.compute.array.num_columns() as u64;
-        self.absorb_served_evals_gated(currents, slots);
-    }
-
-    /// [`Self::absorb_served_evals`] with an explicit column-activation
-    /// count for the served range (from
-    /// [`Self::serve_segments_counted`]), so gated sessions price only
-    /// the columns actually driven. `absorb_served_evals` is the
-    /// all-columns special case.
-    pub fn absorb_served_evals_gated(&mut self, currents: &[f64], column_activations: u64) {
+    /// stays bit-identical to a solo run. `column_activations` is the
+    /// served range's count from [`Self::serve_segments`], so gated
+    /// sessions price only the columns actually driven.
+    pub fn absorb_served_evals(&mut self, currents: &[f64], column_activations: u64) {
         let n = currents.len();
         // lint: allow(noise-stream-seq) post-batch cursor commit: the batch already drew .at(cursor + k); advance only publishes the watermark
         self.noise_stream.advance(n as u64);
@@ -1430,7 +1393,7 @@ impl HmgmCimEngine {
             stream: self.noise_stream,
         }];
         let mut seg_acts = [0u64];
-        self.compute.eval_segments_counted(
+        self.compute.eval_segments(
             batch,
             &segments,
             out,
@@ -1439,7 +1402,7 @@ impl HmgmCimEngine {
             &mut self.scratch,
             Some(&mut seg_acts),
         );
-        self.absorb_served_evals_gated(&currents, seg_acts[0]);
+        self.absorb_served_evals(&currents, seg_acts[0]);
         self.currents = currents;
     }
 
@@ -1909,7 +1872,7 @@ mod tests {
         let mut out = vec![0.0; mega.len()];
         let mut currents = vec![0.0; mega.len()];
         let mut acts = [0u64; 2];
-        evaluator.serve_segments_counted(
+        evaluator.serve_segments(
             &mega,
             &segments,
             &mut out,
@@ -1919,8 +1882,8 @@ mod tests {
         );
         assert_eq!(&out[..a.len()], &want_a[..]);
         assert_eq!(&out[a.len()..], &want_b[..]);
-        sess_a.absorb_served_evals_gated(&currents[..a.len()], acts[0]);
-        sess_b.absorb_served_evals_gated(&currents[a.len()..], acts[1]);
+        sess_a.absorb_served_evals(&currents[..a.len()], acts[0]);
+        sess_b.absorb_served_evals(&currents[a.len()..], acts[1]);
         assert_eq!(sess_a.stats(), solo_a.stats());
         assert_eq!(sess_b.stats(), solo_b.stats());
         assert!(sess_a.stats().column_activations < sess_a.stats().column_slots);

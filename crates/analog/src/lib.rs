@@ -9,7 +9,7 @@
 //!    by the input DACs ([`dac`]),
 //! 2. every programmed column conducts its kernel current simultaneously;
 //!    the per-column currents sum on a shared line by Kirchhoff's current
-//!    law ([`array`]),
+//!    law ([`mod@array`]),
 //! 3. the summed current — proportional to the mixture likelihood — is
 //!    digitized by a logarithmic ADC ([`adc`]), yielding the log-likelihood
 //!    directly,

@@ -5,7 +5,8 @@
 
 use navicim_analog::engine::CimEngineConfig;
 use navicim_bench::small_localization_dataset;
-use navicim_core::localization::{CimLocalizer, LocalizerConfig};
+use navicim_core::localization::LocalizerConfig;
+use navicim_core::pipeline::LocalizationPipeline;
 use navicim_core::registry::CIM_HMGM;
 use navicim_core::reportfmt::Table;
 
@@ -31,7 +32,7 @@ fn main() {
             },
             ..base.clone()
         };
-        let mut loc = CimLocalizer::build(&dataset, config).expect("localizer builds");
+        let mut loc = LocalizationPipeline::build(&dataset, config).expect("localizer builds");
         let run = loc.run(&dataset).expect("run completes");
         adc_table.row(vec![
             format!("{bits}"),
@@ -54,7 +55,7 @@ fn main() {
             },
             ..base.clone()
         };
-        let mut loc = CimLocalizer::build(&dataset, config).expect("localizer builds");
+        let mut loc = LocalizationPipeline::build(&dataset, config).expect("localizer builds");
         let run = loc.run(&dataset).expect("run completes");
         var_table.row(vec![
             format!("{sev:.1}"),

@@ -4,7 +4,8 @@
 //! Run: `cargo run --release -p navicim-bench --bin abl_pf_sweep`
 
 use navicim_bench::small_localization_dataset;
-use navicim_core::localization::{CimLocalizer, LocalizerConfig};
+use navicim_core::localization::LocalizerConfig;
+use navicim_core::pipeline::LocalizationPipeline;
 use navicim_core::registry::{CIM_HMGM, DIGITAL_GMM};
 use navicim_core::reportfmt::Table;
 use navicim_energy::analog::AnalogCimProfile;
@@ -32,19 +33,19 @@ fn main() {
             seed: 5,
             ..LocalizerConfig::default()
         };
-        let mut loc = CimLocalizer::build(&dataset, config).expect("localizer builds");
+        let mut loc = LocalizationPipeline::build(&dataset, config).expect("localizer builds");
         let run = loc.run(&dataset).expect("run completes");
-        let stats = run.stats;
+        let stats = run.merged_stats();
         let per_eval = analog
             .likelihood_eval_report(stats.avg_current(), 3, 4, 4)
             .expect("prices")
             .total_pj();
-        let frames = run.errors.len() as f64;
+        let frames = run.frames.len() as f64;
         p_table.row(vec![
             format!("{particles}"),
             format!("{:.4}", run.steady_state_error()),
-            format!("{}", run.point_evaluations),
-            format!("{:.1}", per_eval * run.point_evaluations as f64 / frames),
+            format!("{}", stats.evaluations),
+            format!("{:.1}", per_eval * stats.evaluations as f64 / frames),
         ]);
     }
     println!("{p_table}");
@@ -65,7 +66,7 @@ fn main() {
             seed: 6,
             ..LocalizerConfig::default()
         };
-        let mut gmm_loc = CimLocalizer::build(
+        let mut gmm_loc = LocalizationPipeline::build(
             &dataset,
             LocalizerConfig {
                 backend: DIGITAL_GMM.into(),
@@ -74,7 +75,7 @@ fn main() {
         )
         .expect("gmm localizer builds");
         let gmm_run = gmm_loc.run(&dataset).expect("gmm run");
-        let mut cim_loc = CimLocalizer::build(
+        let mut cim_loc = LocalizationPipeline::build(
             &dataset,
             LocalizerConfig {
                 backend: CIM_HMGM.into(),
@@ -89,7 +90,7 @@ fn main() {
             format!("{:.4}", gmm_run.steady_state_error()),
             format!("{:.4}", cim_run.steady_state_error()),
             format!("{digital_fj:.1}"),
-            format!("{}", cim_run.point_evaluations),
+            format!("{}", cim_run.merged_stats().evaluations),
         ]);
     }
     println!("{k_table}");

@@ -1,8 +1,8 @@
 //! Kernel micro-benchmarks with a machine-readable JSON trail.
 //!
 //! Times the three likelihood hot paths of the SIMD campaign — the
-//! digital [`GmmEvalPlan`] batch path, the math HMGM batch path and the
-//! analog CIM engine — against in-binary reimplementations of their
+//! digital [`navicim_gmm::gaussian::GmmEvalPlan`] batch path, the math
+//! HMGM batch path and the analog CIM engine — against in-binary reimplementations of their
 //! **pre-vectorization scalar baselines**, so before/after live in one
 //! honest run:
 //!

@@ -3,7 +3,7 @@
 //! Sweeps agent count × worker count over the two [`Fleet`] serving
 //! modes:
 //!
-//! - `independent` — every session runs its monolithic
+//! - `independent` — every session runs its own
 //!   `LocalizationPipeline::step`, i.e. N independent pipelines sharing
 //!   nothing but the scheduler. This is the baseline.
 //! - `coalesced` — per-frame likelihood evaluations from all sessions
@@ -162,7 +162,7 @@ fn main() {
     let frames = ds.control_deltas().len();
 
     // ---- parity gate: coalesced ≡ independent, bit-for-bit ----
-    // Independent mode is per-session monolithic stepping — i.e. exactly
+    // Independent mode is per-session stepping — i.e. exactly
     // the N-solo-pipelines baseline — so equality here *is* the
     // bit-identity-to-solo guarantee, at fleet scale.
     let mut parity = true;

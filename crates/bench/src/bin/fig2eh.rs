@@ -10,7 +10,8 @@
 use navicim_analog::engine::HmgmCimEngine;
 use navicim_analog::mapping::SpaceMap;
 use navicim_bench::standard_localization_dataset;
-use navicim_core::localization::{CimLocalizer, LocalizerConfig};
+use navicim_core::localization::LocalizerConfig;
+use navicim_core::pipeline::LocalizationPipeline;
 use navicim_core::registry::{CIM_HMGM, DIGITAL_GMM};
 use navicim_core::reportfmt::Table;
 use navicim_device::params::TechParams;
@@ -36,8 +37,8 @@ fn main() {
         ..LocalizerConfig::default()
     };
 
-    let mut digital =
-        CimLocalizer::build(&dataset, config(DIGITAL_GMM)).expect("digital localizer builds");
+    let mut digital = LocalizationPipeline::build(&dataset, config(DIGITAL_GMM))
+        .expect("digital localizer builds");
     let digital_run = digital.run(&dataset).expect("digital run completes");
 
     // Resolution-matched digital baseline: the GMM constrained to the same
@@ -54,7 +55,7 @@ fn main() {
     .expect("space map fits");
     let (floors, _) = HmgmCimEngine::recommended_sigma_bounds_per_axis(&tech, &space);
     let min_floor = floors.iter().cloned().fold(f64::INFINITY, f64::min);
-    let mut matched = CimLocalizer::build(
+    let mut matched = LocalizationPipeline::build(
         &dataset,
         LocalizerConfig {
             fit: FitConfig {
@@ -68,7 +69,8 @@ fn main() {
     let matched_run = matched.run(&dataset).expect("matched run completes");
 
     // Default CimEngineConfig: 4-bit DACs, variation on.
-    let mut cim = CimLocalizer::build(&dataset, config(CIM_HMGM)).expect("cim localizer builds");
+    let mut cim =
+        LocalizationPipeline::build(&dataset, config(CIM_HMGM)).expect("cim localizer builds");
     let cim_run = cim.run(&dataset).expect("cim run completes");
 
     println!("## per-frame position error and particle spread (metres)");
@@ -79,13 +81,13 @@ fn main() {
         "cim error",
         "cim spread",
     ]);
-    for i in 0..digital_run.errors.len() {
+    for (i, (d, c)) in digital_run.frames.iter().zip(&cim_run.frames).enumerate() {
         table.row(vec![
             format!("{}", i + 1),
-            format!("{:.4}", digital_run.errors[i]),
-            format!("{:.4}", digital_run.spreads[i]),
-            format!("{:.4}", cim_run.errors[i]),
-            format!("{:.4}", cim_run.spreads[i]),
+            format!("{:.4}", d.summary.error),
+            format!("{:.4}", d.summary.spread),
+            format!("{:.4}", c.summary.error),
+            format!("{:.4}", c.summary.spread),
         ]);
     }
     println!("{table}");
@@ -95,17 +97,17 @@ fn main() {
     summary.row(vec![
         "digital GMM, unconstrained sigma (conventional)".into(),
         format!("{:.4}", digital_run.steady_state_error()),
-        format!("{}", digital_run.point_evaluations),
+        format!("{}", digital_run.merged_stats().evaluations),
     ]);
     summary.row(vec![
         "digital GMM, device-matched sigma floor".into(),
         format!("{:.4}", matched_run.steady_state_error()),
-        format!("{}", matched_run.point_evaluations),
+        format!("{}", matched_run.merged_stats().evaluations),
     ]);
     summary.row(vec![
         "HMGM inverter-array CIM (co-design)".into(),
         format!("{:.4}", cim_run.steady_state_error()),
-        format!("{}", cim_run.point_evaluations),
+        format!("{}", cim_run.merged_stats().evaluations),
     ]);
     println!("{summary}");
 

@@ -1,28 +1,28 @@
 //! The navicim co-design pipelines — the paper's two headline systems.
 //!
-//! - [`localization`] — Section II: Monte-Carlo localization of a drone in
-//!   a procedural RGB-D scene, with the map-likelihood backend switchable
+//! - [`localization`] — Section II: the configuration and scan
+//!   measurement model of Monte-Carlo localization of a drone in a
+//!   procedural RGB-D scene, with the map-likelihood backend switchable
 //!   between the conventional digital GMM and the co-designed HMGM
-//!   inverter-array CIM engine (Fig. 2(e–h)), plus the energy accounting
-//!   behind Fig. 2(i).
+//!   inverter-array CIM engine (Fig. 2(e–h)).
 //! - [`vo`] — Section III: MC-Dropout Bayesian visual odometry executed on
 //!   the SRAM CIM macro, with dropout bits from the modeled CCI RNG,
 //!   compute reuse and sample ordering, and uncertainty-vs-error
 //!   diagnostics (Fig. 3(c–f)) plus TOPS/W accounting.
-//! - [`pipeline`] — the uncertainty-gated streaming localization
-//!   pipeline: multiple live backends from the registry, a per-frame
+//! - [`pipeline`] — the localizer itself, [`pipeline::LocalizationPipeline`]:
+//!   one or more live backends from the registry, a per-frame
 //!   [`pipeline::UncertaintySignals`] bus (spread, ESS fraction,
 //!   likelihood innovation, VO predictive variance) feeding a
 //!   [`pipeline::GatePolicy`] that arbitrates digital↔analog, an
 //!   optional [`pipeline::VoStage`] whose MC-Dropout depth adapts to
 //!   predictive variance ([`vo::AdaptiveMcPolicy`] — the second gated
 //!   compute axis), and [`pipeline::FrameReport`] joint map+VO energy
-//!   accounting. [`localization::CimLocalizer`] is a thin wrapper over a
-//!   single-backend pipeline.
+//!   accounting (Fig. 2(i)). Single-backend and gated runs alike return
+//!   one [`pipeline::PipelineRun`].
 //! - [`registry`] — the pluggable map-backend registry: named
 //!   `Box<dyn MapBackend>` factories (digital GMM, digital HMGM and the
-//!   analog CIM engine by default) through which [`localization`] selects
-//!   its backend, and through which downstream crates register custom
+//!   analog CIM engine by default) through which [`pipeline`] selects
+//!   its backends, and through which downstream crates register custom
 //!   backends without touching this crate.
 //! - [`uncertainty`] — calibration utilities shared by both pipelines.
 //! - [`reportfmt`] — markdown table helpers used by the experiment

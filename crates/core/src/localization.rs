@@ -1,10 +1,18 @@
-//! Pipeline A — CIM particle-filter drone localization (paper Section II).
+//! Pipeline A — CIM particle-filter drone localization (paper Section II):
+//! the localizer configuration and the scan measurement model.
 //!
-//! A [`CimLocalizer`] fits a map backend to a scene's point cloud, then
-//! tracks the camera through its depth frames with a particle filter whose
-//! measurement model projects subsampled depth pixels into the world and
-//! scores them against the map. The map backend is selected *by name*
-//! from a [`BackendRegistry`] (the defaults are the paper's backends):
+//! A [`crate::pipeline::LocalizationPipeline`] fits a map backend to a
+//! scene's point cloud, then tracks the camera through its depth frames
+//! with a particle filter whose measurement model projects subsampled
+//! depth pixels into the world and scores them against the map. This
+//! module holds the loop's configuration ([`LocalizerConfig`]) and the two
+//! halves of its weight step: [`stage_scan_batch`] stages every particle's
+//! world-frame scan as one frame-wide query batch, and [`reduce_scan_lls`]
+//! reduces the map's per-point log-likelihoods to per-particle weights.
+//!
+//! The map backend is selected *by name* from a
+//! [`crate::registry::BackendRegistry`] (the defaults are the paper's
+//! backends):
 //!
 //! - [`crate::registry::DIGITAL_GMM`] — the conventional approach: a
 //!   diagonal GMM evaluated on a digital datapath,
@@ -15,16 +23,16 @@
 //!   analog, including DAC/ADC quantization, device variation and noise.
 //!
 //! Custom backends register through
-//! [`CimLocalizer::build_with_registry`] without touching this crate.
-//! Fig. 2(e–h) is the comparison of localization convergence between the
-//! digital and analog backends; Fig. 2(i) is their energy comparison.
+//! [`crate::pipeline::LocalizationPipeline::build_with_registry`] without
+//! touching this crate. Fig. 2(e–h) is the comparison of localization
+//! convergence between the digital and analog backends; Fig. 2(i) is
+//! their energy comparison.
 
-use crate::pipeline::{GateConfig, LocalizationPipeline, PipelineRun};
-use crate::registry::{BackendRegistry, BackendStats, MapBackend, DIGITAL_GMM};
-use crate::Result;
+use crate::pipeline::GateConfig;
+use crate::registry::DIGITAL_GMM;
 use navicim_analog::engine::CimEngineConfig;
 use navicim_backend::PointBatch;
-use navicim_filter::filter::{FilterConfig, Measurement};
+use navicim_filter::filter::FilterConfig;
 use navicim_filter::motion::OdometryMotion;
 use navicim_gmm::fit::FitConfig;
 use navicim_gmm::prune::PruneConfig;
@@ -32,20 +40,6 @@ use navicim_math::geom::{Pose, Quat, Vec3};
 use navicim_math::rng::{Rng64, SampleExt};
 use navicim_math::simd::F64x4;
 use navicim_scene::camera::{DepthCamera, DepthImage};
-use navicim_scene::dataset::LocalizationDataset;
-
-/// How the particle-filter weight step feeds the map backend.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WeightPath {
-    /// One backend call per particle (the pre-batching behavior; kept for
-    /// A/B benchmarking and equivalence testing).
-    Scalar,
-    /// One backend call per frame: every particle's projected scan points
-    /// are gathered into a single [`PointBatch`]. Bit-identical to
-    /// [`WeightPath::Scalar`] and substantially faster.
-    #[default]
-    Batched,
-}
 
 /// Localizer configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,15 +62,13 @@ pub struct LocalizerConfig {
     pub motion: OdometryMotion,
     /// Particle-filter settings.
     pub filter: FilterConfig,
-    /// Likelihood-backend name, resolved against the [`BackendRegistry`]
-    /// at build time (defaults: `"digital-gmm"`, `"digital-hmgm"`,
-    /// `"cim-hmgm"`).
+    /// Likelihood-backend name, resolved against the
+    /// [`crate::registry::BackendRegistry`] at build time (defaults:
+    /// `"digital-gmm"`, `"digital-hmgm"`, `"cim-hmgm"`).
     pub backend: String,
     /// Analog-engine settings, passed to the backend factory through the
-    /// [`MapFitContext`] (digital backends ignore them).
+    /// [`crate::registry::MapFitContext`] (digital backends ignore them).
     pub cim: CimEngineConfig,
-    /// How the weight step feeds the backend (scalar vs batched).
-    pub weight_path: WeightPath,
     /// Mixture-fit settings (GMM warm start for both backends).
     pub fit: FitConfig,
     /// Spatial component-pruning knob, compiled into every backend's
@@ -85,9 +77,8 @@ pub struct LocalizerConfig {
     pub prune: PruneConfig,
     /// Backend-arbitration section: which backend slots the streaming
     /// pipeline instantiates and which [`crate::pipeline::GatePolicy`]
-    /// picks between them per frame. The default is single-backend mode
-    /// (serve [`Self::backend`] on every frame), which preserves the
-    /// monolithic behavior exactly.
+    /// picks between them per frame. The default is single-backend mode:
+    /// serve [`Self::backend`] on every frame.
     pub gate: GateConfig,
     /// Master seed.
     pub seed: u64,
@@ -106,7 +97,6 @@ impl Default for LocalizerConfig {
             filter: FilterConfig::default(),
             backend: DIGITAL_GMM.to_string(),
             cim: CimEngineConfig::default(),
-            weight_path: WeightPath::default(),
             fit: FitConfig::default(),
             prune: PruneConfig::default(),
             gate: GateConfig::default(),
@@ -128,56 +118,6 @@ pub struct StepSummary {
     pub ess: f64,
 }
 
-/// Outcome of a full localization run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LocalizationRun {
-    /// Backend name.
-    pub backend: String,
-    /// Per-frame estimates (starting at frame 1).
-    pub estimates: Vec<Pose>,
-    /// Per-frame ground truth (aligned with `estimates`).
-    pub truths: Vec<Pose>,
-    /// Per-frame translation errors.
-    pub errors: Vec<f64>,
-    /// Per-frame particle spreads.
-    pub spreads: Vec<f64>,
-    /// Map point evaluations served during the run.
-    pub point_evaluations: u64,
-    /// Trait-level backend operation counters (converter fields stay zero
-    /// on digital backends; see [`BackendStats::is_analog`]).
-    pub stats: BackendStats,
-}
-
-impl LocalizationRun {
-    /// Mean translation error over the final quarter of the run
-    /// (steady-state accuracy).
-    pub fn steady_state_error(&self) -> f64 {
-        let n = self.errors.len();
-        if n == 0 {
-            return 0.0;
-        }
-        let tail = &self.errors[n - (n / 4).max(1)..];
-        navicim_math::stats::mean(tail)
-    }
-}
-
-/// The Section II pipeline — now a thin wrapper over a single-backend
-/// [`LocalizationPipeline`], so the monolithic build/step/run API keeps
-/// working bit-for-bit while the streaming pipeline carries the actual
-/// logic (and, when [`LocalizerConfig::gate`] names several backends,
-/// the per-frame digital↔analog arbitration).
-pub struct CimLocalizer {
-    pipeline: LocalizationPipeline,
-}
-
-impl std::fmt::Debug for CimLocalizer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CimLocalizer")
-            .field("pipeline", &self.pipeline)
-            .finish_non_exhaustive()
-    }
-}
-
 /// Reusable buffers of the scan measurement model, owned by the pipeline
 /// so the per-frame weight step allocates nothing in steady state.
 #[derive(Debug)]
@@ -191,11 +131,10 @@ pub struct ScanScratch {
     pub(crate) batch: PointBatch,
     /// Reused per-particle point counts.
     pub(crate) counts: Vec<usize>,
-    /// Reused per-point log-likelihood buffer.
+    /// Reused per-point log-likelihood buffer (the serving slot's output
+    /// in `LocalizationPipeline::step`).
     pub(crate) lls: Vec<f64>,
-    /// Reused per-particle log-likelihood buffer (the reduce output when
-    /// the evaluation phase runs outside the sensor, see
-    /// `LocalizationPipeline::finish_frame`).
+    /// Reused per-particle log-likelihood buffer (the reduce output).
     pub(crate) particle_lls: Vec<f64>,
 }
 
@@ -234,9 +173,9 @@ pub const BLIND_LL: f64 = -1e3;
 
 /// Phase A of the weight step: stages every particle's world-frame scan
 /// into `scratch` as one frame-wide query batch plus per-particle point
-/// counts. Shared by the pipeline's `step` and `begin_frame`, so the
-/// split (externally served) evaluation path is bit-identical to the
-/// monolithic one by construction.
+/// counts. `LocalizationPipeline::begin_frame` runs it, and `step` is
+/// `begin_frame` plus one backend call plus `finish_frame`, so a frame
+/// served externally is bit-identical to a stepped one by construction.
 ///
 /// Staging is split by what each part depends on:
 ///
@@ -270,14 +209,18 @@ pub fn stage_scan_batch(
             continue;
         }
         let p = camera.intrinsics.backproject(u, v, d);
+        // lint: allow(hot-path-alloc) amortized push into a buffer cleared each frame
         scratch.cam_x.push(p.x);
+        // lint: allow(hot-path-alloc) amortized push into a buffer cleared each frame
         scratch.cam_y.push(p.y);
+        // lint: allow(hot-path-alloc) amortized push into a buffer cleared each frame
         scratch.cam_z.push(p.z);
     }
     let n = scratch.cam_x.len();
     scratch.batch.clear();
     scratch.counts.clear();
     for state in states {
+        // lint: allow(hot-path-alloc) amortized push into a buffer cleared each frame
         scratch.counts.push(n);
         let out = scratch.batch.extend_zeroed(n);
         transform_scan(state, [&scratch.cam_x, &scratch.cam_y, &scratch.cam_z], out);
@@ -351,185 +294,6 @@ pub fn reduce_scan_lls(sharpness: f64, counts: &[usize], lls: &[f64], out: &mut 
     }
 }
 
-pub(crate) struct ScanSensor<'a> {
-    map: &'a mut dyn MapBackend,
-    camera: &'a DepthCamera,
-    stride: usize,
-    sharpness: f64,
-    path: WeightPath,
-    scratch: &'a mut ScanScratch,
-}
-
-impl<'a> ScanSensor<'a> {
-    pub(crate) fn new(
-        map: &'a mut dyn MapBackend,
-        camera: &'a DepthCamera,
-        stride: usize,
-        sharpness: f64,
-        path: WeightPath,
-        scratch: &'a mut ScanScratch,
-    ) -> Self {
-        Self {
-            map,
-            camera,
-            stride,
-            sharpness,
-            path,
-            scratch,
-        }
-    }
-}
-
-impl Measurement<Pose, DepthImage> for ScanSensor<'_> {
-    fn log_likelihood(&mut self, state: &Pose, obs: &DepthImage) -> f64 {
-        let scratch = &mut *self.scratch;
-        stage_scan_batch(
-            self.camera,
-            obs,
-            self.stride,
-            std::slice::from_ref(state),
-            scratch,
-        );
-        // Blind particles skip the backend, as in the batched path.
-        if scratch.batch.is_empty() {
-            return BLIND_LL;
-        }
-        scratch.lls.resize(scratch.batch.len(), 0.0);
-        self.map
-            .log_likelihood_into(&scratch.batch, &mut scratch.lls);
-        let mut ll = 0.0;
-        reduce_scan_lls(
-            self.sharpness,
-            &scratch.counts,
-            &scratch.lls,
-            std::slice::from_mut(&mut ll),
-        );
-        ll
-    }
-
-    /// The frame-wide weight step: stages every particle's scan into one
-    /// [`PointBatch`] and serves it to the map backend in a single call.
-    /// Bit-identical to the scalar path — points are evaluated in the
-    /// same order, so even the CIM engine's noise stream lines up.
-    fn log_likelihood_batch(&mut self, states: &[Pose], obs: &DepthImage, out: &mut [f64]) {
-        assert_eq!(
-            states.len(),
-            out.len(),
-            "output buffer must hold one log-likelihood per state"
-        );
-        if self.path == WeightPath::Scalar {
-            for (o, s) in out.iter_mut().zip(states) {
-                *o = self.log_likelihood(s, obs);
-            }
-            return;
-        }
-        let sharpness = self.sharpness;
-        let scratch = &mut *self.scratch;
-        stage_scan_batch(self.camera, obs, self.stride, states, scratch);
-        scratch.lls.resize(scratch.batch.len(), 0.0);
-        self.map
-            .log_likelihood_into(&scratch.batch, &mut scratch.lls);
-        reduce_scan_lls(sharpness, &scratch.counts, &scratch.lls, out);
-    }
-}
-
-impl CimLocalizer {
-    /// Fits the map model on the dataset's point cloud, builds the named
-    /// backend from the default [`BackendRegistry`] and initializes the
-    /// particle cloud around the first frame's pose.
-    ///
-    /// # Errors
-    ///
-    /// Propagates fitting/compilation errors; rejects empty datasets and
-    /// unknown backend names.
-    pub fn build(dataset: &LocalizationDataset, config: LocalizerConfig) -> Result<Self> {
-        Self::build_with_registry(dataset, config, &BackendRegistry::with_defaults())
-    }
-
-    /// [`Self::build`] against a caller-supplied registry — the hook for
-    /// custom backends: register a factory, name it in
-    /// [`LocalizerConfig::backend`], and the localizer serves it with no
-    /// change to this crate.
-    ///
-    /// # Errors
-    ///
-    /// Propagates fitting/compilation errors; rejects empty datasets and
-    /// unknown backend names.
-    pub fn build_with_registry(
-        dataset: &LocalizationDataset,
-        config: LocalizerConfig,
-        registry: &BackendRegistry,
-    ) -> Result<Self> {
-        Ok(Self {
-            pipeline: LocalizationPipeline::build_with_registry(dataset, config, registry)?,
-        })
-    }
-
-    /// The underlying streaming pipeline (gate state, per-slot backends).
-    pub fn pipeline(&self) -> &LocalizationPipeline {
-        &self.pipeline
-    }
-
-    /// Mutable access to the underlying pipeline.
-    pub fn pipeline_mut(&mut self) -> &mut LocalizationPipeline {
-        &mut self.pipeline
-    }
-
-    /// The map backend in slot 0 (for stats and energy accounting). In
-    /// single-backend mode — the default — this is *the* backend.
-    pub fn map(&self) -> &dyn MapBackend {
-        self.pipeline.backend(0)
-    }
-
-    /// Current pose estimate (weighted mean of the cloud).
-    pub fn estimate(&self) -> Pose {
-        self.pipeline.estimate()
-    }
-
-    /// One predict/update step given odometry `control` and the new depth
-    /// frame; returns the per-frame summary against `truth`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filter degeneracy.
-    pub fn step(&mut self, control: &Pose, depth: &DepthImage, truth: Pose) -> Result<StepSummary> {
-        Ok(self.pipeline.step(control, depth, truth)?.summary)
-    }
-
-    /// Runs the filter over the whole dataset using ground-truth frame
-    /// deltas as odometry (the motion model adds its own noise). The
-    /// wrapper always runs open loop; for VO-driven closed-loop control
-    /// (`ControlSource::VisualOdometry` with uncertainty-scaled motion
-    /// noise) use [`LocalizationPipeline`] directly — see
-    /// `LocalizationPipeline::with_control`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates step errors.
-    pub fn run(&mut self, dataset: &LocalizationDataset) -> Result<LocalizationRun> {
-        Ok(LocalizationRun::from(self.pipeline.run(dataset)?))
-    }
-}
-
-impl From<PipelineRun> for LocalizationRun {
-    /// Flattens a pipeline run into the monolithic run record: per-frame
-    /// series extracted from the [`crate::pipeline::FrameReport`]s,
-    /// per-slot stats merged into one total, slot names joined with `+`
-    /// for gated runs.
-    fn from(run: PipelineRun) -> Self {
-        let stats = run.merged_stats();
-        LocalizationRun {
-            backend: run.backends.join("+"),
-            estimates: run.frames.iter().map(|f| f.summary.estimate).collect(),
-            truths: run.frames.iter().map(|f| f.truth).collect(),
-            errors: run.frames.iter().map(|f| f.summary.error).collect(),
-            spreads: run.frames.iter().map(|f| f.summary.spread).collect(),
-            point_evaluations: stats.evaluations,
-            stats,
-        }
-    }
-}
-
 pub(crate) fn perturb_pose<R: Rng64 + ?Sized>(
     prior: Pose,
     spread: f64,
@@ -551,8 +315,9 @@ pub(crate) fn perturb_pose<R: Rng64 + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::{ClosureBackend, MapFitContext, CIM_HMGM};
-    use navicim_scene::dataset::LocalizationConfig;
+    use crate::pipeline::{LocalizationPipeline, PipelineRun};
+    use crate::registry::{BackendRegistry, ClosureBackend, MapFitContext, CIM_HMGM};
+    use navicim_scene::dataset::{LocalizationConfig, LocalizationDataset};
 
     fn small_dataset() -> LocalizationDataset {
         let config = LocalizationConfig {
@@ -578,19 +343,26 @@ mod tests {
         }
     }
 
+    fn run(ds: &LocalizationDataset, backend: &str) -> PipelineRun {
+        LocalizationPipeline::build(ds, small_config(backend))
+            .unwrap()
+            .run(ds)
+            .unwrap()
+    }
+
     #[test]
     fn digital_backend_tracks() {
         let ds = small_dataset();
-        let mut loc = CimLocalizer::build(&ds, small_config(DIGITAL_GMM)).unwrap();
-        let run = loc.run(&ds).unwrap();
-        assert_eq!(run.backend, DIGITAL_GMM);
-        assert_eq!(run.errors.len(), 9);
+        let run = run(&ds, DIGITAL_GMM);
+        assert_eq!(run.backends, [DIGITAL_GMM]);
+        assert_eq!(run.frames.len(), 9);
         // Tracks within a fraction of the orbit radius throughout.
         let steady = run.steady_state_error();
         assert!(steady < 0.35, "steady-state error {steady}");
-        assert!(run.point_evaluations > 0);
-        assert!(!run.stats.is_analog());
-        assert_eq!(run.stats.evaluations, run.point_evaluations);
+        let stats = run.merged_stats();
+        assert!(run.total_evaluations() > 0);
+        assert!(!stats.is_analog());
+        assert_eq!(stats.evaluations, run.total_evaluations());
     }
 
     #[test]
@@ -598,17 +370,15 @@ mod tests {
         // The headline claim of Fig. 2(e-h): the co-designed CIM backend
         // matches the conventional digital GMM accuracy.
         let ds = small_dataset();
-        let mut digital = CimLocalizer::build(&ds, small_config(DIGITAL_GMM)).unwrap();
-        let digital_run = digital.run(&ds).unwrap();
-        let mut cim = CimLocalizer::build(&ds, small_config(CIM_HMGM)).unwrap();
-        let cim_run = cim.run(&ds).unwrap();
-        assert_eq!(cim_run.backend, CIM_HMGM);
+        let digital_run = run(&ds, DIGITAL_GMM);
+        let cim_run = run(&ds, CIM_HMGM);
+        assert_eq!(cim_run.backends, [CIM_HMGM]);
         let d = digital_run.steady_state_error();
         let c = cim_run.steady_state_error();
         assert!(c < 0.3, "cim steady-state error {c}");
         assert!(c < d * 3.0 + 0.15, "cim {c} vs digital {d}");
         // Trait-level stats carry the hardware counters.
-        let stats = cim_run.stats;
+        let stats = cim_run.merged_stats();
         assert!(stats.is_analog());
         assert!(stats.evaluations > 0);
         assert!(stats.avg_current() > 0.0);
@@ -617,7 +387,7 @@ mod tests {
     #[test]
     fn unknown_backend_name_rejected() {
         let ds = small_dataset();
-        let err = CimLocalizer::build(&ds, small_config("warp-drive-map")).unwrap_err();
+        let err = LocalizationPipeline::build(&ds, small_config("warp-drive-map")).unwrap_err();
         assert!(err.to_string().contains("warp-drive-map"), "{err}");
     }
 
@@ -652,51 +422,22 @@ mod tests {
             )))
         });
         let mut loc =
-            CimLocalizer::build_with_registry(&ds, small_config("centroid-map"), &registry)
+            LocalizationPipeline::build_with_registry(&ds, small_config("centroid-map"), &registry)
                 .unwrap();
         let run = loc.run(&ds).unwrap();
-        assert_eq!(run.backend, "centroid-map");
-        assert!(run.point_evaluations > 0);
-        assert!(run.errors.iter().all(|e| e.is_finite()));
-    }
-
-    #[test]
-    fn batched_weight_path_is_bit_identical_to_scalar() {
-        // The tentpole invariant: switching the weight step from
-        // per-particle scalar calls to one frame-wide batch changes
-        // nothing observable — same estimates, same errors, same
-        // evaluation counts — on both backends.
-        let ds = small_dataset();
-        for backend in [DIGITAL_GMM, CIM_HMGM] {
-            let run_with = |path: WeightPath| {
-                let config = LocalizerConfig {
-                    weight_path: path,
-                    ..small_config(backend)
-                };
-                CimLocalizer::build(&ds, config).unwrap().run(&ds).unwrap()
-            };
-            let scalar = run_with(WeightPath::Scalar);
-            let batched = run_with(WeightPath::Batched);
-            assert_eq!(scalar.errors, batched.errors, "{backend}");
-            assert_eq!(scalar.estimates, batched.estimates, "{backend}");
-            assert_eq!(
-                scalar.point_evaluations, batched.point_evaluations,
-                "{backend}"
-            );
-            assert_eq!(scalar.stats, batched.stats, "{backend}");
-        }
+        assert_eq!(run.backends, ["centroid-map"]);
+        assert!(run.total_evaluations() > 0);
+        assert!(run.frames.iter().all(|f| f.summary.error.is_finite()));
     }
 
     #[test]
     fn uncertainty_shrinks_from_initial_spread() {
         let ds = small_dataset();
-        let config = small_config(DIGITAL_GMM);
-        let init_spread = config.init_spread;
-        let mut loc = CimLocalizer::build(&ds, config).unwrap();
-        let run = loc.run(&ds).unwrap();
+        let init_spread = small_config(DIGITAL_GMM).init_spread;
+        let run = run(&ds, DIGITAL_GMM);
         // The measurement updates collapse the cloud well below the
         // configured initial 1-sigma radius and keep it there.
-        let last = run.spreads.last().copied().unwrap();
+        let last = run.frames.last().unwrap().summary.spread;
         assert!(last < init_spread / 2.0, "spread {init_spread} -> {last}");
     }
 
@@ -709,20 +450,12 @@ mod tests {
             frames: vec![],
             camera: ds.camera,
         };
-        assert!(CimLocalizer::build(&empty, small_config(DIGITAL_GMM)).is_err());
+        assert!(LocalizationPipeline::build(&empty, small_config(DIGITAL_GMM)).is_err());
     }
 
     #[test]
     fn deterministic_given_seed() {
         let ds = small_dataset();
-        let run1 = CimLocalizer::build(&ds, small_config(DIGITAL_GMM))
-            .unwrap()
-            .run(&ds)
-            .unwrap();
-        let run2 = CimLocalizer::build(&ds, small_config(DIGITAL_GMM))
-            .unwrap()
-            .run(&ds)
-            .unwrap();
-        assert_eq!(run1.errors, run2.errors);
+        assert_eq!(run(&ds, DIGITAL_GMM), run(&ds, DIGITAL_GMM));
     }
 }

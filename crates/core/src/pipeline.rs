@@ -1,19 +1,22 @@
 //! The uncertainty-gated streaming localization pipeline.
 //!
-//! [`crate::localization::CimLocalizer`] historically bound one map
-//! backend at build time and ran it for the whole trajectory. The paper's
-//! core argument cuts the other way: particle-spread uncertainty should
+//! The paper's core argument is that particle-spread uncertainty should
 //! *drive* the compute substrate. When the cloud is wide (lost, startup,
 //! kidnapped), spend energy on the accurate digital datapath; once it has
 //! collapsed, the cheap analog CIM array holds the track at a fraction of
 //! the energy — the wake-up/fallback pattern of the memristor front-end
 //! literature.
 //!
-//! This module is that redesign:
+//! This module is that loop:
 //!
-//! - [`LocalizationPipeline`] — owns **multiple** live backends built by
+//! - [`LocalizationPipeline`] — owns one or more live backends built by
 //!   name from the [`BackendRegistry`] and streams depth frames through a
-//!   per-frame predict/gate/weigh/report loop,
+//!   per-frame predict/gate/weigh/report loop. A frame has one path:
+//!   [`LocalizationPipeline::begin_frame`] (bus, gate, VO, motion
+//!   prediction, scan staging), the serving slot's batch evaluation, and
+//!   [`LocalizationPipeline::finish_frame`] (reweigh, resample, report).
+//!   [`LocalizationPipeline::step`] runs the three in a row; a serving
+//!   layer runs the middle one itself,
 //! - [`GatePolicy`] — the arbitration strategy (uncertainty metric →
 //!   backend slot). [`HysteresisGate`] is the default co-design: spread
 //!   enter/exit thresholds plus a dwell count so the gate never thrashes;
@@ -22,12 +25,10 @@
 //! - [`FrameReport`] / [`PipelineRun`] — per-frame records of the chosen
 //!   slot, the gate's uncertainty input, pose error and the Fig. 2(i)-style
 //!   map-evaluation energy priced through `navicim-energy`, so a run shows
-//!   the analog-mode energy savings directly.
-//!
-//! `CimLocalizer` is now a thin wrapper over a single-backend pipeline, so
-//! the monolithic API (and its bit-exact behavior) survives unchanged.
+//!   the analog-mode energy savings directly. [`PipelineRun`] is the one
+//!   run record, for single-backend and gated runs alike.
 
-use crate::localization::{LocalizerConfig, ScanScratch, ScanSensor, StepSummary};
+use crate::localization::{LocalizerConfig, ScanScratch, StepSummary};
 use crate::registry::{BackendRegistry, BackendStats, MapBackend, MapFitContext};
 use crate::reportfmt::{fmt_pct, Csv, Table};
 use crate::vo::{AdaptiveMcPolicy, BayesianVo};
@@ -639,9 +640,8 @@ pub enum GateKind {
 ///
 /// With an empty slot list (the default) the pipeline serves
 /// [`LocalizerConfig::backend`] alone and the policy must be
-/// `Always(0)` — exactly the monolithic behavior. Slot order is the
-/// contract: slot [`DIGITAL_SLOT`] is the accurate reference, slot
-/// [`ANALOG_SLOT`] the cheap alternate.
+/// `Always(0)`. Slot order is the contract: slot [`DIGITAL_SLOT`] is the
+/// accurate reference, slot [`ANALOG_SLOT`] the cheap alternate.
 ///
 /// ```
 /// use navicim_core::pipeline::GateConfig;
@@ -1694,9 +1694,10 @@ impl VoStage {
 }
 
 /// Everything [`LocalizationPipeline::begin_frame`] decided before the
-/// likelihood evaluation, carried across the externally served
-/// evaluation to [`LocalizationPipeline::finish_frame`]: the gated slot,
-/// the bus snapshot, the resolved noise scale and the VO report.
+/// likelihood evaluation, carried across that evaluation (the pipeline's
+/// own in [`LocalizationPipeline::step`], or a serving layer's) to
+/// [`LocalizationPipeline::finish_frame`]: the gated slot, the bus
+/// snapshot, the resolved noise scale and the VO report.
 #[derive(Debug, Clone)]
 pub struct PendingFrame {
     slot: usize,
@@ -1787,8 +1788,8 @@ impl LocalizationPipeline {
     /// around the first frame's pose.
     ///
     /// The particle-init RNG stream is independent of how many backends
-    /// are built, so a single-backend pipeline is bit-identical to the
-    /// pre-pipeline `CimLocalizer`.
+    /// are built, so the backend choice never perturbs the particle
+    /// stream.
     ///
     /// # Errors
     ///
@@ -2048,6 +2049,11 @@ impl LocalizationPipeline {
     /// predict/weigh/resample step on the gated backend and prices both
     /// compute axes.
     ///
+    /// This is exactly [`Self::begin_frame`], the serving slot's
+    /// `log_likelihood_into` on [`Self::staged_batch`], and
+    /// [`Self::finish_frame`]: the one frame path, whether the pipeline
+    /// evaluates its own batch or a serving layer does.
+    ///
     /// In closed-loop mode the `control` argument is ignored (the
     /// pipeline navigates on its own estimate); callers without ground
     /// truth odometry may pass [`Pose::IDENTITY`].
@@ -2058,25 +2064,35 @@ impl LocalizationPipeline {
     /// that select an out-of-range slot and closed-loop mode without an
     /// attached [`VoStage`].
     pub fn step(&mut self, control: &Pose, depth: &DepthImage, truth: Pose) -> Result<FrameReport> {
-        let pending = self.prepare_frame(control, depth)?;
-        let mut sensor = ScanSensor::new(
-            self.backends[pending.slot].as_mut(),
-            &self.camera,
-            self.config.pixel_stride,
-            self.config.sharpness,
-            self.config.weight_path,
-            &mut self.scratch,
-        );
-        self.pf.update(depth, &mut sensor, &mut self.rng)?;
-        self.report_frame(pending, truth)
+        let pending = self.begin_frame(control, depth)?;
+        let mut lls = std::mem::take(&mut self.scratch.lls);
+        lls.resize(self.scratch.batch.len(), 0.0);
+        self.backends[pending.slot].log_likelihood_into(&self.scratch.batch, &mut lls);
+        let report = self.weigh_and_report(pending, &lls, truth);
+        self.scratch.lls = lls;
+        report
     }
 
-    /// Everything [`Self::step`] does *before* the likelihood
-    /// evaluation: sample the bus, gate, step the VO stage, resolve the
-    /// control and run the motion prediction. Shared verbatim by
-    /// [`Self::step`] and [`Self::begin_frame`], so the split path is
-    /// bit-identical by construction.
-    fn prepare_frame(&mut self, control: &Pose, depth: &DepthImage) -> Result<PendingFrame> {
+    /// Phase A of a frame, for serving layers and for [`Self::step`]:
+    /// samples the bus, gates, steps the VO stage, resolves the control,
+    /// runs the motion prediction and stages the frame-wide scan batch
+    /// for the predicted cloud into the pipeline's scratch, *without*
+    /// evaluating it. The caller evaluates [`Self::staged_batch`] against
+    /// the pending slot's backend — possibly coalesced with other
+    /// sessions, committing backend state via [`MapBackend::absorb_served`]
+    /// on [`Self::backend_mut`] — and completes the frame with
+    /// [`Self::finish_frame`].
+    ///
+    /// Staging is [`crate::localization::stage_scan_batch`]: the frame's
+    /// valid strided pixels are backprojected once, then rotated and
+    /// translated per particle. The staged batch equals every particle's
+    /// `DepthCamera::project_to_world` bit for bit (property-tested).
+    ///
+    /// # Errors
+    ///
+    /// Rejects gates that select an out-of-range slot and closed-loop
+    /// mode without an attached [`VoStage`]; propagates VO errors.
+    pub fn begin_frame(&mut self, control: &Pose, depth: &DepthImage) -> Result<PendingFrame> {
         let signals = self.signals();
         // Fault detection runs on the same bus snapshot the gate sees:
         // the serving slot's innovation reading from the previous frame.
@@ -2139,6 +2155,13 @@ impl LocalizationPipeline {
         }
         self.pf
             .predict_scaled(&control, &self.config.motion, noise_scale, &mut self.rng);
+        crate::localization::stage_scan_batch(
+            &self.camera,
+            depth,
+            self.config.pixel_stride,
+            self.pf.particles().states(),
+            &mut self.scratch,
+        );
         Ok(PendingFrame {
             slot,
             signals,
@@ -2149,11 +2172,68 @@ impl LocalizationPipeline {
         })
     }
 
-    /// Everything [`Self::step`] does *after* the filter absorbed the
-    /// frame's likelihoods: summary, innovation bookkeeping, stats
-    /// deltas, stream counters, energy pricing. Shared verbatim by
-    /// [`Self::step`] and [`Self::finish_frame`].
-    fn report_frame(&mut self, pending: PendingFrame, truth: Pose) -> Result<FrameReport> {
+    /// The scan batch staged by the last [`Self::begin_frame`]: one
+    /// projected world-frame point cloud per particle, concatenated in
+    /// particle order.
+    pub fn staged_batch(&self) -> &PointBatch {
+        &self.scratch.batch
+    }
+
+    /// Phase B of a frame: takes the per-point log-likelihoods of the
+    /// staged batch (aligned with [`Self::staged_batch`], as produced by
+    /// the pending slot's backend), reduces them to per-particle weights,
+    /// runs the filter's reweigh/resample half and emits the frame
+    /// report.
+    ///
+    /// The caller is responsible for having committed the evaluation to
+    /// the serving backend ([`MapBackend::absorb_served`]) first, so the
+    /// report's stats delta and energy pricing see the frame's
+    /// evaluations.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::InvalidArgument`] — before any state changes —
+    /// if `lls` is not aligned with the staged batch, and propagates
+    /// filter degeneracy and pricing errors.
+    pub fn finish_frame(
+        &mut self,
+        pending: PendingFrame,
+        lls: &[f64],
+        truth: Pose,
+    ) -> Result<FrameReport> {
+        if lls.len() != self.scratch.batch.len() {
+            return Err(CoreError::InvalidArgument(format!(
+                "finish_frame got {} per-point log-likelihoods for a staged batch of {} points",
+                lls.len(),
+                self.scratch.batch.len()
+            )));
+        }
+        self.weigh_and_report(pending, lls, truth)
+    }
+
+    /// The body of [`Self::finish_frame`] after its length check, shared
+    /// with [`Self::step`]: reduce `lls` to per-particle weights, absorb
+    /// them into the filter, then the summary, innovation bookkeeping,
+    /// stats deltas, stream counters and energy pricing.
+    fn weigh_and_report(
+        &mut self,
+        pending: PendingFrame,
+        lls: &[f64],
+        truth: Pose,
+    ) -> Result<FrameReport> {
+        self.scratch
+            .particle_lls
+            .resize(self.pf.particles().len(), 0.0);
+        let mut particle_lls = std::mem::take(&mut self.scratch.particle_lls);
+        crate::localization::reduce_scan_lls(
+            self.config.sharpness,
+            &self.scratch.counts,
+            lls,
+            &mut particle_lls,
+        );
+        let absorbed = self.pf.absorb_log_likelihoods(&particle_lls, &mut self.rng);
+        self.scratch.particle_lls = particle_lls;
+        absorbed?;
         let PendingFrame {
             slot,
             signals,
@@ -2219,91 +2299,6 @@ impl LocalizationPipeline {
             map_energy_pj,
             vo,
         })
-    }
-
-    /// Phase A of the split frame step for serving layers: runs
-    /// [`Self::prepare_frame`] (bus, gate, VO, control, motion
-    /// prediction) and stages the frame-wide scan batch for the
-    /// predicted cloud into the pipeline's scratch, *without* evaluating
-    /// it. The caller evaluates [`Self::staged_batch`] against the
-    /// pending slot's backend — possibly coalesced with other sessions —
-    /// commits backend state via [`MapBackend::absorb_served`] on
-    /// [`Self::backend_mut`], and completes the frame with
-    /// [`Self::finish_frame`].
-    ///
-    /// Staging is [`crate::localization::stage_scan_batch`], the same
-    /// routine [`Self::step`] weighs through: the frame's valid strided
-    /// pixels are backprojected once, then rotated and translated per
-    /// particle. The staged batch equals every particle's
-    /// `DepthCamera::project_to_world` bit for bit (property-tested).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::step`]'s pre-evaluation half: out-of-range gate
-    /// slots, closed-loop mode without a VO stage.
-    pub fn begin_frame(&mut self, control: &Pose, depth: &DepthImage) -> Result<PendingFrame> {
-        let pending = self.prepare_frame(control, depth)?;
-        crate::localization::stage_scan_batch(
-            &self.camera,
-            depth,
-            self.config.pixel_stride,
-            self.pf.particles().states(),
-            &mut self.scratch,
-        );
-        Ok(pending)
-    }
-
-    /// The scan batch staged by the last [`Self::begin_frame`]: one
-    /// projected world-frame point cloud per particle, concatenated in
-    /// particle order.
-    pub fn staged_batch(&self) -> &PointBatch {
-        &self.scratch.batch
-    }
-
-    /// Phase B of the split frame step: takes the per-point
-    /// log-likelihoods of the staged batch (aligned with
-    /// [`Self::staged_batch`], as produced by the pending slot's
-    /// backend), reduces them to per-particle weights, runs the filter's
-    /// reweigh/resample half and emits the frame report.
-    ///
-    /// The caller is responsible for having committed the evaluation to
-    /// the serving backend ([`MapBackend::absorb_served`]) first, so the
-    /// report's stats delta and energy pricing see the frame's
-    /// evaluations.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidArgument`] — before any state changes —
-    /// if `lls` is not aligned with the staged batch, and propagates
-    /// filter degeneracy and pricing errors.
-    pub fn finish_frame(
-        &mut self,
-        pending: PendingFrame,
-        lls: &[f64],
-        truth: Pose,
-    ) -> Result<FrameReport> {
-        if lls.len() != self.scratch.batch.len() {
-            return Err(CoreError::InvalidArgument(format!(
-                "finish_frame got {} per-point log-likelihoods for a staged batch of {} points",
-                lls.len(),
-                self.scratch.batch.len()
-            )));
-        }
-        let sharpness = self.config.sharpness;
-        self.scratch
-            .particle_lls
-            .resize(self.pf.particles().len(), 0.0);
-        let mut particle_lls = std::mem::take(&mut self.scratch.particle_lls);
-        crate::localization::reduce_scan_lls(
-            sharpness,
-            &self.scratch.counts,
-            lls,
-            &mut particle_lls,
-        );
-        let absorbed = self.pf.absorb_log_likelihoods(&particle_lls, &mut self.rng);
-        self.scratch.particle_lls = particle_lls;
-        absorbed?;
-        self.report_frame(pending, truth)
     }
 
     /// Mutable access to the backend serving `slot` — the hook a serving
@@ -2431,7 +2426,6 @@ impl LocalizationPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::localization::CimLocalizer;
     use crate::registry::{CIM_HMGM, DIGITAL_GMM};
     use navicim_scene::dataset::LocalizationConfig;
 
@@ -2558,26 +2552,72 @@ mod tests {
     }
 
     #[test]
-    fn single_backend_pipeline_matches_cim_localizer() {
-        // The wrapper invariant: a single-slot pipeline and the
-        // monolithic localizer produce bit-identical runs.
+    fn single_backend_run_carries_the_localization_record() {
+        // The default config serves one backend on every frame, and its
+        // run is the one run record: names, per-frame summaries and
+        // stats that agree with the per-frame evaluation counts.
         let ds = small_dataset();
         let run = LocalizationPipeline::build(&ds, small_config(GateConfig::default()))
             .unwrap()
             .run(&ds)
             .unwrap();
-        let legacy = CimLocalizer::build(&ds, small_config(GateConfig::default()))
-            .unwrap()
-            .run(&ds)
-            .unwrap();
-        assert_eq!(run.frames.len(), legacy.errors.len());
-        let errors: Vec<f64> = run.frames.iter().map(|f| f.summary.error).collect();
-        assert_eq!(errors, legacy.errors);
-        let spreads: Vec<f64> = run.frames.iter().map(|f| f.summary.spread).collect();
-        assert_eq!(spreads, legacy.spreads);
-        assert_eq!(run.merged_stats(), legacy.stats);
-        assert_eq!(run.total_evaluations(), legacy.point_evaluations);
+        assert_eq!(run.backends, [DIGITAL_GMM]);
         assert_eq!(run.gate, "always-slot0");
+        assert_eq!(run.frames.len(), ds.frames.len() - 1);
+        assert!(run.frames.iter().all(|f| f.slot == 0));
+        for (f, frame) in run.frames.iter().zip(&ds.frames[1..]) {
+            assert_eq!(f.truth, frame.pose);
+            assert_eq!(
+                f.summary.error,
+                f.summary.estimate.translation_distance(f.truth)
+            );
+        }
+        assert!(run.total_evaluations() > 0);
+        assert_eq!(run.merged_stats(), run.stats[0]);
+        assert_eq!(run.merged_stats().evaluations, run.total_evaluations());
+    }
+
+    fn report_with_error(frame: usize, error: f64) -> FrameReport {
+        FrameReport {
+            frame,
+            slot: 0,
+            signals: UncertaintySignals::from_spread(0.0),
+            control_source: ControlSource::GroundTruth,
+            noise_scale: 1.0,
+            summary: StepSummary {
+                estimate: Pose::IDENTITY,
+                error,
+                spread: 0.0,
+                ess: 1.0,
+            },
+            nees: 0.0,
+            fault_active: false,
+            safe_mode: false,
+            truth: Pose::IDENTITY,
+            evaluations: 0,
+            map_energy_pj: 0.0,
+            vo: None,
+        }
+    }
+
+    #[test]
+    fn steady_state_error_averages_the_final_quarter() {
+        // The tail window is the last quarter of the frames, at least
+        // one: frame `i` carries error `i + 1` below.
+        let run = |n: usize| PipelineRun {
+            backends: vec![DIGITAL_GMM.into()],
+            gate: "always-slot0".into(),
+            vo_policy: None,
+            frames: (0..n)
+                .map(|i| report_with_error(i, (i + 1) as f64))
+                .collect(),
+            stats: vec![BackendStats::default()],
+        };
+        assert_eq!(run(0).steady_state_error(), 0.0);
+        for n in 1..=3 {
+            assert_eq!(run(n).steady_state_error(), n as f64, "{n} frames");
+        }
+        assert_eq!(run(8).steady_state_error(), 7.5);
     }
 
     #[test]

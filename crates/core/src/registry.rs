@@ -163,7 +163,7 @@ impl From<EngineStats> for BackendStats {
 ///
 /// Backends are `Send` so localization sessions can move across the
 /// worker threads of a serving layer; the optional serving surface
-/// ([`Self::fork_session`] and the coalesced-serving trio) lets many
+/// ([`Self::fork_session`] and the coalesced-serving methods) lets many
 /// sessions share one fitted map with per-session evaluation state.
 pub trait MapBackend: LikelihoodBackend + Send {
     /// Backend name for reports (usually the registry key it was built
@@ -209,9 +209,12 @@ pub trait MapBackend: LikelihoodBackend + Send {
     /// backends ignore it — their evaluations are pure, so any split is
     /// bit-identical by the [`LikelihoodBackend`] contract). Pre-noise
     /// array currents land in `currents` (untouched for digital
-    /// backends). This instance acts only as the evaluator: its own
-    /// session state must not change — each owning session commits its
-    /// slice via [`Self::absorb_served`].
+    /// backends), and per-segment column activations in
+    /// `seg_activations` (same length as `segments`; zero for backends
+    /// without column accounting), so gated analog sessions price only
+    /// the columns actually driven. This instance acts only as the
+    /// evaluator: its own session state must not change — each owning
+    /// session commits its slice via [`Self::absorb_served`].
     ///
     /// # Panics
     ///
@@ -223,55 +226,32 @@ pub trait MapBackend: LikelihoodBackend + Send {
         segments: &[NoiseSegment],
         out: &mut [f64],
         currents: &mut [f64],
+        seg_activations: &mut [u64],
     ) {
-        let _ = (batch, segments, out, currents);
+        let _ = (batch, segments, out, currents, seg_activations);
         unimplemented!(
             "backend {:?} does not support coalesced serving",
             self.name()
         );
     }
 
-    /// Commits `count` externally served evaluations (this session's
-    /// slice of a coalesced batch, with its slice of the pre-noise
-    /// currents) into the session state — exactly the bookkeeping a
-    /// direct `log_likelihood_into` of the same points would have
-    /// performed, so served sessions stay bit-identical to solo runs.
+    /// Commits `currents.len()` externally served evaluations (this
+    /// session's slice of a coalesced batch, with its slice of the
+    /// pre-noise currents and its column-activation count from
+    /// [`Self::serve_segments`]) into the session state — exactly the
+    /// bookkeeping a direct `log_likelihood_into` of the same points
+    /// would have performed, so served sessions stay bit-identical to
+    /// solo runs.
     ///
     /// # Panics
     ///
     /// Panics when `self.supports_coalesced_serving()` is false.
-    fn absorb_served(&mut self, count: usize, currents: &[f64]) {
-        let _ = (count, currents);
+    fn absorb_served(&mut self, currents: &[f64], column_activations: u64) {
+        let _ = (currents, column_activations);
         unimplemented!(
             "backend {:?} does not support coalesced serving",
             self.name()
         );
-    }
-
-    /// [`Self::serve_segments`] that additionally reports per-segment
-    /// column activations into `seg_activations` (same length as
-    /// `segments`), so gated analog sessions can price only the columns
-    /// actually driven. The default delegates to plain serving and
-    /// reports zero — correct for backends without column accounting
-    /// (digital backends leave the column counters at zero throughout).
-    fn serve_segments_counted(
-        &mut self,
-        batch: &PointBatch,
-        segments: &[NoiseSegment],
-        out: &mut [f64],
-        currents: &mut [f64],
-        seg_activations: &mut [u64],
-    ) {
-        self.serve_segments(batch, segments, out, currents);
-        seg_activations.fill(0);
-    }
-
-    /// [`Self::absorb_served`] with the session's column-activation count
-    /// from [`Self::serve_segments_counted`]. The default ignores the
-    /// count — again correct for backends without column accounting.
-    fn absorb_served_gated(&mut self, count: usize, currents: &[f64], column_activations: u64) {
-        let _ = column_activations;
-        self.absorb_served(count, currents);
     }
 }
 
@@ -309,7 +289,7 @@ pub type BackendFactory =
 /// Named [`MapBackend`] factories.
 ///
 /// Factories are looked up by name at
-/// [`crate::localization::CimLocalizer::build`] time, so selecting a
+/// [`crate::pipeline::LocalizationPipeline::build`] time, so selecting a
 /// backend is a string in [`crate::localization::LocalizerConfig`] and
 /// adding one is a [`BackendRegistry::register`] call — no core changes
 /// required.
@@ -504,16 +484,18 @@ impl<B: LikelihoodBackend + Clone + Send + 'static> MapBackend for NamedBackend<
         _segments: &[NoiseSegment],
         out: &mut [f64],
         _currents: &mut [f64],
+        seg_activations: &mut [u64],
     ) {
         // Digital evaluation is pure, so a concatenated batch is
         // bit-identical to the per-session sub-batches by the
         // LikelihoodBackend contract. Going through `inner` directly
         // keeps this evaluator's own counter untouched.
         self.inner.log_likelihood_into(batch, out);
+        seg_activations.fill(0);
     }
 
-    fn absorb_served(&mut self, count: usize, _currents: &[f64]) {
-        self.evaluations += count as u64;
+    fn absorb_served(&mut self, currents: &[f64], _column_activations: u64) {
+        self.evaluations += currents.len() as u64;
     }
 }
 
@@ -590,32 +572,12 @@ impl MapBackend for CimMapBackend {
         segments: &[NoiseSegment],
         out: &mut [f64],
         currents: &mut [f64],
+        seg_activations: &mut [u64],
     ) {
         // The auto policy inherits `par::MIN_CHUNK` — the one chunk-size
         // source of truth — so a coalesced batch threads exactly when a
         // solo batch of the same size would.
-        self.engine
-            .serve_segments(batch, segments, out, currents, par::ChunkPolicy::auto());
-    }
-
-    fn absorb_served(&mut self, count: usize, currents: &[f64]) {
-        assert_eq!(
-            count,
-            currents.len(),
-            "analog absorb requires one pre-noise current per evaluation"
-        );
-        self.engine.absorb_served_evals(currents);
-    }
-
-    fn serve_segments_counted(
-        &mut self,
-        batch: &PointBatch,
-        segments: &[NoiseSegment],
-        out: &mut [f64],
-        currents: &mut [f64],
-        seg_activations: &mut [u64],
-    ) {
-        self.engine.serve_segments_counted(
+        self.engine.serve_segments(
             batch,
             segments,
             out,
@@ -625,14 +587,9 @@ impl MapBackend for CimMapBackend {
         );
     }
 
-    fn absorb_served_gated(&mut self, count: usize, currents: &[f64], column_activations: u64) {
-        assert_eq!(
-            count,
-            currents.len(),
-            "analog absorb requires one pre-noise current per evaluation"
-        );
+    fn absorb_served(&mut self, currents: &[f64], column_activations: u64) {
         self.engine
-            .absorb_served_evals_gated(currents, column_activations);
+            .absorb_served_evals(currents, column_activations);
     }
 }
 

@@ -2,7 +2,7 @@
 //!
 //! The paper programs each inverter's switching threshold by adjusting the
 //! charge density on a floating gate (charge-trap transistor mechanism,
-//! ref. [17] of the paper). This module models the practical limitations of
+//! ref. \[17\] of the paper). This module models the practical limitations of
 //! that write path: a bounded programming window, finite write resolution
 //! (program/verify quantization), write noise, and slow retention drift
 //! back toward the neutral state.

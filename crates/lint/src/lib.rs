@@ -96,6 +96,7 @@ const HOT_PATH_FILES: &[&str] = &[
     "crates/serve/src/fleet.rs",
     "crates/serve/src/steal.rs",
     "crates/core/src/pipeline.rs",
+    "crates/core/src/localization.rs",
     "crates/filter/src/particle.rs",
     "crates/filter/src/filter.rs",
 ];
@@ -144,6 +145,10 @@ const REDUCTION_FILES: &[&str] = &[
 /// runtime by the `alloc-audit` counting allocator.
 const HOT_PATH_FNS: &[(&str, &str)] = &[
     ("crates/core/src/pipeline.rs", "step"),
+    ("crates/core/src/pipeline.rs", "weigh_and_report"),
+    ("crates/core/src/localization.rs", "stage_scan_batch"),
+    ("crates/core/src/localization.rs", "transform_scan"),
+    ("crates/core/src/localization.rs", "reduce_scan_lls"),
     ("crates/serve/src/fleet.rs", "step_round"),
     ("crates/serve/src/fleet.rs", "step_round_independent"),
     ("crates/serve/src/fleet.rs", "step_round_coalesced"),
@@ -155,7 +160,7 @@ const HOT_PATH_FNS: &[(&str, &str)] = &[
     ("crates/gmm/src/hmg.rs", "eval_range"),
     ("crates/gmm/src/hmg.rs", "eval_range_pruned"),
     ("crates/analog/src/engine.rs", "log_likelihood_into_chunked"),
-    ("crates/analog/src/engine.rs", "eval_segments_counted"),
+    ("crates/analog/src/engine.rs", "eval_segments"),
 ];
 
 /// Allocating calls forbidden inside hot-path function bodies.

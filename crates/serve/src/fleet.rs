@@ -16,16 +16,18 @@
 //!    counter-based noise stream, and its claim on that stream is
 //!    audited for contiguity ([`StreamAudit`]). Each slot's mega-batch
 //!    is evaluated once through a fleet-owned evaluator backend
-//!    ([`MapBackend::serve_segments`]), amortizing per-call overheads
-//!    (and, with the `parallel` feature, crossing the chunking threshold
-//!    small per-session batches never reach).
+//!    ([`MapBackend::serve_segments`], which also reports each segment's
+//!    column activations), amortizing per-call overheads (and, with the
+//!    `parallel` feature, crossing the chunking threshold small
+//!    per-session batches never reach).
 //! 3. **Phase B** (work-stealing parallel): each session commits its
-//!    slice ([`MapBackend::absorb_served`]) and completes the frame
-//!    ([`LocalizationPipeline::finish_frame`]).
+//!    slice and activation count ([`MapBackend::absorb_served`]) and
+//!    completes the frame ([`LocalizationPipeline::finish_frame`]).
 //!
-//! With coalescing off, each session runs its monolithic
-//! [`LocalizationPipeline::step`] instead — the N-independent-pipelines
-//! baseline.
+//! With coalescing off, each session runs its own
+//! [`LocalizationPipeline::step`] instead — the same begin → evaluate →
+//! finish path with its own backend evaluating — the
+//! N-independent-pipelines baseline.
 //!
 //! # Determinism contract
 //!
@@ -151,7 +153,7 @@ pub struct FleetConfig {
     pub workers: usize,
     /// Coalesce per-session likelihood batches into one evaluation per
     /// backend slot per round. Off = the N-independent-pipelines
-    /// baseline (each session runs its monolithic step).
+    /// baseline (each session runs its own step).
     pub coalesce: bool,
     /// Order sessions are fed to the executor.
     pub order: TaskOrder,
@@ -441,7 +443,7 @@ impl Fleet {
         }
     }
 
-    /// The baseline: every session runs its monolithic step — inline in
+    /// The baseline: every session runs its own step — inline in
     /// permutation order with one worker (the allocation-free steady
     /// state), or scheduled over the worker pool.
     fn step_round_independent(&mut self, inputs: &RoundInputs<'_>) -> Result<&[FrameReport]> {
@@ -563,11 +565,9 @@ impl Fleet {
                 let lls = &scratch.lls[start..start + count];
                 let currents = &scratch.currents[start..start + count];
                 let session = &mut self.sessions[idx];
-                session.backend_mut(slot).absorb_served_gated(
-                    lls.len(),
-                    currents,
-                    self.session_acts[idx],
-                );
+                session
+                    .backend_mut(slot)
+                    .absorb_served(currents, self.session_acts[idx]);
                 self.results[idx] = Some(session.finish_frame(pending, lls, truth));
             }
             // Coalesced rounds complete every agent's frame at the
@@ -666,7 +666,7 @@ impl Fleet {
                 let (_, _, truth) = inputs.get(idx);
                 session
                     .backend_mut(pending.slot())
-                    .absorb_served_gated(lls.len(), currents, acts);
+                    .absorb_served(currents, acts);
                 let report = session.finish_frame(pending, lls, truth);
                 (idx, session, report, 0u64)
             },
@@ -730,7 +730,7 @@ impl Fleet {
             scratch.currents.resize(total, 0.0);
             scratch.seg_acts.clear();
             scratch.seg_acts.resize(scratch.segments.len(), 0);
-            self.evaluators[slot].serve_segments_counted(
+            self.evaluators[slot].serve_segments(
                 &scratch.batch,
                 &scratch.segments,
                 &mut scratch.lls,

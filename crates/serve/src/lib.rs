@@ -4,7 +4,7 @@
 //! [`LocalizationPipeline`](navicim_core::pipeline::LocalizationPipeline)
 //! sessions over one shared pool of fitted map backends:
 //!
-//! - [`fleet`] — the [`Fleet`](fleet::Fleet): per-agent sessions forked
+//! - [`fleet`] — the [`Fleet`]: per-agent sessions forked
 //!   off one prototype (shared read-only maps / CIM fabric behind `Arc`),
 //!   bulk-synchronous frame rounds, and the cross-agent batcher that
 //!   coalesces every session's per-frame likelihood evaluation into a

@@ -15,7 +15,7 @@
 //!
 //! Run: `cargo run --release --example drone_localization`
 
-use navicim::core::localization::{CimLocalizer, LocalizerConfig};
+use navicim::core::localization::LocalizerConfig;
 use navicim::core::pipeline::{GateConfig, HysteresisConfig, LocalizationPipeline, DIGITAL_SLOT};
 use navicim::core::registry::{
     BackendRegistry, ClosureBackend, MapFitContext, CIM_HMGM, DIGITAL_GMM,
@@ -83,7 +83,7 @@ fn main() {
     });
 
     let run_backend = |name: &str| {
-        CimLocalizer::build_with_registry(&dataset, config(name), &registry)
+        LocalizationPipeline::build_with_registry(&dataset, config(name), &registry)
             .unwrap_or_else(|e| panic!("{name} localizer builds: {e}"))
             .run(&dataset)
             .unwrap_or_else(|e| panic!("{name} run completes: {e}"))
@@ -95,17 +95,17 @@ fn main() {
     println!("per-frame tracking error (m):");
     let mut table = Table::new(vec!["frame", "digital GMM", "analog CIM", "custom KDE"]);
     for (i, ((d, c), k)) in digital_run
-        .errors
+        .frames
         .iter()
-        .zip(&cim_run.errors)
-        .zip(&kde_run.errors)
+        .zip(&cim_run.frames)
+        .zip(&kde_run.frames)
         .enumerate()
     {
         table.row(vec![
             format!("{}", i + 1),
-            format!("{d:.4}"),
-            format!("{c:.4}"),
-            format!("{k:.4}"),
+            format!("{:.4}", d.summary.error),
+            format!("{:.4}", c.summary.error),
+            format!("{:.4}", k.summary.error),
         ]);
     }
     println!("{table}");
@@ -118,8 +118,8 @@ fn main() {
     let digital_pj = digital_profile
         .gmm_point_pj(3, 12, 8)
         .expect("digital energy prices")
-        * digital_run.point_evaluations as f64;
-    let stats = cim_run.stats;
+        * digital_run.merged_stats().evaluations as f64;
+    let stats = cim_run.merged_stats();
     assert!(stats.is_analog(), "cim backend reports analog counters");
     let cim_pj = analog_profile
         .likelihood_eval_report(stats.avg_current(), 3, 4, 4)
@@ -140,7 +140,7 @@ fn main() {
     );
     println!(
         "  custom KDE  : (digital closure backend, {} evaluations, steady-state error {:.3} m)",
-        kde_run.point_evaluations,
+        kde_run.merged_stats().evaluations,
         kde_run.steady_state_error()
     );
     println!(

@@ -6,7 +6,7 @@
 //!
 //! Run: `cargo run --release --example quickstart`
 
-use navicim::core::localization::{CimLocalizer, LocalizerConfig};
+use navicim::core::localization::LocalizerConfig;
 use navicim::core::pipeline::{GateConfig, LocalizationPipeline, ANALOG_SLOT, DIGITAL_SLOT};
 use navicim::core::registry::{CIM_HMGM, DIGITAL_GMM};
 use navicim::core::vo::{train_vo_network, BayesianVo, VoPipelineConfig, VoTrainConfig};
@@ -57,7 +57,7 @@ fn main() {
         7,
     )
     .expect("dataset generates");
-    let mut localizer = CimLocalizer::build(
+    let mut localizer = LocalizationPipeline::build(
         &dataset,
         LocalizerConfig {
             num_particles: 250,
@@ -71,9 +71,9 @@ fn main() {
     println!(
         "   tracked {} frames on the analog CIM backend; steady-state error \
          {:.3} m, {} analog likelihood evaluations",
-        run.errors.len(),
+        run.frames.len(),
         run.steady_state_error(),
-        run.point_evaluations
+        run.merged_stats().evaluations
     );
 
     // 3b. The uncertainty-gated pipeline: the particle spread drives the

@@ -24,7 +24,7 @@
 //! # Quickstart
 //!
 //! See `examples/quickstart.rs` for an end-to-end tour; the two headline
-//! pipelines are [`core::localization::CimLocalizer`] and
+//! pipelines are [`core::pipeline::LocalizationPipeline`] and
 //! [`core::vo::BayesianVo`].
 
 pub use navicim_analog as analog;

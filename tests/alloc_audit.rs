@@ -200,10 +200,10 @@ fn cim_gated_engine_batch_path_is_zero_alloc_when_warm() {
 }
 
 /// Coalesced serving over several sessions' segments (starts inside lane
-/// groups), gated and ungated: warm `serve_segments_counted` calls
+/// groups), gated and ungated: warm `serve_segments` calls
 /// allocate nothing.
 #[test]
-fn cim_serve_segments_counted_is_zero_alloc_when_warm() {
+fn cim_serve_segments_is_zero_alloc_when_warm() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let (map, model) = cim_fixture(24);
     for prune in [PruneConfig::default(), PruneConfig::enabled()] {
@@ -228,7 +228,7 @@ fn cim_serve_segments_counted_is_zero_alloc_when_warm() {
         let mut currents = vec![0.0; batch.len()];
         let mut acts = vec![0u64; segments.len()];
         let policy = sequential(batch.len());
-        evaluator.serve_segments_counted(
+        evaluator.serve_segments(
             &batch,
             &segments,
             &mut out,
@@ -237,8 +237,8 @@ fn cim_serve_segments_counted_is_zero_alloc_when_warm() {
             &mut acts,
         );
         let warm = out.clone();
-        assert_zero_alloc("HmgmCimEngine::serve_segments_counted", || {
-            evaluator.serve_segments_counted(
+        assert_zero_alloc("HmgmCimEngine::serve_segments", || {
+            evaluator.serve_segments(
                 &batch,
                 &segments,
                 &mut out,

@@ -3,7 +3,7 @@
 //! guarantees that span crate boundaries.
 
 use navicim::analog::engine::CimEngineConfig;
-use navicim::core::localization::{CimLocalizer, LocalizerConfig, WeightPath};
+use navicim::core::localization::LocalizerConfig;
 use navicim::core::pipeline::{
     GateConfig, GateKind, HysteresisConfig, LocalizationPipeline, ANALOG_SLOT, DIGITAL_SLOT,
 };
@@ -73,64 +73,25 @@ fn localization_pipeline_both_backends_converge() {
         seed: 5,
         ..LocalizerConfig::default()
     };
-    let digital = CimLocalizer::build(&dataset, config(DIGITAL_GMM))
+    let digital = LocalizationPipeline::build(&dataset, config(DIGITAL_GMM))
         .expect("digital builds")
         .run(&dataset)
         .expect("digital runs");
-    let cim = CimLocalizer::build(&dataset, config(CIM_HMGM))
+    let cim = LocalizationPipeline::build(&dataset, config(CIM_HMGM))
         .expect("cim builds")
         .run(&dataset)
         .expect("cim runs");
     assert!(
         digital.steady_state_error() < 0.25,
         "digital {:?}",
-        digital.errors
+        digital.frames
     );
-    assert!(cim.steady_state_error() < 0.35, "cim {:?}", cim.errors);
+    assert!(cim.steady_state_error() < 0.35, "cim {:?}", cim.frames);
     // Both backends evaluated the same measurement workload.
-    assert_eq!(digital.point_evaluations, cim.point_evaluations);
-}
-
-#[test]
-fn batched_weight_step_runs_both_backends_end_to_end() {
-    // The refactored per-frame batch weight step (the default) must drive
-    // the full localization pipeline on both backends and agree
-    // bit-for-bit with the legacy scalar path.
-    let dataset = loc_dataset(108);
-    let config = |backend: &str, path| LocalizerConfig {
-        num_particles: 300,
-        components: 12,
-        pixel_stride: 9,
-        backend: backend.into(),
-        weight_path: path,
-        seed: 5,
-        ..LocalizerConfig::default()
-    };
-    assert_eq!(LocalizerConfig::default().weight_path, WeightPath::Batched);
-    for backend in [DIGITAL_GMM, CIM_HMGM] {
-        let batched = CimLocalizer::build(&dataset, config(backend, WeightPath::Batched))
-            .expect("batched builds")
-            .run(&dataset)
-            .expect("batched runs");
-        let scalar = CimLocalizer::build(&dataset, config(backend, WeightPath::Scalar))
-            .expect("scalar builds")
-            .run(&dataset)
-            .expect("scalar runs");
-        assert_eq!(batched.errors, scalar.errors, "{backend}");
-        assert_eq!(batched.estimates, scalar.estimates, "{backend}");
-        assert_eq!(
-            batched.point_evaluations, scalar.point_evaluations,
-            "{backend}"
-        );
-        assert!(batched.point_evaluations > 0, "{backend}");
-        // And the pipeline still converges through the batch path.
-        assert_eq!(batched.stats, scalar.stats, "{backend}");
-        assert!(
-            batched.steady_state_error() < 0.4,
-            "{backend}: {:?}",
-            batched.errors
-        );
-    }
+    assert_eq!(
+        digital.merged_stats().evaluations,
+        cim.merged_stats().evaluations
+    );
 }
 
 #[test]
@@ -204,14 +165,15 @@ fn gated_pipeline_arbitrates_backends_and_saves_energy() {
     assert!(!gated.stats[DIGITAL_SLOT].is_analog());
     assert!(gated.stats[ANALOG_SLOT].is_analog());
 
-    // The monolithic wrapper serves gated configs too, flattening the
-    // pipeline run into the legacy record.
-    let legacy = CimLocalizer::build(&dataset, config(GateKind::Always(ANALOG_SLOT)))
-        .expect("wrapper builds")
+    // A pinned slot over the same two backends is the same run record,
+    // with every evaluation on the analog slot.
+    let pinned = LocalizationPipeline::build(&dataset, config(GateKind::Always(ANALOG_SLOT)))
+        .expect("pinned builds")
         .run(&dataset)
-        .expect("wrapper runs");
-    assert_eq!(legacy.backend, format!("{DIGITAL_GMM}+{CIM_HMGM}"));
-    assert!(legacy.stats.is_analog());
+        .expect("pinned runs");
+    assert_eq!(pinned.backends, [DIGITAL_GMM, CIM_HMGM]);
+    assert!(pinned.merged_stats().is_analog());
+    assert_eq!(pinned.stats[DIGITAL_SLOT].evaluations, 0);
 }
 
 #[test]
@@ -565,7 +527,7 @@ fn energy_models_price_measured_runs() {
 
     // Localization energy from a real CIM run.
     let dataset = loc_dataset(106);
-    let mut loc = CimLocalizer::build(
+    let mut loc = LocalizationPipeline::build(
         &dataset,
         LocalizerConfig {
             num_particles: 100,
@@ -577,7 +539,7 @@ fn energy_models_price_measured_runs() {
     )
     .expect("builds");
     let run = loc.run(&dataset).expect("runs");
-    let stats = run.stats;
+    let stats = run.merged_stats();
     assert!(stats.is_analog());
     let report = AnalogCimProfile::paper_45nm()
         .likelihood_eval_report(stats.avg_current(), 3, 4, 4)

@@ -1064,6 +1064,7 @@ proptest! {
                 &mut cur,
                 ChunkPolicy::auto(),
                 &mut EvalScratch::default(),
+                None,
             );
             solo.push((out, cur));
         }
@@ -1076,6 +1077,7 @@ proptest! {
             &mut cur,
             ChunkPolicy::exact(chunk, workers),
             &mut EvalScratch::default(),
+            None,
         );
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for (s, (want_out, want_cur)) in solo.iter().enumerate() {
