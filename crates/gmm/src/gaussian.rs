@@ -10,7 +10,7 @@ use crate::{GmmError, Result};
 use navicim_backend::{check_batch_shape, par, LikelihoodBackend, PointBatch};
 use navicim_math::linalg::Matrix;
 use navicim_math::rng::{Rng64, SampleExt};
-use navicim_math::simd::{log_sum_exp_fast, F64x4, LANES};
+use navicim_math::simd::{exp_fast, log_sum_exp_fast};
 use navicim_math::stats::{mvn_logpdf, LN_2PI};
 
 /// Covariance parameterization of a [`Gmm`].
@@ -160,9 +160,10 @@ impl Gmm {
 
     /// Log-density of the mixture at `x`.
     ///
-    /// Scalar adapter over the batch path: builds the per-component
-    /// evaluation plan and scores a single point with it, so scalar and
-    /// batch evaluation are bit-identical by construction.
+    /// Scores a single point with [`GmmEvalPlan::log_pdf`], the parity
+    /// reference of the batch kernel: both share the plan's hoisted
+    /// constants and the per-point operation sequence, so scalar and
+    /// batch evaluation are bit-identical.
     ///
     /// # Panics
     ///
@@ -273,17 +274,30 @@ impl DiagPlan {
     }
 }
 
-/// Reused per-evaluation buffers of the batch likelihood kernel:
-/// component terms (scalar and 4-wide), the transposed axis lanes and the
+/// Points per tile of the diagonal batch kernel: the component-major
+/// body scores this many points per pass over the components.
+pub const GMM_TILE: usize = 64;
+
+/// Reused per-evaluation buffers of the batch likelihood kernel: the
+/// scalar component terms (full covariance), the tile buffers and the
 /// pruning tile scratch. Held by the [`Gmm`] so the single-chunk path —
 /// the per-frame production configuration — is allocation-free once
 /// warmed; the threaded path gives each chunk closure its own.
 #[derive(Debug, Clone, Default)]
 struct BatchScratch {
     terms: Vec<f64>,
-    terms4: Vec<F64x4>,
-    xs4: Vec<F64x4>,
+    tile: TileScratch,
     prune: PruneScratch,
+}
+
+/// Buffers of one [`GMM_TILE`]-point tile; they grow once to the model's
+/// dimension and component count.
+#[derive(Debug, Clone, Default)]
+struct TileScratch {
+    /// One column per axis: that coordinate of every point in the tile.
+    axes: Vec<[f64; GMM_TILE]>,
+    /// One row per evaluated component: its log term at every point.
+    terms: Vec<[f64; GMM_TILE]>,
 }
 
 /// A reusable, query-independent evaluation plan for a [`Gmm`].
@@ -300,11 +314,12 @@ pub struct GmmEvalPlan<'a> {
 impl GmmEvalPlan<'_> {
     /// Log-density of one point, using `terms` as component scratch.
     ///
-    /// This is also the scalar *remainder tail* of the 4-wide batch path
-    /// ([`GmmEvalPlan::log_pdf4`]): both apply the identical per-point
-    /// operation sequence (fused multiply-add quadratic, `exp_fast`-based
-    /// log-sum-exp), so a point's score does not depend on whether it was
-    /// evaluated here or in a vector lane.
+    /// This is the parity reference of the tiled batch kernel: each
+    /// point of a tile goes through the identical operation sequence
+    /// (fused multiply-add quadratic in axis order, max fold over the
+    /// components in order, ordered `exp_fast` sum, then `ln`), so a
+    /// point's score is bit-identical whether it is scored here or in a
+    /// batch.
     ///
     /// # Panics
     ///
@@ -341,84 +356,13 @@ impl GmmEvalPlan<'_> {
         log_sum_exp_fast(terms)
     }
 
-    /// Log-density of four points at once through explicit f64 lanes.
-    ///
-    /// `flat` must hold exactly four consecutive points in row-major
-    /// layout (`4 × dim` doubles, as stored by
-    /// [`PointBatch`]); `terms4` and `xs4` are reusable component/axis
-    /// scratch. Returns `None` for full-covariance mixtures, which have
-    /// no lane path — callers fall back to [`GmmEvalPlan::log_pdf`].
-    ///
-    /// Every lane applies exactly the operation sequence of the scalar
-    /// [`GmmEvalPlan::log_pdf`] — same fused multiply-adds, same
-    /// `exp_fast`, same reduction order over components — so the result
-    /// for each point is bit-identical to scoring it alone. The batched
-    /// [`LikelihoodBackend`] impl and the property suite rely on this.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `flat.len() != 4 * dim`.
-    pub fn log_pdf4(
-        &self,
-        flat: &[f64],
-        terms4: &mut Vec<F64x4>,
-        xs4: &mut Vec<F64x4>,
-    ) -> Option<[f64; 4]> {
-        let plan = self.diag?;
-        let gmm = self.gmm;
-        let dim = gmm.dim();
-        assert_eq!(flat.len(), LANES * dim, "expected exactly four points");
-        // Transpose once: axis i of each of the four points, reused by
-        // every component.
-        xs4.clear();
-        for i in 0..dim {
-            xs4.push(F64x4::new([
-                flat[i],
-                flat[dim + i],
-                flat[2 * dim + i],
-                flat[3 * dim + i],
-            ]));
-        }
-        terms4.clear();
-        for (k, &c) in plan.consts.iter().enumerate() {
-            let nhiv = &plan.neg_half_inv_vars[k * dim..(k + 1) * dim];
-            let mean = &gmm.means[k];
-            let mut quad = F64x4::splat(0.0);
-            for i in 0..dim {
-                let d = xs4[i] - F64x4::splat(mean[i]);
-                quad = (F64x4::splat(nhiv[i]) * d).mul_add(d, quad);
-            }
-            terms4.push(F64x4::splat(c) + quad);
-        }
-        // Lane-wise log-sum-exp, mirroring `log_sum_exp_fast` per lane:
-        // max fold (NaN-skipping `f64::max` semantics), then the ordered
-        // sum of `exp_fast(x − m)`, with the `-inf` early-out becoming a
-        // per-lane select.
-        let mut m = F64x4::splat(f64::NEG_INFINITY);
-        for t in terms4.iter() {
-            m = m.max(*t);
-        }
-        let mut s = F64x4::splat(0.0);
-        for t in terms4.iter() {
-            s = s + (*t - m).exp();
-        }
-        let mut out = [0.0; LANES];
-        for (lane, o) in out.iter_mut().enumerate() {
-            *o = if m.lane(lane) == f64::NEG_INFINITY {
-                f64::NEG_INFINITY
-            } else {
-                m.lane(lane) + s.lane(lane).ln()
-            };
-        }
-        Some(out)
-    }
-
     /// [`Self::log_pdf`] restricted to the candidate components of a
     /// pruned tile (ascending ids). Applies the identical per-component
     /// math and reduction, just over fewer terms — the dropped terms are
     /// bounded below the survivors' floor by the prune margin, so the
     /// result differs from the full evaluation by at most
-    /// [`crate::prune::PRUNE_EPSILON`] nats.
+    /// [`crate::prune::PRUNE_EPSILON`] nats. It is also the parity
+    /// reference of the pruned batch path.
     ///
     /// # Panics
     ///
@@ -445,58 +389,82 @@ impl GmmEvalPlan<'_> {
         log_sum_exp_fast(terms)
     }
 
-    /// [`Self::log_pdf4`] restricted to candidate components — the lane
-    /// path of [`Self::log_pdf_subset`], bit-identical to it per point.
-    pub fn log_pdf4_subset(
+    /// Scores the row-major points in `rows` into `out` over the
+    /// component set `comps`, [`GMM_TILE`] points at a time and
+    /// component-major: each tile is transposed once into axis columns,
+    /// every component fills its row of terms across the tile, and each
+    /// point then folds its column of terms. A short last tile repeats
+    /// its last point in the spare slots and drops their results.
+    ///
+    /// Per point this is exactly [`Self::log_pdf`]'s (or, over a
+    /// candidate list, [`Self::log_pdf_subset`]'s) operation sequence, so
+    /// the output is bit-identical to it; the plain fixed-width loops let
+    /// the compiler vectorize at the host's full width.
+    fn eval_tiles(
         &self,
-        flat: &[f64],
-        cands: &[u32],
-        terms4: &mut Vec<F64x4>,
-        xs4: &mut Vec<F64x4>,
-    ) -> Option<[f64; 4]> {
-        let plan = self.diag?;
-        let gmm = self.gmm;
-        let dim = gmm.dim();
-        assert_eq!(flat.len(), LANES * dim, "expected exactly four points");
-        xs4.clear();
-        for i in 0..dim {
-            xs4.push(F64x4::new([
-                flat[i],
-                flat[dim + i],
-                flat[2 * dim + i],
-                flat[3 * dim + i],
-            ]));
+        plan: &DiagPlan,
+        comps: impl Iterator<Item = usize> + Clone,
+        rows: &[f64],
+        out: &mut [f64],
+        s: &mut TileScratch,
+    ) {
+        let dim = self.gmm.dim();
+        if s.axes.len() < dim {
+            s.axes.resize(dim, [0.0; GMM_TILE]);
         }
-        terms4.clear();
-        for &j in cands {
-            let k = j as usize;
-            let c = plan.consts[k];
-            let nhiv = &plan.neg_half_inv_vars[k * dim..(k + 1) * dim];
-            let mean = &gmm.means[k];
-            let mut quad = F64x4::splat(0.0);
-            for i in 0..dim {
-                let d = xs4[i] - F64x4::splat(mean[i]);
-                quad = (F64x4::splat(nhiv[i]) * d).mul_add(d, quad);
+        if s.terms.len() < plan.consts.len() {
+            s.terms.resize(plan.consts.len(), [0.0; GMM_TILE]);
+        }
+        for (t, out) in out.chunks_mut(GMM_TILE).enumerate() {
+            let tile = &rows[t * GMM_TILE * dim..];
+            let last = out.len() - 1;
+            for (i, col) in s.axes[..dim].iter_mut().enumerate() {
+                for (p, x) in col.iter_mut().enumerate() {
+                    *x = tile[p.min(last) * dim + i];
+                }
             }
-            terms4.push(F64x4::splat(c) + quad);
+            let mut n_terms = 0;
+            for (j, row) in comps.clone().zip(s.terms.iter_mut()) {
+                let nhiv = &plan.neg_half_inv_vars[j * dim..(j + 1) * dim];
+                let mean = &self.gmm.means[j];
+                let mut quad = [0.0; GMM_TILE];
+                for (i, col) in s.axes[..dim].iter().enumerate() {
+                    let (mu, h) = (mean[i], nhiv[i]);
+                    for (q, &x) in quad.iter_mut().zip(col) {
+                        let d = x - mu;
+                        *q = (h * d).mul_add(d, *q);
+                    }
+                }
+                let c = plan.consts[j];
+                for (term, &q) in row.iter_mut().zip(&quad) {
+                    *term = c + q;
+                }
+                n_terms += 1;
+            }
+            let terms = &s.terms[..n_terms];
+            // lint: reduction-order per-point max fold over components in log_pdf's order (f64::max skips NaN)
+            let mut m = [f64::NEG_INFINITY; GMM_TILE];
+            for row in terms {
+                for (mx, &t) in m.iter_mut().zip(row) {
+                    *mx = mx.max(t);
+                }
+            }
+            // lint: reduction-order per-point exp_fast sum in log_pdf's component order
+            let mut sum = [0.0; GMM_TILE];
+            for row in terms {
+                for ((acc, &t), &m) in sum.iter_mut().zip(row).zip(&m) {
+                    *acc += exp_fast(t - m);
+                }
+            }
+            // `log_sum_exp_fast`'s `-inf` early return, as a per-point select.
+            for ((o, &m), &sum) in out.iter_mut().zip(&m).zip(&sum) {
+                *o = if m == f64::NEG_INFINITY {
+                    f64::NEG_INFINITY
+                } else {
+                    m + sum.ln()
+                };
+            }
         }
-        let mut m = F64x4::splat(f64::NEG_INFINITY);
-        for t in terms4.iter() {
-            m = m.max(*t);
-        }
-        let mut s = F64x4::splat(0.0);
-        for t in terms4.iter() {
-            s = s + (*t - m).exp();
-        }
-        let mut out = [0.0; LANES];
-        for (lane, o) in out.iter_mut().enumerate() {
-            *o = if m.lane(lane) == f64::NEG_INFINITY {
-                f64::NEG_INFINITY
-            } else {
-                m.lane(lane) + s.lane(lane).ln()
-            };
-        }
-        Some(out)
     }
 }
 
@@ -521,37 +489,36 @@ impl Gmm {
         let dim = Gmm::dim(self);
         check_batch_shape(dim, batch, out);
         let n = batch.len();
-        let has_lane_path = matches!(self.covariance, Covariance::Diagonal(_));
         if policy.is_single_chunk(n) {
             // Sequential production path: evaluate the whole batch inline
             // through the struct-held scratch — allocation-free once the
             // buffers have grown to the component count.
             let mut scratch = std::mem::take(&mut self.scratch);
             let plan = self.eval_plan();
-            match self.prune.as_ref() {
-                Some(index) => {
-                    Self::eval_range_pruned(&plan, index, batch, n, 0, out, &mut scratch)
+            match (self.prune.as_ref(), plan.diag) {
+                (Some(index), Some(diag)) => {
+                    Self::eval_range_pruned(&plan, diag, index, batch, 0, out, &mut scratch)
                 }
-                None => Self::eval_range(&plan, has_lane_path, batch, 0, out, &mut scratch),
+                _ => Self::eval_range(&plan, batch, 0, out, &mut scratch),
             }
             self.scratch = scratch;
             return;
         }
         let plan = self.eval_plan();
-        if let Some(index) = self.prune.as_ref() {
+        if let (Some(index), Some(diag)) = (self.prune.as_ref(), plan.diag) {
             par::for_each_chunk_policy(policy, out, |start, chunk| {
                 // Threaded chunk: worker-local scratch (allocates by
                 // design — thread spawning already does). Bit-identical
                 // to the inline path: scratch capacity is unobservable.
                 // lint: allow(hot-path-alloc) threaded chunk closures own their scratch
                 let mut scratch = BatchScratch::default();
-                Self::eval_range_pruned(&plan, index, batch, n, start, chunk, &mut scratch);
+                Self::eval_range_pruned(&plan, diag, index, batch, start, chunk, &mut scratch);
             });
         } else {
             par::for_each_chunk_policy(policy, out, |start, chunk| {
                 // lint: allow(hot-path-alloc) threaded chunk closures own their scratch
                 let mut scratch = BatchScratch::default();
-                Self::eval_range(&plan, has_lane_path, batch, start, chunk, &mut scratch);
+                Self::eval_range(&plan, batch, start, chunk, &mut scratch);
             });
         }
     }
@@ -563,9 +530,9 @@ impl Gmm {
     /// assignment.
     fn eval_range_pruned(
         plan: &GmmEvalPlan<'_>,
+        diag: &DiagPlan,
         index: &PruneIndex,
         batch: &PointBatch,
-        n: usize,
         start: usize,
         chunk: &mut [f64],
         s: &mut BatchScratch,
@@ -574,72 +541,47 @@ impl Gmm {
         let mut pos = start;
         while pos < end {
             let tile_lo = (pos / PRUNE_TILE) * PRUNE_TILE;
-            let tile_hi = (tile_lo + PRUNE_TILE).min(n);
+            let tile_hi = (tile_lo + PRUNE_TILE).min(batch.len());
             let piece_end = end.min(tile_hi);
             let tile = batch.flat_range(tile_lo, tile_hi);
-            let cands = index.candidates_for_points(tile, &[], &mut s.prune);
-            let mut offset = pos;
-            match cands {
-                Some(cands) => {
-                    while offset + LANES <= piece_end {
-                        let flat = batch.flat_range(offset, offset + LANES);
-                        let four = plan
-                            .log_pdf4_subset(flat, cands, &mut s.terms4, &mut s.xs4)
-                            .expect("diagonal plan has a lane path");
-                        chunk[offset - start..offset - start + LANES].copy_from_slice(&four);
-                        offset += LANES;
-                    }
-                    for i in offset..piece_end {
-                        chunk[i - start] = plan.log_pdf_subset(batch.point(i), cands, &mut s.terms);
-                    }
-                }
+            let rows = batch.flat_range(pos, piece_end);
+            let out = &mut chunk[pos - start..piece_end - start];
+            match index.candidates_for_points(tile, &[], &mut s.prune) {
+                Some(cands) => plan.eval_tiles(
+                    diag,
+                    cands.iter().map(|&j| j as usize),
+                    rows,
+                    out,
+                    &mut s.tile,
+                ),
                 // Non-finite tile: full evaluation, bit-identical
                 // to the unpruned path for these points.
-                None => {
-                    while offset + LANES <= piece_end {
-                        let flat = batch.flat_range(offset, offset + LANES);
-                        let four = plan
-                            .log_pdf4(flat, &mut s.terms4, &mut s.xs4)
-                            .expect("diagonal plan has a lane path");
-                        chunk[offset - start..offset - start + LANES].copy_from_slice(&four);
-                        offset += LANES;
-                    }
-                    for i in offset..piece_end {
-                        chunk[i - start] = plan.log_pdf(batch.point(i), &mut s.terms);
-                    }
-                }
+                None => plan.eval_tiles(diag, 0..diag.consts.len(), rows, out, &mut s.tile),
             }
             pos = piece_end;
         }
     }
 
-    /// Unpruned evaluation of `chunk` (anchored at batch index `start`).
+    /// Unpruned evaluation of `chunk` (anchored at batch index `start`):
+    /// the tiled kernel over all components, or per-point scalar
+    /// evaluation for full-covariance models.
     fn eval_range(
         plan: &GmmEvalPlan<'_>,
-        has_lane_path: bool,
         batch: &PointBatch,
         start: usize,
         chunk: &mut [f64],
         s: &mut BatchScratch,
     ) {
-        let mut offset = 0;
-        // 4-wide body. Safe at any chunk boundary: each lane applies
-        // the exact scalar per-point math, so the grouping below is
-        // unobservable in the output bits.
-        if has_lane_path {
-            while offset + LANES <= chunk.len() {
-                let flat = batch.flat_range(start + offset, start + offset + LANES);
-                let four = plan
-                    .log_pdf4(flat, &mut s.terms4, &mut s.xs4)
-                    .expect("diagonal plan has a lane path");
-                chunk[offset..offset + LANES].copy_from_slice(&four);
-                offset += LANES;
+        match plan.diag {
+            Some(diag) => {
+                let rows = batch.flat_range(start, start + chunk.len());
+                plan.eval_tiles(diag, 0..diag.consts.len(), rows, chunk, &mut s.tile);
             }
-        }
-        // Scalar remainder tail (and the whole chunk for full
-        // covariance models).
-        for (i, o) in chunk.iter_mut().enumerate().skip(offset) {
-            *o = plan.log_pdf(batch.point(start + i), &mut s.terms);
+            None => {
+                for (i, o) in chunk.iter_mut().enumerate() {
+                    *o = plan.log_pdf(batch.point(start + i), &mut s.terms);
+                }
+            }
         }
     }
 }

@@ -117,7 +117,7 @@ enum BoundModel {
 
 /// Reusable query-side scratch for [`PruneIndex::candidates_for_points`]
 /// (AABB, candidate bitset, upper-bound staging). One per worker chunk,
-/// mirroring the existing per-chunk `terms4`/`xs4` idiom.
+/// like the kernels' own batch scratch.
 #[derive(Debug, Clone, Default)]
 pub struct PruneScratch {
     lo: Vec<f64>,

@@ -12,18 +12,24 @@
 //!
 //! Compiled only under the `alloc-audit` feature, which registers the
 //! counter as the process-wide `#[global_allocator]`. The counters are
-//! process-global and count *every* thread's traffic, so audited regions
-//! must run while no other thread allocates — the `tests/alloc_audit.rs`
-//! harness serializes its cases behind a mutex and pins fleet rounds to
-//! one worker for exactly this reason.
+//! **thread-local and armed only inside [`audited`]**: a heap event is
+//! tallied only when it happens on the thread running the audited
+//! closure, while that closure runs. Other threads — concurrently
+//! running tests, the test harness's own bookkeeping — can allocate
+//! freely without being charged to the audited region, so audited tests
+//! need no serialization. The flip side: work an audited region hands to
+//! *another* thread is not counted (spawning that thread is, on the
+//! caller), so the zero-alloc contract is asserted on sequential paths.
 //!
-//! Overhead is one relaxed atomic increment per heap event, so the full
-//! test suite can run under the audit allocator unchanged.
+//! The counters are const-initialized `Cell`s with no destructor, so
+//! reading or bumping them never allocates and never re-enters the
+//! allocator. Overhead is one thread-local flag check per heap event, so
+//! the full test suite can run under the audit allocator unchanged.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-/// Heap events since process start, split by kind.
+/// Heap events of one thread while armed, split by kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AllocCounts {
     /// `alloc` + `alloc_zeroed` calls.
@@ -70,9 +76,23 @@ impl AllocCounts {
     }
 }
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static REALLOCS: AtomicU64 = AtomicU64::new(0);
-static DEALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Whether this thread is inside [`audited`]; events are tallied
+    /// only while it is set.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static REALLOCS: Cell<u64> = const { Cell::new(0) };
+    static DEALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Bumps `counter` if this thread is armed. `try_with` cannot fail for
+/// these destructor-less cells, and ignoring a failure only drops a
+/// count; neither path allocates.
+fn tally(counter: &'static std::thread::LocalKey<Cell<u64>>) {
+    if ARMED.try_with(Cell::get).unwrap_or(false) {
+        let _ = counter.try_with(|c| c.set(c.get() + 1));
+    }
+}
 
 /// The counting allocator: delegates every operation to [`System`] and
 /// tallies it. Registered as the global allocator by this module, so
@@ -81,13 +101,13 @@ static DEALLOCS: AtomicU64 = AtomicU64::new(0);
 pub struct CountingAllocator;
 
 // SAFETY: every method delegates verbatim to `System`, which upholds the
-// `GlobalAlloc` contract; the only addition is a relaxed counter bump,
-// which neither allocates nor observes the returned memory.
+// `GlobalAlloc` contract; the only addition is a thread-local counter
+// bump, which neither allocates nor observes the returned memory.
 #[allow(unsafe_code)]
 unsafe impl GlobalAlloc for CountingAllocator {
     // SAFETY: counter bump then verbatim delegation; `layout` obligations pass through to `System`.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        tally(&ALLOCS);
         // SAFETY: forwarded unchanged; caller guarantees `layout` has
         // non-zero size per the `GlobalAlloc` contract.
         unsafe { System.alloc(layout) }
@@ -95,14 +115,14 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
     // SAFETY: counter bump then verbatim delegation; same contract as `alloc`.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        tally(&ALLOCS);
         // SAFETY: forwarded unchanged; same contract as `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     // SAFETY: counter bump then verbatim delegation; `ptr`/`layout`/`new_size` obligations pass through to `System`.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        REALLOCS.fetch_add(1, Ordering::Relaxed);
+        tally(&REALLOCS);
         // SAFETY: forwarded unchanged; caller guarantees `ptr` was
         // allocated with `layout` by this allocator and `new_size` is
         // non-zero.
@@ -111,7 +131,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
     // SAFETY: counter bump then verbatim delegation; `ptr`/`layout` obligations pass through to `System`.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        DEALLOCS.fetch_add(1, Ordering::Relaxed);
+        tally(&DEALLOCS);
         // SAFETY: forwarded unchanged; caller guarantees `ptr`/`layout`
         // match the original allocation.
         unsafe { System.dealloc(ptr, layout) }
@@ -121,25 +141,25 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-/// Snapshot of the process-wide heap-event counters.
-///
-/// Counters are read individually with relaxed ordering: the snapshot is
-/// exact whenever no *other* thread is mid-heap-operation, which is the
-/// regime audited tests run in (see the module docs).
+/// Snapshot of this thread's armed heap-event counters. They move only
+/// inside [`audited`] on this thread, so outside it two snapshots agree.
 pub fn counts() -> AllocCounts {
     AllocCounts {
-        allocs: ALLOCS.load(Ordering::Relaxed),
-        reallocs: REALLOCS.load(Ordering::Relaxed),
-        deallocs: DEALLOCS.load(Ordering::Relaxed),
+        allocs: ALLOCS.with(Cell::get),
+        reallocs: REALLOCS.with(Cell::get),
+        deallocs: DEALLOCS.with(Cell::get),
     }
 }
 
-/// Runs `f` and returns the heap events it performed (including any
-/// other thread's traffic in the window — audited regions run
-/// single-threaded).
+/// Runs `f` with this thread's counters armed and returns the heap events
+/// it performed on this thread. Other threads' traffic is never counted,
+/// so audited regions may run alongside anything. Nesting is allowed:
+/// an inner call's events also count toward the enclosing one.
 pub fn audited<T>(f: impl FnOnce() -> T) -> (T, AllocCounts) {
     let before = counts();
+    let was_armed = ARMED.with(|a| a.replace(true));
     let out = f();
+    ARMED.with(|a| a.set(was_armed));
     (out, counts().since(&before))
 }
 
@@ -157,11 +177,6 @@ mod tests {
         assert!(delta.deallocs >= 1, "drop must count as a free");
     }
 
-    // Exact-zero steady-state assertions live in the workspace-level
-    // `tests/alloc_audit.rs` harness, whose cases serialize behind a
-    // mutex: these module tests share a process (and therefore the
-    // global counters) with the rest of the crate's parallel suite, so
-    // only monotone `>=` claims are meaningful here.
     #[test]
     fn counts_vec_growth_as_acquisition() {
         let mut v: Vec<u64> = Vec::new();
@@ -172,5 +187,38 @@ mod tests {
         });
         assert!(delta.acquisitions() >= 1, "growth must be visible");
         drop(v);
+    }
+
+    #[test]
+    fn disarmed_and_foreign_thread_events_are_not_counted() {
+        const WORKER_ALLOCS: u64 = 1000;
+        let before = counts();
+        drop(std::hint::black_box(vec![0u8; 32]));
+        assert_eq!(counts(), before, "events outside `audited` must not count");
+        let (worker, caller) = audited(|| {
+            std::thread::scope(|scope| {
+                scope
+                    .spawn(|| {
+                        audited(|| {
+                            for i in 0..WORKER_ALLOCS {
+                                drop(std::hint::black_box(Box::new(i)));
+                            }
+                        })
+                        .1
+                    })
+                    .join()
+            })
+        });
+        let worker = worker.expect("worker thread completes");
+        assert_eq!(
+            worker.allocs, WORKER_ALLOCS,
+            "a worker counts its own events"
+        );
+        // The caller is charged for spawning the worker, never for the
+        // worker's own allocations.
+        assert!(
+            caller.allocs < WORKER_ALLOCS,
+            "worker events leaked into the caller: {caller:?}"
+        );
     }
 }

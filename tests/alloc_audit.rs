@@ -12,13 +12,13 @@
 //! paths allocate by design (thread spawning already does) and are
 //! outside the audited scope.
 //!
-//! The allocator counters are process-global and `cargo test` runs tests
-//! in parallel threads, so every exact-zero assertion serializes behind
-//! [`LOCK`]; anything else would count a neighbouring test's allocations.
+//! The allocator counters are thread-local and armed only inside
+//! `alloc_audit::audited`, so each test counts exactly its own audited
+//! region: tests run on the harness's parallel threads with no lock, and
+//! neither a neighbouring test nor the harness itself can be charged to
+//! an audited pass.
 
 #![cfg(feature = "alloc-audit")]
-
-use std::sync::Mutex;
 
 use navicim::analog::engine::{CimEngineConfig, HmgmCimEngine, NoiseSegment};
 use navicim::analog::mapping::SpaceMap;
@@ -29,17 +29,12 @@ use navicim::core::pipeline::{GateConfig, LocalizationPipeline};
 use navicim::core::registry::DIGITAL_GMM;
 use navicim::device::noise::NoiseStream;
 use navicim::device::params::TechParams;
-use navicim::gmm::gaussian::{Covariance, Gmm};
+use navicim::gmm::gaussian::{Covariance, Gmm, GMM_TILE};
 use navicim::gmm::hmg::{HmgKernel, HmgmModel};
 use navicim::gmm::prune::PruneConfig;
 use navicim::math::alloc_audit;
 use navicim::scene::dataset::{LocalizationConfig, LocalizationDataset};
 use navicim::serve::{Fleet, FleetConfig, TaskOrder};
-
-/// Serializes every exact-zero assertion: the counting allocator is
-/// process-global, so a concurrently running test would be charged to
-/// the audited region.
-static LOCK: Mutex<()> = Mutex::new(());
 
 /// Runs `f` under the allocation counter and asserts it acquired zero
 /// heap memory (no allocs, no growing reallocs). Frees are permitted —
@@ -76,30 +71,43 @@ fn query_batch(dim: usize, n: usize) -> PointBatch {
     batch
 }
 
+/// The digital kernel at the wide-map size (k=32) on a batch of several
+/// tiles plus a short tail, unpruned and pruned (the configuration that
+/// serves every wide-map frame).
 #[test]
 fn gmm_batch_kernel_is_zero_alloc_when_warm() {
-    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let mut gmm = Gmm::new(
-        vec![0.6, 0.4],
-        vec![vec![-0.5, 0.0, 0.2], vec![0.6, 0.3, -0.4]],
-        Covariance::Diagonal(vec![vec![0.3, 0.3, 0.3], vec![0.4, 0.4, 0.4]]),
-    )
-    .expect("gmm builds");
-    let batch = query_batch(3, 64);
-    let mut out = vec![0.0; batch.len()];
-    let policy = sequential(batch.len());
-    // Warm pass sizes the struct-held scratch to the component count.
-    gmm.log_likelihood_into_policy(&batch, &mut out, policy);
-    let warm = out.clone();
-    assert_zero_alloc("Gmm::log_likelihood_into_policy", || {
+    use navicim::math::rng::{Pcg32, SampleExt};
+    let k = 32;
+    let mut rng = Pcg32::seed_from_u64(17);
+    let weights = vec![1.0 / k as f64; k];
+    let means = (0..k)
+        .map(|_| (0..3).map(|_| rng.sample_uniform(-0.8, 0.8)).collect())
+        .collect();
+    let vars = (0..k)
+        .map(|_| (0..3).map(|_| rng.sample_uniform(0.02, 0.3)).collect())
+        .collect();
+    let base = Gmm::new(weights, means, Covariance::Diagonal(vars)).expect("gmm builds");
+    let batch = query_batch(3, 3 * GMM_TILE + 5);
+    for prune in [PruneConfig::default(), PruneConfig::enabled()] {
+        let mut gmm = base.clone();
+        gmm.set_prune(prune);
+        let mut out = vec![0.0; batch.len()];
+        let policy = sequential(batch.len());
+        // Warm pass sizes the struct-held scratch to the component count.
         gmm.log_likelihood_into_policy(&batch, &mut out, policy);
-    });
-    assert_eq!(out, warm, "steady-state pass changed the output bits");
+        let warm = out.clone();
+        assert_zero_alloc(
+            &format!("Gmm::log_likelihood_into_policy {prune:?}"),
+            || {
+                gmm.log_likelihood_into_policy(&batch, &mut out, policy);
+            },
+        );
+        assert_eq!(out, warm, "steady-state pass changed the output bits");
+    }
 }
 
 #[test]
 fn hmgm_batch_kernel_is_zero_alloc_when_warm() {
-    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let k1 = HmgKernel::new(vec![-0.5, 0.0, 0.2], vec![0.4; 3], 1.0).expect("kernel");
     let k2 = HmgKernel::new(vec![0.6, 0.3, -0.4], vec![0.5; 3], 1.0).expect("kernel");
     let mut model = HmgmModel::new(vec![1.0, 0.5], vec![k1, k2]).expect("model builds");
@@ -152,7 +160,6 @@ fn clustered_batch(center: &[f64], n: usize) -> PointBatch {
 
 #[test]
 fn cim_engine_batch_path_is_zero_alloc_when_warm() {
-    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let (map, model) = cim_fixture(2);
     let mut engine =
         HmgmCimEngine::build(&model, map, CimEngineConfig::default()).expect("engine builds");
@@ -175,7 +182,6 @@ fn cim_engine_batch_path_is_zero_alloc_when_warm() {
 /// nothing.
 #[test]
 fn cim_gated_engine_batch_path_is_zero_alloc_when_warm() {
-    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let (map, model) = cim_fixture(24);
     let mut engine = HmgmCimEngine::build_with_pruning(
         &model,
@@ -204,7 +210,6 @@ fn cim_gated_engine_batch_path_is_zero_alloc_when_warm() {
 /// allocate nothing.
 #[test]
 fn cim_serve_segments_is_zero_alloc_when_warm() {
-    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let (map, model) = cim_fixture(24);
     for prune in [PruneConfig::default(), PruneConfig::enabled()] {
         let root = HmgmCimEngine::build_with_pruning(
@@ -288,7 +293,6 @@ fn audit_config() -> LocalizerConfig {
 /// allocation-free.
 #[test]
 fn pipeline_step_is_zero_alloc_after_warm_pass() {
-    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let ds = audit_dataset();
     let mut pipeline = LocalizationPipeline::build(&ds, audit_config()).expect("pipeline builds");
     let controls = ds.control_deltas();
@@ -311,7 +315,6 @@ fn pipeline_step_is_zero_alloc_after_warm_pass() {
 /// acquire heap memory.
 #[test]
 fn fleet_step_round_is_zero_alloc_after_warm_pass() {
-    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let ds = audit_dataset();
     let prototype = LocalizationPipeline::build(&ds, audit_config()).expect("prototype builds");
     let mut fleet = Fleet::new(

@@ -15,8 +15,9 @@ use navicim::core::registry::{CIM_HMGM, DIGITAL_GMM};
 use navicim::core::vo::{AdaptiveMcConfig, AdaptiveMcPolicy, BayesianVo, VoPipelineConfig};
 use navicim::device::inverter::GaussianLikeCell;
 use navicim::device::params::TechParams;
-use navicim::gmm::gaussian::{Covariance, Gmm};
+use navicim::gmm::gaussian::{Covariance, Gmm, GMM_TILE};
 use navicim::gmm::hmg::{HmgKernel, HmgmModel};
+use navicim::gmm::prune::{PruneConfig, PruneScratch, PRUNE_TILE};
 use navicim::math::geom::{Pose, Quat, Vec3};
 use navicim::math::quant::Quantizer;
 use navicim::math::rng::Pcg32;
@@ -213,11 +214,12 @@ proptest! {
 
     /// The digital GMM batch path is bit-identical to sequential scalar
     /// evaluation for random diagonal mixtures and random query batches.
+    /// Batch lengths run over several tiles and every short-tail width.
     #[test]
     fn gmm_batch_equals_scalar(
         seed in 0u64..500,
         k in 1usize..8,
-        n in 1usize..64,
+        n in 1usize..4 * GMM_TILE,
     ) {
         let mut rng = Pcg32::seed_from_u64(seed);
         use navicim::math::rng::SampleExt;
@@ -724,29 +726,32 @@ proptest! {
     }
 
     /// SIMD remainder handling and lane-position independence: batch
-    /// lengths covering every remainder shape the 4-wide kernels see
-    /// (n = 1, 3, 4g+1, 4g+3 — full lane groups plus a 1- or 3-point
-    /// scalar tail), with one query optionally poisoned by a `NaN` or
-    /// `-inf` coordinate at an arbitrary position, evaluate
-    /// bit-identically between the batched path (SIMD body + scalar
-    /// tail) and sequential scalar calls on both digital kernels. The
-    /// bit-pattern comparison makes `NaN` lanes count as equal, so a
-    /// non-finite query must produce the exact same bits no matter
-    /// which lane — or the tail — served it.
+    /// lengths of 0–3 full [`GMM_TILE`]-point tiles plus a short tail of
+    /// any width (which also covers every remainder shape of the 4-wide
+    /// HMGM lanes), with one query in a full tile and one in the padded
+    /// tail optionally poisoned by a `NaN` or `-inf` coordinate, evaluate
+    /// bit-identically between the batched path and sequential scalar
+    /// calls on both digital kernels. The bit-pattern comparison makes
+    /// `NaN` lanes count as equal, so a non-finite query must produce the
+    /// exact same bits no matter which tile slot or lane served it.
     #[test]
     fn simd_remainder_and_nonfinite_lane_parity(
         seed in 0u64..400,
         k in 1usize..8,
-        groups in 0usize..8,
-        odd_tail in 0usize..2,
-        special_pos in 0usize..64,
+        tiles in 0usize..4,
+        tail in 0usize..GMM_TILE,
+        special_pos in 0usize..GMM_TILE,
         special_axis in 0usize..3,
         special_kind in 0usize..3,
+        tail_kind in 0usize..3,
     ) {
+        let n = tiles * GMM_TILE + tail;
+        if n == 0 {
+            return Ok(());
+        }
         let mut rng = Pcg32::seed_from_u64(seed ^ 0x51d0);
         use navicim::math::rng::SampleExt;
         let dim = 3;
-        let n = 4 * groups + if odd_tail == 1 { 3 } else { 1 };
         let mut weights: Vec<f64> = (0..k).map(|_| rng.sample_uniform(0.1, 1.0)).collect();
         let total: f64 = weights.iter().sum();
         weights.iter_mut().for_each(|w| *w /= total);
@@ -772,10 +777,16 @@ proptest! {
         let mut points: Vec<Vec<f64>> = (0..n)
             .map(|_| (0..dim).map(|_| rng.sample_uniform(-4.0, 4.0)).collect())
             .collect();
-        match special_kind {
-            1 => points[special_pos % n][special_axis] = f64::NAN,
-            2 => points[special_pos % n][special_axis] = f64::NEG_INFINITY,
-            _ => {}
+        let poison = |kind: usize| match kind {
+            1 => Some(f64::NAN),
+            2 => Some(f64::NEG_INFINITY),
+            _ => None,
+        };
+        if let (true, Some(v)) = (tiles > 0, poison(special_kind)) {
+            points[special_pos % (tiles * GMM_TILE)][special_axis] = v;
+        }
+        if let (true, Some(v)) = (tail > 0, poison(tail_kind)) {
+            points[tiles * GMM_TILE + special_pos % tail][special_axis] = v;
         }
         let mut batch = PointBatch::new(dim);
         for p in &points {
@@ -797,6 +808,74 @@ proptest! {
                 .map(|v| v.to_bits())
                 .collect();
         prop_assert_eq!(hmgm_scalar, hmgm_batched);
+    }
+
+    /// The pruned digital GMM batch path is bit-identical to per-point
+    /// `log_pdf_subset` over the candidate list that
+    /// `PruneIndex::candidates_for_points` returns for each
+    /// `PRUNE_TILE`-point tile, or to `log_pdf` where a non-finite point
+    /// voids the tile's list. Components spread over a wide room and
+    /// each prune tile's queries cluster, so the lists are usually
+    /// strict subsets; batch lengths cross both `PRUNE_TILE` and
+    /// `GMM_TILE` boundaries.
+    #[test]
+    fn gmm_pruned_batch_equals_subset_scalar(
+        seed in 0u64..500,
+        k in 1usize..24,
+        n in 1usize..2 * PRUNE_TILE + 2 * GMM_TILE,
+        poison_pos in 0usize..2 * PRUNE_TILE + 2 * GMM_TILE,
+        poison_kind in 0usize..4,
+    ) {
+        let mut rng = Pcg32::seed_from_u64(seed ^ 0x9e37);
+        use navicim::math::rng::SampleExt;
+        let dim = 3;
+        let mut weights: Vec<f64> = (0..k).map(|_| rng.sample_uniform(0.1, 1.0)).collect();
+        let total: f64 = weights.iter().sum();
+        weights.iter_mut().for_each(|w| *w /= total);
+        let means: Vec<Vec<f64>> = (0..k)
+            .map(|_| (0..dim).map(|_| rng.sample_uniform(-20.0, 20.0)).collect())
+            .collect();
+        let vars: Vec<Vec<f64>> = (0..k)
+            .map(|_| (0..dim).map(|_| rng.sample_uniform(0.05, 1.0)).collect())
+            .collect();
+        let mut gmm = Gmm::new(weights, means, Covariance::Diagonal(vars)).expect("valid gmm");
+        gmm.set_prune(PruneConfig::enabled());
+        let mut batch = PointBatch::new(dim);
+        let mut center = vec![0.0; dim];
+        for i in 0..n {
+            if i % PRUNE_TILE == 0 {
+                center = (0..dim).map(|_| rng.sample_uniform(-22.0, 22.0)).collect();
+            }
+            let mut p: Vec<f64> =
+                center.iter().map(|&c| c + rng.sample_uniform(-1.0, 1.0)).collect();
+            match (i == poison_pos % n, poison_kind) {
+                (true, 1) => p[0] = f64::NAN,
+                (true, 2) => p[1] = f64::NEG_INFINITY,
+                _ => {}
+            }
+            batch.push(&p);
+        }
+        let index = gmm.prune_index().expect("diagonal model builds an index");
+        let plan = gmm.eval_plan();
+        let (mut scratch, mut terms) = (PruneScratch::default(), Vec::new());
+        let mut expected = Vec::with_capacity(n);
+        for lo in (0..n).step_by(PRUNE_TILE) {
+            let hi = (lo + PRUNE_TILE).min(n);
+            let cands = index.candidates_for_points(batch.flat_range(lo, hi), &[], &mut scratch);
+            for i in lo..hi {
+                let v = match cands {
+                    Some(c) => plan.log_pdf_subset(batch.point(i), c, &mut terms),
+                    None => plan.log_pdf(batch.point(i), &mut terms),
+                };
+                expected.push(v.to_bits());
+            }
+        }
+        let batched: Vec<u64> = gmm
+            .log_likelihood_batch(&batch)
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
+        prop_assert_eq!(expected, batched);
     }
 
     /// `exp_fast` honours its documented accuracy contract on random
