@@ -14,9 +14,8 @@
 //! - [`HmgmCimEngine`] is one *session* over that fabric: it owns the
 //!   counter-based [`NoiseStream`] cursor and the [`EngineStats`].
 //!   [`HmgmCimEngine::fork_session`] spawns additional sessions that share
-//!   the `Arc`'d fabric, and a serving layer can coalesce many sessions'
-//!   queries into one [`CimCompute::eval_segments`] call (each segment
-//!   carrying its own stream) with bit-identical per-session results.
+//!   the `Arc`'d fabric; each evaluates its batches through
+//!   [`CimCompute::eval_stream`] on its own stream.
 //!
 //! # The evaluation chain, exact and 4-wide
 //!
@@ -549,16 +548,15 @@ impl Readout {
         y
     }
 
-    /// Four evaluations' outputs from their pre-noise currents and noise
-    /// draws; bit-identical to [`Self::finish`] with `stream.at(index)`
-    /// per lane.
+    /// Four evaluations' outputs from their pre-noise currents, lane `p`
+    /// drawing noise index `first + p` of `stream`; bit-identical to
+    /// [`Self::finish`] with `stream.at(first + p)` per lane.
     #[inline(always)]
-    fn finish4(&self, i_total: [f64; LANES], draws: &[(NoiseStream, u64); LANES], out: &mut [f64]) {
+    fn finish4(&self, i_total: [f64; LANES], stream: NoiseStream, first: u64, out: &mut [f64]) {
         let mut u = [0.0; LANES];
         let mut v = [0.0; LANES];
         for p in 0..LANES {
-            let (stream, index) = draws[p];
-            (u[p], v[p]) = stream.uniforms(index);
+            (u[p], v[p]) = stream.uniforms(first + p as u64);
         }
         let coords = self.guarded_coords(F64x4::new(i_total), F64x4::new(u), F64x4::new(v));
         // A decided coordinate lies in [0, 2^bits − 1], so its rounding
@@ -568,8 +566,7 @@ impl Readout {
         let decided = (F64x4::splat(self.ln_min) + codes * F64x4::splat(self.log_lsb)).to_array();
         for p in 0..LANES {
             out[p] = if coords[p].is_nan() {
-                let (stream, index) = draws[p];
-                self.finish(i_total[p], stream.at(index))
+                self.finish(i_total[p], stream.at(first + p as u64))
             } else {
                 decided[p]
             };
@@ -577,78 +574,15 @@ impl Readout {
     }
 }
 
-/// One session's slice of a coalesced batch: points
-/// `[start, next segment's start)` draw their noise from `stream`,
-/// session-locally — point `start + k` uses stream index `cursor + k`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NoiseSegment {
-    /// Batch index at which this segment begins.
-    pub start: usize,
-    /// The owning session's noise stream, cursor positioned at the
-    /// segment's first evaluation.
-    pub stream: NoiseStream,
-}
-
-/// Resolves batch point `idx` to its `(stream, absolute index)` noise
-/// draw through a monotone segment cursor: every evaluation path consumes
-/// its chunk's indices in increasing order, so after one binary search at
-/// the chunk's first point the cursor only ever steps forward — O(1)
-/// amortized per point, where a per-point `partition_point` becomes a
-/// visible share of noise lookup once a coalesced batch carries many
-/// sessions' segments. The lookup stays pure in (segments, idx), so chunk
-/// boundaries and thread counts remain unobservable in the output bits.
-struct SegCursor<'a> {
-    segments: &'a [NoiseSegment],
-    pos: usize,
-}
-
-impl<'a> SegCursor<'a> {
-    fn new(segments: &'a [NoiseSegment], idx: usize) -> Self {
-        Self {
-            segments,
-            pos: segments.partition_point(|s| s.start <= idx) - 1,
-        }
-    }
-
-    #[inline(always)]
-    fn draw(&mut self, idx: usize) -> (NoiseStream, u64) {
-        while self.pos + 1 < self.segments.len() && self.segments[self.pos + 1].start <= idx {
-            self.pos += 1;
-        }
-        let seg = &self.segments[self.pos];
-        (seg.stream, seg.stream.cursor() + (idx - seg.start) as u64)
-    }
-}
-
-/// Reusable scratch for [`CimCompute::eval_segments`] (sequential
+/// Reusable scratch for [`CimCompute::eval_stream`] (sequential
 /// single-chunk path only; threaded chunks carry their own).
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct EvalScratch {
     /// DAC output voltages of one point (direct path).
     voltages: Vec<f64>,
     /// LUT row offsets of one lane group, `LANES × dim`.
     rows: Vec<usize>,
     prune: PruneScratch,
-    /// Per-segment column-activation tallies of the gated LUT path,
-    /// zeroed each call (atomics: one segment's tiles may land in
-    /// concurrently-running chunks).
-    acts: Vec<AtomicU64>,
-}
-
-// Manual impl: `AtomicU64` is not `Clone`; snapshot the tallies.
-impl Clone for EvalScratch {
-    fn clone(&self) -> Self {
-        Self {
-            voltages: self.voltages.clone(),
-            rows: self.rows.clone(),
-            prune: self.prune.clone(),
-            acts: self
-                .acts
-                .iter()
-                .map(|a| AtomicU64::new(a.load(Ordering::Relaxed)))
-                .collect(),
-        }
-    }
 }
 
 /// Column-gating state compiled alongside the fabric: the spatial index
@@ -674,9 +608,9 @@ struct CimPrune {
 /// Every field is fixed at build time (process variation is drawn once in
 /// [`HmgmCimEngine::build`]), so a `CimCompute` is freely shared across
 /// threads behind an `Arc` — sessions own only their noise cursor and
-/// counters. Evaluation is pure: the caller passes the noise assignment
-/// ([`NoiseSegment`]s) and receives pre-noise currents for its own
-/// bookkeeping.
+/// counters. Evaluation is pure: the caller passes its noise stream and
+/// receives pre-noise currents and the column-activation count for its
+/// own bookkeeping.
 #[derive(Debug, Clone)]
 pub struct CimCompute {
     array: CimArray,
@@ -722,52 +656,39 @@ impl CimCompute {
         self.noise_seed
     }
 
-    /// Evaluates a (possibly multi-session) batch against the fabric.
+    /// Evaluates one session's batch against the fabric.
     ///
-    /// `segments` assigns noise: the points of `[seg.start, next.start)`
-    /// belong to the session whose stream is `seg.stream`, and point
-    /// `seg.start + k` draws `seg.stream.at(cursor + k)`. With a single
-    /// segment this is exactly the engine's own batch evaluation; with
-    /// many, each segment's outputs are bit-identical to the owning
-    /// session evaluating its sub-batch alone — the invariant the serving
-    /// layer's cross-agent batcher is built on. Pre-noise currents land in
-    /// `currents`, and per-segment column activations in `seg_activations`
-    /// when given (same length as `segments`), so each session can fold
-    /// its slice into its stats in index order and price its gated DAC
-    /// drive (see [`HmgmCimEngine::absorb_served_evals`]). Without gating
-    /// every segment reports `len × columns`.
-    ///
-    /// Segments must start at 0, be strictly increasing, and lie inside
-    /// the batch. Nothing in `self` mutates; `scratch` is buffer reuse
-    /// only.
+    /// Point `i` of the batch draws its noise from `stream.at(cursor +
+    /// i)`, where `cursor` is `stream`'s cursor — the same value it would
+    /// draw in any other split of the session's evaluations into calls.
+    /// Pre-noise currents land in `currents`, so the session can fold them
+    /// into its stats in index order; the return value is the call's
+    /// column-activation count (`len × columns` without gating), so the
+    /// session can price its gated DAC drive. Nothing in `self` mutates;
+    /// `scratch` is buffer reuse only.
     ///
     /// Column gating, when compiled in ([`HmgmCimEngine::build_with_pruning`])
     /// and on the LUT path, works in fixed tiles of [`PRUNE_TILE`]
-    /// consecutive points anchored at each segment's start: the tile's
+    /// consecutive points anchored at batch index 0: the tile's
     /// clamped+padded AABB is intersected with the culling index and only
-    /// surviving columns are driven. Anchoring at segment starts makes
-    /// the gating decisions — and therefore the output bits — invariant
-    /// under chunk policy *and* under coalescing (a segment's points see
-    /// the same tiles whether served solo or inside a mega-batch), while
-    /// noise draws stay tied to per-session absolute indices as always.
-    /// A tile containing any non-finite coordinate falls back to the
-    /// full column set, bit-identical to the ungated path.
+    /// surviving columns are driven. Each tile is evaluated over its full
+    /// survivor set whichever chunk its points land in, so the gating
+    /// decisions — and therefore the output bits — are invariant under
+    /// chunk policy. A tile containing any non-finite coordinate falls
+    /// back to the full column set, bit-identical to the ungated path.
     ///
     /// # Panics
     ///
-    /// Panics on dimension mismatch, output/current length mismatch, an
-    /// invalid segment list, or a `seg_activations` of the wrong length.
-    #[allow(clippy::too_many_arguments)]
-    pub fn eval_segments(
+    /// Panics on dimension mismatch or output/current length mismatch.
+    pub fn eval_stream(
         &self,
         batch: &PointBatch,
-        segments: &[NoiseSegment],
+        stream: NoiseStream,
         out: &mut [f64],
         currents: &mut [f64],
         policy: par::ChunkPolicy,
         scratch: &mut EvalScratch,
-        seg_activations: Option<&mut [u64]>,
-    ) {
+    ) -> u64 {
         check_batch_shape(self.map.dim(), batch, out);
         assert_eq!(
             out.len(),
@@ -776,30 +697,14 @@ impl CimCompute {
         );
         let n = batch.len();
         if n == 0 {
-            if let Some(acts_out) = seg_activations {
-                acts_out.fill(0);
-            }
-            return;
-        }
-        assert!(
-            !segments.is_empty() && segments[0].start == 0,
-            "segments must cover the batch from index 0"
-        );
-        assert!(
-            segments.windows(2).all(|w| w[0].start < w[1].start),
-            "segment starts must be strictly increasing"
-        );
-        assert!(
-            segments[segments.len() - 1].start < n,
-            "segment start past the end of the batch"
-        );
-        if let Some(acts_out) = seg_activations.as_deref() {
-            assert_eq!(acts_out.len(), segments.len(), "seg_activations length");
+            return 0;
         }
         let dim = self.dacs.len();
         let k_cols = self.array.num_columns();
+        let all_columns = n as u64 * k_cols as u64;
         scratch.voltages.resize(dim, 0.0);
         scratch.rows.resize(LANES * dim, 0);
+        let base = stream.cursor();
         let Some(lut) = self.lut.as_ref() else {
             // Direct device-model path: the parity reference every LUT
             // path is bit-identical to.
@@ -807,7 +712,6 @@ impl CimCompute {
                               out_chunk: &mut [f64],
                               cur_chunk: &mut [f64],
                               voltages: &mut [f64]| {
-                let mut cursor = SegCursor::new(segments, start);
                 for (i, (o, cur)) in out_chunk.iter_mut().zip(cur_chunk).enumerate() {
                     let idx = start + i;
                     for ((v, &x), (axis, dac)) in voltages
@@ -818,8 +722,7 @@ impl CimCompute {
                         *v = dac.convert(axis.to_voltage(x));
                     }
                     *cur = self.array.total_current(voltages);
-                    let (stream, index) = cursor.draw(idx);
-                    *o = self.readout.finish(*cur, stream.at(index));
+                    *o = self.readout.finish(*cur, stream.at(base + idx as u64));
                 }
             };
             if policy.is_single_chunk(n) {
@@ -833,43 +736,29 @@ impl CimCompute {
                     run_direct(start, out_chunk, cur_chunk, &mut voltages);
                 });
             }
-            if let Some(acts_out) = seg_activations {
-                ungated_activations(segments, n, k_cols, acts_out);
-            }
-            return;
+            return all_columns;
         };
         // LUT path, gated or not. Column gating splits each chunk into
-        // pieces (chunk ∩ segment ∩ tile, tiles anchored at segment
-        // starts; see the method docs), each evaluated over the full
-        // tile's survivor set so chunk and segment geometry never leak
-        // into the gating decision. Activations are counted per segment
-        // through atomics because one segment's tiles may land in
-        // concurrently-running chunks; the sums are exact u64 counts, so
-        // the tally is deterministic regardless of interleaving. The
-        // per-segment tallies live in the reusable scratch so the steady
-        // state stays allocation-free once it has grown to the segment
-        // count.
+        // pieces (chunk ∩ tile), each evaluated over the full tile's
+        // survivor set so chunk geometry never leaks into the gating
+        // decision. Activations are exact u64 counts summed through one
+        // atomic (a tile's pieces may land in concurrently-running
+        // chunks), so the total is deterministic regardless of
+        // interleaving.
         let gate = self.prune.as_ref();
-        if gate.is_some() {
-            scratch.acts.clear();
-            scratch
-                .acts
-                .resize_with(segments.len(), || AtomicU64::new(0));
-        }
-        let acts = &scratch.acts;
+        let activations = AtomicU64::new(0);
         let run_lut = |start: usize,
                        out_chunk: &mut [f64],
                        cur_chunk: &mut [f64],
                        rows: &mut [usize],
                        pscratch: &mut PruneScratch| {
-            let mut cursor = SegCursor::new(segments, start);
             let Some(gate) = gate else {
                 self.eval_lut(
                     lut,
                     AllColumns(k_cols),
                     batch,
                     start,
-                    &mut cursor,
+                    stream,
                     out_chunk,
                     cur_chunk,
                     rows,
@@ -877,13 +766,10 @@ impl CimCompute {
                 return;
             };
             let end = start + out_chunk.len();
-            let mut si = segments.partition_point(|s| s.start <= start) - 1;
             let mut pos = start;
             while pos < end {
-                let seg_start = segments[si].start;
-                let seg_end = segments.get(si + 1).map_or(n, |s| s.start);
-                let tile_lo = seg_start + ((pos - seg_start) / PRUNE_TILE) * PRUNE_TILE;
-                let tile_hi = (tile_lo + PRUNE_TILE).min(seg_end);
+                let tile_lo = (pos / PRUNE_TILE) * PRUNE_TILE;
+                let tile_hi = (tile_lo + PRUNE_TILE).min(n);
                 let piece_end = end.min(tile_hi);
                 let piece = pos - start..piece_end - start;
                 let cands = gate.index.candidates_for_points_clamped(
@@ -893,19 +779,12 @@ impl CimCompute {
                     pscratch,
                 );
                 let driven = cands.map_or(k_cols, <[u32]>::len) as u64;
-                acts[si].fetch_add(piece.len() as u64 * driven, Ordering::Relaxed);
+                activations.fetch_add(piece.len() as u64 * driven, Ordering::Relaxed);
                 let (out_piece, cur_piece) = (&mut out_chunk[piece.clone()], &mut cur_chunk[piece]);
                 match cands {
-                    Some(cols) => self.eval_lut(
-                        lut,
-                        cols,
-                        batch,
-                        pos,
-                        &mut cursor,
-                        out_piece,
-                        cur_piece,
-                        rows,
-                    ),
+                    Some(cols) => {
+                        self.eval_lut(lut, cols, batch, pos, stream, out_piece, cur_piece, rows)
+                    }
                     // Non-finite tile: full-array evaluation, bit-identical
                     // to the ungated path.
                     None => self.eval_lut(
@@ -913,16 +792,13 @@ impl CimCompute {
                         AllColumns(k_cols),
                         batch,
                         pos,
-                        &mut cursor,
+                        stream,
                         out_piece,
                         cur_piece,
                         rows,
                     ),
                 }
                 pos = piece_end;
-                if pos >= seg_end {
-                    si += 1;
-                }
             }
         };
         if policy.is_single_chunk(n) {
@@ -935,14 +811,10 @@ impl CimCompute {
                 run_lut(start, out_chunk, cur_chunk, &mut rows, &mut pscratch);
             });
         }
-        if let Some(acts_out) = seg_activations {
-            if gate.is_some() {
-                for (o, a) in acts_out.iter_mut().zip(acts) {
-                    *o = a.load(Ordering::Relaxed);
-                }
-            } else {
-                ungated_activations(segments, n, k_cols, acts_out);
-            }
+        if gate.is_some() {
+            activations.into_inner()
+        } else {
+            all_columns
         }
     }
 
@@ -955,8 +827,8 @@ impl CimCompute {
     /// point in the spare lanes (their results are dropped) and reads out
     /// through the exact scalar chain. Every lane's arithmetic is the
     /// scalar/direct path's, so grouping, chunk boundaries, thread counts
-    /// and the LUT toggle are all unobservable in the output bits, and
-    /// noise stays tied to per-session absolute indices.
+    /// and the LUT toggle are all unobservable in the output bits: batch
+    /// point `j` always draws `stream.at(cursor + j)`.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
     fn eval_lut<S: ColumnSet>(
@@ -965,14 +837,13 @@ impl CimCompute {
         cols: S,
         batch: &PointBatch,
         start: usize,
-        cursor: &mut SegCursor<'_>,
+        stream: NoiseStream,
         out: &mut [f64],
         cur: &mut [f64],
         rows: &mut [usize],
     ) {
         let dim = self.axis_codes.len();
         let flat = batch.as_flat();
-        let mut draws = [(NoiseStream::new(0), 0u64); LANES];
         let mut i = 0;
         while i < out.len() {
             let m = (out.len() - i).min(LANES);
@@ -996,29 +867,18 @@ impl CimCompute {
                 }
             }
             let totals = lut.totals(rows, cols);
-            for (p, draw) in draws[..m].iter_mut().enumerate() {
-                *draw = cursor.draw(start + i + p);
-            }
+            let first = stream.cursor() + (start + i) as u64;
             if m == LANES {
-                self.readout.finish4(totals, &draws, &mut out[i..i + LANES]);
+                self.readout
+                    .finish4(totals, stream, first, &mut out[i..i + LANES]);
             } else {
                 for p in 0..m {
-                    let (stream, index) = draws[p];
-                    out[i + p] = self.readout.finish(totals[p], stream.at(index));
+                    out[i + p] = self.readout.finish(totals[p], stream.at(first + p as u64));
                 }
             }
             cur[i..i + m].copy_from_slice(&totals[..m]);
             i += m;
         }
-    }
-}
-
-/// Ungated (or direct-path) activations: every evaluation drives every
-/// column, so segment `s` reports `len(s) × K`.
-fn ungated_activations(segments: &[NoiseSegment], n: usize, k_cols: usize, acts_out: &mut [u64]) {
-    for (si, o) in acts_out.iter_mut().enumerate() {
-        let seg_len = segments.get(si + 1).map_or(n, |s| s.start) - segments[si].start;
-        *o = seg_len as u64 * k_cols as u64;
     }
 }
 
@@ -1229,63 +1089,6 @@ impl HmgmCimEngine {
         &self.compute
     }
 
-    /// The session's noise stream (seed + cursor), e.g. for building the
-    /// [`NoiseSegment`] of a coalesced batch.
-    pub fn noise_stream(&self) -> NoiseStream {
-        self.noise_stream
-    }
-
-    /// Evaluates a coalesced multi-session batch against the shared
-    /// fabric, reporting per-segment column activations (see
-    /// [`CimCompute::eval_segments`]). This instance acts as the
-    /// *evaluator* — its own cursor and counters are untouched; each
-    /// owning session commits its slice of `currents` and its activation
-    /// count through [`Self::absorb_served_evals`] afterwards.
-    pub fn serve_segments(
-        &mut self,
-        batch: &PointBatch,
-        segments: &[NoiseSegment],
-        out: &mut [f64],
-        currents: &mut [f64],
-        policy: par::ChunkPolicy,
-        seg_activations: &mut [u64],
-    ) {
-        self.compute.eval_segments(
-            batch,
-            segments,
-            out,
-            currents,
-            policy,
-            &mut self.scratch,
-            Some(seg_activations),
-        );
-    }
-
-    /// Commits `currents.len()` externally served evaluations (this
-    /// session's slice of a coalesced batch) into the session state:
-    /// advances the noise cursor past the served range and folds the
-    /// pre-noise currents into the stats in index order — exactly the
-    /// bookkeeping [`Self::log_likelihood_into_chunked`] performs after
-    /// evaluating the same points itself, so a served session's state
-    /// stays bit-identical to a solo run. `column_activations` is the
-    /// served range's count from [`Self::serve_segments`], so gated
-    /// sessions price only the columns actually driven.
-    pub fn absorb_served_evals(&mut self, currents: &[f64], column_activations: u64) {
-        let n = currents.len();
-        // lint: allow(noise-stream-seq) post-batch cursor commit: the batch already drew .at(cursor + k); advance only publishes the watermark
-        self.noise_stream.advance(n as u64);
-        // Index-order merge: the same left-to-right association scalar
-        // calls would produce, independent of how chunks were assigned.
-        for &i_total in currents {
-            self.stats.current_sum += i_total;
-        }
-        self.stats.evaluations += n as u64;
-        self.stats.dac_conversions += (n * self.compute.dacs.len()) as u64;
-        self.stats.adc_conversions += n as u64;
-        self.stats.column_slots += n as u64 * self.compute.array.num_columns() as u64;
-        self.stats.column_activations += column_activations;
-    }
-
     /// Per-axis `(floors, ceilings)` in *world* units for a given map —
     /// each axis has its own voltage scale, so thin kernels remain
     /// realizable on short axes even when long axes cannot support them.
@@ -1385,25 +1188,26 @@ impl HmgmCimEngine {
     ) {
         let n = batch.len();
         self.currents.resize(n, 0.0);
-        let mut currents = std::mem::take(&mut self.currents);
-        // A solo batch is a one-segment coalesced batch: this session's
-        // stream covers everything from index 0.
-        let segments = [NoiseSegment {
-            start: 0,
-            stream: self.noise_stream,
-        }];
-        let mut seg_acts = [0u64];
-        self.compute.eval_segments(
+        let column_activations = self.compute.eval_stream(
             batch,
-            &segments,
+            self.noise_stream,
             out,
-            &mut currents,
+            &mut self.currents,
             policy,
             &mut self.scratch,
-            Some(&mut seg_acts),
         );
-        self.absorb_served_evals(&currents, seg_acts[0]);
-        self.currents = currents;
+        // lint: allow(noise-stream-seq) post-batch cursor commit: the batch already drew .at(cursor + k); advance only publishes the watermark
+        self.noise_stream.advance(n as u64);
+        // Index-order merge: the same left-to-right association scalar
+        // calls would produce, independent of how chunks were assigned.
+        for &i_total in &self.currents {
+            self.stats.current_sum += i_total;
+        }
+        self.stats.evaluations += n as u64;
+        self.stats.dac_conversions += (n * self.compute.dacs.len()) as u64;
+        self.stats.adc_conversions += n as u64;
+        self.stats.column_slots += n as u64 * self.compute.array.num_columns() as u64;
+        self.stats.column_activations += column_activations;
     }
 
     /// Sum of per-point log-likelihoods for a scan (batch-evaluated; an
@@ -1828,68 +1632,6 @@ mod tests {
     }
 
     #[test]
-    fn gated_coalesced_segments_match_solo_sessions() {
-        // Noise-index invariance under gating: a coalesced two-session
-        // mega-batch reproduces each session's solo gated run bit for
-        // bit — tiles anchor at segment starts and noise draws address
-        // per-session absolute indices, so neither coalescing nor gating
-        // perturbs the other.
-        let map = test_map();
-        let model = spread_model(&map, 24);
-        let config = CimEngineConfig::default();
-        let root =
-            HmgmCimEngine::build_with_pruning(&model, map, config, PruneConfig::enabled()).unwrap();
-        let c0 = model.kernels()[0].means().to_vec();
-        let c1 = model.kernels()[1].means().to_vec();
-        let a = clustered_batch(&c0, 300, 0.01, 55);
-        let b = clustered_batch(&c1, 277, 0.01, 56);
-        // Solo runs on fresh sessions.
-        let mut solo_a = root.fork_session();
-        let mut solo_b = root.fork_session();
-        let want_a = solo_a.log_likelihood_batch(&a);
-        let want_b = solo_b.log_likelihood_batch(&b);
-        // Coalesced run: one mega-batch, two noise segments.
-        let mut sess_a = root.fork_session();
-        let mut sess_b = root.fork_session();
-        let mut evaluator = root.fork_session();
-        let mut mega = PointBatch::new(3);
-        for p in a.iter() {
-            mega.push(p);
-        }
-        for p in b.iter() {
-            mega.push(p);
-        }
-        let segments = [
-            NoiseSegment {
-                start: 0,
-                stream: sess_a.noise_stream(),
-            },
-            NoiseSegment {
-                start: a.len(),
-                stream: sess_b.noise_stream(),
-            },
-        ];
-        let mut out = vec![0.0; mega.len()];
-        let mut currents = vec![0.0; mega.len()];
-        let mut acts = [0u64; 2];
-        evaluator.serve_segments(
-            &mega,
-            &segments,
-            &mut out,
-            &mut currents,
-            par::ChunkPolicy::exact(37, 3),
-            &mut acts,
-        );
-        assert_eq!(&out[..a.len()], &want_a[..]);
-        assert_eq!(&out[a.len()..], &want_b[..]);
-        sess_a.absorb_served_evals(&currents[..a.len()], acts[0]);
-        sess_b.absorb_served_evals(&currents[a.len()..], acts[1]);
-        assert_eq!(sess_a.stats(), solo_a.stats());
-        assert_eq!(sess_b.stats(), solo_b.stats());
-        assert!(sess_a.stats().column_activations < sess_a.stats().column_slots);
-    }
-
-    #[test]
     fn fitted_model_compiles_end_to_end() {
         // Fit an HMGM on synthetic data with device-derived sigma bounds,
         // then compile and query — the full Section II flow.
@@ -2001,14 +1743,13 @@ mod tests {
             for k in 0..n {
                 let i_total = (lo + (hi - lo) * k as f64 / (n - 1) as f64).exp();
                 let base = 64 * k as u64;
-                let draws: [(NoiseStream, u64); LANES] = [0, 1, 2, 3].map(|p| (stream, base + p));
                 let it = F64x4::splat(i_total);
-                let uv = draws.map(|(s, index)| s.uniforms(index));
+                let uv = [0, 1, 2, 3].map(|p| stream.uniforms(base + p));
                 let (u, v) = (F64x4::new(uv.map(|x| x.0)), F64x4::new(uv.map(|x| x.1)));
                 let (y, rms, _) = r.approx_coords(it, u, v);
                 let coords = r.guarded_coords(it, u, v);
                 let mut out = [0.0; LANES];
-                r.finish4([i_total; LANES], &draws, &mut out);
+                r.finish4([i_total; LANES], stream, base, &mut out);
                 // The fast noise sample, as `approx_coords` draws it.
                 let z_f = (F64x4::splat(-2.0) * u.ln()).sqrt() * v.cos_turns();
                 for p in 0..LANES {
@@ -2070,8 +1811,7 @@ mod tests {
             let i_boundary = (ln_min + (c as f64 + 0.5) * adc.log_lsb()).exp();
             let i_inside = (ln_min + (c as f64 + 0.25) * adc.log_lsb()).exp();
             let it = [i_boundary, i_inside, i_boundary, i_inside];
-            let draws = [0, 1, 2, 3].map(|p| (stream, 10 * c + p));
-            let uv = draws.map(|(s, index)| s.uniforms(index));
+            let uv = [0, 1, 2, 3].map(|p| stream.uniforms(10 * c + p));
             let coords = r.guarded_coords(
                 F64x4::new(it),
                 F64x4::new(uv.map(|x| x.0)),
@@ -2083,7 +1823,7 @@ mod tests {
             );
             assert_eq!(coords[1].round() as u64, c, "code {c}: {coords:?}");
             let mut out = [0.0; LANES];
-            r.finish4(it, &draws, &mut out);
+            r.finish4(it, stream, 10 * c, &mut out);
             for (p, &i) in it.iter().enumerate() {
                 assert_eq!(
                     out[p],

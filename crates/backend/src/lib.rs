@@ -148,8 +148,8 @@ impl PointBatch {
     }
 
     /// Appends every point of `other`, preserving order — the bulk path
-    /// for coalescing many staged batches into one (a single flat copy
-    /// instead of a per-point push).
+    /// for copying a staged batch (a single flat copy instead of a
+    /// per-point push).
     ///
     /// # Panics
     ///
@@ -160,10 +160,9 @@ impl PointBatch {
             "cannot extend a {}-d batch from a {}-d batch",
             self.dim, other.dim
         );
-        // Exact reservation: the coalescing caller knows the incoming
-        // span size here, so growing by amortized doubling would only
-        // overshoot the steady-state capacity the round scratch settles
-        // into.
+        // Exact reservation: the incoming span size is known here, so
+        // growing by amortized doubling would only overshoot the
+        // steady-state capacity a reused buffer settles into.
         self.data.reserve_exact(other.data.len());
         self.data.extend_from_slice(&other.data);
     }

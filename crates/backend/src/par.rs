@@ -46,9 +46,7 @@
 /// --features parallel --bin bench_kernels -- --threads`: its sweep pins
 /// `(chunk_len, workers)` per batch size with the gate bypassed, and the
 /// batch size where multi-worker rows first beat the single-worker row
-/// is the new break-even. The fleet coalescer
-/// (`navicim-serve`) relies on this same gate — its merged cross-agent
-/// batches exist precisely to cross this threshold.
+/// is the new break-even.
 pub const MIN_CHUNK: usize = 1024;
 
 /// Number of worker threads the host can usefully run.

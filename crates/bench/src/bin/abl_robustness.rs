@@ -272,7 +272,7 @@ fn grade(outcome: ScenarioOutcome, clean_tail: f64) -> ScenarioGrade {
 }
 
 /// The fleet sweep: one agent flies the blackout window while its
-/// neighbors fly clean, all in coalesced rounds. Returns
+/// neighbors fly clean, all in the same fleet rounds. Returns
 /// `(per-agent reports, solo replays, ok)`.
 fn fleet_sweep(
     prototype: &LocalizationPipeline,
@@ -469,14 +469,14 @@ fn main() {
         }
     );
 
-    // ── The fleet sweep: coalesced serving isolates a faulted agent ───
+    // ── The fleet sweep: fleet rounds isolate a faulted agent ─────────
     let (per_agent, fleet_ok) = fleet_sweep(&prototype, &ds, args.frames);
     let faulted_safe = per_agent[FAULTED_AGENT]
         .iter()
         .filter(|r| r.safe_mode)
         .count();
     println!(
-        "fleet sweep: {AGENTS} agents coalesced, agent {FAULTED_AGENT} blinded for 3 frames; \
+        "fleet sweep: {AGENTS} agents in fleet rounds, agent {FAULTED_AGENT} blinded for 3 frames; \
          faulted agent spent {faulted_safe} frames in safe mode, neighbors untouched and \
          bit-identical to solo runs -> {}",
         if fleet_ok {

@@ -1,21 +1,16 @@
 //! Fleet-serving throughput benchmark with a machine-readable JSON trail.
 //!
-//! Sweeps agent count × worker count over the two [`Fleet`] serving
-//! modes:
+//! Sweeps prune × agent count × worker count over [`Fleet`] rounds, in
+//! which every session runs its own `LocalizationPipeline::step`.
 //!
-//! - `independent` — every session runs its own
-//!   `LocalizationPipeline::step`, i.e. N independent pipelines sharing
-//!   nothing but the scheduler. This is the baseline.
-//! - `coalesced` — per-frame likelihood evaluations from all sessions
-//!   are merged into one `PointBatch` call per backend slot, amortizing
-//!   per-call overheads (and, under `--features parallel`, crossing the
-//!   chunking threshold small per-session batches never reach).
-//!
-//! Reported per configuration: aggregate frames/sec across the fleet and
-//! per-agent p50/p99 frame latency. The parity gate re-runs every agent
-//! count in both modes and requires **bit-identical** frame reports —
-//! the determinism contract the serving layer is built on — exiting
-//! non-zero on any mismatch so CI catches rot.
+//! Reported per configuration: aggregate frames/sec across the fleet,
+//! the speed-up over the single-worker row, and per-agent p50/p99
+//! service time (each session's own `step`, from
+//! [`Fleet::last_service_ns`]). The parity gate compares every swept
+//! fleet's frame reports with each agent's solo replay — its own
+//! `fork_session` stepped through the same frames — and requires them
+//! **bit-identical**, the determinism contract the serving layer is
+//! built on, exiting non-zero on any mismatch so CI catches rot.
 //!
 //! Run: `cargo run --release -p navicim-bench --bin bench_serve`
 //!
@@ -28,7 +23,7 @@ use navicim_core::pipeline::{FrameReport, GateConfig, HysteresisConfig, Localiza
 use navicim_core::registry::{CIM_HMGM, DIGITAL_GMM};
 use navicim_gmm::prune::PruneConfig;
 use navicim_scene::dataset::{LocalizationConfig, LocalizationDataset};
-use navicim_serve::{Fleet, FleetConfig, TaskOrder};
+use navicim_serve::{Fleet, FleetConfig};
 use std::time::Instant;
 
 /// Seed for the per-agent session forks (`seed_base + i`).
@@ -69,7 +64,6 @@ fn config() -> LocalizerConfig {
 }
 
 struct Row {
-    mode: &'static str,
     prune: bool,
     agents: usize,
     workers: usize,
@@ -79,17 +73,18 @@ struct Row {
 }
 
 /// Builds a fresh fleet and streams the dataset once, returning wall
-/// seconds and every per-agent round latency (ns). Rebuilt per rep:
-/// sessions advance, so a fleet cannot be re-run.
+/// seconds, every per-agent service time (ns) and the frame reports.
+/// Rebuilt per rep: sessions advance, so a fleet cannot be re-run.
 fn run_once(
     prototype: &LocalizationPipeline,
     ds: &LocalizationDataset,
     agents: usize,
-    fleet_config: FleetConfig,
+    workers: usize,
 ) -> (f64, Vec<u64>, Vec<Vec<FrameReport>>) {
-    let mut fleet = Fleet::new(prototype, agents, SEED_BASE, fleet_config).expect("fleet builds");
+    let mut fleet =
+        Fleet::new(prototype, agents, SEED_BASE, FleetConfig { workers }).expect("fleet builds");
     let controls = ds.control_deltas();
-    let mut latencies: Vec<u64> = Vec::with_capacity(agents * controls.len());
+    let mut service: Vec<u64> = Vec::with_capacity(agents * controls.len());
     let mut per_session: Vec<Vec<FrameReport>> = (0..agents).map(|_| Vec::new()).collect();
     let t0 = Instant::now();
     for (t, control) in controls.iter().enumerate() {
@@ -99,9 +94,35 @@ fn run_once(
         for (s, report) in reports.iter().enumerate() {
             per_session[s].push(report.clone());
         }
-        latencies.extend_from_slice(fleet.last_latencies_ns());
+        service.extend_from_slice(fleet.last_service_ns());
     }
-    (t0.elapsed().as_secs_f64(), latencies, per_session)
+    (t0.elapsed().as_secs_f64(), service, per_session)
+}
+
+/// Each agent's solo replay: its own `fork_session` stepped through the
+/// dataset — the parity baseline every fleet must hit.
+fn solo_replays(
+    prototype: &LocalizationPipeline,
+    ds: &LocalizationDataset,
+    agents: usize,
+) -> Vec<Vec<FrameReport>> {
+    let controls = ds.control_deltas();
+    (0..agents)
+        .map(|i| {
+            let mut session = prototype
+                .fork_session(SEED_BASE + i as u64)
+                .expect("fork succeeds");
+            controls
+                .iter()
+                .enumerate()
+                .map(|(t, control)| {
+                    session
+                        .step(control, &ds.frames[t + 1].depth, ds.frames[t + 1].pose)
+                        .expect("solo step succeeds")
+                })
+                .collect()
+        })
+        .collect()
 }
 
 /// Percentile over a sorted slice (nearest-rank).
@@ -130,13 +151,13 @@ fn main() {
         .cloned()
         .unwrap_or_else(|| "BENCH_serve.json".to_string());
 
-    let agent_counts: &[usize] = if smoke { &[4, 8] } else { &[16, 64, 256] };
+    let agent_counts: &[usize] = if smoke { &[4, 7] } else { &[16, 64, 256] };
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    // Always include the single-worker column (the scheduling-free
-    // reference); add multi-worker columns up to the host's cores so a
-    // re-run on a bigger box sweeps the worker dimension for free.
-    let mut worker_counts: Vec<usize> = vec![1];
-    for w in [2usize, 4, 8] {
+    // The single-worker row is the inline reference and two workers
+    // always run, so the parity gate covers a threaded round even on a
+    // one-core host; wider columns are added up to the host's cores.
+    let mut worker_counts: Vec<usize> = vec![1, 2];
+    for w in [4usize, 8] {
         if w <= cores {
             worker_counts.push(w);
         }
@@ -146,11 +167,8 @@ fn main() {
     let ds = dataset(smoke);
     let prototype = LocalizationPipeline::build(&ds, config()).expect("prototype builds");
     // Pruned twin of the serving workload: the spatial index gates
-    // likelihood components per tile, so its outputs drift from the full
-    // evaluation by up to the documented epsilon — and digital tiles
-    // anchor at batch offsets, which coalescing changes. Pruned rows are
-    // therefore a timing column only; the bitwise parity gate below stays
-    // on the prune-off configuration, where coalescing is unobservable.
+    // likelihood components per tile. Its sessions are as independent as
+    // the unpruned ones, so it runs through the same parity gate.
     let prototype_pruned = LocalizationPipeline::build(
         &ds,
         LocalizerConfig {
@@ -161,102 +179,56 @@ fn main() {
     .expect("pruned prototype builds");
     let frames = ds.control_deltas().len();
 
-    // ---- parity gate: coalesced ≡ independent, bit-for-bit ----
-    // Independent mode is per-session stepping — i.e. exactly
-    // the N-solo-pipelines baseline — so equality here *is* the
-    // bit-identity-to-solo guarantee, at fleet scale.
     let mut parity = true;
-    for &agents in agent_counts {
-        let (_, _, solo) = run_once(
-            &prototype,
-            &ds,
-            agents,
-            FleetConfig {
-                workers: 1,
-                coalesce: false,
-                order: TaskOrder::Forward,
-            },
-        );
-        let (_, _, coalesced) = run_once(
-            &prototype,
-            &ds,
-            agents,
-            FleetConfig {
-                workers: *worker_counts.last().unwrap(),
-                coalesce: true,
-                order: TaskOrder::Shuffled(7),
-            },
-        );
-        if solo != coalesced {
-            eprintln!("FAIL: coalesced fleet diverged from independent baseline at N={agents}");
-            parity = false;
-        }
-    }
-
-    // ---- throughput sweep ----
-    // The prune-on pass runs at the widest worker column only: the prune
-    // lever is per-evaluation, so one worker setting captures it without
-    // doubling the sweep.
-    let max_workers = *worker_counts.last().unwrap();
     let mut rows: Vec<Row> = Vec::new();
-    println!("mode         prune agents workers  agg fps   p50 ms   p99 ms  speedup");
-    for &agents in agent_counts {
-        for prune in [false, true] {
+    println!("prune agents workers  agg fps   p50 ms   p99 ms  speedup");
+    for prune in [false, true] {
+        let proto = if prune { &prototype_pruned } else { &prototype };
+        for &agents in agent_counts {
+            let solo = solo_replays(proto, &ds, agents);
+            let mut single_fps = 0.0;
             for &workers in &worker_counts {
-                if prune && workers != max_workers {
-                    continue;
-                }
-                let mut pair_fps = [0.0f64; 2];
-                for (m, (mode, coalesce)) in [("independent", false), ("coalesced", true)]
-                    .into_iter()
-                    .enumerate()
-                {
-                    let mut best_secs = f64::INFINITY;
-                    let mut best_lat: Vec<u64> = Vec::new();
-                    for _ in 0..reps {
-                        let (secs, lat, _) = run_once(
-                            if prune { &prototype_pruned } else { &prototype },
-                            &ds,
-                            agents,
-                            FleetConfig {
-                                workers,
-                                coalesce,
-                                order: TaskOrder::Forward,
-                            },
+                let mut best_secs = f64::INFINITY;
+                let mut best_service: Vec<u64> = Vec::new();
+                for _ in 0..reps {
+                    let (secs, service, reports) = run_once(proto, &ds, agents, workers);
+                    // ---- parity gate: every fleet ≡ its agents' solo replays ----
+                    if reports != solo {
+                        eprintln!(
+                            "FAIL: fleet diverged from solo replays \
+                             (prune={prune}, N={agents}, workers={workers})"
                         );
-                        if secs < best_secs {
-                            best_secs = secs;
-                            best_lat = lat;
-                        }
+                        parity = false;
                     }
-                    best_lat.sort_unstable();
-                    let agg_fps = (agents * frames) as f64 / best_secs;
-                    let p50_ms = percentile_ms(&best_lat, 50.0);
-                    let p99_ms = percentile_ms(&best_lat, 99.0);
-                    pair_fps[m] = agg_fps;
-                    let speedup = if m == 1 {
-                        format!("{:>6.2}x", pair_fps[1] / pair_fps[0])
-                    } else {
-                        "      -".to_string()
-                    };
-                    println!(
-                        "{mode:<12} {:>5} {agents:>6} {workers:>7} {agg_fps:>8.0} {p50_ms:>8.2} {p99_ms:>8.2} {speedup}",
-                        if prune { "on" } else { "off" }
-                    );
-                    rows.push(Row {
-                        mode,
-                        prune,
-                        agents,
-                        workers,
-                        agg_fps,
-                        p50_ms,
-                        p99_ms,
-                    });
+                    if secs < best_secs {
+                        best_secs = secs;
+                        best_service = service;
+                    }
                 }
+                best_service.sort_unstable();
+                let agg_fps = (agents * frames) as f64 / best_secs;
+                let p50_ms = percentile_ms(&best_service, 50.0);
+                let p99_ms = percentile_ms(&best_service, 99.0);
+                if workers == 1 {
+                    single_fps = agg_fps;
+                }
+                println!(
+                    "{:>5} {agents:>6} {workers:>7} {agg_fps:>8.0} {p50_ms:>8.3} {p99_ms:>8.3} {:>7.2}x",
+                    if prune { "on" } else { "off" },
+                    agg_fps / single_fps
+                );
+                rows.push(Row {
+                    prune,
+                    agents,
+                    workers,
+                    agg_fps,
+                    p50_ms,
+                    p99_ms,
+                });
             }
         }
     }
-    println!("parity (coalesced ≡ independent baseline): {parity}");
+    println!("parity (every fleet ≡ solo replays): {parity}");
 
     // ---- JSON snapshot ----
     let mut json_rows = String::new();
@@ -265,14 +237,8 @@ fn main() {
             json_rows.push_str(",\n");
         }
         json_rows.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"prune\": {}, \"agents\": {}, \"workers\": {}, \"agg_frames_per_sec\": {:.1}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}}}",
-            json_escape_free(r.mode),
-            r.prune,
-            r.agents,
-            r.workers,
-            r.agg_fps,
-            r.p50_ms,
-            r.p99_ms
+            "    {{\"prune\": {}, \"agents\": {}, \"workers\": {}, \"agg_frames_per_sec\": {:.1}, \"p50_service_ms\": {:.3}, \"p99_service_ms\": {:.3}}}",
+            r.prune, r.agents, r.workers, r.agg_fps, r.p50_ms, r.p99_ms
         ));
     }
     let json = format!(

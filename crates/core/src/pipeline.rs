@@ -2073,14 +2073,13 @@ impl LocalizationPipeline {
         report
     }
 
-    /// Phase A of a frame, for serving layers and for [`Self::step`]:
-    /// samples the bus, gates, steps the VO stage, resolves the control,
-    /// runs the motion prediction and stages the frame-wide scan batch
-    /// for the predicted cloud into the pipeline's scratch, *without*
-    /// evaluating it. The caller evaluates [`Self::staged_batch`] against
-    /// the pending slot's backend — possibly coalesced with other
-    /// sessions, committing backend state via [`MapBackend::absorb_served`]
-    /// on [`Self::backend_mut`] — and completes the frame with
+    /// Phase A of a frame, for [`Self::step`] and for callers that time
+    /// or inspect the stages: samples the bus, gates, steps the VO
+    /// stage, resolves the control, runs the motion prediction and
+    /// stages the frame-wide scan batch for the predicted cloud into the
+    /// pipeline's scratch, *without* evaluating it. The caller evaluates
+    /// [`Self::staged_batch`] against the pending slot's backend (through
+    /// [`Self::backend_mut`]) and completes the frame with
     /// [`Self::finish_frame`].
     ///
     /// Staging is [`crate::localization::stage_scan_batch`]: the frame's
@@ -2185,10 +2184,9 @@ impl LocalizationPipeline {
     /// runs the filter's reweigh/resample half and emits the frame
     /// report.
     ///
-    /// The caller is responsible for having committed the evaluation to
-    /// the serving backend ([`MapBackend::absorb_served`]) first, so the
-    /// report's stats delta and energy pricing see the frame's
-    /// evaluations.
+    /// The caller is responsible for having evaluated the staged batch
+    /// on the serving backend first, so the report's stats delta and
+    /// energy pricing see the frame's evaluations.
     ///
     /// # Errors
     ///
@@ -2301,9 +2299,8 @@ impl LocalizationPipeline {
         })
     }
 
-    /// Mutable access to the backend serving `slot` — the hook a serving
-    /// layer uses to commit coalesced evaluations
-    /// ([`MapBackend::absorb_served`]).
+    /// Mutable access to the backend serving `slot` — the hook a caller
+    /// of [`Self::begin_frame`] evaluates the staged batch through.
     ///
     /// # Panics
     ///

@@ -34,10 +34,9 @@
 //! ```
 
 use crate::{CoreError, Result};
-use navicim_analog::engine::{CimEngineConfig, EngineStats, HmgmCimEngine, NoiseSegment};
+use navicim_analog::engine::{CimEngineConfig, EngineStats, HmgmCimEngine};
 use navicim_analog::mapping::SpaceMap;
-use navicim_backend::{check_batch_shape, par, LikelihoodBackend, PointBatch};
-use navicim_device::noise::NoiseStream;
+use navicim_backend::{check_batch_shape, LikelihoodBackend, PointBatch};
 use navicim_gmm::fit::{fit_diag_gmm, FitConfig};
 use navicim_gmm::hmg::{fit_hmgm, HmgmFitConfig};
 use navicim_gmm::prune::PruneConfig;
@@ -161,10 +160,9 @@ impl From<EngineStats> for BackendStats {
 /// batch evaluation must be bit-identical to scalar evaluation in order,
 /// so the filter can batch whole frames freely.
 ///
-/// Backends are `Send` so localization sessions can move across the
-/// worker threads of a serving layer; the optional serving surface
-/// ([`Self::fork_session`] and the coalesced-serving methods) lets many
-/// sessions share one fitted map with per-session evaluation state.
+/// Backends are `Send` so localization sessions can be stepped on the
+/// worker threads of a serving layer; [`Self::fork_session`] lets many
+/// sessions share one fitted map, each with its own evaluation state.
 pub trait MapBackend: LikelihoodBackend + Send {
     /// Backend name for reports (usually the registry key it was built
     /// under).
@@ -186,72 +184,6 @@ pub trait MapBackend: LikelihoodBackend + Send {
     /// captured mutable state); such backends cannot serve a fleet.
     fn fork_session(&self) -> Option<Box<dyn MapBackend>> {
         None
-    }
-
-    /// This session's counter-based evaluation noise stream, when
-    /// evaluations consume one (analog backends). A serving layer uses it
-    /// to build the [`NoiseSegment`]s of a coalesced batch and to audit
-    /// that successive claims stay contiguous
-    /// (`navicim_device::noise::StreamAudit`).
-    fn noise_stream(&self) -> Option<NoiseStream> {
-        None
-    }
-
-    /// Whether [`Self::serve_segments`] / [`Self::absorb_served`] are
-    /// implemented, i.e. a serving layer may coalesce many sessions'
-    /// frame batches into single large evaluations through this backend.
-    fn supports_coalesced_serving(&self) -> bool {
-        false
-    }
-
-    /// Evaluates a coalesced multi-session batch. `segments` assigns each
-    /// slice of the batch to its owning session's noise stream (digital
-    /// backends ignore it — their evaluations are pure, so any split is
-    /// bit-identical by the [`LikelihoodBackend`] contract). Pre-noise
-    /// array currents land in `currents` (untouched for digital
-    /// backends), and per-segment column activations in
-    /// `seg_activations` (same length as `segments`; zero for backends
-    /// without column accounting), so gated analog sessions price only
-    /// the columns actually driven. This instance acts only as the
-    /// evaluator: its own session state must not change — each owning
-    /// session commits its slice via [`Self::absorb_served`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `self.supports_coalesced_serving()` is false, and on
-    /// shape mismatches.
-    fn serve_segments(
-        &mut self,
-        batch: &PointBatch,
-        segments: &[NoiseSegment],
-        out: &mut [f64],
-        currents: &mut [f64],
-        seg_activations: &mut [u64],
-    ) {
-        let _ = (batch, segments, out, currents, seg_activations);
-        unimplemented!(
-            "backend {:?} does not support coalesced serving",
-            self.name()
-        );
-    }
-
-    /// Commits `currents.len()` externally served evaluations (this
-    /// session's slice of a coalesced batch, with its slice of the
-    /// pre-noise currents and its column-activation count from
-    /// [`Self::serve_segments`]) into the session state — exactly the
-    /// bookkeeping a direct `log_likelihood_into` of the same points
-    /// would have performed, so served sessions stay bit-identical to
-    /// solo runs.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `self.supports_coalesced_serving()` is false.
-    fn absorb_served(&mut self, currents: &[f64], column_activations: u64) {
-        let _ = (currents, column_activations);
-        unimplemented!(
-            "backend {:?} does not support coalesced serving",
-            self.name()
-        );
     }
 }
 
@@ -473,30 +405,6 @@ impl<B: LikelihoodBackend + Clone + Send + 'static> MapBackend for NamedBackend<
             inner: self.inner.clone(),
         }))
     }
-
-    fn supports_coalesced_serving(&self) -> bool {
-        true
-    }
-
-    fn serve_segments(
-        &mut self,
-        batch: &PointBatch,
-        _segments: &[NoiseSegment],
-        out: &mut [f64],
-        _currents: &mut [f64],
-        seg_activations: &mut [u64],
-    ) {
-        // Digital evaluation is pure, so a concatenated batch is
-        // bit-identical to the per-session sub-batches by the
-        // LikelihoodBackend contract. Going through `inner` directly
-        // keeps this evaluator's own counter untouched.
-        self.inner.log_likelihood_into(batch, out);
-        seg_activations.fill(0);
-    }
-
-    fn absorb_served(&mut self, currents: &[f64], _column_activations: u64) {
-        self.evaluations += currents.len() as u64;
-    }
 }
 
 /// The analog CIM engine as a [`MapBackend`], surfacing the engine's
@@ -556,40 +464,6 @@ impl MapBackend for CimMapBackend {
             name: self.name.clone(),
             engine: self.engine.fork_session(),
         }))
-    }
-
-    fn noise_stream(&self) -> Option<NoiseStream> {
-        Some(self.engine.noise_stream())
-    }
-
-    fn supports_coalesced_serving(&self) -> bool {
-        true
-    }
-
-    fn serve_segments(
-        &mut self,
-        batch: &PointBatch,
-        segments: &[NoiseSegment],
-        out: &mut [f64],
-        currents: &mut [f64],
-        seg_activations: &mut [u64],
-    ) {
-        // The auto policy inherits `par::MIN_CHUNK` — the one chunk-size
-        // source of truth — so a coalesced batch threads exactly when a
-        // solo batch of the same size would.
-        self.engine.serve_segments(
-            batch,
-            segments,
-            out,
-            currents,
-            par::ChunkPolicy::auto(),
-            seg_activations,
-        );
-    }
-
-    fn absorb_served(&mut self, currents: &[f64], column_activations: u64) {
-        self.engine
-            .absorb_served_evals(currents, column_activations);
     }
 }
 

@@ -152,15 +152,13 @@ impl NoiseStream {
     }
 
     /// Recreates a stream at an explicit cursor position, e.g. to replay
-    /// or audit the index range a session claimed earlier.
+    /// the index range a session claimed earlier.
     pub fn with_cursor(seed: u64, cursor: u64) -> Self {
         Self { seed, cursor }
     }
 
     /// The stream's seed. Streams with equal seeds index into one shared
-    /// noise sequence; a serving layer that coalesces evaluations from
-    /// many sessions uses this (with [`StreamAudit`]) to verify each
-    /// session's claims stay on its own stream.
+    /// noise sequence.
     pub fn seed(&self) -> u64 {
         self.seed
     }
@@ -206,107 +204,6 @@ impl NoiseStream {
     /// index range up front and commits it once the batch completes).
     pub fn advance(&mut self, n: u64) {
         self.cursor += n;
-    }
-}
-
-/// Why a [`StreamAudit`] rejected a claim.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StreamAuditError {
-    /// The claiming stream carries a different seed than the audited one,
-    /// i.e. the claim indexes a different noise sequence entirely.
-    SeedChanged {
-        /// Seed the audit was started on.
-        expected: u64,
-        /// Seed the claiming stream carried.
-        found: u64,
-    },
-    /// The claim does not start at the audit watermark: the session either
-    /// skipped samples (gap) or re-claimed samples it already consumed
-    /// (overlap).
-    NonContiguous {
-        /// Watermark the claim had to start at.
-        expected: u64,
-        /// Cursor the claiming stream was actually at.
-        found: u64,
-    },
-}
-
-impl std::fmt::Display for StreamAuditError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::SeedChanged { expected, found } => write!(
-                f,
-                "noise stream seed changed mid-session: audit began on {expected:#x}, \
-                 claim carried {found:#x}"
-            ),
-            Self::NonContiguous { expected, found } => write!(
-                f,
-                "non-contiguous noise claim: watermark at index {expected}, \
-                 claim started at {found}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for StreamAuditError {}
-
-/// Auditor for one session's claims on a noise stream.
-///
-/// A batch evaluator claims `[cursor, cursor + n)` and then advances the
-/// cursor; when a serving layer coalesces many sessions' evaluations into
-/// one compute pass, each session's slice of the merged batch must still
-/// claim a contiguous, non-overlapping range of *its own* stream for the
-/// results to stay bit-identical to a solo run. `StreamAudit` checks
-/// exactly that invariant: seed fixed, ranges contiguous from a watermark.
-///
-/// ```
-/// use navicim_device::noise::{NoiseStream, StreamAudit};
-/// let mut stream = NoiseStream::new(9);
-/// let mut audit = StreamAudit::begin(&stream);
-/// assert_eq!(audit.claim(&stream, 4), Ok((0, 4)));
-/// stream.advance(4);
-/// assert_eq!(audit.claim(&stream, 2), Ok((4, 6)));
-/// // Forgetting to advance re-claims the same range:
-/// assert!(audit.claim(&stream, 1).is_err());
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StreamAudit {
-    seed: u64,
-    next: u64,
-}
-
-impl StreamAudit {
-    /// Starts auditing at `stream`'s current position.
-    pub fn begin(stream: &NoiseStream) -> Self {
-        Self {
-            seed: stream.seed(),
-            next: stream.cursor(),
-        }
-    }
-
-    /// Records a claim of `n` samples made at `stream`'s current state and
-    /// returns the claimed index range `[start, end)`.
-    pub fn claim(&mut self, stream: &NoiseStream, n: u64) -> Result<(u64, u64), StreamAuditError> {
-        if stream.seed() != self.seed {
-            return Err(StreamAuditError::SeedChanged {
-                expected: self.seed,
-                found: stream.seed(),
-            });
-        }
-        if stream.cursor() != self.next {
-            return Err(StreamAuditError::NonContiguous {
-                expected: self.next,
-                found: stream.cursor(),
-            });
-        }
-        let start = self.next;
-        self.next += n;
-        Ok((start, self.next))
-    }
-
-    /// The index the next valid claim must start at.
-    pub fn watermark(&self) -> u64 {
-        self.next
     }
 }
 
@@ -450,39 +347,6 @@ mod tests {
         assert_eq!(drawn, replayed);
         assert_eq!(live.seed(), replay.seed());
         assert_eq!(NoiseStream::with_cursor(0xabcd, 8), live);
-    }
-
-    #[test]
-    fn audit_accepts_contiguous_claims_and_flags_gaps() {
-        let mut stream = NoiseStream::new(5);
-        let mut audit = StreamAudit::begin(&stream);
-        assert_eq!(audit.claim(&stream, 3), Ok((0, 3)));
-        stream.advance(3);
-        assert_eq!(audit.claim(&stream, 5), Ok((3, 8)));
-        assert_eq!(audit.watermark(), 8);
-        // A gap (stream advanced past the watermark) is rejected.
-        stream.advance(9);
-        assert_eq!(
-            audit.claim(&stream, 1),
-            Err(StreamAuditError::NonContiguous {
-                expected: 8,
-                found: 12
-            })
-        );
-    }
-
-    #[test]
-    fn audit_rejects_cross_stream_claims() {
-        let a = NoiseStream::new(1);
-        let b = NoiseStream::new(2);
-        let mut audit = StreamAudit::begin(&a);
-        assert_eq!(
-            audit.claim(&b, 4),
-            Err(StreamAuditError::SeedChanged {
-                expected: 1,
-                found: 2
-            })
-        );
     }
 
     #[test]

@@ -267,9 +267,9 @@ impl<S: Clone> ParticleFilter<S> {
     /// pre-resample ESS and resamples on degeneracy.
     ///
     /// This is exactly the post-sensor half of [`Self::update`] (which
-    /// delegates here), split out so a serving layer can evaluate the
-    /// sensor batch elsewhere — e.g. coalesced across many sessions —
-    /// and feed the results back bit-identically.
+    /// delegates here), split out so a caller can evaluate the sensor
+    /// batch elsewhere — e.g. the pipeline's staged frame batch on its
+    /// map backend — and feed the results back bit-identically.
     ///
     /// # Errors
     ///

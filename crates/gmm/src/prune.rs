@@ -26,8 +26,7 @@
 //! # Tiling
 //!
 //! Queries are grouped into fixed tiles of [`PRUNE_TILE`] consecutive
-//! batch points, anchored at absolute batch indices (or, for coalesced
-//! multi-session batches, at each session's segment start). Because a
+//! batch points, anchored at absolute batch indices. Because a
 //! tile's AABB is computed over the *full* tile regardless of chunk
 //! boundaries, the pruning decision is invariant under every
 //! `par::ChunkPolicy` — chunking stays unobservable in the output bits,

@@ -2,7 +2,8 @@
 //! zero-alloc contracts.
 //!
 //! The reproduction's load-bearing invariants — bit-identical likelihood
-//! kernels under any chunk/thread/coalesce split, zero-alloc hot paths,
+//! kernels under any chunk/thread split, fleets bit-identical to solo
+//! sessions for any worker count, zero-alloc hot paths,
 //! deterministic replay — are invisible to the compiler. This crate
 //! turns them into an exit-code check (`cargo run -p navicim-lint`) over
 //! `crates/*/src/**.rs` using a string/comment-aware masking lexer
@@ -78,7 +79,7 @@ pub const RULES: &[&str] = &[
 const WALL_CLOCK_ALLOW: &[&str] = &[
     // Benches exist to time things.
     "crates/bench/",
-    // Fleet rounds report per-session latency; the clock never feeds
+    // Fleet rounds report per-agent service time; the clock never feeds
     // any likelihood or control path.
     "crates/serve/src/fleet.rs",
 ];
@@ -94,7 +95,6 @@ const HOT_PATH_FILES: &[&str] = &[
     "crates/gmm/src/hmg.rs",
     "crates/analog/src/engine.rs",
     "crates/serve/src/fleet.rs",
-    "crates/serve/src/steal.rs",
     "crates/core/src/pipeline.rs",
     "crates/core/src/localization.rs",
     "crates/filter/src/particle.rs",
@@ -113,16 +113,6 @@ const HOT_PATH_EXPECT_ALLOW: &[(&str, &str)] = &[
     (
         "crates/gmm/src/hmg.rs",
         "expects document parameter validity maintained by clamping in the EM fit loop",
-    ),
-    (
-        "crates/serve/src/fleet.rs",
-        "expects guard Option staging slots that every round refills before taking; \
-         messages name the violated round invariant",
-    ),
-    (
-        "crates/serve/src/steal.rs",
-        "Mutex-poison expects: a panicked worker has already torn down the round, \
-         propagating is the only sound continuation",
     ),
     (
         "crates/filter/src/particle.rs",
@@ -150,9 +140,8 @@ const HOT_PATH_FNS: &[(&str, &str)] = &[
     ("crates/core/src/localization.rs", "transform_scan"),
     ("crates/core/src/localization.rs", "reduce_scan_lls"),
     ("crates/serve/src/fleet.rs", "step_round"),
-    ("crates/serve/src/fleet.rs", "step_round_independent"),
-    ("crates/serve/src/fleet.rs", "step_round_coalesced"),
-    ("crates/serve/src/fleet.rs", "coalesce_and_serve"),
+    ("crates/serve/src/fleet.rs", "step_inputs"),
+    ("crates/serve/src/fleet.rs", "step_chunk"),
     ("crates/gmm/src/gaussian.rs", "log_likelihood_into_policy"),
     ("crates/gmm/src/gaussian.rs", "eval_range"),
     ("crates/gmm/src/gaussian.rs", "eval_range_pruned"),
@@ -161,7 +150,7 @@ const HOT_PATH_FNS: &[(&str, &str)] = &[
     ("crates/gmm/src/hmg.rs", "eval_range"),
     ("crates/gmm/src/hmg.rs", "eval_range_pruned"),
     ("crates/analog/src/engine.rs", "log_likelihood_into_chunked"),
-    ("crates/analog/src/engine.rs", "eval_segments"),
+    ("crates/analog/src/engine.rs", "eval_stream"),
 ];
 
 /// Allocating calls forbidden inside hot-path function bodies.

@@ -62,8 +62,8 @@ fn hot_path_panic_fixture_pair() {
 #[test]
 fn hot_path_expect_allowlist_is_per_file() {
     let src = "pub fn f(x: Option<u32>) -> u32 { x.expect(\"invariant\") }\n";
-    // fleet.rs carries a written reason for documented expects…
-    assert!(rules_at("crates/serve/src/fleet.rs", src).is_empty());
+    // particle.rs carries a written reason for documented expects…
+    assert!(rules_at("crates/filter/src/particle.rs", src).is_empty());
     // …pipeline.rs does not, so the same code is a finding there.
     assert!(rules_at("crates/core/src/pipeline.rs", src).contains(&"hot-path-panic"));
 }

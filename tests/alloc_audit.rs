@@ -20,21 +20,20 @@
 
 #![cfg(feature = "alloc-audit")]
 
-use navicim::analog::engine::{CimEngineConfig, HmgmCimEngine, NoiseSegment};
+use navicim::analog::engine::{CimEngineConfig, HmgmCimEngine};
 use navicim::analog::mapping::SpaceMap;
 use navicim::backend::par::ChunkPolicy;
 use navicim::backend::PointBatch;
 use navicim::core::localization::LocalizerConfig;
 use navicim::core::pipeline::{GateConfig, LocalizationPipeline};
 use navicim::core::registry::DIGITAL_GMM;
-use navicim::device::noise::NoiseStream;
 use navicim::device::params::TechParams;
 use navicim::gmm::gaussian::{Covariance, Gmm, GMM_TILE};
 use navicim::gmm::hmg::{HmgKernel, HmgmModel};
 use navicim::gmm::prune::PruneConfig;
 use navicim::math::alloc_audit;
 use navicim::scene::dataset::{LocalizationConfig, LocalizationDataset};
-use navicim::serve::{Fleet, FleetConfig, TaskOrder};
+use navicim::serve::{Fleet, FleetConfig};
 
 /// Runs `f` under the allocation counter and asserts it acquired zero
 /// heap memory (no allocs, no growing reallocs). Frees are permitted —
@@ -205,63 +204,6 @@ fn cim_gated_engine_batch_path_is_zero_alloc_when_warm() {
     );
 }
 
-/// Coalesced serving over several sessions' segments (starts inside lane
-/// groups), gated and ungated: warm `serve_segments` calls
-/// allocate nothing.
-#[test]
-fn cim_serve_segments_is_zero_alloc_when_warm() {
-    let (map, model) = cim_fixture(24);
-    for prune in [PruneConfig::default(), PruneConfig::enabled()] {
-        let root = HmgmCimEngine::build_with_pruning(
-            &model,
-            map.clone(),
-            CimEngineConfig::default(),
-            prune,
-        )
-        .expect("engine builds");
-        let mut evaluator = root.fork_session();
-        let batch = clustered_batch(model.kernels()[0].means(), 530);
-        let segments: Vec<NoiseSegment> = [0usize, 3, 258, 301]
-            .iter()
-            .enumerate()
-            .map(|(s, &start)| NoiseSegment {
-                start,
-                stream: NoiseStream::with_cursor(root.compute().noise_seed(), 1000 * s as u64),
-            })
-            .collect();
-        let mut out = vec![0.0; batch.len()];
-        let mut currents = vec![0.0; batch.len()];
-        let mut acts = vec![0u64; segments.len()];
-        let policy = sequential(batch.len());
-        evaluator.serve_segments(
-            &batch,
-            &segments,
-            &mut out,
-            &mut currents,
-            policy,
-            &mut acts,
-        );
-        let warm = out.clone();
-        assert_zero_alloc("HmgmCimEngine::serve_segments", || {
-            evaluator.serve_segments(
-                &batch,
-                &segments,
-                &mut out,
-                &mut currents,
-                policy,
-                &mut acts,
-            );
-        });
-        assert_eq!(out, warm, "steady-state pass changed the output bits");
-        let slots = (batch.len() * root.array().num_columns()) as u64;
-        assert_eq!(
-            acts.iter().sum::<u64>() < slots,
-            prune.enabled,
-            "column gating should fire exactly when compiled in"
-        );
-    }
-}
-
 fn audit_dataset() -> LocalizationDataset {
     LocalizationDataset::generate(
         &LocalizationConfig {
@@ -310,24 +252,15 @@ fn pipeline_step_is_zero_alloc_after_warm_pass() {
     }
 }
 
-/// Same contract for the fleet's sequential (`workers: 1`) coalesced
-/// round: after one pass over the dataset, further rounds must not
-/// acquire heap memory.
+/// Same contract for the fleet's sequential (`workers: 1`) round: after
+/// one pass over the dataset, further rounds must not acquire heap
+/// memory.
 #[test]
 fn fleet_step_round_is_zero_alloc_after_warm_pass() {
     let ds = audit_dataset();
     let prototype = LocalizationPipeline::build(&ds, audit_config()).expect("prototype builds");
-    let mut fleet = Fleet::new(
-        &prototype,
-        3,
-        900,
-        FleetConfig {
-            workers: 1,
-            coalesce: true,
-            order: TaskOrder::Forward,
-        },
-    )
-    .expect("fleet builds");
+    let mut fleet =
+        Fleet::new(&prototype, 3, 900, FleetConfig { workers: 1 }).expect("fleet builds");
     let controls = ds.control_deltas();
     for (t, control) in controls.iter().enumerate() {
         fleet

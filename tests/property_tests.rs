@@ -1,7 +1,7 @@
 //! Workspace-level property-based tests on the core invariants that the
 //! paper's co-design relies on.
 
-use navicim::analog::engine::{CimEngineConfig, HmgmCimEngine};
+use navicim::analog::engine::{CimEngineConfig, EvalScratch, HmgmCimEngine};
 use navicim::analog::mapping::SpaceMap;
 use navicim::backend::par::ChunkPolicy;
 use navicim::backend::{LikelihoodBackend, PointBatch};
@@ -14,6 +14,7 @@ use navicim::core::pipeline::{
 use navicim::core::registry::{CIM_HMGM, DIGITAL_GMM};
 use navicim::core::vo::{AdaptiveMcConfig, AdaptiveMcPolicy, BayesianVo, VoPipelineConfig};
 use navicim::device::inverter::GaussianLikeCell;
+use navicim::device::noise::NoiseStream;
 use navicim::device::params::TechParams;
 use navicim::gmm::gaussian::{Covariance, Gmm, GMM_TILE};
 use navicim::gmm::hmg::{HmgKernel, HmgmModel};
@@ -320,10 +321,17 @@ proptest! {
     /// EngineStats totals are bit-identical to the auto policy, and
     /// splitting the batch into consecutive sub-batch calls changes
     /// nothing either (the counter-based noise stream assigns each
-    /// evaluation its absolute index). Under `--features parallel` the
+    /// evaluation its absolute index). A stream parked at an arbitrary
+    /// `cursor` evaluates bit-identically (outputs and pre-noise
+    /// currents) on the LUT fabric under every explicit policy and on
+    /// the direct device-model path. Under `--features parallel` the
     /// multi-worker cases genuinely run on threads.
     #[test]
-    fn cim_engine_chunking_and_threading_invariant(seed in 0u64..40, n in 1usize..140) {
+    fn cim_engine_chunking_and_threading_invariant(
+        seed in 0u64..40,
+        n in 1usize..140,
+        cursor in 0u64..10_000,
+    ) {
         let mut rng = Pcg32::seed_from_u64(seed ^ 0xc0de);
         use navicim::math::rng::SampleExt;
         let pts = vec![vec![-1.0, -1.0, -1.0], vec![1.0, 1.0, 1.0]];
@@ -382,6 +390,36 @@ proptest! {
         out.extend(LikelihoodBackend::log_likelihood_batch(&mut split_engine, &tail));
         prop_assert_eq!(out, expected);
         prop_assert_eq!(split_engine.stats(), reference.stats());
+
+        // A stream at a nonzero cursor, straight through the fabric.
+        let stream = NoiseStream::with_cursor(reference.compute().noise_seed(), cursor);
+        let direct = reference.clone().with_direct_eval();
+        let (mut want, mut want_cur) = (vec![0.0; n], vec![0.0; n]);
+        direct.compute().eval_stream(
+            &batch,
+            stream,
+            &mut want,
+            &mut want_cur,
+            ChunkPolicy::auto(),
+            &mut EvalScratch::default(),
+        );
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for chunk_len in [1usize, 7, 64, n] {
+            for workers in [1usize, 2, 4] {
+                let (mut got, mut cur) = (vec![0.0; n], vec![0.0; n]);
+                let activations = reference.compute().eval_stream(
+                    &batch,
+                    stream,
+                    &mut got,
+                    &mut cur,
+                    ChunkPolicy::exact(chunk_len, workers),
+                    &mut EvalScratch::default(),
+                );
+                prop_assert_eq!(bits(&got), bits(&want));
+                prop_assert_eq!(bits(&cur), bits(&want_cur));
+                prop_assert_eq!(activations, 2 * n as u64);
+            }
+        }
     }
 
     /// MC-Dropout batched prediction is bit-identical to sequential
@@ -1097,74 +1135,6 @@ proptest! {
         prop_assert_eq!(bits(&a), bits(&b));
         prop_assert_eq!(fast.stats(), direct.stats());
         prop_assert_eq!(fast.stats().evaluations, n as u64);
-    }
-
-    /// Coalesced serving on the LUT engine: several sessions' segments —
-    /// with their own seeds and stream cursors, and starts that fall mid
-    /// lane-group — evaluated in one `CimCompute::eval_segments` call
-    /// reproduce, bit for bit (outputs and pre-noise currents), each
-    /// session's solo evaluation on the direct device-model path, under
-    /// any chunk policy.
-    #[test]
-    fn cim_coalesced_segments_match_solo_direct(
-        seed in 0u64..1_000,
-        sessions in 1usize..6,
-        k in 1usize..17,
-        chunk in 1usize..90,
-        workers in 1usize..4,
-    ) {
-        use navicim::analog::engine::{EvalScratch, NoiseSegment};
-        use navicim::device::noise::NoiseStream;
-        use navicim::math::rng::Rng64;
-        let mut rng = Pcg32::seed_from_u64(seed ^ 0x5e95);
-        let (space, model) = cim_parity_model(k, &mut rng);
-        let config = CimEngineConfig { seed, ..CimEngineConfig::default() };
-        let lut = HmgmCimEngine::build(&model, space, config).expect("engine builds");
-        let direct = lut.clone().with_direct_eval();
-        let mut mega = PointBatch::new(3);
-        let mut segments = Vec::new();
-        let mut solo = Vec::new();
-        for s in 0..sessions {
-            let len = 1 + (rng.next_u64() % 150) as usize;
-            let stream = NoiseStream::with_cursor(
-                lut.compute().noise_seed() ^ s as u64,
-                rng.next_u64() % 10_000,
-            );
-            segments.push(NoiseSegment { start: mega.len(), stream });
-            let part = cim_parity_batch(&mut rng, len);
-            mega.extend_from_batch(&part);
-            // Direct-path solo evaluation of this session alone.
-            let mut out = vec![0.0; len];
-            let mut cur = vec![0.0; len];
-            direct.compute().eval_segments(
-                &part,
-                &[NoiseSegment { start: 0, stream }],
-                &mut out,
-                &mut cur,
-                ChunkPolicy::auto(),
-                &mut EvalScratch::default(),
-                None,
-            );
-            solo.push((out, cur));
-        }
-        let mut out = vec![0.0; mega.len()];
-        let mut cur = vec![0.0; mega.len()];
-        lut.compute().eval_segments(
-            &mega,
-            &segments,
-            &mut out,
-            &mut cur,
-            ChunkPolicy::exact(chunk, workers),
-            &mut EvalScratch::default(),
-            None,
-        );
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        for (s, (want_out, want_cur)) in solo.iter().enumerate() {
-            let lo = segments[s].start;
-            let hi = lo + want_out.len();
-            prop_assert_eq!(bits(&out[lo..hi]), bits(want_out));
-            prop_assert_eq!(bits(&cur[lo..hi]), bits(want_cur));
-        }
     }
 }
 

@@ -1,11 +1,10 @@
 //! Fleet-serving determinism: every session served by a [`Fleet`] must
 //! be bit-identical to running that session's pipeline alone, for any
-//! worker count, any task-feeding order, and coalescing on or off.
+//! worker count — including zero (clamped to one), counts that split the
+//! agents into uneven chunks, and more workers than agents.
 //!
-//! This is the serving layer's whole contract — cross-agent likelihood
-//! batching is only admissible because the counter-based noise streams
-//! and the batch↔scalar evaluation guarantees make the coalesced
-//! evaluation a pure re-partitioning of each session's solo work.
+//! This is the serving layer's whole contract: a fleet round only
+//! decides which thread steps which session, never what a step computes.
 
 use navicim::core::localization::LocalizerConfig;
 use navicim::core::pipeline::{
@@ -16,7 +15,7 @@ use navicim::core::registry::{CIM_HMGM, DIGITAL_GMM};
 use navicim::math::geom::Pose;
 use navicim::scene::camera::DepthImage;
 use navicim::scene::dataset::{LocalizationConfig, LocalizationDataset};
-use navicim::serve::{Fleet, FleetConfig, TaskOrder};
+use navicim::serve::{Fleet, FleetConfig};
 
 fn dataset() -> LocalizationDataset {
     LocalizationDataset::generate(
@@ -37,8 +36,8 @@ fn config() -> LocalizerConfig {
         num_particles: 120,
         pixel_stride: 7,
         components: 8,
-        // A gated digital+analog pair so coalesced rounds route one
-        // mega-batch per slot and sessions migrate between slots.
+        // A gated digital+analog pair so sessions migrate between slots
+        // and consume their analog noise streams only on analog frames.
         gate: GateConfig::gated(DIGITAL_GMM, CIM_HMGM).with_hysteresis(HysteresisConfig {
             analog_enter: 0.12,
             digital_enter: 0.2,
@@ -50,7 +49,11 @@ fn config() -> LocalizerConfig {
     }
 }
 
-const AGENTS: usize = 3;
+/// Five agents: 2 and 3 workers split them into uneven chunks, and 8
+/// workers outnumber them.
+const AGENTS: usize = 5;
+/// Worker counts every fleet test sweeps.
+const WORKERS: [usize; 5] = [0, 1, 2, 3, 8];
 const SEED_BASE: u64 = 1000;
 
 /// Per-session solo runs: the parity baseline every fleet mode must hit.
@@ -73,46 +76,25 @@ fn fleet_is_bit_identical_to_solo_runs_across_schedules() {
     let ds = dataset();
     let prototype = LocalizationPipeline::build(&ds, config()).expect("prototype builds");
     let solo = solo_reports(&prototype, &ds);
-
-    // Workers × coalescing × feeding order: every schedule must produce
-    // byte-for-byte the solo frame reports.
-    let schedules = [
-        (1, false, TaskOrder::Forward),
-        (1, true, TaskOrder::Forward),
-        (2, true, TaskOrder::Reverse),
-        (2, false, TaskOrder::Shuffled(42)),
-        (4, true, TaskOrder::Shuffled(42)),
-        (4, false, TaskOrder::Reverse),
-    ];
-    for (workers, coalesce, order) in schedules {
-        let mut fleet = Fleet::new(
-            &prototype,
-            AGENTS,
-            SEED_BASE,
-            FleetConfig {
-                workers,
-                coalesce,
-                order,
-            },
-        )
-        .expect("fleet builds");
+    for workers in WORKERS {
+        let mut fleet = Fleet::new(&prototype, AGENTS, SEED_BASE, FleetConfig { workers })
+            .expect("fleet builds");
         let reports = fleet.run(&ds).expect("fleet run succeeds");
         assert_eq!(
             reports, solo,
-            "fleet diverged from solo runs (workers={workers}, \
-             coalesce={coalesce}, order={order:?})"
+            "fleet diverged from solo runs (workers={workers})"
         );
     }
 }
 
 #[test]
-fn coalesced_sessions_commit_solo_backend_stats() {
-    // Evaluations routed through the fleet evaluator must land in each
-    // *session's* stats exactly as a solo run would book them.
+fn fleet_sessions_commit_solo_backend_stats() {
+    // Each session's evaluations land in its own backend stats exactly
+    // as a solo run books them, on threaded rounds too.
     let ds = dataset();
     let prototype = LocalizationPipeline::build(&ds, config()).expect("prototype builds");
-    let mut fleet =
-        Fleet::new(&prototype, AGENTS, SEED_BASE, FleetConfig::default()).expect("fleet builds");
+    let mut fleet = Fleet::new(&prototype, AGENTS, SEED_BASE, FleetConfig { workers: 2 })
+        .expect("fleet builds");
     fleet.run(&ds).expect("fleet run succeeds");
     for i in 0..AGENTS {
         let mut solo = prototype
@@ -203,7 +185,7 @@ fn solo_sweep(
 }
 
 #[test]
-fn per_agent_faults_stay_isolated_in_coalesced_rounds() {
+fn per_agent_faults_stay_isolated_in_fleet_rounds() {
     let ds = dataset();
     let prototype = LocalizationPipeline::build(&ds, config())
         .expect("prototype builds")
@@ -221,15 +203,17 @@ fn per_agent_faults_stay_isolated_in_coalesced_rounds() {
         })
         .expect("safe mode arms");
     const FAULTED: usize = 1;
-    let fleet_reports = run_faulted_sweep(&prototype, &ds, FleetConfig::default(), &[FAULTED]);
+    let solo: Vec<Vec<FrameReport>> = (0..AGENTS)
+        .map(|i| solo_sweep(&prototype, &ds, i, i == FAULTED))
+        .collect();
 
     // The faulted agent noticed: its detector latched and safe mode
     // engaged. Its neighbors never did.
     assert!(
-        fleet_reports[FAULTED].iter().any(|r| r.safe_mode),
+        solo[FAULTED].iter().any(|r| r.safe_mode),
         "faulted agent never entered safe mode"
     );
-    for (i, reports) in fleet_reports.iter().enumerate() {
+    for (i, reports) in solo.iter().enumerate() {
         if i != FAULTED {
             assert!(
                 reports.iter().all(|r| !r.fault_active && !r.safe_mode),
@@ -238,36 +222,17 @@ fn per_agent_faults_stay_isolated_in_coalesced_rounds() {
         }
     }
 
-    // Isolation: every agent — including the faulted one — is
-    // bit-identical to its solo replay of the same per-agent inputs; a
-    // neighbor's fault leaks nothing through the coalesced mega-batch.
-    for i in 0..AGENTS {
-        let solo = solo_sweep(&prototype, &ds, i, i == FAULTED);
-        assert_eq!(fleet_reports[i], solo, "agent {i} diverged from solo");
-    }
-
-    // And the per-agent path keeps the full determinism contract: the
-    // same faulted sweep is bit-identical across coalescing, worker
-    // count, and feeding order.
-    for (workers, coalesce, order) in [
-        (1, false, TaskOrder::Forward),
-        (2, true, TaskOrder::Reverse),
-        (4, false, TaskOrder::Shuffled(42)),
-    ] {
-        let again = run_faulted_sweep(
-            &prototype,
-            &ds,
-            FleetConfig {
-                workers,
-                coalesce,
-                order,
-            },
-            &[FAULTED],
-        );
-        assert_eq!(
-            again, fleet_reports,
-            "faulted sweep diverged (workers={workers}, coalesce={coalesce}, order={order:?})"
-        );
+    // Isolation: for every worker count, every agent — including the
+    // faulted one — is bit-identical to its solo replay of the same
+    // per-agent inputs; a neighbor's fault leaks nothing.
+    for workers in WORKERS {
+        let fleet_reports = run_faulted_sweep(&prototype, &ds, FleetConfig { workers }, &[FAULTED]);
+        for i in 0..AGENTS {
+            assert_eq!(
+                fleet_reports[i], solo[i],
+                "agent {i} diverged from solo (workers={workers})"
+            );
+        }
     }
 }
 
@@ -289,14 +254,25 @@ fn step_round_each_rejects_mismatched_input_lengths() {
 
 #[test]
 fn fleet_latencies_are_recorded_per_round() {
+    // Service time is each agent's own step: never zero, and on the
+    // inline single-worker round the agents' times cannot add up to
+    // more than the round itself.
     let ds = dataset();
     let prototype = LocalizationPipeline::build(&ds, config()).expect("prototype builds");
     let mut fleet =
         Fleet::new(&prototype, AGENTS, SEED_BASE, FleetConfig::default()).expect("fleet builds");
+    assert_eq!(fleet.config().workers, 1);
     let controls = ds.control_deltas();
+    let t0 = std::time::Instant::now();
     fleet
         .step_round(&controls[0], &ds.frames[1].depth, ds.frames[1].pose)
         .expect("round succeeds");
-    assert_eq!(fleet.last_latencies_ns().len(), AGENTS);
-    assert!(fleet.last_latencies_ns().iter().all(|&ns| ns > 0));
+    let round_ns = t0.elapsed().as_nanos() as u64;
+    let service = fleet.last_service_ns();
+    assert_eq!(service.len(), AGENTS);
+    assert!(service.iter().all(|&ns| ns > 0), "{service:?}");
+    assert!(
+        service.iter().sum::<u64>() <= round_ns,
+        "service {service:?} exceeds the {round_ns} ns round"
+    );
 }
