@@ -24,7 +24,8 @@
 //! sums its column currents, a counter-indexed standard normal
 //! ([`NoiseStream::at`]) perturbs the total, and the log-ADC converts it
 //! with libm `ln`. The default LUT path reproduces it **bit for bit** and
-//! runs every group of four points through one lane body, gated or not:
+//! runs every group of four points through one lane body over every
+//! column of the array:
 //!
 //! 1. **DAC codes.** The constants of `AxisMap::to_voltage` and
 //!    `Dac::code_for` are hoisted per axis at build; each lane repeats the
@@ -65,31 +66,8 @@ use navicim_device::noise::{NoiseModel, NoiseStream};
 use navicim_device::params::TechParams;
 use navicim_device::variation::ProcessVariation;
 use navicim_gmm::hmg::HmgmModel;
-use navicim_gmm::prune::{PruneConfig, PruneIndex, PruneScratch, PRUNE_TILE};
 use navicim_math::rng::Pcg32;
 use navicim_math::simd::{F64x4, COS_TURNS_FAST_MAX_ABS_ERR, LANES, LN_FAST_MAX_ULP};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Device slack (nats) in the CIM column-gating margin, which totals
-/// `ln K +` this value (see
-/// [`PruneIndex::for_hmg_parts_with_margin`]).
-///
-/// The index bounds the *mathematical* replica-weighted HMG mixture, but
-/// the array evaluates its device realization — process variation,
-/// DAC/ADC quantization and inverter-bell shape mismatch all perturb
-/// per-column contributions. The log-ADC resolves ~0.08-nat steps, so a
-/// column is visible only when its relative contribution reaches ~4%;
-/// with this slack the summed dropped columns stay below `e⁻¹² ≈ 6·10⁻⁶`
-/// relative, leaving ~3 decades of head-room for device-induced swing
-/// while still gating on device-constrained sigma floors (the minimum
-/// programmable kernel width is a fixed fraction of the map span, so
-/// margins in the digital `ln(K/ε)` regime would rarely gate anything).
-/// One residual: gated far columns stop conducting their leakage-level
-/// currents, so deep-tail evaluations — where the total current is
-/// itself near the leakage floor — may shift by an ADC step;
-/// likelihoods there are floor-dominated noise either way. Gating
-/// defaults off.
-pub const CIM_PRUNE_SLACK_NATS: f64 = 12.0;
 
 /// Configuration of a CIM likelihood engine.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -136,13 +114,6 @@ pub struct EngineStats {
     /// Sum of total array currents over all evaluations, in amperes
     /// (divide by `evaluations` for the average conduction current).
     pub current_sum: f64,
-    /// Analog column activations actually driven. Column gating skips
-    /// the DAC→array drive of pruned columns, so this falls below
-    /// [`Self::column_slots`] exactly by the skipped activations.
-    pub column_activations: u64,
-    /// Column activation slots offered (evaluations × array columns);
-    /// equals [`Self::column_activations`] whenever gating is off.
-    pub column_slots: u64,
 }
 
 impl EngineStats {
@@ -152,17 +123,6 @@ impl EngineStats {
             0.0
         } else {
             self.current_sum / self.evaluations as f64
-        }
-    }
-
-    /// Fraction of offered column slots actually driven — the factor the
-    /// energy model scales per-evaluation DAC drive energy by. `1.0`
-    /// when no slots were offered (ungated or idle engines).
-    pub fn active_column_fraction(&self) -> f64 {
-        if self.column_slots == 0 {
-            1.0
-        } else {
-            self.column_activations as f64 / self.column_slots as f64
         }
     }
 }
@@ -229,58 +189,6 @@ struct CodeLut {
     levels: usize,
 }
 
-/// A set of array columns a LUT evaluation drives, in ascending order:
-/// every column ([`AllColumns`]) or a gated survivor list (`&[u32]`).
-/// Monomorphized, so the ungated loop loads contiguously and the gated
-/// one gathers, with no per-column dispatch.
-trait ColumnSet: Copy {
-    /// Number of columns in the set.
-    fn len(self) -> usize;
-    /// The `i`-th column of the set.
-    fn col(self, i: usize) -> usize;
-    /// `table[row + col(i + l)]` for lanes `l = 0..4`.
-    fn load4(self, table: &[f64], row: usize, i: usize) -> F64x4;
-}
-
-/// Every one of the array's `K` columns.
-#[derive(Debug, Clone, Copy)]
-struct AllColumns(usize);
-
-impl ColumnSet for AllColumns {
-    #[inline(always)]
-    fn len(self) -> usize {
-        self.0
-    }
-    #[inline(always)]
-    fn col(self, i: usize) -> usize {
-        i
-    }
-    #[inline(always)]
-    fn load4(self, table: &[f64], row: usize, i: usize) -> F64x4 {
-        F64x4::load(&table[row + i..])
-    }
-}
-
-impl ColumnSet for &[u32] {
-    #[inline(always)]
-    fn len(self) -> usize {
-        <[u32]>::len(self)
-    }
-    #[inline(always)]
-    fn col(self, i: usize) -> usize {
-        self[i] as usize
-    }
-    #[inline(always)]
-    fn load4(self, table: &[f64], row: usize, i: usize) -> F64x4 {
-        F64x4::new([
-            table[row + self[i] as usize],
-            table[row + self[i + 1] as usize],
-            table[row + self[i + 2] as usize],
-            table[row + self[i + 3] as usize],
-        ])
-    }
-}
-
 impl CodeLut {
     /// Cap on cached entries (8 MiB of f64): a 4-bit DAC over 100
     /// components × 3 axes needs just 4.8 k entries, but a 16-bit DAC
@@ -325,7 +233,7 @@ impl CodeLut {
         (axis * self.levels + code) * self.replicas.len()
     }
 
-    /// Total array currents of four points over the column set `cols`;
+    /// Total array currents of four points over the first `n` columns;
     /// point `p`'s row offsets (one per axis, see [`Self::row`]) are
     /// `rows[p·dim..(p + 1)·dim]`.
     ///
@@ -334,21 +242,18 @@ impl CodeLut {
     /// column, column-order total from 0.0 — mul *then* add. Four columns
     /// at a time share one vector of sums, reciprocals and products; the
     /// total then adds their lanes one column at a time, so no column
-    /// order changes. Over the full set this is bit-identical to the
-    /// direct path; over a gated subset, to the same subset evaluated one
-    /// column at a time.
+    /// order changes and the result is bit-identical to the direct path.
     #[inline(always)]
-    fn totals<S: ColumnSet>(&self, rows: &[usize], cols: S) -> [f64; LANES] {
+    fn totals(&self, rows: &[usize], n: usize) -> [f64; LANES] {
         let dim = rows.len() / LANES;
-        let n = cols.len();
         let mut totals = [0.0; LANES];
         let mut i = 0;
         while i + LANES <= n {
-            let repl = cols.load4(&self.replicas, 0, i);
+            let repl = F64x4::load(&self.replicas[i..]);
             for (p, total) in totals.iter_mut().enumerate() {
                 let mut inv_sum = F64x4::splat(0.0);
                 for &row in &rows[p * dim..(p + 1) * dim] {
-                    inv_sum = inv_sum + cols.load4(&self.recips, row, i);
+                    inv_sum = inv_sum + F64x4::load(&self.recips[row + i..]);
                 }
                 for term in (repl * (F64x4::splat(1.0) / inv_sum)).to_array() {
                     *total += term;
@@ -356,8 +261,7 @@ impl CodeLut {
             }
             i += LANES;
         }
-        for i in i..n {
-            let j = cols.col(i);
+        for j in i..n {
             for (p, total) in totals.iter_mut().enumerate() {
                 let mut inv_sum = 0.0;
                 for &row in &rows[p * dim..(p + 1) * dim] {
@@ -582,24 +486,6 @@ pub struct EvalScratch {
     voltages: Vec<f64>,
     /// LUT row offsets of one lane group, `LANES × dim`.
     rows: Vec<usize>,
-    prune: PruneScratch,
-}
-
-/// Column-gating state compiled alongside the fabric: the spatial index
-/// over the *programmed* columns plus the query conditioning that maps
-/// tile AABBs onto what the DACs actually evaluate.
-#[derive(Debug, Clone)]
-struct CimPrune {
-    /// Culling index over the column centers, weighted by replica counts
-    /// (the factors the array multiplies by), at a `ln K +`
-    /// [`CIM_PRUNE_SLACK_NATS`] total margin.
-    index: PruneIndex,
-    /// Per-axis world ranges of the space map — the window the DAC input
-    /// clamp folds every query into before conversion.
-    ranges: Vec<(f64, f64)>,
-    /// Per-axis pad of one DAC step in world units, absorbing input
-    /// quantization after the clamp.
-    pad: Vec<f64>,
 }
 
 /// The immutable compiled CIM fabric: fabricated array, converters, the
@@ -609,8 +495,7 @@ struct CimPrune {
 /// [`HmgmCimEngine::build`]), so a `CimCompute` is freely shared across
 /// threads behind an `Arc` — sessions own only their noise cursor and
 /// counters. Evaluation is pure: the caller passes its noise stream and
-/// receives pre-noise currents and the column-activation count for its
-/// own bookkeeping.
+/// receives pre-noise currents for its own bookkeeping.
 #[derive(Debug, Clone)]
 pub struct CimCompute {
     array: CimArray,
@@ -624,11 +509,6 @@ pub struct CimCompute {
     /// device-model path (see [`HmgmCimEngine::with_direct_eval`]). Both
     /// paths produce bit-identical outputs.
     lut: Option<CodeLut>,
-    /// Column gating (see [`HmgmCimEngine::build_with_pruning`]); `None`
-    /// drives every column. Gating applies only on the LUT path — the
-    /// direct device-model path always evaluates the full array, serving
-    /// as the physical reference the gate approximates.
-    prune: Option<CimPrune>,
     /// Seed every session's evaluation [`NoiseStream`] starts from
     /// (`config.seed ^ NOISE_STREAM_SALT`).
     noise_seed: u64,
@@ -662,20 +542,9 @@ impl CimCompute {
     /// i)`, where `cursor` is `stream`'s cursor — the same value it would
     /// draw in any other split of the session's evaluations into calls.
     /// Pre-noise currents land in `currents`, so the session can fold them
-    /// into its stats in index order; the return value is the call's
-    /// column-activation count (`len × columns` without gating), so the
-    /// session can price its gated DAC drive. Nothing in `self` mutates;
-    /// `scratch` is buffer reuse only.
-    ///
-    /// Column gating, when compiled in ([`HmgmCimEngine::build_with_pruning`])
-    /// and on the LUT path, works in fixed tiles of [`PRUNE_TILE`]
-    /// consecutive points anchored at batch index 0: the tile's
-    /// clamped+padded AABB is intersected with the culling index and only
-    /// surviving columns are driven. Each tile is evaluated over its full
-    /// survivor set whichever chunk its points land in, so the gating
-    /// decisions — and therefore the output bits — are invariant under
-    /// chunk policy. A tile containing any non-finite coordinate falls
-    /// back to the full column set, bit-identical to the ungated path.
+    /// into its stats in index order. Every point drives every column of
+    /// the array. Nothing in `self` mutates; `scratch` is buffer reuse
+    /// only.
     ///
     /// # Panics
     ///
@@ -688,7 +557,7 @@ impl CimCompute {
         currents: &mut [f64],
         policy: par::ChunkPolicy,
         scratch: &mut EvalScratch,
-    ) -> u64 {
+    ) {
         check_batch_shape(self.map.dim(), batch, out);
         assert_eq!(
             out.len(),
@@ -697,11 +566,9 @@ impl CimCompute {
         );
         let n = batch.len();
         if n == 0 {
-            return 0;
+            return;
         }
         let dim = self.dacs.len();
-        let k_cols = self.array.num_columns();
-        let all_columns = n as u64 * k_cols as u64;
         scratch.voltages.resize(dim, 0.0);
         scratch.rows.resize(LANES * dim, 0);
         let base = stream.cursor();
@@ -736,90 +603,21 @@ impl CimCompute {
                     run_direct(start, out_chunk, cur_chunk, &mut voltages);
                 });
             }
-            return all_columns;
-        };
-        // LUT path, gated or not. Column gating splits each chunk into
-        // pieces (chunk ∩ tile), each evaluated over the full tile's
-        // survivor set so chunk geometry never leaks into the gating
-        // decision. Activations are exact u64 counts summed through one
-        // atomic (a tile's pieces may land in concurrently-running
-        // chunks), so the total is deterministic regardless of
-        // interleaving.
-        let gate = self.prune.as_ref();
-        let activations = AtomicU64::new(0);
-        let run_lut = |start: usize,
-                       out_chunk: &mut [f64],
-                       cur_chunk: &mut [f64],
-                       rows: &mut [usize],
-                       pscratch: &mut PruneScratch| {
-            let Some(gate) = gate else {
-                self.eval_lut(
-                    lut,
-                    AllColumns(k_cols),
-                    batch,
-                    start,
-                    stream,
-                    out_chunk,
-                    cur_chunk,
-                    rows,
-                );
-                return;
-            };
-            let end = start + out_chunk.len();
-            let mut pos = start;
-            while pos < end {
-                let tile_lo = (pos / PRUNE_TILE) * PRUNE_TILE;
-                let tile_hi = (tile_lo + PRUNE_TILE).min(n);
-                let piece_end = end.min(tile_hi);
-                let piece = pos - start..piece_end - start;
-                let cands = gate.index.candidates_for_points_clamped(
-                    batch.flat_range(tile_lo, tile_hi),
-                    &gate.pad,
-                    &gate.ranges,
-                    pscratch,
-                );
-                let driven = cands.map_or(k_cols, <[u32]>::len) as u64;
-                activations.fetch_add(piece.len() as u64 * driven, Ordering::Relaxed);
-                let (out_piece, cur_piece) = (&mut out_chunk[piece.clone()], &mut cur_chunk[piece]);
-                match cands {
-                    Some(cols) => {
-                        self.eval_lut(lut, cols, batch, pos, stream, out_piece, cur_piece, rows)
-                    }
-                    // Non-finite tile: full-array evaluation, bit-identical
-                    // to the ungated path.
-                    None => self.eval_lut(
-                        lut,
-                        AllColumns(k_cols),
-                        batch,
-                        pos,
-                        stream,
-                        out_piece,
-                        cur_piece,
-                        rows,
-                    ),
-                }
-                pos = piece_end;
-            }
+            return;
         };
         if policy.is_single_chunk(n) {
-            run_lut(0, out, currents, &mut scratch.rows, &mut scratch.prune);
+            self.eval_lut(lut, batch, 0, stream, out, currents, &mut scratch.rows);
         } else {
             par::zip_chunks_policy(policy, out, currents, |start, out_chunk, cur_chunk| {
                 // lint: allow(hot-path-alloc) threaded chunk closures own their scratch
                 let mut rows = vec![0usize; LANES * dim];
-                let mut pscratch = PruneScratch::default();
-                run_lut(start, out_chunk, cur_chunk, &mut rows, &mut pscratch);
+                self.eval_lut(lut, batch, start, stream, out_chunk, cur_chunk, &mut rows);
             });
-        }
-        if gate.is_some() {
-            activations.into_inner()
-        } else {
-            all_columns
         }
     }
 
     /// LUT evaluation of the batch points `start..start + out.len()` over
-    /// one column set, in groups of four lanes.
+    /// every column, in groups of four lanes.
     ///
     /// Each group computes its DAC codes and table rows, its four total
     /// currents ([`CodeLut::totals`]) and its readout
@@ -831,10 +629,9 @@ impl CimCompute {
     /// point `j` always draws `stream.at(cursor + j)`.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    fn eval_lut<S: ColumnSet>(
+    fn eval_lut(
         &self,
         lut: &CodeLut,
-        cols: S,
         batch: &PointBatch,
         start: usize,
         stream: NoiseStream,
@@ -843,6 +640,7 @@ impl CimCompute {
         rows: &mut [usize],
     ) {
         let dim = self.axis_codes.len();
+        let k_cols = self.array.num_columns();
         let flat = batch.as_flat();
         let mut i = 0;
         while i < out.len() {
@@ -866,7 +664,7 @@ impl CimCompute {
                     rows[p * dim + axis] = lut.row(axis, codes[p]);
                 }
             }
-            let totals = lut.totals(rows, cols);
+            let totals = lut.totals(rows, k_cols);
             let first = stream.cursor() + (start + i) as u64;
             if m == LANES {
                 self.readout
@@ -992,7 +790,6 @@ impl HmgmCimEngine {
                 axis_codes,
                 readout: Readout::new(noise, adc, &tech),
                 lut,
-                prune: None,
                 noise_seed,
             }),
             noise_stream: NoiseStream::new(noise_seed),
@@ -1000,57 +797,6 @@ impl HmgmCimEngine {
             currents: Vec::new(),
             scratch: EvalScratch::default(),
         })
-    }
-
-    /// As [`Self::build`], compiling a column-gating index alongside the
-    /// fabric when `prune` is enabled.
-    ///
-    /// The index is built over the *programmed* columns — kernel
-    /// geometry from the model, weights replaced by the replica counts
-    /// the array actually multiplies by — at a `ln K +`
-    /// [`CIM_PRUNE_SLACK_NATS`] total margin tuned to log-ADC visibility
-    /// rather than the digital gate. At evaluation time (LUT path only),
-    /// tiles of
-    /// [`PRUNE_TILE`] points are intersected with the index after
-    /// clamping their AABB to each axis's world range (mirroring the DAC
-    /// input clamp) and padding by one DAC step (absorbing input
-    /// quantization); gated columns are simply not driven, and the
-    /// skipped activations are reported through [`EngineStats`] for
-    /// energy pricing. With `prune` disabled this is exactly
-    /// [`Self::build`].
-    pub fn build_with_pruning(
-        model: &HmgmModel,
-        map: SpaceMap,
-        config: CimEngineConfig,
-        prune: PruneConfig,
-    ) -> Result<Self> {
-        let mut engine = Self::build(model, map, config)?;
-        if prune.enabled {
-            let compute = Arc::make_mut(&mut engine.compute);
-            let replica_weights: Vec<f64> = compute
-                .array
-                .columns()
-                .iter()
-                .map(|c| c.replicas() as f64)
-                .collect();
-            if let Some(index) = PruneIndex::for_hmg_parts_with_margin(
-                &replica_weights,
-                model.kernels(),
-                prune,
-                (model.num_components() as f64).ln() + CIM_PRUNE_SLACK_NATS,
-            ) {
-                let ranges = compute.map.axes().iter().map(|a| a.world_range()).collect();
-                let pad = compute
-                    .map
-                    .axes()
-                    .iter()
-                    .zip(&compute.dacs)
-                    .map(|(a, d)| a.sigma_to_world(d.lsb()))
-                    .collect();
-                compute.prune = Some(CimPrune { index, ranges, pad });
-            }
-        }
-        Ok(engine)
     }
 
     /// Disables the per-code current table, forcing every evaluation
@@ -1188,7 +934,7 @@ impl HmgmCimEngine {
     ) {
         let n = batch.len();
         self.currents.resize(n, 0.0);
-        let column_activations = self.compute.eval_stream(
+        self.compute.eval_stream(
             batch,
             self.noise_stream,
             out,
@@ -1206,8 +952,6 @@ impl HmgmCimEngine {
         self.stats.evaluations += n as u64;
         self.stats.dac_conversions += (n * self.compute.dacs.len()) as u64;
         self.stats.adc_conversions += n as u64;
-        self.stats.column_slots += n as u64 * self.compute.array.num_columns() as u64;
-        self.stats.column_activations += column_activations;
     }
 
     /// Sum of per-point log-likelihoods for a scan (batch-evaluated; an
@@ -1476,158 +1220,6 @@ mod tests {
                 "n = {n}"
             );
             assert_eq!(fast.stats(), direct.stats(), "n = {n}");
-        }
-    }
-
-    /// Many well-separated kernels on the test map, so a tight particle
-    /// cloud's tile AABB excludes most columns by a wide margin.
-    fn spread_model(map: &SpaceMap, k: usize) -> HmgmModel {
-        let tech = TechParams::cmos_45nm();
-        let (floor, _ceil) = HmgmCimEngine::recommended_sigma_bounds(&tech, map);
-        let sigma = floor;
-        let mut rng = Pcg32::seed_from_u64(41);
-        let mut kernels = Vec::new();
-        let mut weights = Vec::new();
-        for _ in 0..k {
-            let mean = vec![
-                rng.sample_uniform(-0.95, 0.95),
-                rng.sample_uniform(-0.95, 0.95),
-                rng.sample_uniform(-0.95, 0.95),
-            ];
-            kernels.push(HmgKernel::new(mean, vec![sigma; 3], 1.0).unwrap());
-            weights.push(rng.sample_uniform(0.2, 1.0));
-        }
-        HmgmModel::new(weights, kernels).unwrap()
-    }
-
-    fn clustered_batch(center: &[f64], n: usize, spread: f64, seed: u64) -> PointBatch {
-        let mut rng = Pcg32::seed_from_u64(seed);
-        let mut batch = PointBatch::new(center.len());
-        let mut p = vec![0.0; center.len()];
-        for _ in 0..n {
-            for (v, &c) in p.iter_mut().zip(center) {
-                *v = rng.sample_normal(c, spread);
-            }
-            batch.push(&p);
-        }
-        batch
-    }
-
-    #[test]
-    fn prune_off_build_is_the_plain_build() {
-        let map = test_map();
-        let model = test_model(&map);
-        let config = CimEngineConfig::default();
-        let mut plain = HmgmCimEngine::build(&model, map.clone(), config).unwrap();
-        let mut off =
-            HmgmCimEngine::build_with_pruning(&model, map, config, PruneConfig::default()).unwrap();
-        assert!(off.compute.prune.is_none());
-        let batch = clustered_batch(&[-0.5, 0.0, 0.2], 40, 0.1, 50);
-        assert_eq!(
-            plain.log_likelihood_batch(&batch),
-            off.log_likelihood_batch(&batch)
-        );
-        assert_eq!(plain.stats(), off.stats());
-        assert_eq!(plain.stats().column_activations, 40 * 2);
-        assert_eq!(plain.stats().column_slots, 40 * 2);
-    }
-
-    #[test]
-    fn gated_with_all_columns_surviving_is_bit_identical() {
-        // Two near kernels and a huge margin: nothing ever prunes, so the
-        // gated engine must reproduce the ungated one bit for bit —
-        // outputs, noise consumption and stats.
-        let map = test_map();
-        let model = test_model(&map);
-        let config = CimEngineConfig::default();
-        let mut plain = HmgmCimEngine::build(&model, map.clone(), config).unwrap();
-        let mut gated =
-            HmgmCimEngine::build_with_pruning(&model, map, config, PruneConfig::enabled()).unwrap();
-        assert!(gated.compute.prune.is_some());
-        let mut rng = Pcg32::seed_from_u64(51);
-        let mut batch = PointBatch::new(3);
-        for _ in 0..300 {
-            batch.push(&[
-                rng.sample_uniform(-1.0, 1.0),
-                rng.sample_uniform(-1.0, 1.0),
-                rng.sample_uniform(-1.0, 1.0),
-            ]);
-        }
-        assert_eq!(
-            plain.log_likelihood_batch(&batch),
-            gated.log_likelihood_batch(&batch)
-        );
-        assert_eq!(plain.stats(), gated.stats());
-        assert_eq!(gated.stats().column_activations, 300 * 2);
-    }
-
-    #[test]
-    fn gating_drops_columns_and_stays_accurate() {
-        let map = test_map();
-        let model = spread_model(&map, 24);
-        let config = CimEngineConfig::default();
-        let mut plain = HmgmCimEngine::build(&model, map.clone(), config).unwrap();
-        let mut gated =
-            HmgmCimEngine::build_with_pruning(&model, map, config, PruneConfig::enabled()).unwrap();
-        // Tight cloud around one kernel center: far columns gate out.
-        let center = model.kernels()[0].means().to_vec();
-        let batch = clustered_batch(&center, 200, 0.01, 52);
-        let full = plain.log_likelihood_batch(&batch);
-        let pruned = gated.log_likelihood_batch(&batch);
-        let slots = gated.stats().column_slots;
-        let acts = gated.stats().column_activations;
-        assert_eq!(slots, 200 * 24);
-        assert!(acts < slots, "expected gating: {acts} of {slots} slots");
-        assert!(acts >= 200, "survivor set is never empty");
-        // Near a peak the gated current differs from the full current by
-        // far less than one log-ADC step, so outputs agree to within a
-        // single code boundary flip.
-        let step = gated.adc().log_lsb();
-        for (i, (p, f)) in pruned.iter().zip(&full).enumerate() {
-            assert!(
-                (p - f).abs() <= step * 1.5 + 1e-12,
-                "point {i}: gated {p} vs full {f} (step {step})"
-            );
-        }
-        // Ungated counters are untouched by gating.
-        assert_eq!(plain.stats().evaluations, gated.stats().evaluations);
-        assert_eq!(plain.stats().dac_conversions, gated.stats().dac_conversions);
-    }
-
-    #[test]
-    fn gated_outputs_are_chunking_invariant() {
-        let map = test_map();
-        let model = spread_model(&map, 24);
-        let config = CimEngineConfig::default();
-        let prune = PruneConfig::enabled();
-        let center = model.kernels()[0].means().to_vec();
-        let mut batch = clustered_batch(&center, 300, 0.01, 53);
-        // A few far outliers so tiles mix survivor sets.
-        let mut rng = Pcg32::seed_from_u64(54);
-        for _ in 0..17 {
-            batch.push(&[
-                rng.sample_uniform(-1.0, 1.0),
-                rng.sample_uniform(-1.0, 1.0),
-                rng.sample_uniform(-1.0, 1.0),
-            ]);
-        }
-        let mut reference =
-            HmgmCimEngine::build_with_pruning(&model, map.clone(), config, prune).unwrap();
-        let mut expected = vec![0.0; batch.len()];
-        reference.log_likelihood_into(&batch, &mut expected);
-        for chunk_len in [1usize, 7, 64, batch.len()] {
-            for workers in [1usize, 2, 4] {
-                let mut engine =
-                    HmgmCimEngine::build_with_pruning(&model, map.clone(), config, prune).unwrap();
-                let mut out = vec![0.0; batch.len()];
-                engine.log_likelihood_into_chunked(
-                    &batch,
-                    &mut out,
-                    par::ChunkPolicy::exact(chunk_len, workers),
-                );
-                assert_eq!(out, expected, "chunk {chunk_len}, workers {workers}");
-                assert_eq!(engine.stats(), reference.stats());
-            }
         }
     }
 

@@ -543,16 +543,12 @@ fn main() {
 
     // ---- spatial component pruning ----
     // Scattered components, clustered queries: the shape the prune index
-    // is built for. Digital rows are parity-gated at the documented
-    // additive PRUNE_EPSILON and off-mode must stay bit-identical; the
-    // CIM rows exercise column gating, whose error budget is the log-ADC
-    // step rather than epsilon.
+    // is built for. The digital rows are parity-gated at the documented
+    // additive PRUNE_EPSILON and off-mode must stay bit-identical. The
+    // CIM engine has no pruned mode: its array drives every column.
     let mut prune_rows: Vec<Row> = Vec::new();
     let mut prune_digital_max_abs = 0.0f64;
     let mut prune_off_exact = true;
-    let mut cim_prune_max_abs = 0.0f64;
-    let mut cim_log_lsb = 0.0f64;
-    let mut cim_min_active_fraction = 1.0f64;
     for &k in &PRUNE_COMPONENTS {
         let gmm_full = prune_spread_gmm(k);
         let mut gmm_pruned = gmm_full.clone();
@@ -561,44 +557,8 @@ fn main() {
         let mut hmgm_pruned = hmgm_full.clone();
         hmgm_pruned.set_prune(PruneConfig::enabled());
 
-        // Device-constrained spread model for the CIM column-gating rows:
-        // sigma pinned at the programmable floor of a space covering the
-        // same ±10 box.
-        let anchor_pts = vec![vec![-10.0, -10.0, -10.0], vec![10.0, 10.0, 10.0]];
-        let space = SpaceMap::fit_to_points(&anchor_pts, 0.15, 0.85, 0.1).unwrap();
-        let tech = navicim_device::params::TechParams::cmos_45nm();
-        let (floor, _) = HmgmCimEngine::recommended_sigma_bounds(&tech, &space);
-        let mut rngc = Pcg32::seed_from_u64(23);
-        let cim_kernels: Vec<HmgKernel> = (0..k)
-            .map(|_| {
-                HmgKernel::new(
-                    (0..3).map(|_| rngc.sample_uniform(-9.5, 9.5)).collect(),
-                    vec![floor; 3],
-                    1.0,
-                )
-                .unwrap()
-            })
-            .collect();
-        let cim_model = HmgmModel::new(vec![1.0; k], cim_kernels).unwrap();
-        let mut cim_full =
-            HmgmCimEngine::build(&cim_model, space.clone(), CimEngineConfig::default()).unwrap();
-        let mut cim_pruned = HmgmCimEngine::build_with_pruning(
-            &cim_model,
-            space.clone(),
-            CimEngineConfig::default(),
-            PruneConfig::enabled(),
-        )
-        .unwrap();
-        cim_log_lsb = cim_pruned.adc().log_lsb();
-
         for &n in batch_sizes {
             let batch = clustered_queries(&gmm_full.means()[0], n, 31);
-            // The CIM rows query from a box corner: the device-floored
-            // sigmas (~10% of the axis span) mean only components whose
-            // per-axis z clears the `ln K + 12` nat margin can gate, and
-            // a mid-box cluster never sees such distances. A corner
-            // cluster puts the far half of the box 10+ sigma out.
-            let cim_batch = clustered_queries(&[-9.0, -9.0, -9.0], n, 33);
             let mut out = vec![0.0; n];
             let mut out_full = vec![0.0; n];
 
@@ -631,28 +591,6 @@ fn main() {
                 .iter()
                 .zip(&out_full)
                 .all(|(a, b)| a.to_bits() == b.to_bits());
-
-            // CIM parity from aligned noise cursors: fresh engines so
-            // evaluation i draws the same counter-based noise on both.
-            {
-                let mut a = HmgmCimEngine::build_with_pruning(
-                    &cim_model,
-                    space.clone(),
-                    CimEngineConfig::default(),
-                    PruneConfig::enabled(),
-                )
-                .unwrap();
-                let mut b =
-                    HmgmCimEngine::build(&cim_model, space.clone(), CimEngineConfig::default())
-                        .unwrap();
-                a.log_likelihood_into(&cim_batch, &mut out);
-                b.log_likelihood_into(&cim_batch, &mut out_full);
-                for (x, y) in out.iter().zip(&out_full) {
-                    cim_prune_max_abs = cim_prune_max_abs.max((x - y).abs());
-                }
-                cim_min_active_fraction =
-                    cim_min_active_fraction.min(a.stats().active_column_fraction());
-            }
 
             // Timings: pruned row first, full row second (pairwise).
             for (kernel, pruned_ns, full_ns) in [
@@ -696,27 +634,6 @@ fn main() {
                         });
                         time_ns(reps, iters, || {
                             full.log_likelihood_into(&batch, &mut out);
-                            std::hint::black_box(out[0]);
-                        }) / n as f64
-                    },
-                ),
-                (
-                    "cim_engine",
-                    {
-                        let iters = calibrate_iters(target_ns, || {
-                            cim_pruned.log_likelihood_into(&cim_batch, &mut out);
-                        });
-                        time_ns(reps, iters, || {
-                            cim_pruned.log_likelihood_into(&cim_batch, &mut out);
-                            std::hint::black_box(out[0]);
-                        }) / n as f64
-                    },
-                    {
-                        let iters = calibrate_iters(target_ns, || {
-                            cim_full.log_likelihood_into(&cim_batch, &mut out);
-                        });
-                        time_ns(reps, iters, || {
-                            cim_full.log_likelihood_into(&cim_batch, &mut out);
                             std::hint::black_box(out[0]);
                         }) / n as f64
                     },
@@ -820,8 +737,7 @@ fn main() {
     println!("parity: gmm {gmm_max_ulp} ulp, hmgm {hmgm_max_ulp} ulp, cim exact: {cim_exact}");
     println!(
         "prune parity: digital max |diff| {prune_digital_max_abs:.2e} (gate {PRUNE_EPSILON:.0e}), \
-         off-mode bit-identical: {prune_off_exact}, cim max |diff| {cim_prune_max_abs:.2e} \
-         (log-ADC lsb {cim_log_lsb:.2e}), min active column fraction {cim_min_active_fraction:.3}"
+         off-mode bit-identical: {prune_off_exact}"
     );
     if gmm_max_ulp > DIGITAL_MAX_ULP || hmgm_max_ulp > DIGITAL_MAX_ULP {
         eprintln!("FAIL: digital SIMD drift exceeds the {DIGITAL_MAX_ULP}-ulp gate");
@@ -842,23 +758,9 @@ fn main() {
         eprintln!("FAIL: prune-off evaluation is not bit-identical to a never-pruned model");
         ok = false;
     }
-    // Column gating error budget: the log-ADC step (plus slack for the
-    // exp path), not epsilon — a gated far column changes the array
-    // current below converter visibility.
-    if cim_prune_max_abs > cim_log_lsb * 2.0 {
-        eprintln!(
-            "FAIL: column-gated CIM drift {cim_prune_max_abs:.3e} exceeds two \
-             log-ADC steps ({cim_log_lsb:.3e} each)"
-        );
-        ok = false;
-    }
-    if cim_min_active_fraction >= 1.0 {
-        eprintln!("FAIL: column gating never dropped a column on the clustered workload");
-        ok = false;
-    }
 
     let json = format!(
-        "{{\n  \"bench\": \"kernels\",\n  \"smoke\": {smoke},\n  \"host\": {{\"arch\": \"{}\", \"os\": \"{}\", \"cores\": {cores}, \"target_cpu\": \"{}\"}},\n  \"config\": {{\"dim\": 3, \"reps\": {reps}, \"threads_sweep\": {threads}}},\n  \"parity\": {{\"gmm_max_ulp\": {gmm_max_ulp}, \"hmgm_max_ulp\": {hmgm_max_ulp}, \"digital_ulp_gate\": {DIGITAL_MAX_ULP}, \"cim_bit_identical\": {cim_exact}}},\n  \"prune\": {{\"epsilon\": {PRUNE_EPSILON:e}, \"digital_max_abs\": {prune_digital_max_abs:e}, \"off_bit_identical\": {prune_off_exact}, \"cim_max_abs\": {cim_prune_max_abs:e}, \"cim_log_adc_lsb\": {cim_log_lsb:e}, \"cim_min_active_fraction\": {cim_min_active_fraction:.4}}},\n  \"rows\": [\n{json_rows}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"kernels\",\n  \"smoke\": {smoke},\n  \"host\": {{\"arch\": \"{}\", \"os\": \"{}\", \"cores\": {cores}, \"target_cpu\": \"{}\"}},\n  \"config\": {{\"dim\": 3, \"reps\": {reps}, \"threads_sweep\": {threads}}},\n  \"parity\": {{\"gmm_max_ulp\": {gmm_max_ulp}, \"hmgm_max_ulp\": {hmgm_max_ulp}, \"digital_ulp_gate\": {DIGITAL_MAX_ULP}, \"cim_bit_identical\": {cim_exact}}},\n  \"prune\": {{\"epsilon\": {PRUNE_EPSILON:e}, \"digital_max_abs\": {prune_digital_max_abs:e}, \"off_bit_identical\": {prune_off_exact}}},\n  \"rows\": [\n{json_rows}\n  ]\n}}\n",
         json_escape_free(std::env::consts::ARCH),
         json_escape_free(std::env::consts::OS),
         json_escape_free(navicim_bench::target_cpu_label()),

@@ -166,9 +166,10 @@ fn main() {
 
     let ds = dataset(smoke);
     let prototype = LocalizationPipeline::build(&ds, config()).expect("prototype builds");
-    // Pruned twin of the serving workload: the spatial index gates
-    // likelihood components per tile. Its sessions are as independent as
-    // the unpruned ones, so it runs through the same parity gate.
+    // Pruned twin of the serving workload: the spatial index drops
+    // digital likelihood components per tile (the CIM slot drives its
+    // full array either way). Its sessions are as independent as the
+    // unpruned ones, so it runs through the same parity gate.
     let prototype_pruned = LocalizationPipeline::build(
         &ds,
         LocalizerConfig {

@@ -71,9 +71,11 @@ pub struct LocalizerConfig {
     pub cim: CimEngineConfig,
     /// Mixture-fit settings (GMM warm start for both backends).
     pub fit: FitConfig,
-    /// Spatial component-pruning knob, compiled into every backend's
-    /// fitted map (see `navicim_gmm::prune`). Off by default; off-mode
-    /// evaluation is bit-identical to previous releases.
+    /// Spatial component-pruning knob, compiled into the digital GMM and
+    /// HMGM backends' fitted maps (see `navicim_gmm::prune`). The analog
+    /// CIM backend ignores it: its array drives every column. Off by
+    /// default; off-mode evaluation is bit-identical to previous
+    /// releases.
     pub prune: PruneConfig,
     /// Backend-arbitration section: which backend slots the streaming
     /// pipeline instantiates and which [`crate::pipeline::GatePolicy`]

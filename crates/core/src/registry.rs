@@ -34,7 +34,7 @@
 //! ```
 
 use crate::{CoreError, Result};
-use navicim_analog::engine::{CimEngineConfig, EngineStats, HmgmCimEngine};
+use navicim_analog::engine::{CimEngineConfig, HmgmCimEngine};
 use navicim_analog::mapping::SpaceMap;
 use navicim_backend::{check_batch_shape, LikelihoodBackend, PointBatch};
 use navicim_gmm::fit::{fit_diag_gmm, FitConfig};
@@ -66,12 +66,15 @@ pub struct BackendStats {
     /// Sum of total array currents over all evaluations, in amperes
     /// (analog backends only).
     pub current_sum: f64,
-    /// Analog column activations actually driven (gated columns
-    /// excluded; zero for digital backends).
+    /// Analog column activations: evaluations × array columns, since
+    /// the CIM engine drives every column (zero for digital backends).
+    /// Kept, with [`Self::column_slots`], only for the benchmark's
+    /// `analog.active_column_frac` diagnostic; both fields go with the
+    /// benchmark change that retires it.
     pub column_activations: u64,
-    /// Column activation slots offered — evaluations × array columns
-    /// (zero for digital backends; equals `column_activations` when
-    /// gating is off).
+    /// Column activation slots offered — evaluations × array columns,
+    /// always equal to [`Self::column_activations`] (zero for digital
+    /// backends).
     pub column_slots: u64,
 }
 
@@ -115,17 +118,6 @@ impl BackendStats {
         }
     }
 
-    /// Fraction of offered column slots actually driven (1.0 when none
-    /// were offered — digital backends, idle analog backends) — the
-    /// factor the energy model scales per-evaluation DAC drive by.
-    pub fn active_column_fraction(&self) -> f64 {
-        if self.column_slots == 0 {
-            1.0
-        } else {
-            self.column_activations as f64 / self.column_slots as f64
-        }
-    }
-
     /// Sum of the counters with `other` — aggregates the per-slot stats
     /// of a multi-backend pipeline into one run total.
     pub fn merged(&self, other: &BackendStats) -> BackendStats {
@@ -136,19 +128,6 @@ impl BackendStats {
             current_sum: self.current_sum + other.current_sum,
             column_activations: self.column_activations + other.column_activations,
             column_slots: self.column_slots + other.column_slots,
-        }
-    }
-}
-
-impl From<EngineStats> for BackendStats {
-    fn from(s: EngineStats) -> Self {
-        Self {
-            evaluations: s.evaluations,
-            dac_conversions: s.dac_conversions,
-            adc_conversions: s.adc_conversions,
-            current_sum: s.current_sum,
-            column_activations: s.column_activations,
-            column_slots: s.column_slots,
         }
     }
 }
@@ -205,9 +184,10 @@ pub struct MapFitContext<'a> {
     /// particle clouds.
     pub cim: &'a CimEngineConfig,
     /// Spatial component-pruning knob, compiled into the fitted map by
-    /// every default factory (digital kernels gate at the documented
-    /// `PRUNE_EPSILON`; the CIM backend turns it into column gating).
-    /// Disabled by default — off-mode is bit-identical by construction.
+    /// the digital GMM and HMGM factories, which gate at the documented
+    /// `PRUNE_EPSILON`. The CIM factory ignores it: the array drives
+    /// every column. Disabled by default — off-mode is bit-identical by
+    /// construction.
     pub prune: PruneConfig,
     /// Seed for map fitting (salted internally so factory fit draws never
     /// collide with the localizer's particle-init stream).
@@ -339,7 +319,7 @@ fn build_cim_hmgm(ctx: &MapFitContext<'_>) -> Result<Box<dyn MapBackend>> {
         ..HmgmFitConfig::default()
     };
     let model = fit_hmgm(ctx.points, ctx.components, &hmgm_config, &mut rng)?;
-    let engine = HmgmCimEngine::build_with_pruning(&model, space, *cim, ctx.prune)?;
+    let engine = HmgmCimEngine::build(&model, space, *cim)?;
     Ok(Box::new(CimMapBackend::new(engine)))
 }
 
@@ -456,7 +436,16 @@ impl MapBackend for CimMapBackend {
     }
 
     fn stats(&self) -> BackendStats {
-        self.engine.stats().into()
+        let s = self.engine.stats();
+        let columns = s.evaluations * self.engine.array().num_columns() as u64;
+        BackendStats {
+            evaluations: s.evaluations,
+            dac_conversions: s.dac_conversions,
+            adc_conversions: s.adc_conversions,
+            current_sum: s.current_sum,
+            column_activations: columns,
+            column_slots: columns,
+        }
     }
 
     fn fork_session(&self) -> Option<Box<dyn MapBackend>> {
@@ -658,8 +647,6 @@ mod tests {
         assert!((delta.current_sum - 1.5).abs() < 1e-12);
         assert_eq!(delta.column_activations, 45);
         assert_eq!(delta.column_slots, 60);
-        assert!((delta.active_column_fraction() - 0.75).abs() < 1e-12);
-        assert_eq!(BackendStats::default().active_column_fraction(), 1.0);
         assert_eq!(earlier.merged(&delta), later);
         assert_eq!(
             BackendStats::default().merged(&later).evaluations,

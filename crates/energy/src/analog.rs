@@ -80,37 +80,8 @@ impl AnalogCimProfile {
         dac_bits: u32,
         adc_bits: u32,
     ) -> Result<f64> {
-        self.likelihood_eval_pj_gated(avg_current_a, dims, dac_bits, adc_bits, 1.0)
-    }
-
-    /// [`Self::likelihood_eval_pj`] under column gating: the DAC drive
-    /// term is scaled by `active_fraction` — the fraction of column
-    /// activation slots actually driven per evaluation — because gated
-    /// columns never receive their DAC→array input drive. The array term
-    /// already tracks gating through the measured average current (gated
-    /// columns conduct nothing), and the single output ADC conversion is
-    /// unaffected. At `active_fraction = 1.0` (no gating) this is exactly
-    /// the ungated price, bitwise.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Self::array_pj`] validation; rejects fractions
-    /// outside `[0, 1]`.
-    pub fn likelihood_eval_pj_gated(
-        &self,
-        avg_current_a: f64,
-        dims: usize,
-        dac_bits: u32,
-        adc_bits: u32,
-        active_fraction: f64,
-    ) -> Result<f64> {
-        if !(0.0..=1.0).contains(&active_fraction) {
-            return Err(EnergyError::InvalidArgument(format!(
-                "active column fraction must be in [0, 1], got {active_fraction}"
-            )));
-        }
         Ok(self.array_pj(avg_current_a)?
-            + dims as f64 * self.dac_pj(dac_bits) * active_fraction
+            + dims as f64 * self.dac_pj(dac_bits)
             + self.adc_pj(adc_bits))
     }
 
@@ -177,22 +148,6 @@ mod tests {
         let report = p.likelihood_eval_report(1e-6, 3, 4, 8).unwrap();
         assert_eq!(report.items().len(), 3);
         assert!(report.total_pj() > 0.0);
-    }
-
-    #[test]
-    fn gated_eval_scales_only_the_dac_term() {
-        let p = AnalogCimProfile::paper_45nm();
-        let full = p.likelihood_eval_pj(2e-6, 3, 4, 8).unwrap();
-        let gated = p.likelihood_eval_pj_gated(2e-6, 3, 4, 8, 0.25).unwrap();
-        let dac_term = 3.0 * p.dac_pj(4);
-        assert!((full - gated - dac_term * 0.75).abs() < 1e-15);
-        // Full activation is bitwise the ungated price.
-        assert_eq!(
-            p.likelihood_eval_pj_gated(2e-6, 3, 4, 8, 1.0).unwrap(),
-            full
-        );
-        assert!(p.likelihood_eval_pj_gated(2e-6, 3, 4, 8, 1.5).is_err());
-        assert!(p.likelihood_eval_pj_gated(2e-6, 3, 4, 8, -0.1).is_err());
     }
 
     #[test]

@@ -546,7 +546,7 @@ impl Gmm {
             let tile = batch.flat_range(tile_lo, tile_hi);
             let rows = batch.flat_range(pos, piece_end);
             let out = &mut chunk[pos - start..piece_end - start];
-            match index.candidates_for_points(tile, &[], &mut s.prune) {
+            match index.candidates_for_points(tile, &mut s.prune) {
                 Some(cands) => plan.eval_tiles(
                     diag,
                     cands.iter().map(|&j| j as usize),

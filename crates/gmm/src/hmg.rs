@@ -420,7 +420,7 @@ impl HmgmModel {
             let tile_hi = (tile_lo + PRUNE_TILE).min(n);
             let piece_end = end.min(tile_hi);
             let tile = batch.flat_range(tile_lo, tile_hi);
-            let cands = index.candidates_for_points(tile, &[], &mut s.prune);
+            let cands = index.candidates_for_points(tile, &mut s.prune);
             let mut offset = pos;
             match cands {
                 Some(cands) => {

@@ -35,7 +35,7 @@
 //! path exactly.
 
 use crate::gaussian::{Covariance, Gmm};
-use crate::hmg::{HmgKernel, HmgmModel};
+use crate::hmg::HmgmModel;
 use navicim_math::stats::LN_2PI;
 
 /// Additive log-likelihood tolerance of a pruned evaluation, in nats.
@@ -202,57 +202,18 @@ impl PruneIndex {
         (k as f64 / PRUNE_EPSILON).ln() + 1.0
     }
 
-    /// Builds an index over an [`HmgmModel`]'s kernels.
+    /// Builds an index over an [`HmgmModel`]'s kernels at the
+    /// [`Self::digital_margin`].
     pub fn for_hmgm(model: &HmgmModel, config: PruneConfig) -> Option<Self> {
-        Self::for_hmg_parts(model.weights(), model.kernels(), config, 0.0)
-    }
-
-    /// Builds an HMG index from explicit weights (the CIM engine passes
-    /// per-column replica counts, the actual analog current multipliers)
-    /// plus an extra safety margin in nats absorbing device-side
-    /// distortion (process variation, DAC quantization, kernel shape
-    /// mismatch) between the mathematical bound and the column current.
-    pub fn for_hmg_parts(
-        weights: &[f64],
-        kernels: &[HmgKernel],
-        config: PruneConfig,
-        extra_margin: f64,
-    ) -> Option<Self> {
-        let k = kernels.len();
-        Self::for_hmg_parts_with_margin(
-            weights,
-            kernels,
-            config,
-            Self::digital_margin(k) + extra_margin.max(0.0),
-        )
-    }
-
-    /// [`Self::for_hmg_parts`] with an explicit *total* margin in nats,
-    /// replacing the [`PRUNE_EPSILON`]-derived digital margin entirely.
-    ///
-    /// The CIM engine uses this: its outputs are log-ADC-quantized at a
-    /// ~0.08-nat step, so gating tuned to `ln K` head-room plus a device
-    /// slack far below the digital `ln(K/ε)` keeps dropped-column error
-    /// orders of magnitude under ADC visibility while gating aggressively
-    /// enough to matter on device-constrained sigma floors. The margin is
-    /// floored at `ln K + 1` so the summed dropped terms always stay at
-    /// least `1/e` nats below the realized maximum.
-    pub fn for_hmg_parts_with_margin(
-        weights: &[f64],
-        kernels: &[HmgKernel],
-        config: PruneConfig,
-        margin: f64,
-    ) -> Option<Self> {
-        if !config.enabled || weights.is_empty() || weights.len() != kernels.len() {
+        if !config.enabled {
             return None;
         }
-        let dim = kernels[0].dim();
-        let k = kernels.len();
-        let margin = margin.max((k as f64).ln() + 1.0);
+        let dim = model.dim();
+        let k = model.num_components();
         let mut log_peaks = Vec::with_capacity(k);
         let mut inv_sigmas = Vec::with_capacity(k * dim);
         let mut means = Vec::with_capacity(k * dim);
-        for (w, kern) in weights.iter().zip(kernels) {
+        for (w, kern) in model.weights().iter().zip(model.kernels()) {
             log_peaks.push((w * kern.amplitude() * dim as f64).max(1e-300).ln());
             for (&m, &s) in kern.means().iter().zip(kern.sigmas()) {
                 means.push(m);
@@ -268,7 +229,7 @@ impl PruneIndex {
                 inv_sigmas,
             },
             config,
-            margin,
+            Self::digital_margin(k),
         ))
     }
 
@@ -511,8 +472,7 @@ impl PruneIndex {
     }
 
     /// Candidate components for a tile of `points.len()/dim` row-major
-    /// query points, optionally padded per axis (`pad` empty = none;
-    /// the CIM engine pads by one DAC step to absorb input quantization).
+    /// query points.
     ///
     /// Returns `None` when any coordinate is non-finite — the caller
     /// must fall back to the full component set so NaN/∞ propagation
@@ -522,23 +482,6 @@ impl PruneIndex {
     pub fn candidates_for_points<'s>(
         &self,
         points: &[f64],
-        pad: &[f64],
-        scratch: &'s mut PruneScratch,
-    ) -> Option<&'s [u32]> {
-        self.candidates_for_points_clamped(points, pad, &[], scratch)
-    }
-
-    /// As [`Self::candidates_for_points`], with the tile AABB first
-    /// clamped into per-axis `ranges` (empty = no clamping), *then*
-    /// padded. The CIM engine clamps to each axis's world range —
-    /// mirroring the DAC input clamp, which maps every query onto that
-    /// window before evaluation — so far-out tiles query the cells their
-    /// points actually evaluate in.
-    pub fn candidates_for_points_clamped<'s>(
-        &self,
-        points: &[f64],
-        pad: &[f64],
-        ranges: &[(f64, f64)],
         scratch: &'s mut PruneScratch,
     ) -> Option<&'s [u32]> {
         debug_assert_eq!(points.len() % self.dim, 0);
@@ -557,24 +500,10 @@ impl PruneIndex {
         if !finite || points.is_empty() {
             return None;
         }
-        if !ranges.is_empty() {
-            debug_assert_eq!(ranges.len(), self.dim);
-            for (i, &(r_lo, r_hi)) in ranges.iter().enumerate() {
-                scratch.lo[i] = scratch.lo[i].clamp(r_lo, r_hi);
-                scratch.hi[i] = scratch.hi[i].clamp(r_lo, r_hi);
-            }
-        }
-        if !pad.is_empty() {
-            debug_assert_eq!(pad.len(), self.dim);
-            for i in 0..self.dim {
-                scratch.lo[i] -= pad[i];
-                scratch.hi[i] += pad[i];
-            }
-        }
         // Union of the covered cells' candidate lists via a bitset, then
         // the margin rule on the tile AABB itself. Ascending order falls
-        // out of the bitset scan, keeping subset evaluation order (and
-        // CIM column order) deterministic.
+        // out of the bitset scan, keeping subset evaluation order
+        // deterministic.
         let words = self.k.div_ceil(64);
         scratch.seen.clear();
         scratch.seen.resize(words, 0);
@@ -635,6 +564,7 @@ impl PruneIndex {
 mod tests {
     use super::*;
     use crate::gaussian::Covariance;
+    use crate::hmg::HmgKernel;
     use navicim_math::rng::{Pcg32, SampleExt};
 
     fn spread_gmm(k: usize) -> Gmm {
@@ -747,9 +677,7 @@ mod tests {
             pts.push(m[1] + (s as f64 - 16.0) * 0.008);
         }
         let mut scratch = PruneScratch::default();
-        let cands = index
-            .candidates_for_points(&pts, &[], &mut scratch)
-            .unwrap();
+        let cands = index.candidates_for_points(&pts, &mut scratch).unwrap();
         assert!(!cands.is_empty());
         assert!(
             cands.len() < 64,
@@ -767,13 +695,9 @@ mod tests {
         let mut scratch = PruneScratch::default();
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             let pts = vec![0.0, 0.0, bad, 1.0];
-            assert!(index
-                .candidates_for_points(&pts, &[], &mut scratch)
-                .is_none());
+            assert!(index.candidates_for_points(&pts, &mut scratch).is_none());
         }
-        assert!(index
-            .candidates_for_points(&[], &[], &mut scratch)
-            .is_none());
+        assert!(index.candidates_for_points(&[], &mut scratch).is_none());
     }
 
     #[test]
@@ -782,9 +706,7 @@ mod tests {
         let index = PruneIndex::for_diag_gmm(&gmm, PruneConfig::enabled()).unwrap();
         let mut scratch = PruneScratch::default();
         let pts = vec![1e6, -1e6, 1e6 + 1.0, -1e6 - 1.0];
-        let cands = index
-            .candidates_for_points(&pts, &[], &mut scratch)
-            .unwrap();
+        let cands = index.candidates_for_points(&pts, &mut scratch).unwrap();
         assert!(!cands.is_empty(), "survivor set is never empty");
     }
 
@@ -928,24 +850,5 @@ mod tests {
             want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             got.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
         );
-    }
-
-    #[test]
-    fn padding_widens_the_query() {
-        let gmm = spread_gmm(64);
-        let index = PruneIndex::for_diag_gmm(&gmm, PruneConfig::enabled()).unwrap();
-        let m = &gmm.means()[0];
-        let pts = vec![m[0], m[1]];
-        let mut s1 = PruneScratch::default();
-        let mut s2 = PruneScratch::default();
-        let narrow = index
-            .candidates_for_points(&pts, &[], &mut s1)
-            .unwrap()
-            .len();
-        let wide = index
-            .candidates_for_points(&pts, &[5.0, 5.0], &mut s2)
-            .unwrap()
-            .len();
-        assert!(wide >= narrow, "padding can only add candidates");
     }
 }

@@ -122,8 +122,7 @@ fn hmgm_batch_kernel_is_zero_alloc_when_warm() {
 }
 
 /// The unit-cube map and an HMG mixture of `k` device-realizable kernels
-/// at the narrowest programmable width, scattered over the map so a
-/// tight point cloud gates most columns out.
+/// at the narrowest programmable width, scattered over the map.
 fn cim_fixture(k: usize) -> (SpaceMap, HmgmModel) {
     use navicim::math::rng::{Pcg32, SampleExt};
     let pts = vec![vec![-1.0, -1.0, -1.0], vec![1.0, 1.0, 1.0]];
@@ -142,21 +141,6 @@ fn cim_fixture(k: usize) -> (SpaceMap, HmgmModel) {
     (map, model)
 }
 
-/// `n` points in a ±0.01 box around `center`: a tight particle cloud,
-/// so the gated engine drops the far columns.
-fn clustered_batch(center: &[f64], n: usize) -> PointBatch {
-    let mut batch = PointBatch::new(center.len());
-    for i in 0..n {
-        let point: Vec<f64> = center
-            .iter()
-            .enumerate()
-            .map(|(d, &c)| c + 0.02 * ((i as f64 * (0.618 + 0.1 * d as f64)).fract() - 0.5))
-            .collect();
-        batch.push(&point);
-    }
-    batch
-}
-
 #[test]
 fn cim_engine_batch_path_is_zero_alloc_when_warm() {
     let (map, model) = cim_fixture(2);
@@ -173,35 +157,6 @@ fn cim_engine_batch_path_is_zero_alloc_when_warm() {
     assert_zero_alloc("HmgmCimEngine::log_likelihood_into_chunked", || {
         engine.log_likelihood_into_chunked(&batch, &mut out, policy);
     });
-}
-
-/// The column-gated engine: per-tile candidate lists and per-segment
-/// activation tallies live in the engine's scratch, so a warm gated
-/// batch (several prune tiles, a remainder lane group) allocates
-/// nothing.
-#[test]
-fn cim_gated_engine_batch_path_is_zero_alloc_when_warm() {
-    let (map, model) = cim_fixture(24);
-    let mut engine = HmgmCimEngine::build_with_pruning(
-        &model,
-        map,
-        CimEngineConfig::default(),
-        PruneConfig::enabled(),
-    )
-    .expect("engine builds");
-    let batch = clustered_batch(model.kernels()[0].means(), 603);
-    let mut out = vec![0.0; batch.len()];
-    let policy = sequential(batch.len());
-    engine.log_likelihood_into_chunked(&batch, &mut out, policy);
-    engine.log_likelihood_into_chunked(&batch, &mut out, policy);
-    assert_zero_alloc("gated HmgmCimEngine::log_likelihood_into_chunked", || {
-        engine.log_likelihood_into_chunked(&batch, &mut out, policy);
-    });
-    let stats = engine.stats();
-    assert!(
-        stats.column_activations < stats.column_slots,
-        "the audit batch should exercise column gating"
-    );
 }
 
 fn audit_dataset() -> LocalizationDataset {

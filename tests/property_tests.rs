@@ -407,7 +407,7 @@ proptest! {
         for chunk_len in [1usize, 7, 64, n] {
             for workers in [1usize, 2, 4] {
                 let (mut got, mut cur) = (vec![0.0; n], vec![0.0; n]);
-                let activations = reference.compute().eval_stream(
+                reference.compute().eval_stream(
                     &batch,
                     stream,
                     &mut got,
@@ -417,7 +417,6 @@ proptest! {
                 );
                 prop_assert_eq!(bits(&got), bits(&want));
                 prop_assert_eq!(bits(&cur), bits(&want_cur));
-                prop_assert_eq!(activations, 2 * n as u64);
             }
         }
     }
@@ -899,7 +898,7 @@ proptest! {
         let mut expected = Vec::with_capacity(n);
         for lo in (0..n).step_by(PRUNE_TILE) {
             let hi = (lo + PRUNE_TILE).min(n);
-            let cands = index.candidates_for_points(batch.flat_range(lo, hi), &[], &mut scratch);
+            let cands = index.candidates_for_points(batch.flat_range(lo, hi), &mut scratch);
             for i in lo..hi {
                 let v = match cands {
                     Some(c) => plan.log_pdf_subset(batch.point(i), c, &mut terms),
