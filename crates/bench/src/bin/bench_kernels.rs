@@ -40,7 +40,7 @@ use navicim_backend::par::{self, ChunkPolicy};
 use navicim_backend::{LikelihoodBackend, PointBatch};
 use navicim_gmm::fit::{fit_diag_gmm, FitConfig};
 use navicim_gmm::gaussian::{Covariance, Gmm};
-use navicim_gmm::hmg::{fit_hmgm, HmgKernel, HmgmFitConfig, HmgmModel};
+use navicim_gmm::hmg::{fit_hmgm, HmgmFitConfig, HmgmModel};
 use navicim_gmm::prune::{PruneConfig, PRUNE_EPSILON};
 use navicim_math::rng::{Pcg32, SampleExt};
 use navicim_math::simd::ulp_distance;
@@ -186,22 +186,6 @@ fn prune_spread_gmm(k: usize) -> Gmm {
         .collect();
     let vars = vec![vec![0.2, 0.3, 0.25]; k];
     Gmm::new(vec![1.0 / k as f64; k], means, Covariance::Diagonal(vars)).unwrap()
-}
-
-/// Scattered 3-d HMGM over the same ±10 box.
-fn prune_spread_hmgm(k: usize) -> HmgmModel {
-    let mut rng = Pcg32::seed_from_u64(22);
-    let kernels: Vec<HmgKernel> = (0..k)
-        .map(|_| {
-            HmgKernel::new(
-                (0..3).map(|_| rng.sample_uniform(-10.0, 10.0)).collect(),
-                vec![0.4, 0.5, 0.45],
-                1.0,
-            )
-            .unwrap()
-        })
-        .collect();
-    HmgmModel::new(vec![1.0; k], kernels).unwrap()
 }
 
 /// Query batch clustered near one component — the localized scan the
@@ -543,9 +527,10 @@ fn main() {
 
     // ---- spatial component pruning ----
     // Scattered components, clustered queries: the shape the prune index
-    // is built for. The digital rows are parity-gated at the documented
-    // additive PRUNE_EPSILON and off-mode must stay bit-identical. The
-    // CIM engine has no pruned mode: its array drives every column.
+    // is built for. Pruning reaches the digital GMM only; its rows are
+    // parity-gated at the documented additive PRUNE_EPSILON and off-mode
+    // must stay bit-identical. The HMGM and CIM kernels always score
+    // every component.
     let mut prune_rows: Vec<Row> = Vec::new();
     let mut prune_digital_max_abs = 0.0f64;
     let mut prune_off_exact = true;
@@ -553,16 +538,13 @@ fn main() {
         let gmm_full = prune_spread_gmm(k);
         let mut gmm_pruned = gmm_full.clone();
         gmm_pruned.set_prune(PruneConfig::enabled());
-        let hmgm_full = prune_spread_hmgm(k);
-        let mut hmgm_pruned = hmgm_full.clone();
-        hmgm_pruned.set_prune(PruneConfig::enabled());
 
         for &n in batch_sizes {
             let batch = clustered_queries(&gmm_full.means()[0], n, 31);
             let mut out = vec![0.0; n];
             let mut out_full = vec![0.0; n];
 
-            // Digital parity: epsilon bound on, bit-identity off.
+            // Parity: epsilon bound on, bit-identity off.
             let mut gf = gmm_full.clone();
             gmm_pruned.log_likelihood_into(&batch, &mut out);
             gf.log_likelihood_into(&batch, &mut out_full);
@@ -577,83 +559,35 @@ fn main() {
                 .iter()
                 .zip(&out_full)
                 .all(|(a, b)| a.to_bits() == b.to_bits());
-            let mut hf = hmgm_full.clone();
-            hmgm_pruned.log_likelihood_into(&batch, &mut out);
-            hf.log_likelihood_into(&batch, &mut out_full);
-            for (a, b) in out.iter().zip(&out_full) {
-                prune_digital_max_abs = prune_digital_max_abs.max((a - b).abs());
-            }
-            let mut h_off = hmgm_full.clone();
-            h_off.set_prune(PruneConfig::enabled());
-            h_off.set_prune(PruneConfig::default());
-            h_off.log_likelihood_into(&batch, &mut out);
-            prune_off_exact &= out
-                .iter()
-                .zip(&out_full)
-                .all(|(a, b)| a.to_bits() == b.to_bits());
 
             // Timings: pruned row first, full row second (pairwise).
-            for (kernel, pruned_ns, full_ns) in [
-                (
-                    "gmm_plan",
-                    {
-                        let iters = calibrate_iters(target_ns, || {
-                            gmm_pruned.log_likelihood_into(&batch, &mut out);
-                        });
-                        time_ns(reps, iters, || {
-                            gmm_pruned.log_likelihood_into(&batch, &mut out);
-                            std::hint::black_box(out[0]);
-                        }) / n as f64
-                    },
-                    {
-                        let mut full = gmm_full.clone();
-                        let iters = calibrate_iters(target_ns, || {
-                            full.log_likelihood_into(&batch, &mut out);
-                        });
-                        time_ns(reps, iters, || {
-                            full.log_likelihood_into(&batch, &mut out);
-                            std::hint::black_box(out[0]);
-                        }) / n as f64
-                    },
-                ),
-                (
-                    "hmgm",
-                    {
-                        let iters = calibrate_iters(target_ns, || {
-                            hmgm_pruned.log_likelihood_into(&batch, &mut out);
-                        });
-                        time_ns(reps, iters, || {
-                            hmgm_pruned.log_likelihood_into(&batch, &mut out);
-                            std::hint::black_box(out[0]);
-                        }) / n as f64
-                    },
-                    {
-                        let mut full = hmgm_full.clone();
-                        let iters = calibrate_iters(target_ns, || {
-                            full.log_likelihood_into(&batch, &mut out);
-                        });
-                        time_ns(reps, iters, || {
-                            full.log_likelihood_into(&batch, &mut out);
-                            std::hint::black_box(out[0]);
-                        }) / n as f64
-                    },
-                ),
-            ] {
-                prune_rows.push(Row {
-                    kernel,
-                    variant: "pruned",
-                    k,
-                    n,
-                    workers: auto_workers(n),
-                    ns_per_point: pruned_ns,
+            let pruned_ns = {
+                let iters = calibrate_iters(target_ns, || {
+                    gmm_pruned.log_likelihood_into(&batch, &mut out);
                 });
+                time_ns(reps, iters, || {
+                    gmm_pruned.log_likelihood_into(&batch, &mut out);
+                    std::hint::black_box(out[0]);
+                }) / n as f64
+            };
+            let full_ns = {
+                let mut full = gmm_full.clone();
+                let iters = calibrate_iters(target_ns, || {
+                    full.log_likelihood_into(&batch, &mut out);
+                });
+                time_ns(reps, iters, || {
+                    full.log_likelihood_into(&batch, &mut out);
+                    std::hint::black_box(out[0]);
+                }) / n as f64
+            };
+            for (variant, ns_per_point) in [("pruned", pruned_ns), ("full", full_ns)] {
                 prune_rows.push(Row {
-                    kernel,
-                    variant: "full",
+                    kernel: "gmm_plan",
+                    variant,
                     k,
                     n,
                     workers: auto_workers(n),
-                    ns_per_point: full_ns,
+                    ns_per_point,
                 });
             }
         }

@@ -71,11 +71,11 @@ pub struct LocalizerConfig {
     pub cim: CimEngineConfig,
     /// Mixture-fit settings (GMM warm start for both backends).
     pub fit: FitConfig,
-    /// Spatial component-pruning knob, compiled into the digital GMM and
-    /// HMGM backends' fitted maps (see `navicim_gmm::prune`). The analog
-    /// CIM backend ignores it: its array drives every column. Off by
-    /// default; off-mode evaluation is bit-identical to previous
-    /// releases.
+    /// Spatial component-pruning knob, compiled into the digital GMM
+    /// backend's fitted map only (see `navicim_gmm::prune`). The digital
+    /// HMGM and analog CIM backends ignore it: both score every
+    /// component. Off by default; off-mode evaluation is bit-identical to
+    /// previous releases.
     pub prune: PruneConfig,
     /// Backend-arbitration section: which backend slots the streaming
     /// pipeline instantiates and which [`crate::pipeline::GatePolicy`]

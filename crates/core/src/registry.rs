@@ -184,10 +184,10 @@ pub struct MapFitContext<'a> {
     /// particle clouds.
     pub cim: &'a CimEngineConfig,
     /// Spatial component-pruning knob, compiled into the fitted map by
-    /// the digital GMM and HMGM factories, which gate at the documented
-    /// `PRUNE_EPSILON`. The CIM factory ignores it: the array drives
-    /// every column. Disabled by default — off-mode is bit-identical by
-    /// construction.
+    /// the digital GMM factory only, which gates at the documented
+    /// `PRUNE_EPSILON`. The HMGM and CIM factories ignore it: both score
+    /// every component. Disabled by default — off-mode is bit-identical
+    /// by construction.
     pub prune: PruneConfig,
     /// Seed for map fitting (salted internally so factory fit draws never
     /// collide with the localizer's particle-init stream).
@@ -300,8 +300,7 @@ fn build_digital_hmgm(ctx: &MapFitContext<'_>) -> Result<Box<dyn MapBackend>> {
         gmm: *ctx.fit,
         ..HmgmFitConfig::default()
     };
-    let mut model = fit_hmgm(ctx.points, ctx.components, &config, &mut rng)?;
-    model.set_prune(ctx.prune);
+    let model = fit_hmgm(ctx.points, ctx.components, &config, &mut rng)?;
     let components = model.num_components();
     Ok(Box::new(NamedBackend::new(DIGITAL_HMGM, components, model)))
 }

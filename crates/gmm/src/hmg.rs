@@ -12,7 +12,6 @@
 //! diagonal GMM ([`fit_hmgm`]).
 
 use crate::fit::{fit_diag_gmm, FitConfig};
-use crate::prune::{PruneConfig, PruneIndex, PruneScratch, PRUNE_TILE};
 use crate::{check_dims, GmmError, Result};
 use navicim_backend::{check_batch_shape, par, LikelihoodBackend, PointBatch};
 use navicim_math::rng::Rng64;
@@ -134,30 +133,16 @@ impl HmgKernel {
 pub struct HmgmModel {
     weights: Vec<f64>,
     kernels: Vec<HmgKernel>,
-    /// Spatial culling index for the batch paths; `None` (the default)
-    /// keeps every evaluation path untouched. See [`crate::prune`].
-    prune: Option<PruneIndex>,
-    /// Reused lane/pruning scratch for the single-chunk batch path, so a
+    /// Reused transposed-axis lanes for the single-chunk batch path, so a
     /// warmed model evaluates frames without touching the heap.
-    scratch: HmgScratch,
-}
-
-/// Reused per-evaluation buffers of the HMGM batch kernel: transposed
-/// axis lanes plus the pruning tile scratch. Held by the model so the
-/// single-chunk path is allocation-free once warmed; the threaded path
-/// gives each chunk closure its own.
-#[derive(Debug, Clone, Default)]
-struct HmgScratch {
     xs4: Vec<F64x4>,
-    prune: PruneScratch,
 }
 
-/// Equality is over the model parameters (and the pruning index derived
-/// from them): `scratch` is evaluation state and cannot distinguish
-/// models.
+/// Equality is over the model parameters: `xs4` is evaluation state and
+/// cannot distinguish models.
 impl PartialEq for HmgmModel {
     fn eq(&self, other: &Self) -> bool {
-        self.weights == other.weights && self.kernels == other.kernels && self.prune == other.prune
+        self.weights == other.weights && self.kernels == other.kernels
     }
 }
 
@@ -186,23 +171,8 @@ impl HmgmModel {
         Ok(Self {
             weights,
             kernels,
-            prune: None,
-            scratch: HmgScratch::default(),
+            xs4: Vec::new(),
         })
-    }
-
-    /// Enables (or, with a disabled config, clears) spatial component
-    /// pruning for the batch paths. With pruning active, batch results
-    /// carry the documented additive [`crate::prune::PRUNE_EPSILON`]
-    /// tolerance; disabled (the default) they are bit-identical to a
-    /// model that never saw this call.
-    pub fn set_prune(&mut self, config: PruneConfig) {
-        self.prune = PruneIndex::for_hmgm(self, config);
-    }
-
-    /// The active pruning index, if any.
-    pub fn prune_index(&self) -> Option<&PruneIndex> {
-        self.prune.as_ref()
     }
 
     /// Number of mixture components.
@@ -292,63 +262,6 @@ impl HmgmModel {
         out
     }
 
-    /// [`Self::log_likelihood`] restricted to the candidate kernels of a
-    /// pruned tile (ascending ids): the identical per-kernel math and
-    /// fused accumulation over fewer terms. The dropped terms are bounded
-    /// below the survivors by the prune margin, so the result differs
-    /// from the full evaluation by at most
-    /// [`crate::prune::PRUNE_EPSILON`] nats.
-    pub fn log_likelihood_subset(&self, x: &[f64], cands: &[u32]) -> f64 {
-        let mut total = 0.0;
-        for &j in cands {
-            let j = j as usize;
-            total = self.weights[j].mul_add(self.kernels[j].eval(x), total);
-        }
-        total.max(1e-300).ln()
-    }
-
-    /// [`Self::log_likelihood4`] restricted to candidate kernels — the
-    /// lane path of [`Self::log_likelihood_subset`], bit-identical to it
-    /// per point.
-    fn log_likelihood4_subset(
-        &self,
-        flat: &[f64],
-        cands: &[u32],
-        xs4: &mut Vec<F64x4>,
-    ) -> [f64; LANES] {
-        let dim = self.dim();
-        debug_assert_eq!(flat.len(), LANES * dim);
-        xs4.clear();
-        for i in 0..dim {
-            xs4.push(F64x4::new([
-                flat[i],
-                flat[dim + i],
-                flat[2 * dim + i],
-                flat[3 * dim + i],
-            ]));
-        }
-        let mut total = F64x4::splat(0.0);
-        for &j in cands {
-            let j = j as usize;
-            let (w, k) = (&self.weights[j], &self.kernels[j]);
-            let peak = F64x4::splat(k.amplitude * dim as f64);
-            let mut inv_sum = F64x4::splat(0.0);
-            for i in 0..dim {
-                let z = (xs4[i] - F64x4::splat(k.means[i])) / F64x4::splat(k.sigmas[i]);
-                let g = (F64x4::splat(-0.5) * z * z).exp().max(F64x4::splat(1e-300));
-                inv_sum = inv_sum + F64x4::splat(1.0) / g;
-            }
-            total = F64x4::splat(*w).mul_add(peak / inv_sum, total);
-        }
-        let mut out = [0.0; LANES];
-        for (lane, o) in out.iter_mut().enumerate() {
-            *o = total.lane(lane).max(1e-300).ln();
-        }
-        out
-    }
-}
-
-impl HmgmModel {
     /// Batch log-likelihood under an explicit [`par::ChunkPolicy`].
     ///
     /// Identical bits to [`LikelihoodBackend::log_likelihood_into`] for
@@ -367,100 +280,41 @@ impl HmgmModel {
         policy: par::ChunkPolicy,
     ) {
         check_batch_shape(HmgmModel::dim(self), batch, out);
-        let n = batch.len();
-        if policy.is_single_chunk(n) {
+        if policy.is_single_chunk(batch.len()) {
             // Sequential production path: evaluate the whole batch inline
-            // through the struct-held scratch — allocation-free once the
-            // buffers have grown to the model dimension.
-            let mut scratch = std::mem::take(&mut self.scratch);
-            match self.prune.as_ref() {
-                Some(index) => self.eval_range_pruned(index, batch, n, 0, out, &mut scratch),
-                None => self.eval_range(batch, 0, out, &mut scratch),
-            }
-            self.scratch = scratch;
+            // through the struct-held lanes — allocation-free once they
+            // have grown to the model dimension.
+            let mut xs4 = std::mem::take(&mut self.xs4);
+            self.eval_range(batch, 0, out, &mut xs4);
+            self.xs4 = xs4;
             return;
         }
         let model = &*self;
-        if let Some(index) = self.prune.as_ref() {
-            par::for_each_chunk_policy(policy, out, |start, chunk| {
-                // Threaded chunk: worker-local scratch (allocates by
-                // design — thread spawning already does). Bit-identical
-                // to the inline path: scratch capacity is unobservable.
-                // lint: allow(hot-path-alloc) threaded chunk closures own their scratch
-                let mut scratch = HmgScratch::default();
-                model.eval_range_pruned(index, batch, n, start, chunk, &mut scratch);
-            });
-            return;
-        }
         par::for_each_chunk_policy(policy, out, |start, chunk| {
+            // Threaded chunk: worker-local lanes (allocates by design —
+            // thread spawning already does). Bit-identical to the inline
+            // path: scratch capacity is unobservable.
             // lint: allow(hot-path-alloc) threaded chunk closures own their scratch
-            let mut scratch = HmgScratch::default();
-            model.eval_range(batch, start, chunk, &mut scratch);
+            let mut xs4 = Vec::new();
+            model.eval_range(batch, start, chunk, &mut xs4);
         });
     }
 
-    /// Pruned evaluation of `chunk` (the output slice anchored at batch
-    /// index `start`): fixed tiles anchored at absolute batch indices
-    /// share one candidate query, so the pruning decision — and therefore
-    /// the output bits — cannot depend on chunk boundaries or thread
-    /// assignment.
-    fn eval_range_pruned(
+    /// Evaluation of `chunk` (anchored at batch index `start`): 4-wide
+    /// body plus scalar remainder tail; lane math is per-point identical
+    /// to [`Self::log_likelihood`], so any chunk boundary or grouping
+    /// yields the same bits.
+    fn eval_range(
         &self,
-        index: &PruneIndex,
         batch: &PointBatch,
-        n: usize,
         start: usize,
         chunk: &mut [f64],
-        s: &mut HmgScratch,
+        xs4: &mut Vec<F64x4>,
     ) {
-        let end = start + chunk.len();
-        let mut pos = start;
-        while pos < end {
-            let tile_lo = (pos / PRUNE_TILE) * PRUNE_TILE;
-            let tile_hi = (tile_lo + PRUNE_TILE).min(n);
-            let piece_end = end.min(tile_hi);
-            let tile = batch.flat_range(tile_lo, tile_hi);
-            let cands = index.candidates_for_points(tile, &mut s.prune);
-            let mut offset = pos;
-            match cands {
-                Some(cands) => {
-                    while offset + LANES <= piece_end {
-                        let flat = batch.flat_range(offset, offset + LANES);
-                        chunk[offset - start..offset - start + LANES]
-                            .copy_from_slice(&self.log_likelihood4_subset(flat, cands, &mut s.xs4));
-                        offset += LANES;
-                    }
-                    for i in offset..piece_end {
-                        chunk[i - start] = self.log_likelihood_subset(batch.point(i), cands);
-                    }
-                }
-                // Non-finite tile: full evaluation, bit-identical
-                // to the unpruned path for these points.
-                None => {
-                    while offset + LANES <= piece_end {
-                        let flat = batch.flat_range(offset, offset + LANES);
-                        chunk[offset - start..offset - start + LANES]
-                            .copy_from_slice(&self.log_likelihood4(flat, &mut s.xs4));
-                        offset += LANES;
-                    }
-                    for i in offset..piece_end {
-                        chunk[i - start] = self.log_likelihood(batch.point(i));
-                    }
-                }
-            }
-            pos = piece_end;
-        }
-    }
-
-    /// Unpruned evaluation of `chunk` (anchored at batch index `start`):
-    /// 4-wide body plus scalar remainder tail; lane math is per-point
-    /// identical to [`Self::log_likelihood`], so any chunk boundary or
-    /// grouping yields the same bits.
-    fn eval_range(&self, batch: &PointBatch, start: usize, chunk: &mut [f64], s: &mut HmgScratch) {
         let mut offset = 0;
         while offset + LANES <= chunk.len() {
             let flat = batch.flat_range(start + offset, start + offset + LANES);
-            chunk[offset..offset + LANES].copy_from_slice(&self.log_likelihood4(flat, &mut s.xs4));
+            chunk[offset..offset + LANES].copy_from_slice(&self.log_likelihood4(flat, xs4));
             offset += LANES;
         }
         for (i, o) in chunk.iter_mut().enumerate().skip(offset) {

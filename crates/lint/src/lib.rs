@@ -17,7 +17,7 @@
 //! | `unsafe-safety` | every `unsafe` use preceded by a `// SAFETY:` comment |
 //! | `hot-path-panic` | no `unwrap`/`panic!` in hot-path modules; `expect`/`unreachable!` only in files allowlisted with a reason |
 //! | `reduction-order` | float reductions in kernel files need a `// lint: reduction-order` ack |
-//! | `hot-path-alloc` | no allocating calls inside registered hot-path functions |
+//! | `hot-path-alloc` | no allocating calls inside registered hot-path functions; every registered function exists |
 //! | `noise-stream-seq` | batch paths draw noise by absolute `.at(i)`, never sequentially |
 //!
 //! Any finding can be suppressed in place with
@@ -148,7 +148,6 @@ const HOT_PATH_FNS: &[(&str, &str)] = &[
     ("crates/gmm/src/gaussian.rs", "eval_tiles"),
     ("crates/gmm/src/hmg.rs", "log_likelihood_into_policy"),
     ("crates/gmm/src/hmg.rs", "eval_range"),
-    ("crates/gmm/src/hmg.rs", "eval_range_pruned"),
     ("crates/analog/src/engine.rs", "log_likelihood_into_chunked"),
     ("crates/analog/src/engine.rs", "eval_stream"),
 ];
@@ -728,7 +727,7 @@ pub fn lint_tree(root: &Path) -> std::io::Result<Vec<Finding>> {
         .filter(|p| p.is_dir())
         .collect();
     crate_dirs.sort();
-    let mut findings = Vec::new();
+    let mut sources = Vec::new();
     for crate_dir in crate_dirs {
         if crate_dir.file_name().is_some_and(|n| n == "lint") {
             continue;
@@ -745,9 +744,43 @@ pub fn lint_tree(root: &Path) -> std::io::Result<Vec<Finding>> {
                 .unwrap_or(&file)
                 .to_string_lossy()
                 .replace('\\', "/");
-            let source = std::fs::read_to_string(&file)?;
-            findings.extend(lint_source(&rel, &source));
+            sources.push((rel, std::fs::read_to_string(&file)?));
         }
     }
-    Ok(findings)
+    Ok(lint_sources(
+        sources
+            .iter()
+            .map(|(rel, src)| (rel.as_str(), src.as_str())),
+    ))
+}
+
+/// Lints a set of `(workspace-relative path, source)` files: every
+/// per-file rule, plus a `hot-path-alloc` finding for each
+/// registered hot-path function entry whose file is missing from the set or defines
+/// no `fn` of that name. Such a stale entry would otherwise guard
+/// nothing, silently, after a function is renamed or deleted.
+pub fn lint_sources<'a>(files: impl IntoIterator<Item = (&'a str, &'a str)>) -> Vec<Finding> {
+    let mut findings = Vec::new();
+    let mut registered = vec![false; HOT_PATH_FNS.len()];
+    for (path, source) in files {
+        findings.extend(lint_source(path, source));
+        let code = strip_cfg_test(&mask(source).code);
+        for (seen, (file, name)) in registered.iter_mut().zip(HOT_PATH_FNS) {
+            *seen |= *file == path && !fn_bodies(&code, name).is_empty();
+        }
+    }
+    for (seen, (file, name)) in registered.iter().zip(HOT_PATH_FNS) {
+        if !seen {
+            findings.push(Finding {
+                file: file.to_string(),
+                line: 1,
+                rule: "hot-path-alloc",
+                message: format!(
+                    "stale HOT_PATH_FNS entry: `{file}` defines no `fn {name}`; \
+                     update or remove the entry"
+                ),
+            });
+        }
+    }
+    findings
 }

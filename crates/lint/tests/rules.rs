@@ -2,7 +2,7 @@
 //! and stay silent on the clean one, with the fixture linted under a
 //! path that puts it in the rule's scope.
 
-use navicim_lint::lint_source;
+use navicim_lint::{lint_source, lint_sources};
 
 fn rules_at(path: &str, source: &str) -> Vec<&'static str> {
     let mut rules: Vec<&'static str> = lint_source(path, source)
@@ -84,6 +84,30 @@ fn hot_path_alloc_fixture_pair() {
     let clean = include_str!("fixtures/hot_path_alloc_clean.rs");
     assert!(rules_at("crates/analog/src/engine.rs", bad).contains(&"hot-path-alloc"));
     assert!(rules_at("crates/analog/src/engine.rs", clean).is_empty());
+}
+
+#[test]
+fn stale_hot_path_entry_is_reported() {
+    // hmg.rs registers `log_likelihood_into_policy` and `eval_range`;
+    // this version defines only the first (the second only under
+    // `cfg(test)`, which does not count).
+    let hmg = "pub fn log_likelihood_into_policy() {}\n\
+               #[cfg(test)]\n\
+               mod tests { fn eval_range() {} }\n";
+    let findings = lint_sources([("crates/gmm/src/hmg.rs", hmg)]);
+    let stale: Vec<&str> = findings
+        .iter()
+        .filter(|f| f.rule == "hot-path-alloc" && f.file == "crates/gmm/src/hmg.rs")
+        .map(|f| f.message.as_str())
+        .collect();
+    assert_eq!(stale.len(), 1, "{stale:?}");
+    assert!(stale[0].contains("fn eval_range`"), "{stale:?}");
+    // A registered file absent from the tree reports each of its entries.
+    let engine = findings
+        .iter()
+        .filter(|f| f.file == "crates/analog/src/engine.rs")
+        .count();
+    assert_eq!(engine, 2);
 }
 
 #[test]

@@ -1,15 +1,10 @@
 //! MC-Dropout inference: predictive mean and variance from repeated
 //! stochastic forward passes (Gal & Ghahramani 2016; paper Section III-C).
 
-use crate::mlp::{ForwardScratch, Mlp};
-use crate::{Mode, NnError, Result};
-use navicim_backend::PointBatch;
-use navicim_math::rng::Rng64;
-
 /// The outcome of an MC-Dropout prediction.
 ///
-/// Construct an empty one with [`Default`] and reuse it across
-/// [`crate::mc`]-style `predict_into` calls: the mean/variance/sample
+/// Construct an empty one with [`Default`] and reuse it across pooled
+/// `predict_into` calls (the VO stage's): the mean/variance/sample
 /// buffers are rewritten in place, so a frame loop allocates nothing
 /// after warmup — even when the per-call iteration count *varies*
 /// (compute-adaptive inference): [`McPrediction::resize_samples`]
@@ -115,137 +110,8 @@ impl McPrediction {
     }
 }
 
-/// MC-Dropout inference engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct McDropout {
-    iterations: usize,
-}
-
-impl McDropout {
-    /// Creates an engine drawing the given number of stochastic samples
-    /// (the paper uses 30).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::InvalidArgument`] for fewer than 2 iterations.
-    pub fn new(iterations: usize) -> Result<Self> {
-        if iterations < 2 {
-            return Err(NnError::InvalidArgument(
-                "mc-dropout requires at least 2 iterations".into(),
-            ));
-        }
-        Ok(Self { iterations })
-    }
-
-    /// Number of samples per prediction.
-    pub fn iterations(&self) -> usize {
-        self.iterations
-    }
-
-    /// Runs the Monte-Carlo prediction for one input.
-    ///
-    /// Scalar adapter over [`McDropout::predict_batch`] (a batch of one),
-    /// so scalar and batched prediction consume the identical dropout-RNG
-    /// stream and arithmetic.
-    pub fn predict<R: Rng64>(&self, net: &mut Mlp, input: &[f64], rng: &mut R) -> McPrediction {
-        let mut batch = PointBatch::new(input.len());
-        batch.push(input);
-        self.predict_batch(net, &batch, rng)
-            .pop()
-            .expect("batch of one yields one prediction")
-    }
-
-    /// Runs Monte-Carlo predictions for a whole batch of inputs.
-    ///
-    /// All `iterations × batch` stochastic passes share one set of
-    /// ping-pong activation buffers ([`Mlp::forward_into`]), so the heap
-    /// traffic of the scalar path (one vector per layer per pass) is paid
-    /// once per batch. Inputs are processed in order and, per input,
-    /// iterations in order — the dropout masks drawn from `rng` are
-    /// bit-identical to sequential [`McDropout::predict`] calls.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch dimension differs from the network input
-    /// dimension.
-    pub fn predict_batch<R: Rng64>(
-        &self,
-        net: &Mlp,
-        inputs: &PointBatch,
-        rng: &mut R,
-    ) -> Vec<McPrediction> {
-        assert_eq!(
-            inputs.dim(),
-            net.in_dim(),
-            "batch dimension must match network input dimension"
-        );
-        let mut scratch = ForwardScratch::default();
-        let mut sample = Vec::with_capacity(net.out_dim());
-        let mut predictions = Vec::with_capacity(inputs.len());
-        for input in inputs.iter() {
-            let mut samples = Vec::with_capacity(self.iterations);
-            for _ in 0..self.iterations {
-                net.forward_into(input, Mode::McSample, rng, &mut scratch, &mut sample);
-                samples.push(sample.clone());
-            }
-            predictions.push(mc_moments(samples));
-        }
-        predictions
-    }
-
-    /// Pooled scalar prediction at the engine's fixed depth: the scratch
-    /// and the [`McPrediction`] buffers are caller-owned and reused, so a
-    /// steady-state frame loop allocates nothing. Bit-identical (values
-    /// and RNG stream) to [`McDropout::predict`].
-    pub fn predict_into<R: Rng64>(
-        &self,
-        net: &Mlp,
-        input: &[f64],
-        rng: &mut R,
-        scratch: &mut ForwardScratch,
-        pred: &mut McPrediction,
-    ) {
-        self.predict_n_into(net, input, self.iterations, rng, scratch, pred);
-    }
-
-    /// Variable-depth pooled prediction: `iterations` overrides the
-    /// engine's fixed count for this call — the compute-adaptive knob
-    /// (paper Section III) that lets a frame loop spend fewer stochastic
-    /// passes when the previous frame's predictive variance was low.
-    /// Sample buffers come from the prediction's pool
-    /// ([`McPrediction::resize_samples`]), so varying the depth per call
-    /// causes no steady-state reallocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics for fewer than 2 iterations or an input dimension mismatch.
-    pub fn predict_n_into<R: Rng64>(
-        &self,
-        net: &Mlp,
-        input: &[f64],
-        iterations: usize,
-        rng: &mut R,
-        scratch: &mut ForwardScratch,
-        pred: &mut McPrediction,
-    ) {
-        assert!(iterations >= 2, "mc-dropout requires at least 2 iterations");
-        assert_eq!(
-            input.len(),
-            net.in_dim(),
-            "input dimension must match network input dimension"
-        );
-        pred.resize_samples(iterations);
-        // Full-precision networks have no quantization to shadow.
-        pred.resize_logit_samples(0);
-        for sample in pred.samples.iter_mut() {
-            net.forward_into(input, Mode::McSample, rng, scratch, sample);
-        }
-        mc_moments_in_place(pred);
-    }
-}
-
-/// Predictive mean/variance from raw MC samples (shared by the scalar and
-/// batched paths and by the VO pipeline).
+/// Predictive mean/variance from raw MC samples (the owned counterpart
+/// of [`mc_moments_in_place`]).
 pub fn mc_moments(samples: Vec<Vec<f64>>) -> McPrediction {
     let mut pred = McPrediction {
         samples,
@@ -305,86 +171,6 @@ fn moments(samples: &[Vec<f64>], mean: &mut Vec<f64>, variance: &mut Vec<f64>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use navicim_math::rng::Pcg32;
-
-    fn dropout_net(seed: u64) -> Mlp {
-        let mut rng = Pcg32::seed_from_u64(seed);
-        Mlp::builder(2)
-            .dense(16)
-            .relu()
-            .dropout(0.5)
-            .dense(8)
-            .relu()
-            .dropout(0.5)
-            .dense(1)
-            .build(&mut rng)
-            .unwrap()
-    }
-
-    #[test]
-    fn validation() {
-        assert!(McDropout::new(1).is_err());
-        assert!(McDropout::new(2).is_ok());
-    }
-
-    #[test]
-    fn prediction_shapes() {
-        let mut net = dropout_net(1);
-        let mc = McDropout::new(20).unwrap();
-        let mut rng = Pcg32::seed_from_u64(2);
-        let pred = mc.predict(&mut net, &[0.5, -0.5], &mut rng);
-        assert_eq!(pred.mean.len(), 1);
-        assert_eq!(pred.variance.len(), 1);
-        assert_eq!(pred.samples.len(), 20);
-        assert!(pred.variance[0] >= 0.0);
-        assert_eq!(pred.std_devs().len(), 1);
-    }
-
-    #[test]
-    fn dropout_produces_nonzero_variance() {
-        let mut net = dropout_net(3);
-        let mc = McDropout::new(30).unwrap();
-        let mut rng = Pcg32::seed_from_u64(4);
-        let pred = mc.predict(&mut net, &[1.0, 1.0], &mut rng);
-        assert!(pred.total_variance() > 0.0);
-    }
-
-    #[test]
-    fn no_dropout_means_zero_variance() {
-        let mut rng = Pcg32::seed_from_u64(5);
-        let mut net = Mlp::builder(2)
-            .dense(4)
-            .tanh()
-            .dense(1)
-            .build(&mut rng)
-            .unwrap();
-        let mc = McDropout::new(10).unwrap();
-        let pred = mc.predict(&mut net, &[0.3, 0.7], &mut rng);
-        assert_eq!(pred.total_variance(), 0.0);
-    }
-
-    #[test]
-    fn batch_matches_sequential_scalar_bit_for_bit() {
-        let mut net = dropout_net(11);
-        let mc = McDropout::new(12).unwrap();
-        let inputs: Vec<Vec<f64>> = vec![
-            vec![0.5, -0.5],
-            vec![1.0, 1.0],
-            vec![-0.3, 0.7],
-            vec![0.0, 0.0],
-        ];
-        let mut rng_scalar = Pcg32::seed_from_u64(21);
-        let scalar: Vec<McPrediction> = inputs
-            .iter()
-            .map(|x| mc.predict(&mut net, x, &mut rng_scalar))
-            .collect();
-        let mut rng_batch = Pcg32::seed_from_u64(21);
-        let batch = navicim_backend::PointBatch::from_rows(2, &inputs);
-        let batched = mc.predict_batch(&net, &batch, &mut rng_batch);
-        assert_eq!(scalar, batched);
-        // The RNG streams advanced identically, too.
-        assert_eq!(rng_scalar, rng_batch);
-    }
 
     #[test]
     fn in_place_moments_match_owned_and_reuse_buffers() {
@@ -401,70 +187,6 @@ mod tests {
         mc_moments_in_place(&mut pooled);
         assert_eq!(pooled, owned);
         assert_eq!(pooled.mean, vec![3.0, 4.0]);
-    }
-
-    #[test]
-    fn pooled_predict_into_matches_owned() {
-        let net = dropout_net(21);
-        let mc = McDropout::new(9).unwrap();
-        let mut rng_owned = Pcg32::seed_from_u64(31);
-        let mut rng_pooled = Pcg32::seed_from_u64(31);
-        let mut scratch = ForwardScratch::default();
-        let mut pooled = McPrediction::default();
-        for x in [[0.1, -0.2], [0.9, 0.4], [-1.0, 0.0]] {
-            let mut net_owned = net.clone();
-            let owned = mc.predict(&mut net_owned, &x, &mut rng_owned);
-            mc.predict_into(&net, &x, &mut rng_pooled, &mut scratch, &mut pooled);
-            assert_eq!(owned, pooled);
-        }
-        assert_eq!(rng_owned, rng_pooled);
-    }
-
-    #[test]
-    fn variable_depth_reuses_pooled_buffers() {
-        let net = dropout_net(22);
-        let mc = McDropout::new(30).unwrap();
-        let mut rng = Pcg32::seed_from_u64(5);
-        let mut scratch = ForwardScratch::default();
-        let mut pred = McPrediction::default();
-        // Grow to 16, shrink to 4, grow back to 10: each call's result
-        // must match a fresh prediction at that depth with the same RNG
-        // stream position.
-        for &iters in &[16usize, 4, 10] {
-            let mut rng_fresh = rng;
-            mc.predict_n_into(&net, &[0.5, -0.5], iters, &mut rng, &mut scratch, &mut pred);
-            assert_eq!(pred.samples.len(), iters);
-            let mut fresh = McPrediction::default();
-            let mut fresh_scratch = ForwardScratch::default();
-            mc.predict_n_into(
-                &net,
-                &[0.5, -0.5],
-                iters,
-                &mut rng_fresh,
-                &mut fresh_scratch,
-                &mut fresh,
-            );
-            assert_eq!(pred, fresh);
-            assert_eq!(rng, rng_fresh);
-        }
-        // Shrinking retired buffers instead of freeing them: growing back
-        // to the high-water mark needs no new allocation. Observable via
-        // resize_samples round-tripping the same buffers.
-        pred.resize_samples(2);
-        pred.resize_samples(16);
-        assert_eq!(pred.samples.len(), 16);
-        assert!(pred.samples.iter().all(|s| s.capacity() > 0));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 2 iterations")]
-    fn variable_depth_rejects_single_iteration() {
-        let net = dropout_net(23);
-        let mc = McDropout::new(2).unwrap();
-        let mut rng = Pcg32::seed_from_u64(1);
-        let mut scratch = ForwardScratch::default();
-        let mut pred = McPrediction::default();
-        mc.predict_n_into(&net, &[0.0, 0.0], 1, &mut rng, &mut scratch, &mut pred);
     }
 
     #[test]
@@ -499,25 +221,5 @@ mod tests {
         mc_moments_in_place(&mut pred);
         assert_eq!(pred.total_logit_variance(), None);
         assert!(pred.logit_mean.is_empty());
-    }
-
-    #[test]
-    fn mean_converges_with_more_samples() {
-        // The spread of the MC mean estimate shrinks as iterations grow.
-        let mut net = dropout_net(6);
-        let mut rng = Pcg32::seed_from_u64(7);
-        let estimate_spread = |iters: usize, net: &mut Mlp, rng: &mut Pcg32| {
-            let mc = McDropout::new(iters).unwrap();
-            let means: Vec<f64> = (0..20)
-                .map(|_| mc.predict(net, &[0.5, 0.5], rng).mean[0])
-                .collect();
-            navicim_math::stats::std_dev(&means)
-        };
-        let spread_small = estimate_spread(5, &mut net, &mut rng);
-        let spread_large = estimate_spread(100, &mut net, &mut rng);
-        assert!(
-            spread_large < spread_small * 0.6,
-            "{spread_small} -> {spread_large}"
-        );
     }
 }

@@ -421,46 +421,6 @@ proptest! {
         }
     }
 
-    /// MC-Dropout batched prediction is bit-identical to sequential
-    /// scalar predictions, including the dropout-RNG stream.
-    #[test]
-    fn mc_dropout_batch_equals_scalar(
-        seed in 0u64..200,
-        iters in 2usize..12,
-        n in 1usize..8,
-    ) {
-        use navicim::math::rng::SampleExt;
-        use navicim::nn::mc::McDropout;
-        use navicim::nn::mlp::Mlp;
-        let mut init_rng = Pcg32::seed_from_u64(seed);
-        let mut net = Mlp::builder(3)
-            .dense(8)
-            .relu()
-            .dropout(0.5)
-            .dense(2)
-            .build(&mut init_rng)
-            .expect("net builds");
-        let mc = McDropout::new(iters).expect("valid iterations");
-        let mut batch = PointBatch::new(3);
-        let mut qrng = Pcg32::seed_from_u64(seed ^ 0xbeef);
-        for _ in 0..n {
-            batch.push(&[
-                qrng.sample_uniform(-1.0, 1.0),
-                qrng.sample_uniform(-1.0, 1.0),
-                qrng.sample_uniform(-1.0, 1.0),
-            ]);
-        }
-        let mut rng_scalar = Pcg32::seed_from_u64(seed ^ 0xf00d);
-        let scalar: Vec<_> = batch
-            .iter()
-            .map(|x| mc.predict(&mut net, x, &mut rng_scalar))
-            .collect();
-        let mut rng_batch = Pcg32::seed_from_u64(seed ^ 0xf00d);
-        let batched = mc.predict_batch(&net, &batch, &mut rng_batch);
-        prop_assert_eq!(scalar, batched);
-        prop_assert_eq!(rng_scalar, rng_batch);
-    }
-
     /// The hysteresis gate switches at most once per dwell window for
     /// arbitrary spread signals: consecutive switch frames are at least
     /// `dwell` apart, selections stay within the two slots, and the
