@@ -17,41 +17,47 @@
 //!   the `Arc`'d fabric; each evaluates its batches through
 //!   [`CimCompute::eval_stream`] on its own stream.
 //!
-//! # The evaluation chain, exact and 4-wide
+//! # The evaluation chain, exact and tile-major
 //!
 //! The direct path ([`HmgmCimEngine::with_direct_eval`]) is the physical
 //! reference: per point, DAC voltages feed the device model, the array
 //! sums its column currents, a counter-indexed standard normal
 //! ([`NoiseStream::at`]) perturbs the total, and the log-ADC converts it
 //! with libm `ln`. The default LUT path reproduces it **bit for bit** and
-//! runs every group of four points through one lane body over every
-//! column of the array:
+//! runs the batch in tiles of [`CIM_TILE`] points, one tile body over
+//! every column of the array:
 //!
 //! 1. **DAC codes.** The constants of `AxisMap::to_voltage` and
-//!    `Dac::code_for` are hoisted per axis at build; each lane repeats the
-//!    scalar clamps, division, `round` and `min` exactly.
-//! 2. **Currents.** The per-code reciprocal table is column-contiguous
-//!    (`recips[(axis·levels + code)·K + column]`), so a point's per-column
-//!    reciprocal sums, `1/Σ` and `replicas·` are 4-wide loads over
-//!    columns, added into the total one column at a time in column order.
-//! 3. **Noise + log-ADC.** The ADC emits only an integer code, so the
-//!    lanes compute its coordinate `ŷ = (clamp(ln Î) − ln_min)/(ln_max −
-//!    ln_min)·(2^bits − 1)` with bounded-error lane approximations of the
-//!    Box–Muller `ln`/`cos` and of the ADC `ln`
+//!    `Dac::code_for` are hoisted per axis at build; each point repeats
+//!    the scalar clamps, division, `round` and `min` exactly, one axis
+//!    across the whole tile at a time.
+//! 2. **Column terms.** The per-code reciprocal table is
+//!    column-contiguous (`recips[(axis·levels + code)·K + column]`), so a
+//!    point's per-column reciprocal sums, `1/Σ` and `replicas·` run over
+//!    eight-column register blocks of contiguous loads (a scalar tail
+//!    takes `K mod 8`). The terms land column-major in a `K × CIM_TILE`
+//!    scratch.
+//! 3. **Fold.** Each point's total adds its terms from 0.0 in column
+//!    order — the direct path's order — while the loop runs across the
+//!    tile's points.
+//! 4. **Noise + log-ADC.** The ADC emits only an integer code, so each
+//!    point computes its coordinate `ŷ = (clamp(ln Î) − ln_min)/(ln_max −
+//!    ln_min)·(2^bits − 1)` with bounded-error, branch-free
+//!    approximations of the Box–Muller `ln`/`cos` and of the ADC `ln`
 //!    ([`navicim_math::simd::ln_fast`],
 //!    [`navicim_math::simd::cos_turns_fast`]) and a one-root noise scale.
 //!    The code `round(ŷ)` is emitted only when `ŷ` is farther than
-//!    [`ADC_GUARD_CODES`] from a rounding boundary *and* the lane's
+//!    [`ADC_GUARD_CODES`] from a rounding boundary *and* the point's
 //!    worst-case deviation from the exact `ŷ` — the ADC `ln` error plus
 //!    the noise error [`Z_FAST_MAX_ABS_ERR`]` · rms / Î` — provably stays
 //!    within [`GUARD_DEVIATION_SHARE`] of that budget. Then the exact
 //!    chain rounds to the same code, so the output `ln_min + code · lsb`
-//!    is the exact one. Every other lane, every non-finite lane and every
-//!    lane of a short remainder group runs the exact scalar chain with
-//!    `stream.at(index)`.
+//!    is the exact one. Every other point, non-finite ones included,
+//!    runs the exact scalar chain with `stream.at(index)`.
 //!
-//! The pre-noise current — and with it [`EngineStats`] and energy — never
-//! goes through an approximation.
+//! A short last tile repeats its last point in the spare slots and drops
+//! their results. The pre-noise current — and with it [`EngineStats`]
+//! and energy — never goes through an approximation.
 
 use std::sync::Arc;
 
@@ -67,7 +73,7 @@ use navicim_device::params::TechParams;
 use navicim_device::variation::ProcessVariation;
 use navicim_gmm::hmg::HmgmModel;
 use navicim_math::rng::Pcg32;
-use navicim_math::simd::{F64x4, COS_TURNS_FAST_MAX_ABS_ERR, LANES, LN_FAST_MAX_ULP};
+use navicim_math::simd::{cos_turns_fast, ln_fast, COS_TURNS_FAST_MAX_ABS_ERR, LN_FAST_MAX_ULP};
 
 /// Configuration of a CIM likelihood engine.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -133,20 +139,27 @@ const NOISE_STREAM_SALT: u64 = 0xa0a1_0c1a_77ab_1e5e;
 
 /// Error budget of the guarded fast ADC decision, in ADC code units.
 ///
-/// The 4-wide readout computes the code coordinate `ŷ` with lane
-/// approximations and emits `round(ŷ)` only when `|frac(ŷ) − ½|` exceeds
-/// this budget *and* the lane's worst-case deviation from the exact
-/// chain's `ŷ` provably stays within [`GUARD_DEVIATION_SHARE`] of it —
-/// half for the ADC `ln`, half for the noise sample (see
-/// [`Z_FAST_MAX_ABS_ERR`]). The exact `ŷ` then rounds to the same code.
-/// Every other lane runs the exact libm chain; only a `~2·10⁻⁶` share of
-/// lanes lands inside the budget and pays for it.
+/// The tiled readout computes each point's code coordinate `ŷ` with
+/// bounded-error approximations and emits `round(ŷ)` only when
+/// `|frac(ŷ) − ½|` exceeds this budget *and* the point's worst-case
+/// deviation from the exact chain's `ŷ` provably stays within
+/// [`GUARD_DEVIATION_SHARE`] of it — half for the ADC `ln`, half for the
+/// noise sample (see [`Z_FAST_MAX_ABS_ERR`]). The exact `ŷ` then rounds
+/// to the same code. Every other point runs the exact libm chain; only a
+/// `~2·10⁻⁶` share of points lands inside the budget and pays for it.
 pub const ADC_GUARD_CODES: f64 = 1e-6;
 
-/// Share of [`ADC_GUARD_CODES`] a decided lane's worst-case deviation may
-/// use. Keeping the bound a thousand times inside the budget leaves the
-/// guard ≥ 1000× the worst deviation any decided lane can carry.
+/// Share of [`ADC_GUARD_CODES`] a decided point's worst-case deviation
+/// may use. Keeping the bound a thousand times inside the budget leaves
+/// the guard ≥ 1000× the worst deviation any decided point can carry.
 pub const GUARD_DEVIATION_SHARE: f64 = 1e-3;
+
+/// Points per tile of the LUT evaluation body: codes, column terms, the
+/// fold and the readout each run across this many points at a time.
+pub const CIM_TILE: usize = 16;
+
+/// Columns per register block of the column-term step.
+const COL_BLOCK: usize = 8;
 
 /// Bound on the fast chain's noise-sample deviation from the exact one,
 /// in units of the exact noise RMS: `|rms_f·z_f − rms_e·z_e| ≤
@@ -178,7 +191,7 @@ pub const Z_FAST_MAX_ABS_ERR: f64 =
 /// Layout: `recips[(axis·levels + code)·K + column]`. A point's DAC code
 /// on an axis selects one *row* of `K` consecutive columns, so the
 /// per-column reciprocal sums, `1/Σ` and `replicas·` of a point run over
-/// contiguous 4-wide loads (see [`Self::totals`]).
+/// contiguous register blocks of columns (see [`CimCompute::eval_lut`]).
 #[derive(Debug, Clone)]
 struct CodeLut {
     /// `1/I_cell`, index `(axis·levels + code)·K + column`.
@@ -232,46 +245,6 @@ impl CodeLut {
     fn row(&self, axis: usize, code: usize) -> usize {
         (axis * self.levels + code) * self.replicas.len()
     }
-
-    /// Total array currents of four points over the first `n` columns;
-    /// point `p`'s row offsets (one per axis, see [`Self::row`]) are
-    /// `rows[p·dim..(p + 1)·dim]`.
-    ///
-    /// Reproduces `CimArray::total_current` per point exactly: per-column
-    /// reciprocal sum in axis order from 0.0, `replicas · (1/Σ)` per
-    /// column, column-order total from 0.0 — mul *then* add. Four columns
-    /// at a time share one vector of sums, reciprocals and products; the
-    /// total then adds their lanes one column at a time, so no column
-    /// order changes and the result is bit-identical to the direct path.
-    #[inline(always)]
-    fn totals(&self, rows: &[usize], n: usize) -> [f64; LANES] {
-        let dim = rows.len() / LANES;
-        let mut totals = [0.0; LANES];
-        let mut i = 0;
-        while i + LANES <= n {
-            let repl = F64x4::load(&self.replicas[i..]);
-            for (p, total) in totals.iter_mut().enumerate() {
-                let mut inv_sum = F64x4::splat(0.0);
-                for &row in &rows[p * dim..(p + 1) * dim] {
-                    inv_sum = inv_sum + F64x4::load(&self.recips[row + i..]);
-                }
-                for term in (repl * (F64x4::splat(1.0) / inv_sum)).to_array() {
-                    *total += term;
-                }
-            }
-            i += LANES;
-        }
-        for j in i..n {
-            for (p, total) in totals.iter_mut().enumerate() {
-                let mut inv_sum = 0.0;
-                for &row in &rows[p * dim..(p + 1) * dim] {
-                    inv_sum += self.recips[row + j];
-                }
-                *total += self.replicas[j] * (1.0 / inv_sum);
-            }
-        }
-        totals
-    }
 }
 
 /// One axis's world → DAC-code conversion with every constant of
@@ -280,6 +253,12 @@ impl CodeLut {
 /// operation for operation, so the code is the one
 /// `dac.code_for(axis.to_voltage(x))` returns for every `x` (`NaN`
 /// included, which lands on code 0).
+///
+/// Only the float → integer step differs in form: the rounded
+/// coordinate is an integer in `[0, 2^16 − 1]` or `NaN`, so adding
+/// `2^52` places it exactly in the low mantissa bits, with `NaN`
+/// selected to 0 first — the value `as u64` gives, but with no
+/// saturating scalar conversion, so a loop of codes vectorizes.
 #[derive(Debug, Clone, Copy)]
 struct AxisCode {
     x_lo: f64,
@@ -312,26 +291,33 @@ impl AxisCode {
 
     #[inline(always)]
     fn code(&self, x: f64) -> usize {
-        let v = (self.v_lo + (x - self.x_lo) * self.scale).clamp(self.v_lo, self.v_hi);
-        let frac = (v.clamp(self.dac_lo, self.dac_hi) - self.dac_lo) / self.dac_span;
-        ((frac * self.top).round() as u64).min(self.top_code) as usize
+        let v = self.v_lo + (x - self.x_lo) * self.scale;
+        let v = clamp(v, self.v_lo, self.v_hi);
+        let frac = (clamp(v, self.dac_lo, self.dac_hi) - self.dac_lo) / self.dac_span;
+        const MANTISSA_MAGIC: f64 = 4_503_599_627_370_496.0; // 2^52
+        let y = (frac * self.top).round();
+        let y = if y >= 0.0 { y } else { 0.0 };
+        ((y + MANTISSA_MAGIC).to_bits() - MANTISSA_MAGIC.to_bits()).min(self.top_code) as usize
     }
+}
 
-    /// [`Self::code`] of four lanes, written out so the lanes vectorize.
-    #[inline(always)]
-    fn code4(&self, x: [f64; LANES]) -> [usize; LANES] {
-        [
-            self.code(x[0]),
-            self.code(x[1]),
-            self.code(x[2]),
-            self.code(x[3]),
-        ]
+/// [`f64::clamp`] without its `lo <= hi` assertion — the same two
+/// compares, `NaN` passing through — so a loop of [`AxisCode::code`]
+/// carries no panic branch and vectorizes. Every range it sees is
+/// validated at build.
+#[inline(always)]
+fn clamp(x: f64, lo: f64, hi: f64) -> f64 {
+    let x = if x < lo { lo } else { x };
+    if x > hi {
+        hi
+    } else {
+        x
     }
 }
 
 /// The per-evaluation noise + log-ADC readout, shared by every
 /// evaluation path: the exact scalar chain ([`Self::finish`]) and the
-/// guarded 4-wide one ([`Self::finish4`]).
+/// guarded fast one of a tile ([`Self::finish_tile`]).
 #[derive(Debug, Clone, Copy)]
 struct Readout {
     noise: NoiseModel,
@@ -343,11 +329,11 @@ struct Readout {
     /// [`NoiseModel::variance_per_amp`] at that transconductance, so the
     /// fast chain's noise scale is one `√(I·var_per_amp)`.
     var_per_amp: f64,
-    /// Smallest `|frac(ŷ) − ½|` a fast lane is decided at:
+    /// Smallest `|frac(ŷ) − ½|` a fast point is decided at:
     /// [`ADC_GUARD_CODES`], or `+inf` (no fast decisions) for an ADC
     /// whose `ln` error alone could exceed half the deviation share.
     margin_min: f64,
-    /// Noise admission: a lane whose noisy current `Î` clears its floor
+    /// Noise admission: a point whose noisy current `Î` clears its floor
     /// is decided only if `rms · rms_gain ≤ Î`, which holds the noise
     /// sample's effect on `ŷ` to half the deviation share.
     rms_gain: f64,
@@ -409,70 +395,69 @@ impl Readout {
         self.adc.convert(i_noisy)
     }
 
-    /// The fast chain for four lanes: Box–Muller with
-    /// [`ln_fast`](navicim_math::simd::ln_fast) and
-    /// [`cos_turns_fast`](navicim_math::simd::cos_turns_fast), the noise
-    /// scale with one square root, and the log-ADC code coordinate with
+    /// The fast chain's code coordinate for one point where the guard can
+    /// decide the code from it, `NaN` elsewhere (including every
+    /// non-finite point).
+    ///
+    /// Box–Muller with [`ln_fast`] and [`cos_turns_fast`], the noise scale
+    /// with one square root, and the log-ADC code coordinate with
     /// `ln_fast` (scaled by a multiply where [`LogAdc::code_coord`]
-    /// divides). Returns `(ŷ, rms, s)` — the coordinates, the noise scale
-    /// and the noisy sum before its floor clamp.
+    /// divides). Branch-free, so mapping it over a tile vectorizes.
     #[inline(always)]
-    fn approx_coords(&self, i_total: F64x4, u: F64x4, v: F64x4) -> (F64x4, F64x4, F64x4) {
-        let z = (F64x4::splat(-2.0) * u.ln()).sqrt() * v.cos_turns();
-        let rms = (i_total * F64x4::splat(self.var_per_amp)).sqrt();
+    fn guarded_coord(&self, i_total: f64, u: f64, v: f64) -> f64 {
+        let z = (-2.0 * ln_fast(u)).sqrt() * cos_turns_fast(v);
+        let rms = (i_total * self.var_per_amp).sqrt();
         let sum = i_total + rms * z;
-        let i_noisy = sum.max(F64x4::splat(self.i_floor));
-        let ln_i = i_noisy.max(F64x4::splat(1e-300)).ln();
-        let clamped = ln_i
-            .max(F64x4::splat(self.ln_min))
-            .min(F64x4::splat(self.ln_max));
-        let y = (clamped - F64x4::splat(self.ln_min)) * F64x4::splat(self.codes_per_nat);
-        (y, rms, sum)
-    }
-
-    /// The fast chain's code coordinates where the guard can decide the
-    /// code from them, `NaN` elsewhere (including every non-finite lane).
-    #[inline(always)]
-    fn guarded_coords(&self, i_total: F64x4, u: F64x4, v: F64x4) -> [f64; LANES] {
-        let (y, rms, sum) = self.approx_coords(i_total, u, v);
-        let margin = (y - y.floor() - F64x4::splat(0.5)).abs().to_array();
-        let noise_bound = (rms * F64x4::splat(self.rms_gain)).to_array();
+        let i_noisy = sum.max(self.i_floor);
+        let clamped = ln_fast(i_noisy.max(1e-300))
+            .max(self.ln_min)
+            .min(self.ln_max);
+        let y = (clamped - self.ln_min) * self.codes_per_nat;
+        let margin = (y - y.floor() - 0.5).abs();
         // Floor admission: a noisy sum at least twice its worst noise
         // error below the floor reads `Î = i_floor` in both chains.
-        let floor_reach = (sum + rms * F64x4::splat(2.0 * Z_FAST_MAX_ABS_ERR)).to_array();
-        let i_noisy = sum.max(F64x4::splat(self.i_floor)).to_array();
-        let mut y = y.to_array();
-        for p in 0..LANES {
-            // Non-short-circuit `&`/`|`: a branch-free select per lane.
-            let decided = (margin[p] > self.margin_min)
-                & ((noise_bound[p] <= i_noisy[p]) | (floor_reach[p] <= self.i_floor))
-                & (i_noisy[p] <= f64::MAX);
-            y[p] = if decided { y[p] } else { f64::NAN };
+        let floor_reach = sum + rms * (2.0 * Z_FAST_MAX_ABS_ERR);
+        // Non-short-circuit `&`/`|`: a branch-free select.
+        let decided = (margin > self.margin_min)
+            & ((rms * self.rms_gain <= i_noisy) | (floor_reach <= self.i_floor))
+            & (i_noisy <= f64::MAX);
+        if decided {
+            y
+        } else {
+            f64::NAN
         }
-        y
     }
 
-    /// Four evaluations' outputs from their pre-noise currents, lane `p`
-    /// drawing noise index `first + p` of `stream`; bit-identical to
-    /// [`Self::finish`] with `stream.at(first + p)` per lane.
+    /// The outputs of one tile's points from their pre-noise currents:
+    /// point `p` draws noise index `first + p` of `stream` and lands in
+    /// `out[p]`, bit-identical to [`Self::finish`] with
+    /// `stream.at(first + p)`. Slots past `out.len()` (a short last
+    /// tile's spare slots) are computed and dropped.
     #[inline(always)]
-    fn finish4(&self, i_total: [f64; LANES], stream: NoiseStream, first: u64, out: &mut [f64]) {
-        let mut u = [0.0; LANES];
-        let mut v = [0.0; LANES];
-        for p in 0..LANES {
-            (u[p], v[p]) = stream.uniforms(first + p as u64);
+    fn finish_tile(
+        &self,
+        totals: &[f64; CIM_TILE],
+        stream: NoiseStream,
+        first: u64,
+        out: &mut [f64],
+    ) {
+        let mut u = [0.0; CIM_TILE];
+        let mut v = [0.0; CIM_TILE];
+        for (p, (u, v)) in u.iter_mut().zip(&mut v).enumerate() {
+            (*u, *v) = stream.uniforms(first + p as u64);
         }
-        let coords = self.guarded_coords(F64x4::new(i_total), F64x4::new(u), F64x4::new(v));
+        let mut coords = [0.0; CIM_TILE];
+        for (p, y) in coords.iter_mut().enumerate() {
+            *y = self.guarded_coord(totals[p], u[p], v[p]);
+        }
         // A decided coordinate lies in [0, 2^bits − 1], so its rounding
         // is exactly the code `LogAdc::code_for` picks, and this is
         // `LogAdc::log_current` of it.
-        let codes = F64x4::new(coords).round();
-        let decided = (F64x4::splat(self.ln_min) + codes * F64x4::splat(self.log_lsb)).to_array();
-        for p in 0..LANES {
-            out[p] = if coords[p].is_nan() {
-                self.finish(i_total[p], stream.at(first + p as u64))
+        for (p, o) in out.iter_mut().enumerate() {
+            *o = if coords[p].is_nan() {
+                self.finish(totals[p], stream.at(first + p as u64))
             } else {
-                decided[p]
+                self.ln_min + coords[p].round() * self.log_lsb
             };
         }
     }
@@ -484,8 +469,11 @@ impl Readout {
 pub struct EvalScratch {
     /// DAC output voltages of one point (direct path).
     voltages: Vec<f64>,
-    /// LUT row offsets of one lane group, `LANES × dim`.
-    rows: Vec<usize>,
+    /// LUT row offsets of one tile's points, one array per axis.
+    rows: Vec<[usize; CIM_TILE]>,
+    /// Column terms `replicas·(1/Σ)` of one tile's points, one array per
+    /// column (`terms[j][p]`).
+    terms: Vec<[f64; CIM_TILE]>,
 }
 
 /// The immutable compiled CIM fabric: fabricated array, converters, the
@@ -569,8 +557,6 @@ impl CimCompute {
             return;
         }
         let dim = self.dacs.len();
-        scratch.voltages.resize(dim, 0.0);
-        scratch.rows.resize(LANES * dim, 0);
         let base = stream.cursor();
         let Some(lut) = self.lut.as_ref() else {
             // Direct device-model path: the parity reference every LUT
@@ -595,6 +581,7 @@ impl CimCompute {
             if policy.is_single_chunk(n) {
                 // Sequential path: reuse the caller's scratch — zero
                 // allocation per batch.
+                scratch.voltages.resize(dim, 0.0);
                 run_direct(0, out, currents, &mut scratch.voltages);
             } else {
                 par::zip_chunks_policy(policy, out, currents, |start, out_chunk, cur_chunk| {
@@ -606,27 +593,37 @@ impl CimCompute {
             return;
         };
         if policy.is_single_chunk(n) {
-            self.eval_lut(lut, batch, 0, stream, out, currents, &mut scratch.rows);
+            self.eval_lut(lut, batch, 0, stream, out, currents, scratch);
         } else {
             par::zip_chunks_policy(policy, out, currents, |start, out_chunk, cur_chunk| {
                 // lint: allow(hot-path-alloc) threaded chunk closures own their scratch
-                let mut rows = vec![0usize; LANES * dim];
-                self.eval_lut(lut, batch, start, stream, out_chunk, cur_chunk, &mut rows);
+                let mut scratch = EvalScratch::default();
+                self.eval_lut(
+                    lut,
+                    batch,
+                    start,
+                    stream,
+                    out_chunk,
+                    cur_chunk,
+                    &mut scratch,
+                );
             });
         }
     }
 
     /// LUT evaluation of the batch points `start..start + out.len()` over
-    /// every column, in groups of four lanes.
+    /// every column, [`CIM_TILE`] points at a time.
     ///
-    /// Each group computes its DAC codes and table rows, its four total
-    /// currents ([`CodeLut::totals`]) and its readout
-    /// ([`Readout::finish4`]); a short remainder group repeats its last
-    /// point in the spare lanes (their results are dropped) and reads out
-    /// through the exact scalar chain. Every lane's arithmetic is the
-    /// scalar/direct path's, so grouping, chunk boundaries, thread counts
-    /// and the LUT toggle are all unobservable in the output bits: batch
-    /// point `j` always draws `stream.at(cursor + j)`.
+    /// Each tile computes its DAC codes axis by axis, its column terms in
+    /// [`COL_BLOCK`]-column register blocks, its totals by a column-order
+    /// fold across the tile and its readout ([`Readout::finish_tile`]). A
+    /// short last tile repeats its last point in the spare slots and
+    /// drops their results. Per point this is exactly the direct path's
+    /// arithmetic — reciprocal sums in axis order from 0.0, `replicas ·
+    /// (1/Σ)`, the total from 0.0 in column order — so tiling, chunk
+    /// boundaries, thread counts and the LUT toggle are all unobservable
+    /// in the output bits: batch point `j` always draws `stream.at(cursor
+    /// + j)`.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
     fn eval_lut(
@@ -637,45 +634,82 @@ impl CimCompute {
         stream: NoiseStream,
         out: &mut [f64],
         cur: &mut [f64],
-        rows: &mut [usize],
+        scratch: &mut EvalScratch,
     ) {
         let dim = self.axis_codes.len();
-        let k_cols = self.array.num_columns();
-        let flat = batch.as_flat();
-        let mut i = 0;
-        while i < out.len() {
-            let m = (out.len() - i).min(LANES);
-            let last = start + i + m - 1;
-            let lanes = [
-                &flat[(start + i) * dim..],
-                &flat[(start + i + 1).min(last) * dim..],
-                &flat[(start + i + 2).min(last) * dim..],
-                &flat[last * dim..],
-            ];
-            for (axis, ac) in self.axis_codes.iter().enumerate() {
-                let x = [
-                    lanes[0][axis],
-                    lanes[1][axis],
-                    lanes[2][axis],
-                    lanes[3][axis],
-                ];
-                let codes = ac.code4(x);
-                for p in 0..LANES {
-                    rows[p * dim + axis] = lut.row(axis, codes[p]);
+        let k_cols = lut.replicas.len();
+        let blocked = k_cols - k_cols % COL_BLOCK;
+        if scratch.rows.len() < dim {
+            scratch.rows.resize(dim, [0; CIM_TILE]);
+        }
+        if scratch.terms.len() < k_cols {
+            scratch.terms.resize(k_cols, [0.0; CIM_TILE]);
+        }
+        let rows = &mut scratch.rows[..dim];
+        let terms = &mut scratch.terms[..k_cols];
+        let flat = &batch.as_flat()[start * dim..];
+        for (t, (out, cur)) in out
+            .chunks_mut(CIM_TILE)
+            .zip(cur.chunks_mut(CIM_TILE))
+            .enumerate()
+        {
+            let tile = &flat[t * CIM_TILE * dim..];
+            let last = out.len() - 1;
+            for (axis, (ac, rows)) in self.axis_codes.iter().zip(rows.iter_mut()).enumerate() {
+                let mut xs = [0.0; CIM_TILE];
+                for (p, x) in xs.iter_mut().enumerate() {
+                    *x = tile[p.min(last) * dim + axis];
+                }
+                for (row, &x) in rows.iter_mut().zip(&xs) {
+                    *row = lut.row(axis, ac.code(x));
                 }
             }
-            let totals = lut.totals(rows, k_cols);
-            let first = stream.cursor() + (start + i) as u64;
-            if m == LANES {
-                self.readout
-                    .finish4(totals, stream, first, &mut out[i..i + LANES]);
-            } else {
-                for p in 0..m {
-                    out[i + p] = self.readout.finish(totals[p], stream.at(first + p as u64));
+            for j in (0..blocked).step_by(COL_BLOCK) {
+                // Each point's block lands in its own contiguous row of
+                // `q` before the rows are scattered into the block's
+                // columns: `1/Σ` and `replicas·` then run as vector ops,
+                // where a strided store straight into `terms` keeps them
+                // scalar.
+                let replicas = &lut.replicas[j..][..COL_BLOCK];
+                let mut q = [[0.0; COL_BLOCK]; CIM_TILE];
+                for (p, q) in q.iter_mut().enumerate() {
+                    let mut inv_sum = [0.0; COL_BLOCK];
+                    for rows in rows.iter() {
+                        let recips = &lut.recips[rows[p] + j..][..COL_BLOCK];
+                        for (s, &r) in inv_sum.iter_mut().zip(recips) {
+                            *s += r;
+                        }
+                    }
+                    for ((t, &repl), &s) in q.iter_mut().zip(replicas).zip(&inv_sum) {
+                        *t = repl * (1.0 / s);
+                    }
+                }
+                let cols = &mut terms[j..j + COL_BLOCK];
+                for (p, q) in q.iter().enumerate() {
+                    for (col, &t) in cols.iter_mut().zip(q) {
+                        col[p] = t;
+                    }
                 }
             }
-            cur[i..i + m].copy_from_slice(&totals[..m]);
-            i += m;
+            for (j, col) in terms.iter_mut().enumerate().skip(blocked) {
+                for (p, c) in col.iter_mut().enumerate() {
+                    let mut inv_sum = 0.0;
+                    for rows in rows.iter() {
+                        inv_sum += lut.recips[rows[p] + j];
+                    }
+                    *c = lut.replicas[j] * (1.0 / inv_sum);
+                }
+            }
+            // lint: reduction-order per-point total in the direct path's column order
+            let mut totals = [0.0; CIM_TILE];
+            for col in terms.iter() {
+                for (total, &term) in totals.iter_mut().zip(col) {
+                    *total += term;
+                }
+            }
+            let first = stream.cursor() + (start + t * CIM_TILE) as u64;
+            self.readout.finish_tile(&totals, stream, first, out);
+            cur.copy_from_slice(&totals[..cur.len()]);
         }
     }
 }
@@ -1192,11 +1226,11 @@ mod tests {
     fn lut_and_direct_paths_are_bit_identical() {
         // The per-code current table must be a pure cache: outputs and
         // stats agree bitwise with the direct device-model path for every
-        // batch size around the lane width.
+        // batch size around the tile width.
         let map = test_map();
         let model = test_model(&map);
         let config = CimEngineConfig::default();
-        for n in [1usize, 3, 4, 5, 7, 64] {
+        for n in [1usize, 3, 15, 16, 17, 31, 3 * CIM_TILE + 5] {
             let mut fast = HmgmCimEngine::build(&model, map.clone(), config).unwrap();
             assert!(
                 fast.compute.lut.is_some(),
@@ -1277,7 +1311,6 @@ mod tests {
                 for x in xs {
                     let want = dac.code_for(axis.to_voltage(x)) as usize;
                     assert_eq!(ac.code(x), want, "x = {x}, {dac_bits} bits");
-                    assert_eq!(ac.code4([x; LANES]), [want; LANES]);
                 }
             }
         }
@@ -1322,7 +1355,7 @@ mod tests {
         // ADC range against many stream draws: the fast coordinate never
         // strays more than 1/1000 of the guard budget from the exact one,
         // the noise sample stays within its documented bound, and every
-        // lane — decided fast or sent to the exact chain — reads out the
+        // point — decided fast or sent to the exact chain — reads out the
         // exact chain's bits.
         let stream = NoiseStream::new(0xadc);
         for engine in guard_engines() {
@@ -1331,33 +1364,30 @@ mod tests {
             let (lo, hi) = ((r.i_floor * 0.1).ln(), i_max.ln());
             let (mut worst_coord, mut worst_noise) = (0.0f64, 0.0f64);
             let mut fallbacks = 0;
-            let n = 2048;
+            let n = 512;
             for k in 0..n {
                 let i_total = (lo + (hi - lo) * k as f64 / (n - 1) as f64).exp();
                 let base = 64 * k as u64;
-                let it = F64x4::splat(i_total);
-                let uv = [0, 1, 2, 3].map(|p| stream.uniforms(base + p));
-                let (u, v) = (F64x4::new(uv.map(|x| x.0)), F64x4::new(uv.map(|x| x.1)));
-                let (y, rms, _) = r.approx_coords(it, u, v);
-                let coords = r.guarded_coords(it, u, v);
-                let mut out = [0.0; LANES];
-                r.finish4([i_total; LANES], stream, base, &mut out);
-                // The fast noise sample, as `approx_coords` draws it.
-                let z_f = (F64x4::splat(-2.0) * u.ln()).sqrt() * v.cos_turns();
-                for p in 0..LANES {
-                    let z = stream.at(base + p as u64);
+                let mut out = [0.0; CIM_TILE];
+                r.finish_tile(&[i_total; CIM_TILE], stream, base, &mut out);
+                for (p, &o) in out.iter().enumerate() {
+                    let idx = base + p as u64;
+                    let (u, v) = stream.uniforms(idx);
+                    let y = r.guarded_coord(i_total, u, v);
+                    // The fast noise sample, as `guarded_coord` draws it.
+                    let z_f = (-2.0 * ln_fast(u)).sqrt() * cos_turns_fast(v);
+                    let noise_f = (i_total * r.var_per_amp).sqrt() * z_f;
+                    let z = stream.at(idx);
                     let rms_e = r.noise.total_rms(i_total / r.gm_denom, i_total);
-                    let noise_f = rms.lane(p) * z_f.lane(p);
                     worst_noise = worst_noise.max((noise_f - rms_e * z).abs() / rms_e);
-                    if !coords[p].is_nan() {
-                        let d = (y.lane(p) - exact_coord(r, i_total, z)).abs();
-                        worst_coord = worst_coord.max(d);
+                    if !y.is_nan() {
+                        worst_coord = worst_coord.max((y - exact_coord(r, i_total, z)).abs());
                     }
-                    fallbacks += usize::from(coords[p].is_nan());
+                    fallbacks += usize::from(y.is_nan());
                     assert_eq!(
-                        out[p].to_bits(),
+                        o.to_bits(),
                         r.finish(i_total, z).to_bits(),
-                        "I = {i_total:e}, lane {p}"
+                        "I = {i_total:e}, slot {p}"
                     );
                 }
             }
@@ -1374,9 +1404,9 @@ mod tests {
             // noise-dominated low end of this sweep to the exact chain.
             let allowed = if r.adc.bits() <= 8 { 0.001 } else { 0.1 };
             assert!(
-                (fallbacks as f64) < allowed * (n * LANES) as f64,
+                (fallbacks as f64) < allowed * (n * CIM_TILE) as f64,
                 "{fallbacks} fallbacks of {} at {} bits",
-                n * LANES,
+                n * CIM_TILE,
                 r.adc.bits()
             );
         }
@@ -1386,7 +1416,7 @@ mod tests {
     fn adc_guard_forces_exact_fallback_at_code_boundary() {
         // With zero noise bandwidth the noisy current is the pre-noise
         // one. A current exactly between two ADC codes puts `ŷ` on a
-        // rounding boundary: the guard must send the lane to the exact
+        // rounding boundary: the guard must send the point to the exact
         // chain, whose code is `LogAdc::code_for`.
         let map = test_map();
         let model = test_model(&map);
@@ -1402,26 +1432,34 @@ mod tests {
         for c in [0u64, 1, 17, 100, adc.levels() - 3] {
             let i_boundary = (ln_min + (c as f64 + 0.5) * adc.log_lsb()).exp();
             let i_inside = (ln_min + (c as f64 + 0.25) * adc.log_lsb()).exp();
-            let it = [i_boundary, i_inside, i_boundary, i_inside];
-            let uv = [0, 1, 2, 3].map(|p| stream.uniforms(10 * c + p));
-            let coords = r.guarded_coords(
-                F64x4::new(it),
-                F64x4::new(uv.map(|x| x.0)),
-                F64x4::new(uv.map(|x| x.1)),
-            );
-            assert!(
-                coords[0].is_nan() && coords[2].is_nan(),
-                "code {c}: {coords:?}"
-            );
-            assert_eq!(coords[1].round() as u64, c, "code {c}: {coords:?}");
-            let mut out = [0.0; LANES];
-            r.finish4(it, stream, 10 * c, &mut out);
-            for (p, &i) in it.iter().enumerate() {
-                assert_eq!(
-                    out[p],
-                    adc.log_current(adc.code_for(i)),
-                    "code {c}, lane {p}"
-                );
+            // Boundary and inside currents alternate across the tile.
+            let it: [f64; CIM_TILE] =
+                std::array::from_fn(|p| if p % 2 == 0 { i_boundary } else { i_inside });
+            let base = 100 * c;
+            let coords: Vec<f64> = (0..CIM_TILE)
+                .map(|p| {
+                    let (u, v) = stream.uniforms(base + p as u64);
+                    r.guarded_coord(it[p], u, v)
+                })
+                .collect();
+            for (p, &y) in coords.iter().enumerate() {
+                if p % 2 == 0 {
+                    assert!(y.is_nan(), "code {c}, slot {p}: {coords:?}");
+                } else {
+                    assert_eq!(y.round() as u64, c, "code {c}, slot {p}: {coords:?}");
+                }
+            }
+            // A short tile: the spare slots are computed and dropped.
+            for m in [CIM_TILE, 5] {
+                let mut out = vec![0.0; m];
+                r.finish_tile(&it, stream, base, &mut out);
+                for (p, &o) in out.iter().enumerate() {
+                    assert_eq!(
+                        o,
+                        adc.log_current(adc.code_for(it[p])),
+                        "code {c}, slot {p} of {m}"
+                    );
+                }
             }
         }
     }

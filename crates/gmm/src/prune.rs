@@ -231,16 +231,6 @@ impl PruneIndex {
         self
     }
 
-    /// Number of components indexed.
-    pub fn num_components(&self) -> usize {
-        self.k
-    }
-
-    /// Index dimensionality.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
     /// Upper bound of component `j`'s log term over the AABB. Attained
     /// at the in-box point nearest the mean per axis, so it is exact for
     /// boxes containing the mean.

@@ -150,6 +150,8 @@ const HOT_PATH_FNS: &[(&str, &str)] = &[
     ("crates/gmm/src/hmg.rs", "eval_range"),
     ("crates/analog/src/engine.rs", "log_likelihood_into_chunked"),
     ("crates/analog/src/engine.rs", "eval_stream"),
+    ("crates/analog/src/engine.rs", "eval_lut"),
+    ("crates/analog/src/engine.rs", "finish_tile"),
 ];
 
 /// Allocating calls forbidden inside hot-path function bodies.

@@ -35,15 +35,16 @@
 //! # `ln_fast`, `cos_turns_fast` and their error bounds
 //!
 //! The CIM engine's noise + log-ADC chain needs `ln` (Box–Muller radius
-//! and the log-ADC) and `cos(2π·v)` (Box–Muller angle) four lanes at a
-//! time. [`ln_fast`] and [`cos_turns_fast`] are branch-free lane-friendly
-//! versions with documented absolute error bounds against the libm
-//! results: [`LN_FAST_MAX_ULP`] ulp of the result for `ln_fast` and
+//! and the log-ADC) and `cos(2π·v)` (Box–Muller angle) across a whole
+//! tile of points at a time. [`ln_fast`] and [`cos_turns_fast`] are
+//! branch-free versions, so a loop mapping them over the tile vectorizes,
+//! with documented absolute error bounds against the libm results:
+//! [`LN_FAST_MAX_ULP`] ulp of the result for `ln_fast` and
 //! [`COS_TURNS_FAST_MAX_ABS_ERR`] for `cos_turns_fast`. Unlike
 //! `exp_fast`, no likelihood value is ever computed from them directly:
-//! the engine only uses them to *decide* an 8-bit ADC code when the
-//! decision is provably the one the exact chain makes, and sends every
-//! other lane through the exact libm chain (see `navicim_analog::engine`).
+//! the engine only uses them to *decide* an ADC code when the decision
+//! is provably the one the exact chain makes, and sends every other
+//! point through the exact libm chain (see `navicim_analog::engine`).
 
 use std::ops::{Add, Div, Mul, Sub};
 
@@ -153,51 +154,6 @@ impl F64x4 {
         ])
     }
 
-    /// Per-lane minimum with [`f64::min`] NaN semantics (NaN lanes yield
-    /// the other operand).
-    #[inline(always)]
-    pub fn min(self, o: Self) -> Self {
-        Self([
-            self.0[0].min(o.0[0]),
-            self.0[1].min(o.0[1]),
-            self.0[2].min(o.0[2]),
-            self.0[3].min(o.0[3]),
-        ])
-    }
-
-    /// Per-lane [`f64::floor`].
-    #[inline(always)]
-    pub fn floor(self) -> Self {
-        Self([
-            self.0[0].floor(),
-            self.0[1].floor(),
-            self.0[2].floor(),
-            self.0[3].floor(),
-        ])
-    }
-
-    /// Per-lane [`f64::abs`].
-    #[inline(always)]
-    pub fn abs(self) -> Self {
-        Self([
-            self.0[0].abs(),
-            self.0[1].abs(),
-            self.0[2].abs(),
-            self.0[3].abs(),
-        ])
-    }
-
-    /// Per-lane [`f64::round`] (half away from zero).
-    #[inline(always)]
-    pub fn round(self) -> Self {
-        Self([
-            self.0[0].round(),
-            self.0[1].round(),
-            self.0[2].round(),
-            self.0[3].round(),
-        ])
-    }
-
     /// Per-lane [`exp_fast`].
     #[inline(always)]
     pub fn exp(self) -> Self {
@@ -206,39 +162,6 @@ impl F64x4 {
             exp_fast(self.0[1]),
             exp_fast(self.0[2]),
             exp_fast(self.0[3]),
-        ])
-    }
-
-    /// Per-lane [`ln_fast`].
-    #[inline(always)]
-    pub fn ln(self) -> Self {
-        Self([
-            ln_fast(self.0[0]),
-            ln_fast(self.0[1]),
-            ln_fast(self.0[2]),
-            ln_fast(self.0[3]),
-        ])
-    }
-
-    /// Per-lane [`cos_turns_fast`]: `cos(2π·v)` of each lane `v`.
-    #[inline(always)]
-    pub fn cos_turns(self) -> Self {
-        Self([
-            cos_turns_fast(self.0[0]),
-            cos_turns_fast(self.0[1]),
-            cos_turns_fast(self.0[2]),
-            cos_turns_fast(self.0[3]),
-        ])
-    }
-
-    /// Per-lane [`f64::sqrt`] (correctly rounded, so exact per lane).
-    #[inline(always)]
-    pub fn sqrt(self) -> Self {
-        Self([
-            self.0[0].sqrt(),
-            self.0[1].sqrt(),
-            self.0[2].sqrt(),
-            self.0[3].sqrt(),
         ])
     }
 }
@@ -380,7 +303,7 @@ const LG: [f64; 7] = [
 ///
 /// The classic fdlibm reduction `x = 2^k·(1+f)` with `1+f ∈ [√½, √2)`,
 /// `ln(1+f) = f − f²/2 + s·(f²/2 + R(s²))`, `s = f/(2+f)`, written without
-/// branches so mapping it over four lanes vectorizes: the exponent is
+/// branches so a loop mapping it over points vectorizes: the exponent is
 /// split off with integer bit operations and turned into a float with the
 /// 2^52 magic-bias trick (as in [`exp_fast`]), subnormals are prescaled by
 /// a select, and the special inputs are repaired by selects at the end.
@@ -541,13 +464,6 @@ mod tests {
             );
             assert_eq!(a.max(b).lane(i), a.lane(i).max(b.lane(i)));
             assert_eq!(a.exp().lane(i), exp_fast(a.lane(i)));
-            assert_eq!(a.ln().lane(i).to_bits(), ln_fast(a.lane(i)).to_bits());
-            assert_eq!(a.cos_turns().lane(i), cos_turns_fast(a.lane(i)));
-            assert_eq!(a.sqrt().lane(i).to_bits(), a.lane(i).sqrt().to_bits());
-            assert_eq!(a.round().lane(i), a.lane(i).round());
-            assert_eq!(a.min(b).lane(i), a.lane(i).min(b.lane(i)));
-            assert_eq!(a.floor().lane(i), a.lane(i).floor());
-            assert_eq!(a.abs().lane(i), a.lane(i).abs());
         }
     }
 

@@ -1,7 +1,7 @@
 //! Workspace-level property-based tests on the core invariants that the
 //! paper's co-design relies on.
 
-use navicim::analog::engine::{CimEngineConfig, EvalScratch, HmgmCimEngine};
+use navicim::analog::engine::{CimEngineConfig, EvalScratch, HmgmCimEngine, CIM_TILE};
 use navicim::analog::mapping::SpaceMap;
 use navicim::backend::par::ChunkPolicy;
 use navicim::backend::{LikelihoodBackend, PointBatch};
@@ -323,9 +323,11 @@ proptest! {
     /// nothing either (the counter-based noise stream assigns each
     /// evaluation its absolute index). A stream parked at an arbitrary
     /// `cursor` evaluates bit-identically (outputs and pre-noise
-    /// currents) on the LUT fabric under every explicit policy and on
-    /// the direct device-model path. Under `--features parallel` the
-    /// multi-worker cases genuinely run on threads.
+    /// currents) on the LUT fabric under every explicit policy — chunk
+    /// lengths 1, 7, 23 (past one `CIM_TILE` and off its grid, so chunks
+    /// start mid-tile), 64 and the batch length — and on the direct
+    /// device-model path. Under `--features parallel` the multi-worker
+    /// cases genuinely run on threads.
     #[test]
     fn cim_engine_chunking_and_threading_invariant(
         seed in 0u64..40,
@@ -404,7 +406,7 @@ proptest! {
             &mut EvalScratch::default(),
         );
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        for chunk_len in [1usize, 7, 64, n] {
+        for chunk_len in [1usize, 7, 23, 64, n] {
             for workers in [1usize, 2, 4] {
                 let (mut got, mut cur) = (vec![0.0; n], vec![0.0; n]);
                 reference.compute().eval_stream(
@@ -1034,18 +1036,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// The CIM engine's LUT path (hoisted DAC codes, column-contiguous
-    /// current table, guarded 4-wide noise + log-ADC) is a pure
-    /// acceleration: for 1–24 components with replica counts 1–5,
-    /// batches of up to ~600 points served as consecutive calls whose
-    /// lengths take every value mod 4, coordinates that are NaN, ±inf or
-    /// outside the map window, and a range of DAC/ADC resolutions and
-    /// noise bandwidths, the LUT engine and a direct-evaluation engine
-    /// built from the same config produce bit-identical outputs and
-    /// EngineStats.
+    /// current table, tile-major column terms and guarded noise +
+    /// log-ADC readout) is a pure acceleration: for 1–24 components with
+    /// replica counts 1–5, consecutive calls whose lengths take every
+    /// value mod `CIM_TILE` (each 0–2 full tiles plus that residue, one
+    /// more for residue 0, in a seed-rotated order) and a last call of
+    /// three full tiles plus 0–`CIM_TILE` points,
+    /// coordinates that are NaN, ±inf or outside the map window, and a
+    /// range of DAC/ADC resolutions and noise bandwidths, the LUT engine
+    /// and a direct-evaluation engine built from the same config produce
+    /// bit-identical outputs and EngineStats.
     #[test]
     fn cim_lut_matches_direct_eval(
         seed in 0u64..1_000,
-        n in 1usize..600,
         k in 1usize..25,
         dac_bits in 3u32..8,
         adc_bits in 4u32..11,
@@ -1069,31 +1072,28 @@ proptest! {
             .expect("engine builds")
             .with_direct_eval();
         prop_assert!(replicas(&fast).iter().all(|r| (1..=5).contains(r)));
-        // Consecutive calls of lengths ≡ 1, 2, 3, 0 (mod 4), then the
-        // rest: every remainder tail runs in every case.
-        let mut remaining = n;
-        for r in [1, 2, 3, 0, 0] {
-            let len = if r == 0 && remaining <= 80 {
-                remaining
-            } else {
-                remaining.min(4 * (rng.next_u32() % 20) as usize + r)
-            };
-            remaining -= len;
+        // One call per residue mod CIM_TILE (the residue-0 call is never
+        // empty), then three full tiles plus a drawn 0–CIM_TILE-point
+        // tail: every short-tile width runs, and a call spans several
+        // full tiles.
+        let rotate = seed as usize % CIM_TILE;
+        let mut lens: Vec<usize> = (0..CIM_TILE)
+            .map(|i| {
+                let r = (rotate + i) % CIM_TILE;
+                CIM_TILE * ((rng.next_u32() % 3) as usize + usize::from(r == 0)) + r
+            })
+            .collect();
+        lens.push(3 * CIM_TILE + rng.next_u32() as usize % (CIM_TILE + 1));
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for &len in &lens {
             let batch = cim_parity_batch(&mut rng, len);
             let a = LikelihoodBackend::log_likelihood_batch(&mut fast, &batch);
             let b = LikelihoodBackend::log_likelihood_batch(&mut direct, &batch);
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(a.len(), len);
             prop_assert_eq!(bits(&a), bits(&b));
             prop_assert_eq!(fast.stats(), direct.stats());
         }
-        let batch = cim_parity_batch(&mut rng, remaining);
-        let a = LikelihoodBackend::log_likelihood_batch(&mut fast, &batch);
-        let b = LikelihoodBackend::log_likelihood_batch(&mut direct, &batch);
-        prop_assert_eq!(a.len(), remaining);
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        prop_assert_eq!(bits(&a), bits(&b));
-        prop_assert_eq!(fast.stats(), direct.stats());
-        prop_assert_eq!(fast.stats().evaluations, n as u64);
+        prop_assert_eq!(fast.stats().evaluations, lens.iter().sum::<usize>() as u64);
     }
 }
 
