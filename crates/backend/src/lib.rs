@@ -12,8 +12,8 @@
 //!   can be filled once per frame and reused across frames without
 //!   reallocating,
 //! - [`LikelihoodBackend`] — the batch-first trait (`log_likelihood_into`)
-//!   with a scalar adapter, implemented by `navicim_gmm::gaussian::Gmm`,
-//!   `navicim_gmm::hmg::HmgmModel` and
+//!   with a scalar adapter, implemented by the two served map backends,
+//!   `navicim_gmm::gaussian::Gmm` and
 //!   `navicim_analog::engine::HmgmCimEngine`,
 //! - [`par`] — chunked execution helpers that spread a batch across
 //!   threads behind the `parallel` feature.

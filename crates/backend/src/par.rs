@@ -33,7 +33,7 @@
 /// Minimum number of points per chunk before threading is worthwhile.
 ///
 /// Retuned for the vectorized kernels (see `BENCH_kernels.json`): the
-/// 4-wide SIMD + LUT campaign cut per-point cost by roughly 2–5×
+/// SIMD + LUT campaign cut per-point cost by roughly 2–5×
 /// (a 1024-point CIM-engine batch now evaluates in the tens of
 /// microseconds), so the old threshold of 256 points no longer amortizes
 /// the ~10 µs cost of spawning scoped worker threads. 1024 points keeps

@@ -1,8 +1,9 @@
 //! Timing: map-likelihood evaluation — digital GMM vs math HMGM vs the
-//! device-backed CIM engine — on both the scalar and the batched path,
-//! plus a worker-count sweep of the analog batch path (the `parallel`
-//! feature's multi-core speedup; without the feature the sweep rows
-//! coincide, which is itself worth seeing on the chart).
+//! device-backed CIM engine — on the scalar path; the two served
+//! backends (digital GMM and CIM engine) also on the batched path; plus a
+//! worker-count sweep of the analog batch path (the `parallel` feature's
+//! multi-core speedup; without the feature the sweep rows coincide,
+//! which is itself worth seeing on the chart).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use navicim_analog::engine::{CimEngineConfig, HmgmCimEngine};
@@ -93,18 +94,6 @@ fn bench_likelihood(c: &mut Criterion) {
                 |b, _| {
                     b.iter(|| {
                         gmm_b.log_likelihood_into(&batch, &mut out);
-                        std::hint::black_box(out[0])
-                    })
-                },
-            );
-
-            let mut model_b = model.clone();
-            group.bench_with_input(
-                BenchmarkId::new(format!("math_hmgm_batch{batch_size}"), k),
-                &k,
-                |b, _| {
-                    b.iter(|| {
-                        model_b.log_likelihood_into(&batch, &mut out);
                         std::hint::black_box(out[0])
                     })
                 },

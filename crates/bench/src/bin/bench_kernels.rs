@@ -1,22 +1,20 @@
 //! Kernel micro-benchmarks with a machine-readable JSON trail.
 //!
-//! Times the three likelihood hot paths of the SIMD campaign — the
-//! digital [`navicim_gmm::gaussian::GmmEvalPlan`] batch path, the math
-//! HMGM batch path and the analog CIM engine — against in-binary reimplementations of their
+//! Times the two served likelihood hot paths — the digital
+//! [`navicim_gmm::gaussian::GmmEvalPlan`] batch path and the analog CIM
+//! engine — against in-binary reimplementations of their
 //! **pre-vectorization scalar baselines**, so before/after live in one
 //! honest run:
 //!
 //! - `gmm_plan` vs `gmm_plan_scalar_ref` — plain `quad += nhiv·d·d`
 //!   accumulation and a `f64::exp` log-sum-exp, exactly the seed's loop;
-//! - `hmgm` vs `hmgm_scalar_ref` — `f64::exp` axis factors and a plain
-//!   `Σ w·h(x)` mixture sum;
 //! - `cim_engine` vs `cim_engine_direct` — the engine with its per-code
 //!   current table disabled ([`HmgmCimEngine::with_direct_eval`]), i.e.
 //!   the seed's DAC → EKV device model → Kirchhoff sum per evaluation.
 //!
 //! Every pairing is parity-checked inline: the analog pair must agree
-//! *bitwise* (the code LUT is an exact cache); the digital pairs carry
-//! the documented `exp_fast` ulp-bounded tolerance and are gated at
+//! *bitwise* (the code LUT is an exact cache); the digital pair carries
+//! the documented `exp_fast` ulp-bounded tolerance and is gated at
 //! [`DIGITAL_MAX_ULP`]. Parity failure exits non-zero so CI catches rot.
 //!
 //! Run: `cargo run --release -p navicim-bench --bin bench_kernels`
@@ -40,7 +38,7 @@ use navicim_backend::par::{self, ChunkPolicy};
 use navicim_backend::{LikelihoodBackend, PointBatch};
 use navicim_gmm::fit::{fit_diag_gmm, FitConfig};
 use navicim_gmm::gaussian::{Covariance, Gmm};
-use navicim_gmm::hmg::{fit_hmgm, HmgmFitConfig, HmgmModel};
+use navicim_gmm::hmg::{fit_hmgm, HmgmFitConfig};
 use navicim_gmm::prune::{PruneConfig, PRUNE_EPSILON};
 use navicim_math::rng::{Pcg32, SampleExt};
 use navicim_math::simd::ulp_distance;
@@ -53,7 +51,7 @@ const BATCH_SIZES: [usize; 3] = [64, 256, 1024];
 
 /// Regression gate on the digital fast-vs-reference drift, in ulps of
 /// the final log-likelihood. The per-call `exp_fast` bound is ≤ 4 ulp;
-/// after the log-sum-exp / mixture-sum reassociation through a ~1e1
+/// after the log-sum-exp reassociation through a ~1e1
 /// dynamic range this lands in the tens of ulps, so a four-thousand-ulp
 /// drift means a kernel broke, not that rounding moved.
 const DIGITAL_MAX_ULP: u64 = 4096;
@@ -144,23 +142,6 @@ impl GmmScalarRef {
         }
         log_sum_exp(terms)
     }
-}
-
-/// Pre-vectorization scalar HMGM reference: `f64::exp` axis factors,
-/// plain mixture sum.
-fn hmgm_log_likelihood_ref(model: &HmgmModel, x: &[f64]) -> f64 {
-    let d = model.dim() as f64;
-    let mut total = 0.0;
-    for (w, k) in model.weights().iter().zip(model.kernels()) {
-        let mut inv_sum = 0.0;
-        for (i, &xi) in x.iter().enumerate() {
-            let z = (xi - k.means()[i]) / k.sigmas()[i];
-            let g = (-0.5 * z * z).exp().max(1e-300);
-            inv_sum += 1.0 / g;
-        }
-        total += w * (k.amplitude() * d / inv_sum);
-    }
-    total.max(1e-300).ln()
 }
 
 struct Row {
@@ -266,7 +247,6 @@ fn main() {
     let mut rows: Vec<Row> = Vec::new();
     let mut thread_rows: Vec<Row> = Vec::new();
     let mut gmm_max_ulp = 0u64;
-    let mut hmgm_max_ulp = 0u64;
     let mut cim_exact = true;
 
     for &k in components {
@@ -352,51 +332,7 @@ fn main() {
                 ns_per_point: ref_ns,
             });
 
-            // --- math HMGM ---
-            let mut model_b = model.clone();
-            model_b.log_likelihood_into(&batch, &mut out);
-            for (i, o) in out_ref.iter_mut().enumerate() {
-                *o = hmgm_log_likelihood_ref(&model, batch.point(i));
-            }
-            for (a, b) in out.iter().zip(&out_ref) {
-                hmgm_max_ulp = hmgm_max_ulp.max(ulp_distance(*a, *b));
-            }
-            let iters = calibrate_iters(target_ns, || {
-                model_b.log_likelihood_into(&batch, &mut out);
-            });
-            let simd_ns = time_ns(reps, iters, || {
-                model_b.log_likelihood_into(&batch, &mut out);
-                std::hint::black_box(out[0]);
-            }) / n as f64;
-            let iters = calibrate_iters(target_ns, || {
-                for (i, o) in out_ref.iter_mut().enumerate() {
-                    *o = hmgm_log_likelihood_ref(&model, batch.point(i));
-                }
-            });
-            let ref_ns = time_ns(reps, iters, || {
-                for (i, o) in out_ref.iter_mut().enumerate() {
-                    *o = hmgm_log_likelihood_ref(&model, batch.point(i));
-                }
-                std::hint::black_box(out_ref[0]);
-            }) / n as f64;
-            rows.push(Row {
-                kernel: "hmgm",
-                variant: "simd",
-                k,
-                n,
-                workers: auto_workers(n),
-                ns_per_point: simd_ns,
-            });
-            rows.push(Row {
-                kernel: "hmgm",
-                variant: "scalar_ref",
-                k,
-                n,
-                workers: 1,
-                ns_per_point: ref_ns,
-            });
-
-            // --- analog CIM engine (LUT+lanes vs direct device model) ---
+            // --- analog CIM engine (LUT vs direct device model) ---
             // Parity first, from aligned noise cursors: rebuild both so
             // evaluation i draws the same counter-based noise.
             {
@@ -463,7 +399,6 @@ fn main() {
                 sweep_sizes.push(4 * par::MIN_CHUNK);
             }
             let mut gmm_t = gmm.clone();
-            let mut model_t = model.clone();
             for &n in &sweep_sizes {
                 let mut batch = PointBatch::with_capacity(3, n);
                 for i in 0..n {
@@ -482,22 +417,6 @@ fn main() {
                     }) / n as f64;
                     thread_rows.push(Row {
                         kernel: "gmm_plan",
-                        variant: "threads",
-                        k,
-                        n,
-                        workers: w,
-                        ns_per_point: ns,
-                    });
-
-                    let iters = calibrate_iters(target_ns, || {
-                        model_t.log_likelihood_into_policy(&batch, &mut out, policy);
-                    });
-                    let ns = time_ns(reps, iters, || {
-                        model_t.log_likelihood_into_policy(&batch, &mut out, policy);
-                        std::hint::black_box(out[0]);
-                    }) / n as f64;
-                    thread_rows.push(Row {
-                        kernel: "hmgm",
                         variant: "threads",
                         k,
                         n,
@@ -529,8 +448,8 @@ fn main() {
     // Scattered components, clustered queries: the shape the prune index
     // is built for. Pruning reaches the digital GMM only; its rows are
     // parity-gated at the documented additive PRUNE_EPSILON and off-mode
-    // must stay bit-identical. The HMGM and CIM kernels always score
-    // every component.
+    // must stay bit-identical. The CIM kernel always scores every
+    // component.
     let mut prune_rows: Vec<Row> = Vec::new();
     let mut prune_digital_max_abs = 0.0f64;
     let mut prune_off_exact = true;
@@ -668,12 +587,12 @@ fn main() {
             json_rows.push_str(&row_json(r));
         }
     }
-    println!("parity: gmm {gmm_max_ulp} ulp, hmgm {hmgm_max_ulp} ulp, cim exact: {cim_exact}");
+    println!("parity: gmm {gmm_max_ulp} ulp, cim exact: {cim_exact}");
     println!(
         "prune parity: digital max |diff| {prune_digital_max_abs:.2e} (gate {PRUNE_EPSILON:.0e}), \
          off-mode bit-identical: {prune_off_exact}"
     );
-    if gmm_max_ulp > DIGITAL_MAX_ULP || hmgm_max_ulp > DIGITAL_MAX_ULP {
+    if gmm_max_ulp > DIGITAL_MAX_ULP {
         eprintln!("FAIL: digital SIMD drift exceeds the {DIGITAL_MAX_ULP}-ulp gate");
         ok = false;
     }
@@ -694,7 +613,7 @@ fn main() {
     }
 
     let json = format!(
-        "{{\n  \"bench\": \"kernels\",\n  \"smoke\": {smoke},\n  \"host\": {{\"arch\": \"{}\", \"os\": \"{}\", \"cores\": {cores}, \"target_cpu\": \"{}\"}},\n  \"config\": {{\"dim\": 3, \"reps\": {reps}, \"threads_sweep\": {threads}}},\n  \"parity\": {{\"gmm_max_ulp\": {gmm_max_ulp}, \"hmgm_max_ulp\": {hmgm_max_ulp}, \"digital_ulp_gate\": {DIGITAL_MAX_ULP}, \"cim_bit_identical\": {cim_exact}}},\n  \"prune\": {{\"epsilon\": {PRUNE_EPSILON:e}, \"digital_max_abs\": {prune_digital_max_abs:e}, \"off_bit_identical\": {prune_off_exact}}},\n  \"rows\": [\n{json_rows}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"kernels\",\n  \"smoke\": {smoke},\n  \"host\": {{\"arch\": \"{}\", \"os\": \"{}\", \"cores\": {cores}, \"target_cpu\": \"{}\"}},\n  \"config\": {{\"dim\": 3, \"reps\": {reps}, \"threads_sweep\": {threads}}},\n  \"parity\": {{\"gmm_max_ulp\": {gmm_max_ulp}, \"digital_ulp_gate\": {DIGITAL_MAX_ULP}, \"cim_bit_identical\": {cim_exact}}},\n  \"prune\": {{\"epsilon\": {PRUNE_EPSILON:e}, \"digital_max_abs\": {prune_digital_max_abs:e}, \"off_bit_identical\": {prune_off_exact}}},\n  \"rows\": [\n{json_rows}\n  ]\n}}\n",
         json_escape_free(std::env::consts::ARCH),
         json_escape_free(std::env::consts::OS),
         json_escape_free(navicim_bench::target_cpu_label()),

@@ -16,8 +16,6 @@
 //!
 //! - [`crate::registry::DIGITAL_GMM`] — the conventional approach: a
 //!   diagonal GMM evaluated on a digital datapath,
-//! - [`crate::registry::DIGITAL_HMGM`] — the co-designed kernel family
-//!   evaluated in floating point (the map-family ablation),
 //! - [`crate::registry::CIM_HMGM`] — the co-design: an HMG mixture
 //!   compiled onto the floating-gate inverter array and evaluated in
 //!   analog, including DAC/ADC quantization, device variation and noise.
@@ -38,7 +36,6 @@ use navicim_gmm::fit::FitConfig;
 use navicim_gmm::prune::PruneConfig;
 use navicim_math::geom::{Pose, Quat, Vec3};
 use navicim_math::rng::{Rng64, SampleExt};
-use navicim_math::simd::F64x4;
 use navicim_scene::camera::{DepthCamera, DepthImage};
 
 /// Localizer configuration.
@@ -64,7 +61,7 @@ pub struct LocalizerConfig {
     pub filter: FilterConfig,
     /// Likelihood-backend name, resolved against the
     /// [`crate::registry::BackendRegistry`] at build time (defaults:
-    /// `"digital-gmm"`, `"digital-hmgm"`, `"cim-hmgm"`).
+    /// `"digital-gmm"`, `"cim-hmgm"`).
     pub backend: String,
     /// Analog-engine settings, passed to the backend factory through the
     /// [`crate::registry::MapFitContext`] (digital backends ignore them).
@@ -72,10 +69,9 @@ pub struct LocalizerConfig {
     /// Mixture-fit settings (GMM warm start for both backends).
     pub fit: FitConfig,
     /// Spatial component-pruning knob, compiled into the digital GMM
-    /// backend's fitted map only (see `navicim_gmm::prune`). The digital
-    /// HMGM and analog CIM backends ignore it: both score every
-    /// component. Off by default; off-mode evaluation is bit-identical to
-    /// previous releases.
+    /// backend's fitted map only (see `navicim_gmm::prune`). The analog
+    /// CIM backend ignores it: it scores every component. Off by default;
+    /// off-mode evaluation is bit-identical to previous releases.
     pub prune: PruneConfig,
     /// Backend-arbitration section: which backend slots the streaming
     /// pipeline instantiates and which [`crate::pipeline::GatePolicy`]
@@ -184,11 +180,11 @@ pub const BLIND_LL: f64 = -1e3;
 /// - **per frame**, the valid pixels whose row-major index is a multiple
 ///   of `stride` are backprojected once into camera-frame SoA columns;
 /// - **per particle**, those columns are rotated by the particle's
-///   quaternion and translated four lanes at a time, written straight
+///   quaternion and translated one point at a time, written straight
 ///   into the batch.
 ///
 /// The result is bit-identical to concatenating
-/// [`DepthCamera::project_to_world`] over `states`: the lanes repeat
+/// [`DepthCamera::project_to_world`] over `states`: the loop repeats
 /// `Pose::transform_point` operation for operation.
 ///
 /// # Panics
@@ -232,46 +228,28 @@ pub fn stage_scan_batch(
 /// Writes `pose.transform_point` of every camera-frame point in the SoA
 /// columns `cam` into the interleaved `out` (`3 × n` doubles).
 ///
-/// Four points per step with [`F64x4`]; each lane repeats
-/// `Quat::rotate` + translation operation for operation (the cross
-/// products written as `Vec3::cross` writes them, no fused multiply-add),
-/// so every output bit matches the scalar path, which serves the
-/// remainder.
+/// The loop body repeats `Quat::rotate` + translation operation for
+/// operation (the cross products written as `Vec3::cross` writes them, no
+/// fused multiply-add), so every output bit matches `pose.transform_point`.
+/// It is written out rather than called because the `geom` methods are
+/// not inlined across crates: a `transform_point` call per point runs
+/// about ten times slower than this loop.
 fn transform_scan(pose: &Pose, cam: [&[f64]; 3], out: &mut [f64]) {
     let [xs, ys, zs] = cam;
-    let q = pose.rotation;
-    let (ux, uy, uz, w) = (
-        F64x4::splat(q.x),
-        F64x4::splat(q.y),
-        F64x4::splat(q.z),
-        F64x4::splat(q.w),
-    );
-    let p = pose.translation;
-    let (px, py, pz) = (F64x4::splat(p.x), F64x4::splat(p.y), F64x4::splat(p.z));
-    let two = F64x4::splat(2.0);
-    let lanes = xs.len() - xs.len() % 4;
-    let columns = xs[..lanes]
-        .chunks_exact(4)
-        .zip(ys.chunks_exact(4))
-        .zip(zs.chunks_exact(4));
-    for (((x4, y4), z4), o) in columns.zip(out.chunks_exact_mut(12)) {
-        let (vx, vy, vz) = (F64x4::load(x4), F64x4::load(y4), F64x4::load(z4));
+    let (q, p) = (pose.rotation, pose.translation);
+    let (ux, uy, uz, w) = (q.x, q.y, q.z, q.w);
+    let (px, py, pz) = (p.x, p.y, p.z);
+    let columns = xs.iter().zip(ys).zip(zs);
+    for (((&vx, &vy), &vz), point) in columns.zip(out.chunks_exact_mut(3)) {
         // t = (u × v) * 2
-        let tx = (uy * vz - uz * vy) * two;
-        let ty = (uz * vx - ux * vz) * two;
-        let tz = (ux * vy - uy * vx) * two;
+        let tx = (uy * vz - uz * vy) * 2.0;
+        let ty = (uz * vx - ux * vz) * 2.0;
+        let tz = (ux * vy - uy * vx) * 2.0;
         // r = ((v + t*w) + u × t) + translation
         let rx = ((vx + tx * w) + (uy * tz - uz * ty)) + px;
         let ry = ((vy + ty * w) + (uz * tx - ux * tz)) + py;
         let rz = ((vz + tz * w) + (ux * ty - uy * tx)) + pz;
-        let (rx, ry, rz) = (rx.to_array(), ry.to_array(), rz.to_array());
-        for (lane, point) in o.chunks_exact_mut(3).enumerate() {
-            point.copy_from_slice(&[rx[lane], ry[lane], rz[lane]]);
-        }
-    }
-    for (i, point) in (lanes..xs.len()).zip(out[3 * lanes..].chunks_exact_mut(3)) {
-        let r = pose.transform_point(Vec3::new(xs[i], ys[i], zs[i]));
-        point.copy_from_slice(&[r.x, r.y, r.z]);
+        point.copy_from_slice(&[rx, ry, rz]);
     }
 }
 

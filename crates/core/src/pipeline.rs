@@ -2421,7 +2421,7 @@ impl LocalizationPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::{CIM_HMGM, DIGITAL_GMM, DIGITAL_HMGM};
+    use crate::registry::{CIM_HMGM, DIGITAL_GMM};
     use navicim_scene::dataset::LocalizationConfig;
 
     fn small_dataset() -> LocalizationDataset {
@@ -2715,11 +2715,10 @@ mod tests {
 
     #[test]
     fn pruning_leaves_hmgm_and_analog_served_runs_unchanged() {
-        // Pruning reaches only the digital GMM; the HMG mixture and the
-        // CIM array score every component. An oversized room gives the
-        // range-limited camera a small patch of a large map — the query
-        // locality pruning feeds on — yet a run served on either HMGM
-        // kernel must not move a bit.
+        // Pruning reaches only the digital GMM; the CIM array scores every
+        // HMGM component. An oversized room gives the range-limited camera
+        // a small patch of a large map — the query locality pruning feeds
+        // on — yet a run served on the analog slot must not move a bit.
         let scene_config = LocalizationConfig {
             tabletop: navicim_scene::scene::TabletopParams {
                 room_half: 12.0,
@@ -2732,41 +2731,36 @@ mod tests {
             ..LocalizationConfig::default()
         };
         let ds = LocalizationDataset::generate(&scene_config, 7).unwrap();
-        for (digital, slot) in [(DIGITAL_GMM, ANALOG_SLOT), (DIGITAL_HMGM, DIGITAL_SLOT)] {
-            let base = LocalizerConfig {
-                num_particles: 250,
-                pixel_stride: 7,
-                components: 24,
-                gate: GateConfig {
-                    backends: vec![digital.into(), CIM_HMGM.into()],
-                    policy: GateKind::Always(slot),
-                },
-                seed: 3,
-                ..LocalizerConfig::default()
-            };
-            let full = LocalizationPipeline::build(&ds, base.clone())
-                .unwrap()
-                .run(&ds)
-                .unwrap();
-            let pruned_config = LocalizerConfig {
-                prune: navicim_gmm::prune::PruneConfig::enabled(),
-                ..base
-            };
-            let pruned = LocalizationPipeline::build(&ds, pruned_config)
-                .unwrap()
-                .run(&ds)
-                .unwrap();
-            assert!(!full.frames.is_empty());
-            assert_eq!(
-                pruned.frames, full.frames,
-                "{digital} served on slot {slot}"
-            );
-            for run in [&full, &pruned] {
-                assert!(run.stats[slot].evaluations > 0);
-                let s = &run.stats[ANALOG_SLOT];
-                assert_eq!(s.column_activations, s.column_slots);
-                assert_eq!(s.column_slots, s.evaluations * 24);
-            }
+        let base = LocalizerConfig {
+            num_particles: 250,
+            pixel_stride: 7,
+            components: 24,
+            gate: GateConfig {
+                backends: vec![DIGITAL_GMM.into(), CIM_HMGM.into()],
+                policy: GateKind::Always(ANALOG_SLOT),
+            },
+            seed: 3,
+            ..LocalizerConfig::default()
+        };
+        let full = LocalizationPipeline::build(&ds, base.clone())
+            .unwrap()
+            .run(&ds)
+            .unwrap();
+        let pruned_config = LocalizerConfig {
+            prune: navicim_gmm::prune::PruneConfig::enabled(),
+            ..base
+        };
+        let pruned = LocalizationPipeline::build(&ds, pruned_config)
+            .unwrap()
+            .run(&ds)
+            .unwrap();
+        assert!(!full.frames.is_empty());
+        assert_eq!(pruned.frames, full.frames);
+        for run in [&full, &pruned] {
+            let s = &run.stats[ANALOG_SLOT];
+            assert!(s.evaluations > 0);
+            assert_eq!(s.column_activations, s.column_slots);
+            assert_eq!(s.column_slots, s.evaluations * 24);
         }
     }
 

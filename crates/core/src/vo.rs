@@ -569,22 +569,6 @@ impl BayesianVo {
         mc_moments_in_place(pred);
     }
 
-    /// MC-Dropout predictions for a whole sequence of frames, in order.
-    ///
-    /// The per-frame unit of batching in this pipeline is the
-    /// `mc_iterations` stochastic passes (amortized on the macro by
-    /// compute reuse); this entry point is the frame-sweep API the
-    /// trajectory runners weight whole datasets through.
-    pub fn predict_batch<'a>(
-        &mut self,
-        features_batch: impl IntoIterator<Item = &'a [f64]>,
-    ) -> Vec<McPrediction> {
-        features_batch
-            .into_iter()
-            .map(|features| self.predict(features))
-            .collect()
-    }
-
     /// Deterministic quantized prediction (no dropout at inference).
     pub fn predict_deterministic(&mut self, features: &[f64]) -> Vec<f64> {
         self.backend.reset();

@@ -13,9 +13,8 @@
 
 use crate::fit::{fit_diag_gmm, FitConfig};
 use crate::{check_dims, GmmError, Result};
-use navicim_backend::{check_batch_shape, par, LikelihoodBackend, PointBatch};
 use navicim_math::rng::Rng64;
-use navicim_math::simd::{exp_fast, F64x4, LANES};
+use navicim_math::simd::exp_fast;
 
 /// One Harmonic-Mean-of-Gaussian kernel.
 ///
@@ -87,10 +86,8 @@ impl HmgKernel {
 
     /// Per-axis Gaussian factor `gᵢ(xᵢ)` (in `(0, 1]`).
     ///
-    /// Uses [`exp_fast`] — the same exponential the 4-wide lane path
-    /// applies — so scalar and vectorized evaluation stay bit-identical
-    /// (the whole digital HMG path carries `exp_fast`'s documented
-    /// ulp-bounded tolerance relative to a `f64::exp` reference).
+    /// Uses [`exp_fast`], so the whole HMG path carries its documented
+    /// ulp-bounded tolerance relative to a `f64::exp` reference.
     pub fn axis_factor(&self, axis: usize, x: f64) -> f64 {
         let z = (x - self.means[axis]) / self.sigmas[axis];
         exp_fast(-0.5 * z * z)
@@ -129,21 +126,14 @@ impl HmgKernel {
 }
 
 /// A mixture of HMG kernels: the co-designed map model of Section II.
-#[derive(Debug, Clone)]
+///
+/// It is served as inverter-array currents (`navicim_analog::engine`
+/// programs the array from it); its scalar [`Self::likelihood`] is the
+/// ideal reference the CIM evaluation is tested against.
+#[derive(Debug, Clone, PartialEq)]
 pub struct HmgmModel {
     weights: Vec<f64>,
     kernels: Vec<HmgKernel>,
-    /// Reused transposed-axis lanes for the single-chunk batch path, so a
-    /// warmed model evaluates frames without touching the heap.
-    xs4: Vec<F64x4>,
-}
-
-/// Equality is over the model parameters: `xs4` is evaluation state and
-/// cannot distinguish models.
-impl PartialEq for HmgmModel {
-    fn eq(&self, other: &Self) -> bool {
-        self.weights == other.weights && self.kernels == other.kernels
-    }
 }
 
 impl HmgmModel {
@@ -168,11 +158,7 @@ impl HmgmModel {
         if kernels.iter().any(|k| k.dim() != dim) {
             return Err(GmmError::InconsistentDimensions);
         }
-        Ok(Self {
-            weights,
-            kernels,
-            xs4: Vec::new(),
-        })
+        Ok(Self { weights, kernels })
     }
 
     /// Number of mixture components.
@@ -206,8 +192,6 @@ impl HmgmModel {
     ///
     /// Panics if `x.len()` differs from the model dimension.
     pub fn likelihood(&self, x: &[f64]) -> f64 {
-        // Fused multiply-add accumulation, mirrored exactly by the
-        // 4-wide lane path so batch and scalar evaluation agree bitwise.
         let mut total = 0.0;
         for (w, k) in self.weights.iter().zip(&self.kernels) {
             total = w.mul_add(k.eval(x), total);
@@ -218,118 +202,6 @@ impl HmgmModel {
     /// Natural log of [`Self::likelihood`], floored to stay finite.
     pub fn log_likelihood(&self, x: &[f64]) -> f64 {
         self.likelihood(x).max(1e-300).ln()
-    }
-
-    /// Log-likelihood of four points at once through explicit f64 lanes.
-    ///
-    /// `flat` holds exactly four consecutive row-major points (`4 × dim`
-    /// doubles). Each lane applies the operation sequence of the scalar
-    /// [`Self::log_likelihood`] verbatim — same `exp_fast` axis factors,
-    /// same `1e-300` floors, same fused multiply-add mixture
-    /// accumulation — so every lane result is bit-identical to scoring
-    /// that point alone. This is what lets the batched
-    /// [`LikelihoodBackend`] impl group points freely without observable
-    /// effect.
-    fn log_likelihood4(&self, flat: &[f64], xs4: &mut Vec<F64x4>) -> [f64; LANES] {
-        let dim = self.dim();
-        debug_assert_eq!(flat.len(), LANES * dim);
-        // Transpose once: axis i of each of the four points, reused by
-        // every kernel.
-        xs4.clear();
-        for i in 0..dim {
-            xs4.push(F64x4::new([
-                flat[i],
-                flat[dim + i],
-                flat[2 * dim + i],
-                flat[3 * dim + i],
-            ]));
-        }
-        let mut total = F64x4::splat(0.0);
-        for (w, k) in self.weights.iter().zip(&self.kernels) {
-            let peak = F64x4::splat(k.amplitude * dim as f64);
-            let mut inv_sum = F64x4::splat(0.0);
-            for i in 0..dim {
-                let z = (xs4[i] - F64x4::splat(k.means[i])) / F64x4::splat(k.sigmas[i]);
-                let g = (F64x4::splat(-0.5) * z * z).exp().max(F64x4::splat(1e-300));
-                inv_sum = inv_sum + F64x4::splat(1.0) / g;
-            }
-            total = F64x4::splat(*w).mul_add(peak / inv_sum, total);
-        }
-        let mut out = [0.0; LANES];
-        for (lane, o) in out.iter_mut().enumerate() {
-            *o = total.lane(lane).max(1e-300).ln();
-        }
-        out
-    }
-
-    /// Batch log-likelihood under an explicit [`par::ChunkPolicy`].
-    ///
-    /// Identical bits to [`LikelihoodBackend::log_likelihood_into`] for
-    /// every `(chunk_len, workers)` pair — each point's math is
-    /// self-contained, so chunk boundaries and thread assignment are
-    /// unobservable in the output. Exposed so the thread-sweep bench can
-    /// re-tune [`par::MIN_CHUNK`] against the production kernel.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch or if `out.len() != batch.len()`.
-    pub fn log_likelihood_into_policy(
-        &mut self,
-        batch: &PointBatch,
-        out: &mut [f64],
-        policy: par::ChunkPolicy,
-    ) {
-        check_batch_shape(HmgmModel::dim(self), batch, out);
-        if policy.is_single_chunk(batch.len()) {
-            // Sequential production path: evaluate the whole batch inline
-            // through the struct-held lanes — allocation-free once they
-            // have grown to the model dimension.
-            let mut xs4 = std::mem::take(&mut self.xs4);
-            self.eval_range(batch, 0, out, &mut xs4);
-            self.xs4 = xs4;
-            return;
-        }
-        let model = &*self;
-        par::for_each_chunk_policy(policy, out, |start, chunk| {
-            // Threaded chunk: worker-local lanes (allocates by design —
-            // thread spawning already does). Bit-identical to the inline
-            // path: scratch capacity is unobservable.
-            // lint: allow(hot-path-alloc) threaded chunk closures own their scratch
-            let mut xs4 = Vec::new();
-            model.eval_range(batch, start, chunk, &mut xs4);
-        });
-    }
-
-    /// Evaluation of `chunk` (anchored at batch index `start`): 4-wide
-    /// body plus scalar remainder tail; lane math is per-point identical
-    /// to [`Self::log_likelihood`], so any chunk boundary or grouping
-    /// yields the same bits.
-    fn eval_range(
-        &self,
-        batch: &PointBatch,
-        start: usize,
-        chunk: &mut [f64],
-        xs4: &mut Vec<F64x4>,
-    ) {
-        let mut offset = 0;
-        while offset + LANES <= chunk.len() {
-            let flat = batch.flat_range(start + offset, start + offset + LANES);
-            chunk[offset..offset + LANES].copy_from_slice(&self.log_likelihood4(flat, xs4));
-            offset += LANES;
-        }
-        for (i, o) in chunk.iter_mut().enumerate().skip(offset) {
-            *o = self.log_likelihood(batch.point(start + i));
-        }
-    }
-}
-
-impl LikelihoodBackend for HmgmModel {
-    fn dim(&self) -> usize {
-        HmgmModel::dim(self)
-    }
-
-    fn log_likelihood_into(&mut self, batch: &PointBatch, out: &mut [f64]) {
-        self.log_likelihood_into_policy(batch, out, par::ChunkPolicy::auto());
     }
 }
 
@@ -640,24 +512,5 @@ mod tests {
         let k = kernel2d();
         let m = HmgmModel::new(vec![1.0], vec![k]).unwrap();
         assert!(m.log_likelihood(&[100.0, -100.0]).is_finite());
-    }
-
-    #[test]
-    fn policy_batch_path_is_chunking_invariant() {
-        let k1 = HmgKernel::new(vec![0.0, 0.0], vec![1.0, 1.0], 1.0).unwrap();
-        let k2 = HmgKernel::new(vec![2.0, -1.0], vec![0.5, 0.8], 2.0).unwrap();
-        let mut m = HmgmModel::new(vec![2.0, 1.0], vec![k1, k2]).unwrap();
-        let mut rng = Pcg32::seed_from_u64(5);
-        let mut batch = PointBatch::with_capacity(2, 11);
-        for _ in 0..11 {
-            batch.push(&[rng.sample_normal(0.5, 1.5), rng.sample_normal(-0.5, 1.5)]);
-        }
-        let mut auto = vec![0.0; 11];
-        m.log_likelihood_into(&batch, &mut auto);
-        for policy in [par::ChunkPolicy::exact(3, 4), par::ChunkPolicy::exact(1, 2)] {
-            let mut out = vec![0.0; 11];
-            m.log_likelihood_into_policy(&batch, &mut out, policy);
-            assert_eq!(out, auto);
-        }
     }
 }

@@ -146,8 +146,6 @@ const HOT_PATH_FNS: &[(&str, &str)] = &[
     ("crates/gmm/src/gaussian.rs", "eval_range"),
     ("crates/gmm/src/gaussian.rs", "eval_range_pruned"),
     ("crates/gmm/src/gaussian.rs", "eval_tiles"),
-    ("crates/gmm/src/hmg.rs", "log_likelihood_into_policy"),
-    ("crates/gmm/src/hmg.rs", "eval_range"),
     ("crates/analog/src/engine.rs", "log_likelihood_into_chunked"),
     ("crates/analog/src/engine.rs", "eval_stream"),
     ("crates/analog/src/engine.rs", "eval_lut"),

@@ -88,20 +88,29 @@ fn hot_path_alloc_fixture_pair() {
 
 #[test]
 fn stale_hot_path_entry_is_reported() {
-    // hmg.rs registers `log_likelihood_into_policy` and `eval_range`;
-    // this version defines only the first (the second only under
-    // `cfg(test)`, which does not count).
-    let hmg = "pub fn log_likelihood_into_policy() {}\n\
-               #[cfg(test)]\n\
-               mod tests { fn eval_range() {} }\n";
-    let findings = lint_sources([("crates/gmm/src/hmg.rs", hmg)]);
+    // gaussian.rs registers `log_likelihood_into_policy`, `eval_range`,
+    // `eval_range_pruned` and `eval_tiles`; this version defines the first
+    // and the last, `eval_range` only under `cfg(test)` (which does not
+    // count) and `eval_range_pruned` not at all.
+    let gaussian = "pub fn log_likelihood_into_policy() {}\n\
+                    fn eval_tiles() {}\n\
+                    #[cfg(test)]\n\
+                    mod tests { fn eval_range() {} }\n";
+    let findings = lint_sources([("crates/gmm/src/gaussian.rs", gaussian)]);
     let stale: Vec<&str> = findings
         .iter()
-        .filter(|f| f.rule == "hot-path-alloc" && f.file == "crates/gmm/src/hmg.rs")
+        .filter(|f| f.rule == "hot-path-alloc" && f.file == "crates/gmm/src/gaussian.rs")
         .map(|f| f.message.as_str())
         .collect();
-    assert_eq!(stale.len(), 1, "{stale:?}");
-    assert!(stale[0].contains("fn eval_range`"), "{stale:?}");
+    assert_eq!(stale.len(), 2, "{stale:?}");
+    assert!(
+        stale.iter().any(|m| m.contains("fn eval_range`")),
+        "{stale:?}"
+    );
+    assert!(
+        stale.iter().any(|m| m.contains("fn eval_range_pruned`")),
+        "{stale:?}"
+    );
     // A registered file absent from the tree reports each of its entries
     // (`log_likelihood_into_chunked`, `eval_stream`, `eval_lut`,
     // `finish_tile`).

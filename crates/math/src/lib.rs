@@ -17,8 +17,9 @@
 //! - [`metrics`] — trajectory/error metrics (RMSE, ATE, …),
 //! - [`randtest`] — a lightweight randomness test battery for the
 //!   SRAM-embedded RNG of the paper's Section III,
-//! - [`simd`] — explicit 4-wide f64 lanes and a fast exponential for the
-//!   likelihood hot paths (stable Rust, no intrinsics).
+//! - [`simd`] — branch-free `exp`, `ln` and `cos` that keep the
+//!   likelihood hot paths' tile loops vectorizable (stable Rust, no
+//!   intrinsics).
 //!
 //! # Example
 //!

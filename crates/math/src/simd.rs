@@ -1,22 +1,11 @@
-//! Explicit 4-wide f64 lanes for the likelihood hot paths.
+//! Vectorizable elementary functions for the likelihood hot paths.
 //!
-//! Stable Rust has no portable SIMD type yet, so this module provides the
-//! small slice of one the navicim kernels need: a `[f64; 4]` wrapper
-//! ([`F64x4`]) whose lane-wise operations are written so LLVM reliably
-//! auto-vectorizes them (256-bit AVX / 512-bit AVX-512 with
-//! `-C target-cpu=native`, 2×128-bit SSE2 otherwise), plus a fast
-//! vectorizable exponential ([`exp_fast`]).
-//!
-//! # The lane-purity contract
-//!
-//! Every operation on [`F64x4`] is defined *per lane* as exactly the
-//! scalar operation on that lane's value — no horizontal reductions, no
-//! re-association, no contraction beyond what the scalar code also does.
-//! A kernel that processes points in groups of four lanes plus a scalar
-//! remainder tail therefore produces bit-identical results for a point
-//! regardless of which lane (or the tail) served it, which is what keeps
-//! the batched backends invariant under arbitrary chunk splits (see
-//! `navicim_backend::par`).
+//! Stable Rust has no portable SIMD type yet, so the navicim kernels are
+//! plain fixed-width loops over tiles of points that LLVM auto-vectorizes
+//! (256-bit AVX / 512-bit AVX-512 with `-C target-cpu=native`, 2×128-bit
+//! SSE2 otherwise). What such a loop cannot call is a libm function, so
+//! this module provides branch-free replacements: a fast exponential
+//! ([`exp_fast`]), logarithm ([`ln_fast`]) and cosine ([`cos_turns_fast`]).
 //!
 //! # `exp_fast` and the ulp gate
 //!
@@ -26,8 +15,8 @@
 //! correctly rounded result for finite inputs with normal results
 //! (subnormal results may round with larger relative error; `NaN`, `±inf`
 //! and over/underflow behave like `f64::exp`). Digital kernels that adopt
-//! it (the GMM evaluation plan, the HMG axis loop) remain bit-identical
-//! between their SIMD bodies and scalar tails — both call `exp_fast` —
+//! it (the GMM evaluation plan, the HMG axis factor) remain bit-identical
+//! between their tile bodies and scalar paths — both call `exp_fast` —
 //! but carry this documented ulp-bounded tolerance relative to a
 //! `f64::exp` reference implementation. The property-test suite enforces
 //! the bound (`tests/property_tests.rs` and the tests below).
@@ -45,11 +34,6 @@
 //! the engine only uses them to *decide* an ADC code when the decision
 //! is provably the one the exact chain makes, and sends every other
 //! point through the exact libm chain (see `navicim_analog::engine`).
-
-use std::ops::{Add, Div, Mul, Sub};
-
-/// Number of lanes in [`F64x4`].
-pub const LANES: usize = 4;
 
 /// Documented accuracy gate for [`exp_fast`]: maximum distance from the
 /// correctly rounded `f64::exp`, in units in the last place, for finite
@@ -69,125 +53,6 @@ pub const LN_FAST_MAX_ULP: u64 = 2;
 /// `cos_turns_fast` avoids by reducing in turns.
 pub const COS_TURNS_FAST_MAX_ABS_ERR: f64 = 1.5e-15;
 
-/// Four f64 lanes with strictly per-lane arithmetic.
-///
-/// ```
-/// use navicim_math::simd::F64x4;
-/// let a = F64x4::new([1.0, 2.0, 3.0, 4.0]);
-/// let b = F64x4::splat(0.5);
-/// assert_eq!((a * b).to_array(), [0.5, 1.0, 1.5, 2.0]);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct F64x4([f64; 4]);
-
-impl F64x4 {
-    /// Builds a vector from its four lane values.
-    #[inline(always)]
-    pub fn new(lanes: [f64; 4]) -> Self {
-        Self(lanes)
-    }
-
-    /// Broadcasts one value to all lanes.
-    #[inline(always)]
-    pub fn splat(v: f64) -> Self {
-        Self([v; 4])
-    }
-
-    /// Loads four consecutive values from a slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s.len() < 4`.
-    #[inline(always)]
-    pub fn load(s: &[f64]) -> Self {
-        Self([s[0], s[1], s[2], s[3]])
-    }
-
-    /// Stores the four lanes into a slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() < 4`.
-    #[inline(always)]
-    pub fn store(self, out: &mut [f64]) {
-        out[..4].copy_from_slice(&self.0);
-    }
-
-    /// The lane values as an array.
-    #[inline(always)]
-    pub fn to_array(self) -> [f64; 4] {
-        self.0
-    }
-
-    /// One lane value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane >= 4`.
-    #[inline(always)]
-    pub fn lane(self, lane: usize) -> f64 {
-        self.0[lane]
-    }
-
-    /// Per-lane fused multiply-add: `self * b + c` with a single rounding
-    /// per lane ([`f64::mul_add`] semantics — correctly rounded on every
-    /// target, hardware FMA or soft fallback).
-    #[inline(always)]
-    pub fn mul_add(self, b: Self, c: Self) -> Self {
-        Self([
-            self.0[0].mul_add(b.0[0], c.0[0]),
-            self.0[1].mul_add(b.0[1], c.0[1]),
-            self.0[2].mul_add(b.0[2], c.0[2]),
-            self.0[3].mul_add(b.0[3], c.0[3]),
-        ])
-    }
-
-    /// Per-lane maximum with [`f64::max`] NaN semantics (NaN lanes yield
-    /// the other operand).
-    #[inline(always)]
-    pub fn max(self, o: Self) -> Self {
-        Self([
-            self.0[0].max(o.0[0]),
-            self.0[1].max(o.0[1]),
-            self.0[2].max(o.0[2]),
-            self.0[3].max(o.0[3]),
-        ])
-    }
-
-    /// Per-lane [`exp_fast`].
-    #[inline(always)]
-    pub fn exp(self) -> Self {
-        Self([
-            exp_fast(self.0[0]),
-            exp_fast(self.0[1]),
-            exp_fast(self.0[2]),
-            exp_fast(self.0[3]),
-        ])
-    }
-}
-
-macro_rules! lane_binop {
-    ($trait:ident, $method:ident, $op:tt) => {
-        impl $trait for F64x4 {
-            type Output = Self;
-            #[inline(always)]
-            fn $method(self, r: Self) -> Self {
-                Self([
-                    self.0[0] $op r.0[0],
-                    self.0[1] $op r.0[1],
-                    self.0[2] $op r.0[2],
-                    self.0[3] $op r.0[3],
-                ])
-            }
-        }
-    };
-}
-
-lane_binop!(Add, add, +);
-lane_binop!(Sub, sub, -);
-lane_binop!(Mul, mul, *);
-lane_binop!(Div, div, /);
-
 /// log2(e), the reduction constant for `exp_fast`.
 const LOG2_E: f64 = std::f64::consts::LOG2_E;
 /// High part of ln(2) with 20 trailing zero mantissa bits, so
@@ -205,7 +70,7 @@ const EXP_UNDERFLOW: f64 = -746.0;
 /// polynomial, within [`EXP_FAST_MAX_ULP`] ulp of `f64::exp` (see the
 /// module docs for the exact contract).
 ///
-/// Written so that mapping it over four lanes auto-vectorizes: the input
+/// Written so that a loop mapping it over a tile auto-vectorizes: the input
 /// is clamped into the finite-result window, the core runs unconditionally
 /// on every lane, and the overflow/underflow/NaN cases are repaired by
 /// per-lane selects at the end.
@@ -447,36 +312,6 @@ pub fn ulp_distance(a: f64, b: f64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn lane_ops_match_scalar_bitwise() {
-        let a = F64x4::new([1.5, -2.25, 1e-300, 3.7e15]);
-        let b = F64x4::new([-0.3, 7.125, 4.0e299, -1.1]);
-        let c = F64x4::splat(0.875);
-        for i in 0..LANES {
-            assert_eq!((a + b).lane(i), a.lane(i) + b.lane(i));
-            assert_eq!((a - b).lane(i), a.lane(i) - b.lane(i));
-            assert_eq!((a * b).lane(i), a.lane(i) * b.lane(i));
-            assert_eq!((a / b).lane(i), a.lane(i) / b.lane(i));
-            assert_eq!(
-                a.mul_add(b, c).lane(i),
-                a.lane(i).mul_add(b.lane(i), c.lane(i))
-            );
-            assert_eq!(a.max(b).lane(i), a.lane(i).max(b.lane(i)));
-            assert_eq!(a.exp().lane(i), exp_fast(a.lane(i)));
-        }
-    }
-
-    #[test]
-    fn load_store_roundtrip() {
-        let src = [0.1, 0.2, 0.3, 0.4, 0.5];
-        let v = F64x4::load(&src);
-        assert_eq!(v.to_array(), [0.1, 0.2, 0.3, 0.4]);
-        let mut out = [0.0; 4];
-        v.store(&mut out);
-        assert_eq!(out, [0.1, 0.2, 0.3, 0.4]);
-        assert_eq!(F64x4::splat(7.0).lane(3), 7.0);
-    }
 
     #[test]
     fn exp_fast_specials() {

@@ -105,22 +105,6 @@ fn gmm_batch_kernel_is_zero_alloc_when_warm() {
     }
 }
 
-#[test]
-fn hmgm_batch_kernel_is_zero_alloc_when_warm() {
-    let k1 = HmgKernel::new(vec![-0.5, 0.0, 0.2], vec![0.4; 3], 1.0).expect("kernel");
-    let k2 = HmgKernel::new(vec![0.6, 0.3, -0.4], vec![0.5; 3], 1.0).expect("kernel");
-    let mut model = HmgmModel::new(vec![1.0, 0.5], vec![k1, k2]).expect("model builds");
-    let batch = query_batch(3, 64);
-    let mut out = vec![0.0; batch.len()];
-    let policy = sequential(batch.len());
-    model.log_likelihood_into_policy(&batch, &mut out, policy);
-    let warm = out.clone();
-    assert_zero_alloc("HmgmModel::log_likelihood_into_policy", || {
-        model.log_likelihood_into_policy(&batch, &mut out, policy);
-    });
-    assert_eq!(out, warm, "steady-state pass changed the output bits");
-}
-
 /// The unit-cube map and an HMG mixture of `k` device-realizable kernels
 /// at the narrowest programmable width, scattered over the map.
 fn cim_fixture(k: usize) -> (SpaceMap, HmgmModel) {

@@ -246,37 +246,6 @@ proptest! {
         prop_assert_eq!(scalar, batched);
     }
 
-    /// The HMGM batch path is bit-identical to sequential scalar calls.
-    #[test]
-    fn hmgm_batch_equals_scalar(
-        seed in 0u64..500,
-        k in 1usize..6,
-        n in 1usize..64,
-    ) {
-        let mut rng = Pcg32::seed_from_u64(seed);
-        use navicim::math::rng::SampleExt;
-        let kernels: Vec<HmgKernel> = (0..k)
-            .map(|_| {
-                HmgKernel::new(
-                    (0..3).map(|_| rng.sample_uniform(-2.0, 2.0)).collect(),
-                    (0..3).map(|_| rng.sample_uniform(0.1, 1.5)).collect(),
-                    rng.sample_uniform(0.5, 2.0),
-                )
-                .expect("valid kernel")
-            })
-            .collect();
-        let weights: Vec<f64> = (0..k).map(|_| rng.sample_uniform(0.1, 2.0)).collect();
-        let mut model = HmgmModel::new(weights, kernels).expect("valid model");
-        let mut batch = PointBatch::new(3);
-        for _ in 0..n {
-            let p: Vec<f64> = (0..3).map(|_| rng.sample_uniform(-3.0, 3.0)).collect();
-            batch.push(&p);
-        }
-        let scalar: Vec<f64> = batch.iter().map(|p| model.log_likelihood(p)).collect();
-        let batched = LikelihoodBackend::log_likelihood_batch(&mut model, &batch);
-        prop_assert_eq!(scalar, batched);
-    }
-
     /// The analog CIM engine's batch path is bit-identical to sequential
     /// scalar queries — including the noise-RNG stream and the
     /// EngineStats counters — for arbitrary batch sizes.
@@ -726,11 +695,10 @@ proptest! {
 
     /// SIMD remainder handling and lane-position independence: batch
     /// lengths of 0–3 full [`GMM_TILE`]-point tiles plus a short tail of
-    /// any width (which also covers every remainder shape of the 4-wide
-    /// HMGM lanes), with one query in a full tile and one in the padded
+    /// any width, with one query in a full tile and one in the padded
     /// tail optionally poisoned by a `NaN` or `-inf` coordinate, evaluate
-    /// bit-identically between the batched path and sequential scalar
-    /// calls on both digital kernels. The bit-pattern comparison makes
+    /// bit-identically between the digital GMM's batched path and
+    /// sequential scalar calls. The bit-pattern comparison makes
     /// `NaN` lanes count as equal, so a non-finite query must produce the
     /// exact same bits no matter which tile slot or lane served it.
     #[test]
@@ -760,19 +728,8 @@ proptest! {
         let vars: Vec<Vec<f64>> = (0..k)
             .map(|_| (0..dim).map(|_| rng.sample_uniform(0.05, 2.0)).collect())
             .collect();
-        let mut gmm = Gmm::new(weights.clone(), means.clone(), Covariance::Diagonal(vars))
-            .expect("valid gmm");
-        let kernels: Vec<HmgKernel> = (0..k)
-            .map(|ki| {
-                HmgKernel::new(
-                    means[ki].clone(),
-                    (0..dim).map(|_| rng.sample_uniform(0.1, 1.5)).collect(),
-                    rng.sample_uniform(0.5, 2.0),
-                )
-                .expect("valid kernel")
-            })
-            .collect();
-        let mut model = HmgmModel::new(weights, kernels).expect("valid model");
+        let mut gmm =
+            Gmm::new(weights, means, Covariance::Diagonal(vars)).expect("valid gmm");
         let mut points: Vec<Vec<f64>> = (0..n)
             .map(|_| (0..dim).map(|_| rng.sample_uniform(-4.0, 4.0)).collect())
             .collect();
@@ -799,14 +756,6 @@ proptest! {
             .map(|v| v.to_bits())
             .collect();
         prop_assert_eq!(gmm_scalar, gmm_batched);
-        let hmgm_scalar: Vec<u64> =
-            batch.iter().map(|p| model.log_likelihood(p).to_bits()).collect();
-        let hmgm_batched: Vec<u64> =
-            LikelihoodBackend::log_likelihood_batch(&mut model, &batch)
-                .iter()
-                .map(|v| v.to_bits())
-                .collect();
-        prop_assert_eq!(hmgm_scalar, hmgm_batched);
     }
 
     /// The pruned digital GMM batch path is bit-identical to per-point
@@ -933,11 +882,11 @@ proptest! {
         }
     }
 
-    /// Scan staging (per-frame backprojection, then per-particle 4-wide
-    /// rotation) equals, bit for bit, each particle's scan projected on
-    /// its own with `DepthCamera::project_to_world`, concatenated in
-    /// particle order — at every stride 1..=12, with every point-count
-    /// remainder mod 4, under NaN/±inf/negative depths and non-unit
+    /// Scan staging (per-frame backprojection, then a per-particle
+    /// rotate + translate loop) equals, bit for bit, each particle's scan
+    /// projected on its own with `DepthCamera::project_to_world`,
+    /// concatenated in particle order — at every stride 1..=12, with
+    /// varied point counts, under NaN/±inf/negative depths and non-unit
     /// quaternions. An all-invalid image stages nothing and scores every
     /// particle `BLIND_LL`.
     #[test]
