@@ -16,30 +16,32 @@ use navicim_math::rng::Rng64;
 /// Smallest programmable conduction-window width, in volts.
 pub const MIN_OVERLAP: f64 = 0.05;
 
+/// Effective sigma (volts) of a mid-rail cell with conduction window
+/// `overlap`, which must lie in `[MIN_OVERLAP, vdd]`.
+fn sigma_at(tech: &TechParams, overlap: f64) -> f64 {
+    GaussianLikeCell::with_center_width(tech, tech.vdd * 0.5, overlap)
+        .expect("overlap kept in [MIN_OVERLAP, vdd] by the callers")
+        .effective_sigma()
+}
+
 /// Finds the conduction-window width (`overlap`) whose Gaussian-like cell
 /// has the requested voltage-domain sigma, by bisection.
 ///
 /// # Errors
 ///
-/// Returns [`AnalogError::Unrealizable`] when the requested sigma lies
-/// outside the device's programmable range for this technology.
+/// Returns [`AnalogError::Unrealizable`] when the requested sigma is NaN
+/// or lies outside the device's programmable range for this technology.
 pub fn calibrate_overlap(tech: &TechParams, sigma_v: f64) -> Result<f64> {
-    let sigma_at = |overlap: f64| -> f64 {
-        GaussianLikeCell::with_center_width(tech, tech.vdd * 0.5, overlap)
-            .expect("overlap kept in range by caller")
-            .effective_sigma()
-    };
-    let (lo, hi) = (MIN_OVERLAP, tech.vdd);
-    let (s_lo, s_hi) = (sigma_at(lo), sigma_at(hi));
-    if sigma_v < s_lo || sigma_v > s_hi {
+    let (s_lo, s_hi) = device_sigma_range(tech);
+    if !(s_lo..=s_hi).contains(&sigma_v) {
         return Err(AnalogError::Unrealizable(format!(
             "sigma {sigma_v:.4} V outside device range [{s_lo:.4}, {s_hi:.4}] V"
         )));
     }
-    let (mut lo, mut hi) = (lo, hi);
+    let (mut lo, mut hi) = (MIN_OVERLAP, tech.vdd);
     for _ in 0..60 {
         let mid = 0.5 * (lo + hi);
-        if sigma_at(mid) < sigma_v {
+        if sigma_at(tech, mid) < sigma_v {
             lo = mid;
         } else {
             hi = mid;
@@ -50,12 +52,7 @@ pub fn calibrate_overlap(tech: &TechParams, sigma_v: f64) -> Result<f64> {
 
 /// Device-achievable voltage-domain sigma range for a technology.
 pub fn device_sigma_range(tech: &TechParams) -> (f64, f64) {
-    let s = |overlap: f64| {
-        GaussianLikeCell::with_center_width(tech, tech.vdd * 0.5, overlap)
-            .expect("bounds are valid overlaps")
-            .effective_sigma()
-    };
-    (s(MIN_OVERLAP), s(tech.vdd))
+    (sigma_at(tech, MIN_OVERLAP), sigma_at(tech, tech.vdd))
 }
 
 /// One programmed column: a multi-input inverter plus its replica count.
@@ -240,6 +237,10 @@ mod tests {
         ));
         assert!(matches!(
             calibrate_overlap(&t, s_max * 2.0),
+            Err(AnalogError::Unrealizable(_))
+        ));
+        assert!(matches!(
+            calibrate_overlap(&t, f64::NAN),
             Err(AnalogError::Unrealizable(_))
         ));
     }

@@ -47,6 +47,7 @@ use navicim_nn::mc::McPrediction;
 use navicim_scene::camera::{DepthCamera, DepthImage};
 use navicim_scene::dataset::LocalizationDataset;
 use navicim_sram::cim_macro::MacroStats;
+use std::cell::OnceCell;
 use std::fmt;
 
 /// Conventional slot of the accurate digital reference backend.
@@ -1840,6 +1841,9 @@ impl LocalizationPipeline {
         }
         let mut rng = Pcg32::seed_from_u64(config.seed);
         let points = dataset.map_points_as_rows();
+        // One diagonal fit serves every slot that needs it (see
+        // `MapFitContext::diag_gmm`).
+        let diag_fit = OnceCell::new();
         let ctx = MapFitContext {
             points: &points,
             components: config.components,
@@ -1850,6 +1854,7 @@ impl LocalizationPipeline {
             // filter RNG below advances independently, so neither backend
             // choice nor slot count perturbs the particle stream.
             seed: config.seed,
+            diag_fit: &diag_fit,
         };
         let mut backends = Vec::with_capacity(slot_names.len());
         for name in slot_names {
@@ -2711,6 +2716,43 @@ mod tests {
         assert_eq!(run.switches(), 0);
         // The digital slot was built but never served.
         assert_eq!(run.stats[DIGITAL_SLOT].evaluations, 0);
+    }
+
+    #[test]
+    fn dual_slot_backends_equal_single_slot_builds() {
+        // A dual-slot pipeline fits its diagonal GMM once for both slots;
+        // each slot must still equal the backend a pipeline serving only
+        // that slot builds (the digital one pruned from its own clone).
+        let ds = small_dataset();
+        let config = LocalizerConfig {
+            prune: navicim_gmm::prune::PruneConfig::enabled(),
+            ..small_config(GateConfig::gated(DIGITAL_GMM, CIM_HMGM))
+        };
+        let dual = LocalizationPipeline::build(&ds, config.clone()).unwrap();
+        let mut batch = PointBatch::new(3);
+        for (i, p) in ds.map_points_as_rows().iter().enumerate().step_by(5) {
+            let off = 0.01 * (i % 7) as f64;
+            batch.push_xyz(p[0] + off, p[1] - off, p[2]);
+        }
+        for (slot, name) in [(DIGITAL_SLOT, DIGITAL_GMM), (ANALOG_SLOT, CIM_HMGM)] {
+            let single_config = LocalizerConfig {
+                backend: name.into(),
+                gate: GateConfig::single(),
+                ..config.clone()
+            };
+            let single = LocalizationPipeline::build(&ds, single_config).unwrap();
+            let mut from_dual = dual.backend(slot).fork_session().unwrap();
+            let mut alone = single.backend(0).fork_session().unwrap();
+            assert_eq!(from_dual.name(), name);
+            assert_eq!(alone.name(), name);
+            assert_eq!(from_dual.components(), alone.components(), "{name}");
+            let bits = |lls: Vec<f64>| lls.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(from_dual.log_likelihood_batch(&batch)),
+                bits(alone.log_likelihood_batch(&batch)),
+                "{name}"
+            );
+        }
     }
 
     #[test]

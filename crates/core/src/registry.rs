@@ -11,8 +11,9 @@
 //!   trait-level [`BackendStats`],
 //! - [`BackendRegistry`] — named factories producing
 //!   `Box<dyn MapBackend>` from a [`MapFitContext`] (the dataset's point
-//!   cloud and fit settings); the paper's two backends, the digital GMM
-//!   and the analog CIM engine, are registered by default,
+//!   cloud, fit settings and one shared diagonal fit); the paper's two
+//!   backends, the digital GMM and the analog CIM engine, are registered
+//!   by default,
 //! - [`NamedBackend`] / [`ClosureBackend`] — adapters that lift any
 //!   [`LikelihoodBackend`] or any `FnMut(&[f64]) -> f64` into a
 //!   [`MapBackend`], so examples and downstream crates can register
@@ -38,9 +39,11 @@ use navicim_analog::engine::{CimEngineConfig, HmgmCimEngine};
 use navicim_analog::mapping::SpaceMap;
 use navicim_backend::{check_batch_shape, LikelihoodBackend, PointBatch};
 use navicim_gmm::fit::{fit_diag_gmm, FitConfig};
-use navicim_gmm::hmg::{fit_hmgm, HmgmFitConfig};
+use navicim_gmm::gaussian::Gmm;
+use navicim_gmm::hmg::{fit_hmgm_from, HmgmFitConfig};
 use navicim_gmm::prune::PruneConfig;
 use navicim_math::rng::Pcg32;
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -164,7 +167,14 @@ pub trait MapBackend: LikelihoodBackend + Send {
 }
 
 /// Everything a backend factory gets to build a map: the dataset's point
-/// cloud plus the localizer's fit settings.
+/// cloud, the localizer's fit settings and the diagonal GMM fitted to
+/// them.
+///
+/// The diagonal fit is computed once and shared: the first factory that
+/// calls [`Self::diag_gmm`] fills [`Self::diag_fit`], and every later
+/// factory built from the same context reads that one fit. The digital
+/// GMM backend serves it and the CIM backend refines it into its HMGM
+/// map, so a pipeline with both slots fits its map once.
 #[derive(Debug, Clone, Copy)]
 pub struct MapFitContext<'a> {
     /// Map point cloud, one row per world point.
@@ -189,6 +199,29 @@ pub struct MapFitContext<'a> {
     /// Seed for map fitting (salted internally so factory fit draws never
     /// collide with the localizer's particle-init stream).
     pub seed: u64,
+    /// Cache of [`Self::diag_gmm`]; pass an empty cell. It must not hold a
+    /// fit of other points, settings or seed.
+    pub diag_fit: &'a OnceCell<Gmm>,
+}
+
+impl<'a> MapFitContext<'a> {
+    /// The diagonal GMM fitted to [`Self::points`] with
+    /// [`Self::components`], [`Self::fit`] and an RNG seeded from
+    /// [`Self::seed`]. The first call fits it into [`Self::diag_fit`];
+    /// later calls return that same fit.
+    ///
+    /// # Errors
+    ///
+    /// Propagates fit errors. A failed fit is not cached, so a later call
+    /// fits again and fails the same way.
+    pub fn diag_gmm(&self) -> Result<&'a Gmm> {
+        if let Some(gmm) = self.diag_fit.get() {
+            return Ok(gmm);
+        }
+        let mut rng = fit_rng(self.seed);
+        let gmm = fit_diag_gmm(self.points, self.components, self.fit, &mut rng)?;
+        Ok(self.diag_fit.get_or_init(|| gmm))
+    }
 }
 
 /// A factory producing a boxed backend from a fit context.
@@ -283,26 +316,23 @@ fn fit_rng(seed: u64) -> Pcg32 {
 }
 
 fn build_digital_gmm(ctx: &MapFitContext<'_>) -> Result<Box<dyn MapBackend>> {
-    let mut rng = fit_rng(ctx.seed);
-    let mut gmm = fit_diag_gmm(ctx.points, ctx.components, ctx.fit, &mut rng)?;
+    let mut gmm = ctx.diag_gmm()?.clone();
     gmm.set_prune(ctx.prune);
     let components = gmm.num_components();
     Ok(Box::new(NamedBackend::new(DIGITAL_GMM, components, gmm)))
 }
 
 fn build_cim_hmgm(ctx: &MapFitContext<'_>) -> Result<Box<dyn MapBackend>> {
-    let mut rng = fit_rng(ctx.seed);
     let cim = ctx.cim;
     let vdd = cim.tech.vdd;
     let space = SpaceMap::fit_to_points(ctx.points, vdd * 0.15, vdd * 0.85, 0.1)?;
     let (floors, ceilings) = HmgmCimEngine::recommended_sigma_bounds_per_axis(&cim.tech, &space);
     let hmgm_config = HmgmFitConfig {
-        gmm: *ctx.fit,
         sigma_floor_axes: Some(floors),
         sigma_ceiling_axes: Some(ceilings),
         ..HmgmFitConfig::default()
     };
-    let model = fit_hmgm(ctx.points, ctx.components, &hmgm_config, &mut rng)?;
+    let model = fit_hmgm_from(ctx.diag_gmm()?, ctx.points, &hmgm_config)?;
     let engine = HmgmCimEngine::build(&model, space, *cim)?;
     Ok(Box::new(CimMapBackend::new(engine)))
 }
@@ -517,6 +547,7 @@ mod tests {
         points: &'a [Vec<f64>],
         fit: &'a FitConfig,
         cim: &'a CimEngineConfig,
+        diag_fit: &'a OnceCell<Gmm>,
     ) -> MapFitContext<'a> {
         MapFitContext {
             points,
@@ -525,6 +556,7 @@ mod tests {
             cim,
             prune: PruneConfig::default(),
             seed: 9,
+            diag_fit,
         }
     }
 
@@ -533,7 +565,8 @@ mod tests {
         let points = blob_points(400);
         let fit = FitConfig::default();
         let cim = CimEngineConfig::default();
-        let ctx = ctx(&points, &fit, &cim);
+        let diag_fit = OnceCell::new();
+        let ctx = ctx(&points, &fit, &cim, &diag_fit);
         let registry = BackendRegistry::with_defaults();
         assert_eq!(
             registry.names().collect::<Vec<_>>(),
@@ -564,12 +597,57 @@ mod tests {
     }
 
     #[test]
+    fn default_factories_share_one_diag_fit() {
+        let points = blob_points(400);
+        let fit = FitConfig::default();
+        let cim = CimEngineConfig::default();
+        let registry = BackendRegistry::with_defaults();
+        // Whichever default factory runs first fills the shared fit; the
+        // other reads that same `Gmm`.
+        for [first, second] in [[DIGITAL_GMM, CIM_HMGM], [CIM_HMGM, DIGITAL_GMM]] {
+            let diag_fit = OnceCell::new();
+            let ctx = ctx(&points, &fit, &cim, &diag_fit);
+            registry.build(first, &ctx).expect(first);
+            let shared: *const Gmm = diag_fit.get().expect("first factory fills the fit");
+            registry.build(second, &ctx).expect(second);
+            assert!(
+                std::ptr::eq(ctx.diag_gmm().unwrap(), shared),
+                "{first} then {second}"
+            );
+        }
+        // The shared fit is the one each factory used to fit on its own.
+        let diag_fit = OnceCell::new();
+        let direct = fit_diag_gmm(&points, 4, &fit, &mut fit_rng(9)).unwrap();
+        assert_eq!(
+            *ctx(&points, &fit, &cim, &diag_fit).diag_gmm().unwrap(),
+            direct
+        );
+        // The digital factory serves whatever fit the context holds.
+        let other = fit_diag_gmm(&points, 3, &fit, &mut fit_rng(10)).unwrap();
+        let diag_fit = OnceCell::from(other.clone());
+        let mut served = registry
+            .build(DIGITAL_GMM, &ctx(&points, &fit, &cim, &diag_fit))
+            .unwrap();
+        assert_eq!(served.components(), 3);
+        let mut batch = PointBatch::new(3);
+        for p in points.iter().take(64) {
+            batch.push_xyz(p[0], p[1], p[2]);
+        }
+        let want = NamedBackend::new(DIGITAL_GMM, 3, other).log_likelihood_batch(&batch);
+        let got = served.log_likelihood_batch(&batch);
+        assert_eq!(
+            got.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+            want.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
     fn unknown_backend_lists_registered_names() {
         let points = blob_points(50);
         let fit = FitConfig::default();
         let cim = CimEngineConfig::default();
         let err = BackendRegistry::with_defaults()
-            .build("no-such-map", &ctx(&points, &fit, &cim))
+            .build("no-such-map", &ctx(&points, &fit, &cim, &OnceCell::new()))
             .err()
             .expect("unknown name must fail");
         let msg = err.to_string();
@@ -594,7 +672,7 @@ mod tests {
             )))
         });
         let mut backend = registry
-            .build("origin-map", &ctx(&points, &fit, &cim))
+            .build("origin-map", &ctx(&points, &fit, &cim, &OnceCell::new()))
             .unwrap();
         assert_eq!(backend.log_likelihood_point(&[0.0, 0.0, 0.0]), 0.0);
         assert!(backend.log_likelihood_point(&[1.0, 0.0, 0.0]) < 0.0);

@@ -23,6 +23,11 @@ use crate::mosfet::Mosfet;
 use crate::params::TechParams;
 use crate::{DeviceError, Result};
 
+/// Grid points per block of the half-power search in
+/// [`GaussianLikeCell::effective_sigma`]: one current evaluation tests a
+/// block, and about log₂ of it more locate the crossing inside it.
+const HALF_POWER_BLOCK: usize = 64;
+
 /// A single programmable Gaussian-like current cell: an NMOS/PMOS pair in
 /// series, with both thresholds set by floating gates.
 ///
@@ -121,20 +126,39 @@ impl GaussianLikeCell {
 
     /// Effective Gaussian σ (volts) of the bell, measured from its
     /// half-maximum width: `σ = FWHM / 2.3548`.
+    ///
+    /// Each half-power point is the first voltage of the grid
+    /// `center, center ± 1e-4, center ± 2e-4, …` (every point the previous
+    /// one plus the signed step, in floating point) that reaches the rail
+    /// or where the current no longer exceeds half the peak. The grid is
+    /// built 64 points at a time; the first block whose last point fails
+    /// is bisected. That finds the same point as a scan of the whole grid
+    /// only if the flank falls monotonically from the centre to the rail.
+    /// The unit tests check that assumption on both technology nodes,
+    /// several temperatures, mismatched cells, overlaps across the
+    /// programmable range and centres at both rails.
     pub fn effective_sigma(&self) -> f64 {
-        let peak = self.peak_current();
-        let half = peak * 0.5;
-        // Scan outward from the centre for the half-power points.
-        let step = 1e-4;
-        let mut right = self.center;
-        while right < self.vdd && self.current(right) > half {
-            right += step;
-        }
-        let mut left = self.center;
-        while left > 0.0 && self.current(left) > half {
-            left -= step;
-        }
+        let half = self.peak_current() * 0.5;
+        let right = self.half_power_point(half, 1e-4, |v| v < self.vdd);
+        let left = self.half_power_point(half, -1e-4, |v| v > 0.0);
         (right - left) / 2.354_820_045
+    }
+
+    /// First grid point `center + m·step` (accumulated by repeated
+    /// addition) where `inside(v) && current(v) > half` fails.
+    fn half_power_point(&self, half: f64, step: f64, inside: impl Fn(f64) -> bool) -> f64 {
+        let above = |v: f64| inside(v) && self.current(v) > half;
+        let mut block = [0.0; HALF_POWER_BLOCK];
+        let mut v = self.center;
+        loop {
+            for slot in &mut block {
+                *slot = v;
+                v += step;
+            }
+            if !above(block[HALF_POWER_BLOCK - 1]) {
+                return block[block.partition_point(|&v| above(v))];
+            }
+        }
     }
 
     /// Applies per-device mismatch: threshold shifts (volts) and relative
@@ -231,9 +255,49 @@ impl MultiInputInverter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use navicim_math::rng::{Pcg32, SampleExt};
 
     fn tech() -> TechParams {
         TechParams::cmos_45nm()
+    }
+
+    /// The half-power search as a linear scan in `1e-4` V steps: the
+    /// reference [`GaussianLikeCell::effective_sigma`] must match bit for
+    /// bit.
+    fn effective_sigma_linear_scan(cell: &GaussianLikeCell) -> f64 {
+        let half = cell.peak_current() * 0.5;
+        let step = 1e-4;
+        let mut right = cell.center;
+        while right < cell.vdd && cell.current(right) > half {
+            right += step;
+        }
+        let mut left = cell.center;
+        while left > 0.0 && cell.current(left) > half {
+            left -= step;
+        }
+        (right - left) / 2.354_820_045
+    }
+
+    /// Whether `inside(v) && current(v) > half` holds on a prefix of the
+    /// grid `center + m·step` and fails on the rest up to the rail: the
+    /// monotone flank the bisection relies on.
+    fn flank_is_partitioned(
+        cell: &GaussianLikeCell,
+        step: f64,
+        inside: impl Fn(f64) -> bool,
+    ) -> bool {
+        let half = cell.peak_current() * 0.5;
+        let mut v = cell.center;
+        let mut crossed = false;
+        while inside(v) {
+            let above = cell.current(v) > half;
+            if above && crossed {
+                return false;
+            }
+            crossed |= !above;
+            v += step;
+        }
+        true
     }
 
     #[test]
@@ -318,6 +382,57 @@ mod tests {
         let r2 = 1.0 - ss_res / ss_tot;
         assert!(r2 > 0.95, "log-quadratic fit R² = {r2}");
         assert!(coef[2] < 0.0, "parabola must open downward");
+    }
+
+    #[test]
+    fn half_power_bisection_matches_linear_scan() {
+        // Programmable overlaps run from the analog crate's smallest
+        // window (0.05 V) up to the supply.
+        const MIN_OVERLAP: f64 = 0.05;
+        let techs = [
+            TechParams::cmos_45nm(),
+            TechParams::cmos_16nm(),
+            TechParams::cmos_45nm().at_temperature(250.0),
+            TechParams::cmos_45nm().at_temperature(380.0),
+            TechParams::cmos_16nm().at_temperature(350.0),
+        ];
+        let mut rng = Pcg32::seed_from_u64(0x4a1f);
+        let mut cases = 0;
+        for t in &techs {
+            let rail_centers = [0.0, 1e-5, 0.003, t.vdd - 0.003, t.vdd - 1e-5, t.vdd];
+            for case in 0..48 {
+                let overlap = match case {
+                    0 => MIN_OVERLAP,
+                    1 => t.vdd,
+                    _ => rng.sample_uniform(MIN_OVERLAP, t.vdd),
+                };
+                let center = if case % 3 == 0 {
+                    rail_centers[(case / 3) % rail_centers.len()]
+                } else {
+                    rng.sample_uniform(0.0, t.vdd)
+                };
+                let nominal = GaussianLikeCell::with_center_width(t, center, overlap).unwrap();
+                let mismatched = nominal.with_mismatch(
+                    rng.sample_uniform(-3.0, 3.0) * t.sigma_vth,
+                    rng.sample_uniform(-3.0, 3.0) * t.sigma_vth,
+                    rng.sample_uniform(-3.0, 3.0) * t.sigma_beta,
+                    rng.sample_uniform(-3.0, 3.0) * t.sigma_beta,
+                );
+                for cell in [nominal, mismatched] {
+                    let vdd = cell.vdd;
+                    assert!(
+                        flank_is_partitioned(&cell, 1e-4, |v| v < vdd)
+                            && flank_is_partitioned(&cell, -1e-4, |v| v > 0.0),
+                        "non-monotone flank: {cell:?}"
+                    );
+                    let got = cell.effective_sigma();
+                    let want = effective_sigma_linear_scan(&cell);
+                    assert_eq!(got.to_bits(), want.to_bits(), "{cell:?}: {got} vs {want}");
+                    cases += 1;
+                }
+            }
+        }
+        assert_eq!(cases, techs.len() * 48 * 2);
     }
 
     #[test]

@@ -3,9 +3,8 @@
 use crate::gaussian::{Covariance, Gmm};
 use crate::kmeans::kmeans;
 use crate::{check_dims, GmmError, Result};
-use navicim_math::linalg::Matrix;
 use navicim_math::rng::Rng64;
-use navicim_math::stats::{diag_mvn_logpdf, log_sum_exp, mvn_logpdf};
+use navicim_math::stats::{log_sum_exp, LN_2PI};
 
 /// Configuration of an EM run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -56,26 +55,18 @@ pub fn fit_diag_gmm<R: Rng64 + ?Sized>(
     let mut vars = initial_vars(points, &init.assignments, &means, config.var_floor);
 
     let n = points.len();
+    let mut e_step = EStep::new(k, dim);
+    let mut log_resp = vec![0.0f64; n * k];
+    let mut resp = vec![0.0f64; n];
     let mut prev_ll = f64::NEG_INFINITY;
     for _iter in 0..config.max_iters {
-        // E-step: responsibilities in log space.
-        let mut log_resp = vec![vec![0.0f64; k]; n];
-        let mut total_ll = 0.0;
-        for (i, p) in points.iter().enumerate() {
-            let mut terms = Vec::with_capacity(k);
-            for j in 0..k {
-                let sds: Vec<f64> = vars[j].iter().map(|v| v.sqrt()).collect();
-                terms.push(weights[j].max(1e-300).ln() + diag_mvn_logpdf(p, &means[j], &sds));
-            }
-            let lse = log_sum_exp(&terms);
-            total_ll += lse;
-            for j in 0..k {
-                log_resp[i][j] = terms[j] - lse;
-            }
-        }
+        // E-step.
+        let total_ll = e_step.run(points, &weights, &means, &vars, &mut log_resp);
         // M-step.
         for j in 0..k {
-            let resp: Vec<f64> = (0..n).map(|i| log_resp[i][j].exp()).collect();
+            for (r, row) in resp.iter_mut().zip(log_resp.chunks_exact(k)) {
+                *r = row[j].exp();
+            }
             let nk: f64 = resp.iter().sum();
             if nk < 1e-9 {
                 return Err(GmmError::DegenerateFit(format!(
@@ -102,85 +93,6 @@ pub fn fit_diag_gmm<R: Rng64 + ?Sized>(
         prev_ll = mean_ll;
     }
     Gmm::new(weights, means, Covariance::Diagonal(vars))
-}
-
-/// Fits a full-covariance GMM with EM (k-means++ initialized).
-///
-/// # Errors
-///
-/// Propagates initialization errors and returns
-/// [`GmmError::DegenerateFit`] when EM collapses.
-pub fn fit_full_gmm<R: Rng64 + ?Sized>(
-    points: &[Vec<f64>],
-    k: usize,
-    config: &FitConfig,
-    rng: &mut R,
-) -> Result<Gmm> {
-    let dim = check_dims(points)?;
-    if points.len() < 2 * k {
-        return Err(GmmError::TooFewPoints {
-            points: points.len(),
-            components: k,
-        });
-    }
-    let init = kmeans(points, k, config.kmeans_iters, rng)?;
-    let mut weights = vec![1.0 / k as f64; k];
-    let mut means = init.centroids;
-    let vars = initial_vars(points, &init.assignments, &means, config.var_floor);
-    let mut covs: Vec<Matrix> = vars.iter().map(|v| Matrix::diag(v)).collect();
-
-    let n = points.len();
-    let mut prev_ll = f64::NEG_INFINITY;
-    for _iter in 0..config.max_iters {
-        let mut log_resp = vec![vec![0.0f64; k]; n];
-        let mut total_ll = 0.0;
-        for (i, p) in points.iter().enumerate() {
-            let mut terms = Vec::with_capacity(k);
-            for j in 0..k {
-                let lp = mvn_logpdf(p, &means[j], &covs[j]).unwrap_or(f64::NEG_INFINITY);
-                terms.push(weights[j].max(1e-300).ln() + lp);
-            }
-            let lse = log_sum_exp(&terms);
-            total_ll += lse;
-            for j in 0..k {
-                log_resp[i][j] = terms[j] - lse;
-            }
-        }
-        for j in 0..k {
-            let resp: Vec<f64> = (0..n).map(|i| log_resp[i][j].exp()).collect();
-            let nk: f64 = resp.iter().sum();
-            if nk < 1e-9 {
-                return Err(GmmError::DegenerateFit(format!(
-                    "component {j} lost all responsibility"
-                )));
-            }
-            weights[j] = nk / n as f64;
-            for d in 0..dim {
-                means[j][d] = points.iter().zip(&resp).map(|(p, r)| r * p[d]).sum::<f64>() / nk;
-            }
-            let mut cov = Matrix::zeros(dim, dim);
-            for (p, r) in points.iter().zip(&resp) {
-                for a in 0..dim {
-                    for b in 0..dim {
-                        cov[(a, b)] += r * (p[a] - means[j][a]) * (p[b] - means[j][b]);
-                    }
-                }
-            }
-            for a in 0..dim {
-                for b in 0..dim {
-                    cov[(a, b)] /= nk;
-                }
-                cov[(a, a)] += config.var_floor;
-            }
-            covs[j] = cov;
-        }
-        let mean_ll = total_ll / n as f64;
-        if (mean_ll - prev_ll).abs() < config.tol {
-            break;
-        }
-        prev_ll = mean_ll;
-    }
-    Gmm::new(weights, means, Covariance::Full(covs))
 }
 
 /// Selects the diagonal-GMM component count minimizing BIC over
@@ -219,6 +131,71 @@ pub fn select_components<R: Rng64 + ?Sized>(
     match best {
         Some((k, gmm, _)) => Ok((k, gmm)),
         None => Err(first_err.expect("either a fit or an error must exist")),
+    }
+}
+
+/// Reused buffers of the EM E-step: per-component constants, refreshed
+/// once per iteration because the M-step moves them, and one row of
+/// per-component terms.
+struct EStep {
+    sds: Vec<Vec<f64>>,
+    ln_sds: Vec<Vec<f64>>,
+    ln_weights: Vec<f64>,
+    terms: Vec<f64>,
+}
+
+impl EStep {
+    fn new(k: usize, dim: usize) -> Self {
+        Self {
+            sds: vec![vec![0.0; dim]; k],
+            ln_sds: vec![vec![0.0; dim]; k],
+            ln_weights: vec![0.0; k],
+            terms: vec![0.0; k],
+        }
+    }
+
+    /// Fills `log_resp` (one row of `k` per point) with the
+    /// log-responsibilities of `points` under the mixture and returns
+    /// their summed log-likelihood. Each term is
+    /// `ln max(w, 1e-300) + Σ_d normal_logpdf(p_d, μ_d, σ_d)` with the
+    /// normal log-density written out and summed over axes in order, so
+    /// it equals the per-point [`navicim_math::stats::diag_mvn_logpdf`]
+    /// bit for bit.
+    fn run(
+        &mut self,
+        points: &[Vec<f64>],
+        weights: &[f64],
+        means: &[Vec<f64>],
+        vars: &[Vec<f64>],
+        log_resp: &mut [f64],
+    ) -> f64 {
+        let k = weights.len();
+        for j in 0..k {
+            for (d, &v) in vars[j].iter().enumerate() {
+                self.sds[j][d] = v.sqrt();
+                self.ln_sds[j][d] = self.sds[j][d].ln();
+            }
+            self.ln_weights[j] = weights[j].max(1e-300).ln();
+        }
+        let mut total_ll = 0.0;
+        for (p, row) in points.iter().zip(log_resp.chunks_exact_mut(k)) {
+            for j in 0..k {
+                let (mean, sd, ln_sd) = (&means[j], &self.sds[j], &self.ln_sds[j]);
+                let log_pdf: f64 = (0..p.len())
+                    .map(|d| {
+                        let z = (p[d] - mean[d]) / sd[d];
+                        -0.5 * (LN_2PI + z * z) - ln_sd[d]
+                    })
+                    .sum();
+                self.terms[j] = self.ln_weights[j] + log_pdf;
+            }
+            let lse = log_sum_exp(&self.terms);
+            total_ll += lse;
+            for (r, &t) in row.iter_mut().zip(&self.terms) {
+                *r = t - lse;
+            }
+        }
+        total_ll
     }
 }
 
@@ -300,23 +277,47 @@ mod tests {
     }
 
     #[test]
-    fn full_em_recovers_correlation() {
-        // Single correlated blob.
-        let mut rng = Pcg32::seed_from_u64(3);
-        let mut pts = Vec::new();
-        for _ in 0..800 {
-            let x = rng.sample_normal(0.0, 1.0);
-            let y = 0.9 * x + rng.sample_normal(0.0, 0.3);
-            pts.push(vec![x, y]);
-        }
-        let mut rng2 = Pcg32::seed_from_u64(4);
-        let gmm = fit_full_gmm(&pts, 1, &FitConfig::default(), &mut rng2).unwrap();
-        if let Covariance::Full(covs) = gmm.covariance() {
-            let c = &covs[0];
-            let rho = c[(0, 1)] / (c[(0, 0)] * c[(1, 1)]).sqrt();
-            assert!(rho > 0.85, "recovered correlation {rho}");
-        } else {
-            panic!("expected full covariance");
+    fn e_step_matches_per_point_reference() {
+        // The hoisted E-step against the per-point form it replaced:
+        // `diag_mvn_logpdf` with square roots taken per point and
+        // component, one `Vec` of terms per point.
+        let mut rng = Pcg32::seed_from_u64(11);
+        for case in 0..24 {
+            let (n, k, dim) = (1 + case * 7 % 40, 1 + case % 6, 1 + case % 4);
+            let points: Vec<Vec<f64>> = (0..n)
+                .map(|_| (0..dim).map(|_| rng.sample_normal(0.0, 3.0)).collect())
+                .collect();
+            let means: Vec<Vec<f64>> = (0..k)
+                .map(|_| (0..dim).map(|_| rng.sample_normal(0.0, 2.0)).collect())
+                .collect();
+            let vars: Vec<Vec<f64>> = (0..k)
+                .map(|_| (0..dim).map(|_| rng.sample_uniform(1e-6, 4.0)).collect())
+                .collect();
+            // Include a zero weight to reach the `1e-300` floor.
+            let mut weights: Vec<f64> = (0..k).map(|_| rng.sample_uniform(0.0, 1.0)).collect();
+            weights[0] = if case % 3 == 0 { 0.0 } else { weights[0] };
+
+            let mut log_resp = vec![0.0; n * k];
+            let total = EStep::new(k, dim).run(&points, &weights, &means, &vars, &mut log_resp);
+
+            let mut want_total = 0.0;
+            let mut want_resp = Vec::with_capacity(n * k);
+            for p in &points {
+                let mut terms = Vec::with_capacity(k);
+                for j in 0..k {
+                    let sds: Vec<f64> = vars[j].iter().map(|v| v.sqrt()).collect();
+                    terms.push(
+                        weights[j].max(1e-300).ln()
+                            + navicim_math::stats::diag_mvn_logpdf(p, &means[j], &sds),
+                    );
+                }
+                let lse = log_sum_exp(&terms);
+                want_total += lse;
+                want_resp.extend(terms.iter().map(|t| t - lse));
+            }
+            assert_eq!(total.to_bits(), want_total.to_bits(), "case {case}");
+            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&log_resp), bits(&want_resp), "case {case}");
         }
     }
 

@@ -9,9 +9,11 @@
 //!
 //! This module defines the mathematical kernel ([`HmgKernel`]), mixtures of
 //! it ([`HmgmModel`]) and a responsibility-reweighting fitter seeded from a
-//! diagonal GMM ([`fit_hmgm`]).
+//! diagonal GMM ([`fit_hmgm`], or [`fit_hmgm_from`] given an already fitted
+//! one).
 
 use crate::fit::{fit_diag_gmm, FitConfig};
+use crate::gaussian::Gmm;
 use crate::{check_dims, GmmError, Result};
 use navicim_math::rng::Rng64;
 use navicim_math::simd::exp_fast;
@@ -100,13 +102,7 @@ impl HmgKernel {
     /// Panics if `x.len()` differs from the kernel dimension.
     pub fn eval(&self, x: &[f64]) -> f64 {
         assert_eq!(x.len(), self.dim(), "query dimension mismatch");
-        let d = self.dim() as f64;
-        let mut inv_sum = 0.0;
-        for (i, &xi) in x.iter().enumerate() {
-            let g = self.axis_factor(i, xi).max(1e-300);
-            inv_sum += 1.0 / g;
-        }
-        self.amplitude * d / inv_sum
+        harmonic_eval(&self.means, &self.sigmas, self.amplitude, x)
     }
 
     /// Evaluates the corresponding *product* (true multivariate Gaussian)
@@ -123,6 +119,20 @@ impl HmgKernel {
         }
         prod
     }
+}
+
+/// The HMG kernel value `amplitude · d / Σᵢ 1/max(gᵢ(xᵢ), 1e-300)` over
+/// the `d` axes of `means`, in axis order: [`HmgKernel::eval`] and the
+/// fitter's refinement rounds share it, so both compute the same bits.
+fn harmonic_eval(means: &[f64], sigmas: &[f64], amplitude: f64, x: &[f64]) -> f64 {
+    let d = means.len() as f64;
+    let mut inv_sum = 0.0;
+    for ((&xi, &mu), &sigma) in x.iter().zip(means).zip(sigmas) {
+        let z = (xi - mu) / sigma;
+        let g = exp_fast(-0.5 * z * z).max(1e-300);
+        inv_sum += 1.0 / g;
+    }
+    amplitude * d / inv_sum
 }
 
 /// A mixture of HMG kernels: the co-designed map model of Section II.
@@ -238,28 +248,47 @@ impl Default for HmgmFitConfig {
     }
 }
 
-/// Fits an HMG mixture to data: diagonal-GMM warm start followed by
-/// responsibility reweighting in the HMG family.
-///
-/// The refinement computes responsibilities with the HMG kernels themselves
-/// (`r_nk ∝ w_k h_k(x_n)`) and re-estimates means/sigmas/weights from them —
-/// the approximate EM used because HMG kernels lack a closed-form
-/// normalizer. Hardware constraints enter through the sigma floor/ceiling.
+/// Fits an HMG mixture to data: a diagonal-GMM warm start
+/// ([`fit_diag_gmm`] with `config.gmm`, drawing from `rng`) refined by
+/// [`fit_hmgm_from`]. The refinement draws nothing from `rng`.
 ///
 /// # Errors
 ///
-/// Propagates warm-start errors.
+/// Propagates warm-start and refinement errors.
 pub fn fit_hmgm<R: Rng64 + ?Sized>(
     points: &[Vec<f64>],
     k: usize,
     config: &HmgmFitConfig,
     rng: &mut R,
 ) -> Result<HmgmModel> {
-    let dim = check_dims(points)?;
     let gmm = fit_diag_gmm(points, k, &config.gmm, rng)?;
-    let sds = gmm
-        .diag_std_devs()
-        .expect("fit_diag_gmm returns diagonal models");
+    fit_hmgm_from(&gmm, points, config)
+}
+
+/// Refines a fitted diagonal GMM into an HMG mixture of the same
+/// component count by responsibility reweighting in the HMG family.
+///
+/// The refinement computes responsibilities with the HMG kernels themselves
+/// (`r_nk ∝ w_k h_k(x_n)`) and re-estimates means/sigmas/weights from them —
+/// the approximate EM used because HMG kernels lack a closed-form
+/// normalizer. Hardware constraints enter through the sigma floor/ceiling;
+/// `config.gmm` is not read (the warm start is already fitted).
+///
+/// # Errors
+///
+/// Returns [`GmmError::InvalidArgument`] for a full-covariance warm start,
+/// [`GmmError::InconsistentDimensions`] when `points` do not match its
+/// dimension, and propagates kernel validation errors (a sigma clamped to
+/// a non-positive floor).
+pub fn fit_hmgm_from(gmm: &Gmm, points: &[Vec<f64>], config: &HmgmFitConfig) -> Result<HmgmModel> {
+    let dim = check_dims(points)?;
+    if dim != gmm.dim() {
+        return Err(GmmError::InconsistentDimensions);
+    }
+    let sds = gmm.diag_std_devs().ok_or_else(|| {
+        GmmError::InvalidArgument("the HMGM warm start must be a diagonal GMM".into())
+    })?;
+    let k = gmm.num_components();
 
     let clamp_sigma = |s: f64, axis: usize| {
         let floor = config
@@ -292,36 +321,29 @@ pub fn fit_hmgm<R: Rng64 + ?Sized>(
         .collect();
 
     let n = points.len();
+    // Responsibilities, one row of `k` per point, reused every round.
+    let mut resp = vec![0.0f64; n * k];
     for _round in 0..config.refine_iters {
-        let kernels: Vec<HmgKernel> = (0..k)
-            .map(|j| {
-                HmgKernel::new(means[j].clone(), sigmas[j].clone(), 1.0)
-                    .expect("parameters kept valid by clamping")
-            })
-            .collect();
         // Responsibilities under the HMG kernels.
-        let mut resp = vec![vec![0.0f64; k]; n];
-        for (i, p) in points.iter().enumerate() {
+        for (p, row) in points.iter().zip(resp.chunks_exact_mut(k)) {
             let mut total = 0.0;
             for j in 0..k {
-                let v = weights[j] * kernels[j].eval(p);
-                resp[i][j] = v;
+                let v = weights[j] * harmonic_eval(&means[j], &sigmas[j], 1.0, p);
+                row[j] = v;
                 total += v;
             }
             if total > 0.0 {
-                for j in 0..k {
-                    resp[i][j] /= total;
+                for r in row.iter_mut() {
+                    *r /= total;
                 }
             } else {
                 // Point far from every kernel: uniform responsibility.
-                for j in 0..k {
-                    resp[i][j] = 1.0 / k as f64;
-                }
+                row.fill(1.0 / k as f64);
             }
         }
         // Reweighted parameter updates.
         for j in 0..k {
-            let nk: f64 = (0..n).map(|i| resp[i][j]).sum();
+            let nk: f64 = resp.chunks_exact(k).map(|row| row[j]).sum();
             if nk < 1e-9 {
                 continue; // keep the previous parameters for starved kernels
             }
@@ -330,16 +352,16 @@ pub fn fit_hmgm<R: Rng64 + ?Sized>(
                 // lint: reduction-order point-index order, matching the scalar EM update
                 let mu: f64 = points
                     .iter()
-                    .enumerate()
-                    .map(|(i, p)| resp[i][j] * p[d])
+                    .zip(resp.chunks_exact(k))
+                    .map(|(p, row)| row[j] * p[d])
                     .sum::<f64>()
                     / nk;
                 means[j][d] = mu;
                 // lint: reduction-order point-index order, matching the scalar EM update
                 let var: f64 = points
                     .iter()
-                    .enumerate()
-                    .map(|(i, p)| resp[i][j] * (p[d] - mu) * (p[d] - mu))
+                    .zip(resp.chunks_exact(k))
+                    .map(|(p, row)| row[j] * (p[d] - mu) * (p[d] - mu))
                     .sum::<f64>()
                     / nk;
                 sigmas[j][d] = clamp_sigma(var.sqrt(), d);
@@ -347,12 +369,11 @@ pub fn fit_hmgm<R: Rng64 + ?Sized>(
         }
     }
 
-    let kernels: Vec<HmgKernel> = (0..k)
-        .map(|j| {
-            HmgKernel::new(means[j].clone(), sigmas[j].clone(), 1.0)
-                .expect("parameters kept valid by clamping")
-        })
-        .collect();
+    let kernels = means
+        .into_iter()
+        .zip(sigmas)
+        .map(|(m, s)| HmgKernel::new(m, s, 1.0))
+        .collect::<Result<Vec<_>>>()?;
     HmgmModel::new(weights, kernels)
 }
 
@@ -486,6 +507,65 @@ mod tests {
         // Likelihood is highest at blob centers.
         assert!(model.likelihood(&[-1.0, 0.0]) > model.likelihood(&[0.5, 1.5]));
         assert!(model.likelihood(&[2.0, 3.0]) > model.likelihood(&[0.5, 1.5]));
+    }
+
+    #[test]
+    fn fit_from_warm_start_equals_fit() {
+        // `fit_hmgm` is its diagonal warm start plus `fit_hmgm_from`, and
+        // the refinement draws nothing more from the RNG.
+        let mut rng = Pcg32::seed_from_u64(5);
+        let pts: Vec<Vec<f64>> = (0..240)
+            .map(|i| {
+                let c = (i % 3) as f64;
+                vec![
+                    rng.sample_normal(2.0 * c, 0.3),
+                    rng.sample_normal(-c, 0.4),
+                    rng.sample_normal(0.5 * c, 0.2),
+                ]
+            })
+            .collect();
+        let configs = [
+            HmgmFitConfig::default(),
+            HmgmFitConfig {
+                sigma_floor_axes: Some(vec![0.2, 0.1, 0.05]),
+                sigma_ceiling_axes: Some(vec![0.3, 0.5, 0.25]),
+                refine_iters: 4,
+                ..HmgmFitConfig::default()
+            },
+        ];
+        for config in &configs {
+            for (seed, k) in [(1, 2), (2, 3), (3, 5)] {
+                let mut a = Pcg32::seed_from_u64(seed);
+                let mut b = Pcg32::seed_from_u64(seed);
+                let gmm = fit_diag_gmm(&pts, k, &config.gmm, &mut a).unwrap();
+                let from = fit_hmgm_from(&gmm, &pts, config).unwrap();
+                let whole = fit_hmgm(&pts, k, config, &mut b).unwrap();
+                assert_eq!(from, whole, "seed {seed}, k {k}");
+                assert_eq!(a.next_u64(), b.next_u64(), "RNGs left in step");
+            }
+        }
+    }
+
+    #[test]
+    fn fit_from_rejects_bad_warm_starts() {
+        let pts = vec![vec![0.0, 0.0], vec![1.0, 1.0], vec![0.5, 0.2]];
+        let full = Gmm::new(
+            vec![1.0],
+            vec![vec![0.0, 0.0]],
+            crate::gaussian::Covariance::Full(vec![navicim_math::linalg::Matrix::identity(2)]),
+        )
+        .unwrap();
+        assert!(matches!(
+            fit_hmgm_from(&full, &pts, &HmgmFitConfig::default()),
+            Err(GmmError::InvalidArgument(_))
+        ));
+        let mut rng = Pcg32::seed_from_u64(6);
+        let diag = fit_diag_gmm(&pts, 1, &FitConfig::default(), &mut rng).unwrap();
+        let pts3 = vec![vec![0.0, 0.0, 0.0]; 3];
+        assert!(matches!(
+            fit_hmgm_from(&diag, &pts3, &HmgmFitConfig::default()),
+            Err(GmmError::InconsistentDimensions)
+        ));
     }
 
     #[test]

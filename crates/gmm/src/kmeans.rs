@@ -35,7 +35,7 @@ pub fn kmeans<R: Rng64 + ?Sized>(
     if k == 0 {
         return Err(GmmError::InvalidArgument("k must be positive".into()));
     }
-    check_dims(points)?;
+    let dim = check_dims(points)?;
     if points.len() < k {
         return Err(GmmError::TooFewPoints {
             points: points.len(),
@@ -47,6 +47,8 @@ pub fn kmeans<R: Rng64 + ?Sized>(
     let mut assignments = vec![0usize; points.len()];
     let mut inertia = f64::INFINITY;
     let mut iterations = 0;
+    let mut sums = vec![0.0; k * dim];
+    let mut counts = vec![0usize; k];
 
     for iter in 0..max_iters {
         iterations = iter + 1;
@@ -58,23 +60,25 @@ pub fn kmeans<R: Rng64 + ?Sized>(
             new_inertia += d;
         }
         // Update step.
-        let dim = points[0].len();
-        let mut sums = vec![vec![0.0; dim]; k];
-        let mut counts = vec![0usize; k];
+        sums.fill(0.0);
+        counts.fill(0);
         for (p, &a) in points.iter().zip(&assignments) {
             counts[a] += 1;
-            for (s, &x) in sums[a].iter_mut().zip(p) {
+            for (s, &x) in sums[a * dim..(a + 1) * dim].iter_mut().zip(p) {
                 *s += x;
             }
         }
-        for (c, (sum, &count)) in centroids.iter_mut().zip(sums.iter().zip(&counts)) {
+        for (c, (sum, &count)) in centroids
+            .iter_mut()
+            .zip(sums.chunks_exact(dim).zip(&counts))
+        {
             if count > 0 {
                 for (ci, &s) in c.iter_mut().zip(sum) {
                     *ci = s / count as f64;
                 }
             } else {
                 // Re-seed an empty cluster at a random point.
-                *c = points[rng.sample_index(points.len())].clone();
+                c.copy_from_slice(&points[rng.sample_index(points.len())]);
             }
         }
         // Convergence: inertia stopped improving.

@@ -111,10 +111,6 @@ const HOT_PATH_EXPECT_ALLOW: &[(&str, &str)] = &[
          (diag plan existence mirrors Covariance::Diagonal)",
     ),
     (
-        "crates/gmm/src/hmg.rs",
-        "expects document parameter validity maintained by clamping in the EM fit loop",
-    ),
-    (
         "crates/filter/src/particle.rs",
         "expects guard non-empty particle sets with finite weights, both validated \
          at construction",
