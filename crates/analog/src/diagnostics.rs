@@ -94,7 +94,7 @@ pub fn fit_gaussian_1d(xs: &[f64], ys: &[f64]) -> Result<GaussianFit> {
 
 /// Distance from `center` along unit `direction` at which `f` first drops
 /// below `level`, or `None` within `max_r`.
-pub fn contour_crossing<F>(
+fn contour_crossing<F>(
     f: F,
     center: (f64, f64),
     direction: (f64, f64),

@@ -47,10 +47,10 @@
 //!    ([`navicim_math::simd::ln_fast`],
 //!    [`navicim_math::simd::cos_turns_fast`]) and a one-root noise scale.
 //!    The code `round(ŷ)` is emitted only when `ŷ` is farther than
-//!    [`ADC_GUARD_CODES`] from a rounding boundary *and* the point's
+//!    `ADC_GUARD_CODES` from a rounding boundary *and* the point's
 //!    worst-case deviation from the exact `ŷ` — the ADC `ln` error plus
-//!    the noise error [`Z_FAST_MAX_ABS_ERR`]` · rms / Î` — provably stays
-//!    within [`GUARD_DEVIATION_SHARE`] of that budget. Then the exact
+//!    the noise error `Z_FAST_MAX_ABS_ERR`` · rms / Î` — provably stays
+//!    within `GUARD_DEVIATION_SHARE` of that budget. Then the exact
 //!    chain rounds to the same code, so the output `ln_min + code · lsb`
 //!    is the exact one. Every other point, non-finite ones included,
 //!    runs the exact scalar chain with `stream.at(index)`.
@@ -147,12 +147,12 @@ const NOISE_STREAM_SALT: u64 = 0xa0a1_0c1a_77ab_1e5e;
 /// noise sample (see [`Z_FAST_MAX_ABS_ERR`]). The exact `ŷ` then rounds
 /// to the same code. Every other point runs the exact libm chain; only a
 /// `~2·10⁻⁶` share of points lands inside the budget and pays for it.
-pub const ADC_GUARD_CODES: f64 = 1e-6;
+const ADC_GUARD_CODES: f64 = 1e-6;
 
 /// Share of [`ADC_GUARD_CODES`] a decided point's worst-case deviation
 /// may use. Keeping the bound a thousand times inside the budget leaves
 /// the guard ≥ 1000× the worst deviation any decided point can carry.
-pub const GUARD_DEVIATION_SHARE: f64 = 1e-3;
+const GUARD_DEVIATION_SHARE: f64 = 1e-3;
 
 /// Points per tile of the LUT evaluation body: codes, column terms, the
 /// fold and the readout each run across this many points at a time.
@@ -173,7 +173,7 @@ const COL_BLOCK: usize = 8;
 /// each in both chains (`2·ε/2·r`); and the one-root noise scale
 /// ([`NoiseModel::variance_per_amp`]) is within `4·ε` relative of
 /// [`NoiseModel::total_rms`].
-pub const Z_FAST_MAX_ABS_ERR: f64 =
+const Z_FAST_MAX_ABS_ERR: f64 =
     8.58 * ((LN_FAST_MAX_ULP as f64 + 6.0) * f64::EPSILON + COS_TURNS_FAST_MAX_ABS_ERR);
 
 /// Per-DAC-code reciprocal cell currents, laid out column-contiguous.
@@ -988,13 +988,6 @@ impl HmgmCimEngine {
         self.stats.adc_conversions += n as u64;
     }
 
-    /// Sum of per-point log-likelihoods for a scan (batch-evaluated; an
-    /// empty scan sums to zero).
-    pub fn scan_log_likelihood(&mut self, points: &[Vec<f64>]) -> f64 {
-        let batch = PointBatch::from_rows(self.compute.dim(), points);
-        self.log_likelihood_batch(&batch).iter().sum()
-    }
-
     /// Query dimensionality.
     pub fn dim(&self) -> usize {
         self.compute.dim()
@@ -1094,7 +1087,8 @@ mod tests {
         let model = test_model(&map);
         let mut engine = HmgmCimEngine::build(&model, map, CimEngineConfig::default()).unwrap();
         let _ = engine.log_likelihood(&[0.0, 0.0, 0.0]);
-        let _ = engine.scan_log_likelihood(&[vec![0.1, 0.0, 0.0], vec![0.2, 0.0, 0.0]]);
+        let scan = PointBatch::from_rows(3, &[vec![0.1, 0.0, 0.0], vec![0.2, 0.0, 0.0]]);
+        let _ = engine.log_likelihood_batch(&scan);
         let s = engine.stats();
         assert_eq!(s.evaluations, 3);
         assert_eq!(s.adc_conversions, 3);

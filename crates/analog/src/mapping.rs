@@ -57,11 +57,6 @@ impl AxisMap {
         (self.v_lo + (x - self.x_lo) * self.scale()).clamp(self.v_lo, self.v_hi)
     }
 
-    /// Gate voltage → world coordinate.
-    pub fn to_world(&self, v: f64) -> f64 {
-        self.x_lo + (v - self.v_lo) / self.scale()
-    }
-
     /// Converts a spatial sigma (metres) to a voltage-domain sigma.
     pub fn sigma_to_voltage(&self, sigma_x: f64) -> f64 {
         sigma_x * self.scale()
@@ -141,32 +136,6 @@ impl SpaceMap {
     pub fn axes(&self) -> &[AxisMap] {
         &self.axes
     }
-
-    /// Maps a world point to gate voltages.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len()` differs from the map dimension.
-    pub fn to_voltages(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.dim(), "point dimension mismatch");
-        x.iter()
-            .zip(&self.axes)
-            .map(|(&xi, a)| a.to_voltage(xi))
-            .collect()
-    }
-
-    /// Maps gate voltages back to a world point.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v.len()` differs from the map dimension.
-    pub fn to_world(&self, v: &[f64]) -> Vec<f64> {
-        assert_eq!(v.len(), self.dim(), "voltage dimension mismatch");
-        v.iter()
-            .zip(&self.axes)
-            .map(|(&vi, a)| a.to_world(vi))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -174,11 +143,17 @@ mod tests {
     use super::*;
     use navicim_math::approx_eq;
 
+    /// Gate voltage → world coordinate: the inverse of `to_voltage`
+    /// inside the window.
+    fn to_world(m: &AxisMap, v: f64) -> f64 {
+        m.world_range().0 + m.sigma_to_world(v - m.voltage_range().0)
+    }
+
     #[test]
     fn axis_roundtrip() {
         let m = AxisMap::new(-2.0, 6.0, 0.1, 0.9).unwrap();
         for &x in &[-2.0, 0.0, 3.3, 6.0] {
-            assert!(approx_eq(m.to_world(m.to_voltage(x)), x, 1e-12));
+            assert!(approx_eq(to_world(&m, m.to_voltage(x)), x, 1e-12));
         }
     }
 
@@ -214,13 +189,10 @@ mod tests {
         let m = SpaceMap::fit_to_points(&pts, 0.1, 0.9, 0.1).unwrap();
         assert_eq!(m.dim(), 3);
         for p in &pts {
-            let vs = m.to_voltages(p);
-            for v in &vs {
-                assert!(*v > 0.1 && *v < 0.9, "interior points avoid the rails");
-            }
-            let back = m.to_world(&vs);
-            for (a, b) in back.iter().zip(p) {
-                assert!(approx_eq(*a, *b, 1e-9));
+            for (a, &x) in m.axes().iter().zip(p) {
+                let v = a.to_voltage(x);
+                assert!(v > 0.1 && v < 0.9, "interior points avoid the rails");
+                assert!(approx_eq(to_world(a, v), x, 1e-9));
             }
         }
     }

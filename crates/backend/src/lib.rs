@@ -18,12 +18,12 @@
 //! - [`par`] — chunked execution helpers that spread a batch across
 //!   threads behind the `parallel` feature.
 //!
-//! Pure backends use [`par::for_each_chunk`] directly. Backends whose
+//! Pure backends use [`par::for_each_chunk_policy`] directly. Backends whose
 //! evaluation consumes hidden state (the CIM engine's noise) stay
 //! *bit-identical* across batch sizes, chunk sizes and thread counts by
 //! making that state splittable: noise comes from a counter-based stream
 //! indexed by the absolute evaluation number, and per-evaluation
-//! statistics flow through [`par::zip_chunks`]'s second buffer so the
+//! statistics flow through [`par::zip_chunks_policy`]'s second buffer so the
 //! caller can merge them in index order afterwards.
 
 #![warn(missing_docs)]

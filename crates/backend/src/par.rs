@@ -9,7 +9,7 @@
 //! Two kinds of backend use this module:
 //!
 //! - **Pure backends** (digital GMM, math HMGM) compute each element from
-//!   the query alone — [`for_each_chunk`] spreads them across threads with
+//!   the query alone — [`for_each_chunk_policy`] spreads them across threads with
 //!   no further ceremony.
 //! - **Stateful backends** (the analog CIM engine, whose evaluations
 //!   consume noise) are parallelized by making the hidden state
@@ -17,7 +17,7 @@
 //!   (`navicim_device::noise::NoiseStream`), so a chunk starting at index
 //!   `s` perturbs evaluation `s + k` with `stream.at(base + s + k)` —
 //!   the same value a sequential pass would draw. Per-evaluation
-//!   statistics are written into a second buffer via [`zip_chunks`] and
+//!   statistics are written into a second buffer via [`zip_chunks_policy`] and
 //!   merged by the caller *in index order* afterwards, which keeps even
 //!   floating-point accumulators (current sums) bit-identical across
 //!   chunkings and thread counts.
@@ -39,8 +39,8 @@
 /// the ~10 µs cost of spawning scoped worker threads. 1024 points keeps
 /// the slowest kernel's chunk comfortably above that break-even while
 /// still splitting the particle-filter-scale batches threading exists
-/// for. Benchmarks can override per policy via
-/// [`ChunkPolicy::with_min_chunk`].
+/// for. Benchmarks can override it per policy through
+/// [`ChunkPolicy::min_chunk`].
 ///
 /// To re-tune on a new host, run `cargo run --release -p navicim-bench
 /// --features parallel --bin bench_kernels -- --threads`: its sweep pins
@@ -90,15 +90,6 @@ impl ChunkPolicy {
         }
     }
 
-    /// Returns a copy with the auto-threading threshold overridden (the
-    /// minimum points per chunk before worker threads are added; values
-    /// below 1 are floored to 1). Only consulted when `workers` is
-    /// `None` — explicit worker counts already bypass the gate.
-    pub fn with_min_chunk(mut self, min_chunk: usize) -> Self {
-        self.min_chunk = Some(min_chunk.max(1));
-        self
-    }
-
     /// Resolves the policy for a batch of `n` elements into a concrete
     /// `(chunk_len, workers)` pair (both at least 1). Without the
     /// `parallel` feature workers is always 1 — execution is sequential,
@@ -128,21 +119,13 @@ impl ChunkPolicy {
     }
 }
 
-/// Runs `work(start, out_chunk)` over contiguous chunks of `out` under the
-/// auto policy, where `start` is the index of the chunk's first element in
+/// Runs `work(start, out_chunk)` over contiguous chunks of `out` under
+/// `policy`, where `start` is the index of the chunk's first element in
 /// the full buffer.
 ///
 /// The closure must compute elements purely from the chunk bounds (no
 /// hidden sequential state) — that is what makes threaded and sequential
 /// execution bit-identical.
-pub fn for_each_chunk<F>(out: &mut [f64], work: F)
-where
-    F: Fn(usize, &mut [f64]) + Sync,
-{
-    for_each_chunk_policy(ChunkPolicy::auto(), out, work);
-}
-
-/// [`for_each_chunk`] with an explicit [`ChunkPolicy`].
 pub fn for_each_chunk_policy<F>(policy: ChunkPolicy, out: &mut [f64], work: F)
 where
     F: Fn(usize, &mut [f64]) + Sync,
@@ -166,25 +149,13 @@ where
 }
 
 /// Runs `work(start, a_chunk, b_chunk)` over matching contiguous chunks of
-/// two equal-length buffers under the auto policy.
+/// two equal-length buffers under `policy`.
 ///
 /// This is the stateful-backend entry point: `a` receives the results and
 /// `b` receives per-element merge data (e.g. the pre-noise array current
 /// of each evaluation), which the caller folds into its counters in index
 /// order after the call — giving chunking-independent statistics on top
 /// of chunking-independent results.
-///
-/// # Panics
-///
-/// Panics if `a.len() != b.len()`.
-pub fn zip_chunks<F>(a: &mut [f64], b: &mut [f64], work: F)
-where
-    F: Fn(usize, &mut [f64], &mut [f64]) + Sync,
-{
-    zip_chunks_policy(ChunkPolicy::auto(), a, b, work);
-}
-
-/// [`zip_chunks`] with an explicit [`ChunkPolicy`].
 ///
 /// # Panics
 ///
@@ -252,7 +223,7 @@ mod tests {
     fn covers_every_element_exactly_once() {
         for n in [0usize, 1, 7, MIN_CHUNK, 4 * MIN_CHUNK + 3] {
             let mut out = vec![0.0; n];
-            for_each_chunk(&mut out, |start, chunk| {
+            for_each_chunk_policy(ChunkPolicy::auto(), &mut out, |start, chunk| {
                 for (i, v) in chunk.iter_mut().enumerate() {
                     *v += (start + i) as f64;
                 }
@@ -312,7 +283,7 @@ mod tests {
     fn zip_chunks_rejects_length_mismatch() {
         let mut a = vec![0.0; 3];
         let mut b = vec![0.0; 4];
-        zip_chunks(&mut a, &mut b, |_, _, _| {});
+        zip_chunks_policy(ChunkPolicy::auto(), &mut a, &mut b, |_, _, _| {});
     }
 
     #[test]
@@ -340,11 +311,14 @@ mod tests {
     fn min_chunk_override_moves_threading_gate() {
         // Lowering the threshold lets auto resolution add workers for
         // batches the default gate keeps sequential (observable only
-        // with the `parallel` feature on a multi-core host); the floor
-        // keeps a zero override from dividing by zero.
-        let policy = ChunkPolicy::auto().with_min_chunk(0);
-        assert_eq!(policy.min_chunk, Some(1));
-        let low = ChunkPolicy::auto().with_min_chunk(4);
+        // with the `parallel` feature on a multi-core host); resolution
+        // floors a zero override instead of dividing by zero.
+        let with_min_chunk = |min_chunk| ChunkPolicy {
+            min_chunk: Some(min_chunk),
+            ..ChunkPolicy::auto()
+        };
+        assert!(with_min_chunk(0).resolve(64).1 >= 1);
+        let low = with_min_chunk(4);
         #[cfg(feature = "parallel")]
         assert_eq!(
             low.resolve(64).1,

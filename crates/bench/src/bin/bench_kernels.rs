@@ -37,7 +37,7 @@ use navicim_analog::mapping::SpaceMap;
 use navicim_backend::par::{self, ChunkPolicy};
 use navicim_backend::{LikelihoodBackend, PointBatch};
 use navicim_gmm::fit::{fit_diag_gmm, FitConfig};
-use navicim_gmm::gaussian::{Covariance, Gmm};
+use navicim_gmm::gaussian::Gmm;
 use navicim_gmm::hmg::{fit_hmgm, HmgmFitConfig};
 use navicim_gmm::prune::{PruneConfig, PRUNE_EPSILON};
 use navicim_math::rng::{Pcg32, SampleExt};
@@ -106,9 +106,7 @@ struct GmmScalarRef {
 
 impl GmmScalarRef {
     fn new(gmm: &Gmm) -> Self {
-        let Covariance::Diagonal(vars) = gmm.covariance() else {
-            panic!("reference requires a diagonal mixture");
-        };
+        let vars = gmm.variances();
         let dim = gmm.dim();
         let mut consts = Vec::with_capacity(gmm.num_components());
         let mut neg_half_inv_vars = Vec::with_capacity(gmm.num_components() * dim);
@@ -166,7 +164,7 @@ fn prune_spread_gmm(k: usize) -> Gmm {
         .map(|_| (0..3).map(|_| rng.sample_uniform(-10.0, 10.0)).collect())
         .collect();
     let vars = vec![vec![0.2, 0.3, 0.25]; k];
-    Gmm::new(vec![1.0 / k as f64; k], means, Covariance::Diagonal(vars)).unwrap()
+    Gmm::new(vec![1.0 / k as f64; k], means, vars).unwrap()
 }
 
 /// Query batch clustered near one component — the localized scan the

@@ -20,7 +20,7 @@
 //! - [`GatePolicy`] — the arbitration strategy (uncertainty metric →
 //!   backend slot). [`HysteresisGate`] is the default co-design: spread
 //!   enter/exit thresholds plus a dwell count so the gate never thrashes;
-//!   [`AlwaysBackend`] pins a slot and provides the always-digital /
+//!   `AlwaysBackend` pins a slot and provides the always-digital /
 //!   always-analog baselines,
 //! - [`FrameReport`] / [`PipelineRun`] — per-frame records of the chosen
 //!   slot, the gate's uncertainty input, pose error and the Fig. 2(i)-style
@@ -59,7 +59,7 @@ pub const ANALOG_SLOT: usize = 1;
 /// trend is stale: the slot's [`InnovationTracker`] resets to warm-up
 /// instead of scoring the first frame back against ancient history
 /// (roughly twice the default five-frame EWMA memory).
-pub const INNOVATION_STALE_AFTER: usize = 10;
+const INNOVATION_STALE_AFTER: usize = 10;
 
 /// The per-frame uncertainty bus: every live "how lost are we" estimate,
 /// gathered *before* a frame is weighed and shared — the same values —
@@ -157,7 +157,7 @@ pub trait GatePolicy: Send {
 /// always-digital / always-analog baselines the gated runs are measured
 /// against.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AlwaysBackend {
+struct AlwaysBackend {
     slot: usize,
     name: String,
 }
@@ -185,11 +185,6 @@ impl AlwaysBackend {
             slot: ANALOG_SLOT,
             name: "always-analog".into(),
         }
-    }
-
-    /// The pinned slot.
-    pub fn slot(&self) -> usize {
-        self.slot
     }
 }
 
@@ -282,7 +277,7 @@ impl HysteresisConfig {
     /// [`HysteresisGate`] and [`MultiSignalGate`] so the two gates'
     /// spread semantics cannot drift apart (their neutral-bus
     /// equivalence is property-tested).
-    pub fn spread_target(&self, spread: f64, current: usize) -> usize {
+    fn spread_target(&self, spread: f64, current: usize) -> usize {
         if spread <= self.analog_enter {
             ANALOG_SLOT
         } else if spread >= self.digital_enter {
@@ -601,7 +596,7 @@ impl PeriodicRefresh {
     }
 
     /// Length of one digital+analog duty cycle, in frames.
-    pub fn cycle_len(&self) -> usize {
+    fn cycle_len(&self) -> usize {
         self.config.period + self.config.refresh_len
     }
 }
@@ -737,7 +732,7 @@ impl GateConfig {
 
     /// Registry names the pipeline will instantiate, resolving the
     /// empty-slot default against the localizer's single backend name.
-    pub fn slot_names<'a>(&'a self, fallback: &'a str) -> Vec<&'a str> {
+    fn slot_names<'a>(&'a self, fallback: &'a str) -> Vec<&'a str> {
         if self.backends.is_empty() {
             vec![fallback]
         } else {
@@ -753,7 +748,7 @@ impl GateConfig {
     /// Returns [`CoreError::InvalidArgument`] when the pinned slot is out
     /// of range or a hysteresis gate is configured without both a digital
     /// and an analog slot.
-    pub fn build_policy(&self, num_slots: usize) -> Result<Box<dyn GatePolicy>> {
+    fn build_policy(&self, num_slots: usize) -> Result<Box<dyn GatePolicy>> {
         match &self.policy {
             GateKind::Always(slot) => {
                 if *slot >= num_slots {
@@ -1072,7 +1067,7 @@ impl SafeModeState {
 /// profile pricing the VO stage's per-frame MC-Dropout passes, so a
 /// [`FrameReport`] carries the *joint* map+VO energy of the frame.
 #[derive(Debug, Clone, PartialEq)]
-pub struct EnergyPricing {
+struct EnergyPricing {
     /// Analog CIM cost profile.
     pub analog: AnalogCimProfile,
     /// Digital datapath cost profile.
@@ -1103,7 +1098,7 @@ impl EnergyPricing {
     /// # Errors
     ///
     /// Propagates profile validation (zero widths, negative currents).
-    pub fn frame_pj(
+    fn frame_pj(
         &self,
         delta: &BackendStats,
         components: usize,
@@ -1132,7 +1127,7 @@ impl EnergyPricing {
     /// # Errors
     ///
     /// Propagates profile validation (zero precision).
-    pub fn vo_frame_pj(
+    fn vo_frame_pj(
         &self,
         delta: &MacroStats,
         rng_bits: u64,
@@ -1218,12 +1213,6 @@ pub struct FrameReport {
 }
 
 impl FrameReport {
-    /// Gate input: the particle spread before this frame's prediction
-    /// (convenience over [`Self::signals`]).
-    pub fn gate_spread(&self) -> f64 {
-        self.signals.spread
-    }
-
     /// Joint map+VO energy this frame, in pJ.
     pub fn total_energy_pj(&self) -> f64 {
         self.map_energy_pj + self.vo.map_or(0.0, |v| v.energy_pj)
@@ -1262,7 +1251,7 @@ impl PipelineRun {
     }
 
     /// Fraction of frames served by `slot` (0 for an empty run).
-    pub fn slot_fraction(&self, slot: usize) -> f64 {
+    fn slot_fraction(&self, slot: usize) -> f64 {
         if self.frames.is_empty() {
             0.0
         } else {
@@ -1425,7 +1414,7 @@ impl PipelineRun {
     /// Schema v3: v2's 19 columns plus the robustness triple appended
     /// at the end (`nees`, `fault_active`, `safe_mode`), so v2 loaders
     /// reading by index keep working.
-    pub const CSV_HEADER: [&'static str; 22] = [
+    const CSV_HEADER: [&'static str; 22] = [
         "frame",
         "slot",
         "backend",
@@ -1616,14 +1605,8 @@ impl VoStage {
 
     /// The most recent prediction's total variance (`None` before the
     /// first frame) — the value the bus reports as `vo_variance`.
-    pub fn last_variance(&self) -> Option<f64> {
+    fn last_variance(&self) -> Option<f64> {
         self.last_variance
-    }
-
-    /// The most recent prediction's mean relative pose (`None` before
-    /// the first frame) — the closed-loop odometry control.
-    pub fn last_delta(&self) -> Option<Pose> {
-        self.last_delta
     }
 
     /// The depth policy (current thresholds, change count).
@@ -1810,16 +1793,14 @@ impl LocalizationPipeline {
         Self::with_gate(dataset, config, registry, &slot_names, gate)
     }
 
-    /// The fully general entry point: explicit slot names and a
-    /// caller-supplied [`GatePolicy`] — the hook for custom arbitration
-    /// strategies (learned gates, duty-cycle schedules) without touching
-    /// this crate.
+    /// The general constructor behind the public builders: explicit slot
+    /// names and a built [`GatePolicy`].
     ///
     /// # Errors
     ///
     /// Rejects empty datasets, empty slot lists and a zero
     /// `pixel_stride`; propagates registry and fit errors.
-    pub fn with_gate(
+    fn with_gate(
         dataset: &LocalizationDataset,
         config: LocalizerConfig,
         registry: &BackendRegistry,
@@ -1903,12 +1884,6 @@ impl LocalizationPipeline {
         })
     }
 
-    /// Replaces the energy pricing profiles (builder style).
-    pub fn with_pricing(mut self, pricing: EnergyPricing) -> Self {
-        self.pricing = pricing;
-        self
-    }
-
     /// Attaches a [`VoStage`] (builder style): per-frame MC-Dropout VO
     /// with compute-adaptive depth, priced into the frame reports. The
     /// stage is a pure observer — the map-side stream is bit-identical
@@ -1968,29 +1943,9 @@ impl LocalizationPipeline {
         self.safe.as_ref().map(|s| &s.config)
     }
 
-    /// Whether the safe-mode response is currently governing frames.
-    pub fn safe_mode_active(&self) -> bool {
-        self.safe.as_ref().is_some_and(|s| s.active)
-    }
-
-    /// Whether the fault detector's alarm is currently latched.
-    pub fn fault_alarmed(&self) -> bool {
-        self.safe.as_ref().is_some_and(|s| s.detector.alarmed())
-    }
-
-    /// Number of distinct safe-mode entries so far this session.
-    pub fn safe_mode_entries(&self) -> u64 {
-        self.safe.as_ref().map_or(0, |s| s.entries)
-    }
-
     /// The configured control source.
     pub fn control_source(&self) -> ControlSource {
         self.control
-    }
-
-    /// The closed-loop noise-inflation bounds.
-    pub fn noise_inflation(&self) -> &NoiseInflation {
-        &self.inflation
     }
 
     /// Backend names, by slot.
@@ -2010,11 +1965,6 @@ impl LocalizationPipeline {
     /// Number of backend slots.
     pub fn num_backends(&self) -> usize {
         self.backends.len()
-    }
-
-    /// The gate policy name.
-    pub fn gate_name(&self) -> &str {
-        self.gate.name()
     }
 
     /// Current pose estimate (weighted mean of the cloud).
@@ -2426,6 +2376,16 @@ impl LocalizationPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Whether the safe-mode response is currently governing frames.
+    fn safe_mode_active(p: &LocalizationPipeline) -> bool {
+        p.safe.as_ref().is_some_and(|s| s.active)
+    }
+
+    /// Number of distinct safe-mode entries so far this session.
+    fn safe_mode_entries(p: &LocalizationPipeline) -> u64 {
+        p.safe.as_ref().map_or(0, |s| s.entries)
+    }
     use crate::registry::{CIM_HMGM, DIGITAL_GMM};
     use navicim_scene::dataset::LocalizationConfig;
 
@@ -2633,7 +2593,7 @@ mod tests {
         ));
         let mut pipeline = LocalizationPipeline::build(&ds, config).unwrap();
         assert_eq!(pipeline.num_backends(), 2);
-        assert_eq!(pipeline.gate_name(), "hysteresis");
+        assert_eq!(pipeline.gate.name(), "hysteresis");
         let run = pipeline.run(&ds).unwrap();
         assert_eq!(run.frames.len(), 9);
         // The cloud starts wide (digital) and collapses (analog).
@@ -2646,7 +2606,7 @@ mod tests {
             assert!(f.evaluations > 0, "frame {} had no evaluations", f.frame);
             assert!(f.map_energy_pj > 0.0);
             assert_eq!(f.total_energy_pj(), f.map_energy_pj, "no VO stage");
-            assert!(f.gate_spread().is_finite());
+            assert!(f.signals.spread.is_finite());
             assert!(f.signals.ess_fraction > 0.0 && f.signals.ess_fraction <= 1.0);
             assert!(f.signals.innovation.is_none_or(|i| i.is_finite()));
             assert_eq!(f.signals.vo_variance, None);
@@ -3551,7 +3511,7 @@ mod tests {
             .unwrap()
             .with_safe_mode(test_safe_mode_config())
             .unwrap();
-        let ceiling = pipeline.noise_inflation().scale(None);
+        let ceiling = pipeline.inflation.scale(None);
         let controls = ds.control_deltas();
         let blind = DepthImage::new(ds.frames[0].depth.width(), ds.frames[0].depth.height());
         let mut reports = Vec::new();
@@ -3593,9 +3553,10 @@ mod tests {
             assert_eq!(f.noise_scale, ceiling, "frame {} not clamped", f.frame);
         }
         // Recovery: honest frames resume, safe mode exits and re-arms.
-        assert!(!pipeline.safe_mode_active(), "safe mode never exited");
-        assert!(!pipeline.fault_alarmed(), "detector never re-armed");
-        assert_eq!(pipeline.safe_mode_entries(), 1);
+        assert!(!safe_mode_active(&pipeline), "safe mode never exited");
+        let detector = &pipeline.safe.as_ref().unwrap().detector;
+        assert!(!detector.alarmed(), "detector never re-armed");
+        assert_eq!(safe_mode_entries(&pipeline), 1);
         let last = reports.last().unwrap();
         assert!(!last.safe_mode);
         assert_eq!(last.slot, ANALOG_SLOT, "gate did not resume after recovery");
@@ -3615,8 +3576,8 @@ mod tests {
             prototype.safe_mode_config(),
             "fork keeps the tuning"
         );
-        assert!(!fork.safe_mode_active());
-        assert_eq!(fork.safe_mode_entries(), 0);
+        assert!(!safe_mode_active(&fork));
+        assert_eq!(safe_mode_entries(&fork), 0);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   cloud, fit settings and one shared diagonal fit); the paper's two
 //!   backends, the digital GMM and the analog CIM engine, are registered
 //!   by default,
-//! - [`NamedBackend`] / [`ClosureBackend`] — adapters that lift any
+//! - `NamedBackend` / [`ClosureBackend`] — adapters that lift any
 //!   [`LikelihoodBackend`] or any `FnMut(&[f64]) -> f64` into a
 //!   [`MapBackend`], so examples and downstream crates can register
 //!   custom backends without touching this crate.
@@ -171,7 +171,7 @@ pub trait MapBackend: LikelihoodBackend + Send {
 /// them.
 ///
 /// The diagonal fit is computed once and shared: the first factory that
-/// calls [`Self::diag_gmm`] fills [`Self::diag_fit`], and every later
+/// calls `Self::diag_gmm` fills [`Self::diag_fit`], and every later
 /// factory built from the same context reads that one fit. The digital
 /// GMM backend serves it and the CIM backend refines it into its HMGM
 /// map, so a pipeline with both slots fits its map once.
@@ -199,7 +199,7 @@ pub struct MapFitContext<'a> {
     /// Seed for map fitting (salted internally so factory fit draws never
     /// collide with the localizer's particle-init stream).
     pub seed: u64,
-    /// Cache of [`Self::diag_gmm`]; pass an empty cell. It must not hold a
+    /// Cache of `Self::diag_gmm`; pass an empty cell. It must not hold a
     /// fit of other points, settings or seed.
     pub diag_fit: &'a OnceCell<Gmm>,
 }
@@ -214,7 +214,7 @@ impl<'a> MapFitContext<'a> {
     ///
     /// Propagates fit errors. A failed fit is not cached, so a later call
     /// fits again and fails the same way.
-    pub fn diag_gmm(&self) -> Result<&'a Gmm> {
+    fn diag_gmm(&self) -> Result<&'a Gmm> {
         if let Some(gmm) = self.diag_fit.get() {
             return Ok(gmm);
         }
@@ -225,8 +225,7 @@ impl<'a> MapFitContext<'a> {
 }
 
 /// A factory producing a boxed backend from a fit context.
-pub type BackendFactory =
-    Box<dyn Fn(&MapFitContext<'_>) -> Result<Box<dyn MapBackend>> + Send + Sync>;
+type BackendFactory = Box<dyn Fn(&MapFitContext<'_>) -> Result<Box<dyn MapBackend>> + Send + Sync>;
 
 /// Named [`MapBackend`] factories.
 ///
@@ -340,7 +339,7 @@ fn build_cim_hmgm(ctx: &MapFitContext<'_>) -> Result<Box<dyn MapBackend>> {
 /// Lifts any pure [`LikelihoodBackend`] into a [`MapBackend`] by
 /// attaching a name, a component count and an evaluation counter.
 #[derive(Debug, Clone)]
-pub struct NamedBackend<B> {
+struct NamedBackend<B> {
     name: String,
     components: usize,
     evaluations: u64,
@@ -356,11 +355,6 @@ impl<B: LikelihoodBackend> NamedBackend<B> {
             evaluations: 0,
             inner,
         }
-    }
-
-    /// The wrapped backend.
-    pub fn inner(&self) -> &B {
-        &self.inner
     }
 }
 
@@ -404,29 +398,18 @@ impl<B: LikelihoodBackend + Clone + Send + 'static> MapBackend for NamedBackend<
 /// The analog CIM engine as a [`MapBackend`], surfacing the engine's
 /// hardware counters as [`BackendStats`].
 #[derive(Debug, Clone)]
-pub struct CimMapBackend {
+struct CimMapBackend {
     name: String,
     engine: HmgmCimEngine,
 }
 
 impl CimMapBackend {
-    /// Wraps a compiled engine under the default [`CIM_HMGM`] name.
+    /// Wraps a compiled engine under the [`CIM_HMGM`] name.
     pub fn new(engine: HmgmCimEngine) -> Self {
-        Self::with_name(CIM_HMGM, engine)
-    }
-
-    /// Wraps a compiled engine under a custom name (for registering
-    /// differently-configured analog variants side by side).
-    pub fn with_name(name: impl Into<String>, engine: HmgmCimEngine) -> Self {
         Self {
-            name: name.into(),
+            name: CIM_HMGM.into(),
             engine,
         }
-    }
-
-    /// The compiled engine (array inspection, energy accounting).
-    pub fn engine(&self) -> &HmgmCimEngine {
-        &self.engine
     }
 }
 
@@ -692,7 +675,7 @@ mod tests {
         let out = named.log_likelihood_batch(&batch);
         assert_eq!(out.len(), 2);
         assert_eq!(named.stats().evaluations, 2);
-        assert_eq!(named.inner().num_components(), named.components());
+        assert_eq!(named.inner.num_components(), named.components());
         assert_eq!(named.stats().avg_current(), 0.0);
     }
 

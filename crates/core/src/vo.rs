@@ -41,11 +41,6 @@ impl CimQuantBackend {
     pub fn cim(&self) -> &SramCimMacro {
         &self.cim
     }
-
-    /// Mutable macro access.
-    pub fn cim_mut(&mut self) -> &mut SramCimMacro {
-        &mut self.cim
-    }
 }
 
 impl QuantBackend for CimQuantBackend {
@@ -77,7 +72,7 @@ impl QuantBackend for CimQuantBackend {
 /// yaw accuracy but widen the output-layer weight range, which hurts
 /// 4-bit quantization; the default keeps the low-precision story of
 /// Fig. 3(c-e) intact.
-pub const ROT_TARGET_SCALE: f64 = 1.0;
+const ROT_TARGET_SCALE: f64 = 1.0;
 
 /// Training configuration for the VO regressor.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -163,7 +158,7 @@ pub fn train_vo_network(
 
 /// Where dropout bits come from.
 #[derive(Debug, Clone)]
-pub enum MaskSource {
+enum MaskSource {
     /// Software PRNG (ideal bits).
     Pseudorandom(Pcg32),
     /// The modeled SRAM-embedded CCI RNG (calibrated at construction).
@@ -245,17 +240,7 @@ pub struct VoRun {
     pub silicon_bits: Option<u64>,
 }
 
-impl VoRun {
-    /// Mean MC-Dropout depth over the run (0 when no stochastic passes
-    /// were drawn).
-    pub fn mean_iterations(&self) -> f64 {
-        if self.per_step_iterations.is_empty() {
-            return 0.0;
-        }
-        self.per_step_iterations.iter().sum::<usize>() as f64
-            / self.per_step_iterations.len() as f64
-    }
-}
+impl VoRun {}
 
 /// Thresholds of the [`AdaptiveMcPolicy`] — the paper Section III knob:
 /// MC-Dropout depth driven by predictive variance, mirroring the map
@@ -359,7 +344,7 @@ impl AdaptiveMcPolicy {
     }
 
     /// Whether the depth is pinned (`min_iterations == max_iterations`).
-    pub fn is_fixed(&self) -> bool {
+    fn is_fixed(&self) -> bool {
         self.config.min_iterations == self.config.max_iterations
     }
 
@@ -438,9 +423,17 @@ impl BayesianVo {
     ///
     /// # Errors
     ///
-    /// Propagates quantization and RNG-fabrication errors; requires a
+    /// Returns [`CoreError::InvalidArgument`] when `config.mc_iterations`
+    /// is below 2 (a predictive variance needs two passes), and
+    /// propagates quantization and RNG-fabrication errors; requires a
     /// non-empty calibration set.
     pub fn build(net: &Mlp, calibration: &[Vec<f64>], config: VoPipelineConfig) -> Result<Self> {
+        if config.mc_iterations < 2 {
+            return Err(CoreError::InvalidArgument(format!(
+                "mc_iterations must be at least 2, got {}",
+                config.mc_iterations
+            )));
+        }
         let qnet = QuantizedMlp::from_mlp(net, config.weight_bits, config.act_bits, calibration)?;
         let backend = CimQuantBackend::new(SramCimMacro::new(MacroConfig {
             adc_bits: config.adc_bits,
@@ -483,11 +476,6 @@ impl BayesianVo {
         self.masks.silicon_bits()
     }
 
-    /// Clears macro counters.
-    pub fn reset_macro_stats(&mut self) {
-        self.backend.cim_mut().reset_stats();
-    }
-
     /// The pipeline configuration.
     pub fn config(&self) -> &VoPipelineConfig {
         &self.config
@@ -496,7 +484,7 @@ impl BayesianVo {
     /// One MC-Dropout prediction: `mc_iterations` stochastic passes on the
     /// frame features, with optional greedy iteration ordering.
     ///
-    /// Owned-output adapter over [`Self::predict_into`]; frame loops that
+    /// Owned-output adapter over `Self::predict_into`; frame loops that
     /// want the zero-alloc path should reuse one [`McPrediction`] there
     /// instead.
     pub fn predict(&mut self, features: &[f64]) -> McPrediction {
@@ -511,7 +499,7 @@ impl BayesianVo {
     /// steady-state frame loop performs no heap allocation beyond the
     /// greedy ordering's permutation. Arithmetic and RNG consumption are
     /// identical to [`Self::predict`].
-    pub fn predict_into(&mut self, features: &[f64], pred: &mut McPrediction) {
+    fn predict_into(&mut self, features: &[f64], pred: &mut McPrediction) {
         self.predict_n_into(features, self.config.mc_iterations, pred);
     }
 
@@ -522,7 +510,7 @@ impl BayesianVo {
     /// lifetime high-water mark: shrinking the depth deallocates
     /// nothing, growing allocates only past the widest call so far.
     /// With `iterations == config.mc_iterations` this is bit-identical
-    /// to [`Self::predict_into`].
+    /// to `Self::predict_into`.
     ///
     /// # Panics
     ///
@@ -570,7 +558,7 @@ impl BayesianVo {
     }
 
     /// Deterministic quantized prediction (no dropout at inference).
-    pub fn predict_deterministic(&mut self, features: &[f64]) -> Vec<f64> {
+    fn predict_deterministic(&mut self, features: &[f64]) -> Vec<f64> {
         self.backend.reset();
         let mut y = Vec::with_capacity(self.qnet.out_dim());
         self.qnet
@@ -582,7 +570,7 @@ impl BayesianVo {
     /// integrating the predicted mean deltas into an absolute trajectory.
     ///
     /// One code path serves both depth modes: this is
-    /// [`Self::run_trajectory_adaptive`] with a policy pinned at
+    /// `Self::run_trajectory_adaptive` with a policy pinned at
     /// `config.mc_iterations` (a pinned policy grants that depth on
     /// every frame, so the runs are bit-identical — regression-tested).
     ///
@@ -605,7 +593,7 @@ impl BayesianVo {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidArgument`] for datasets without samples.
-    pub fn run_trajectory_adaptive(
+    fn run_trajectory_adaptive(
         &mut self,
         dataset: &VoDataset,
         policy: &mut AdaptiveMcPolicy,
@@ -684,7 +672,7 @@ impl BayesianVo {
 }
 
 /// Converts a predicted 6-DoF mean `[dx, dy, dz, roll·S, pitch·S,
-/// yaw·S]` (rotation components carrying the [`ROT_TARGET_SCALE`]
+/// yaw·S]` (rotation components carrying the `ROT_TARGET_SCALE`
 /// training weight `S`) into the relative [`Pose`] it encodes — the
 /// odometry control a closed-loop particle filter composes into its
 /// motion model, and the inverse of the target construction in
@@ -788,6 +776,35 @@ mod tests {
             .take(8)
             .map(|s| s.features.clone())
             .collect()
+    }
+
+    #[test]
+    fn build_rejects_fewer_than_two_mc_iterations() {
+        let ds = tiny_dataset(12);
+        let config = VoTrainConfig {
+            epochs: 1,
+            ..tiny_train_config()
+        };
+        let net = train_vo_network(&ds.samples, ds.feature_dim(), &config).unwrap();
+        for mc_iterations in [0, 1] {
+            let built = BayesianVo::build(
+                &net,
+                &calibration(&ds),
+                VoPipelineConfig {
+                    mc_iterations,
+                    ..VoPipelineConfig::default()
+                },
+            );
+            assert!(
+                matches!(built, Err(CoreError::InvalidArgument(_))),
+                "mc_iterations {mc_iterations}"
+            );
+        }
+        let two = VoPipelineConfig {
+            mc_iterations: 2,
+            ..VoPipelineConfig::default()
+        };
+        assert!(BayesianVo::build(&net, &calibration(&ds), two).is_ok());
     }
 
     #[test]
@@ -1112,7 +1129,6 @@ mod tests {
             .unwrap();
         assert_eq!(fixed_run, pinned_run);
         assert_eq!(pinned_run.per_step_iterations, vec![8; ds.samples.len()]);
-        assert_eq!(pinned_run.mean_iterations(), 8.0);
     }
 
     #[test]
@@ -1153,7 +1169,7 @@ mod tests {
             .all(|&t| (4..=20).contains(&t)));
         assert_eq!(adaptive.per_step_iterations[0], 20, "starts at max depth");
         assert!(
-            adaptive.mean_iterations() < 20.0,
+            adaptive.per_step_iterations.iter().any(|&d| d < 20),
             "depth adapted: {:?}",
             adaptive.per_step_iterations
         );

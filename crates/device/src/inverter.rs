@@ -50,7 +50,7 @@ pub struct GaussianLikeCell {
 
 impl GaussianLikeCell {
     /// Default conduction-window width (volts) when only a centre is given.
-    pub const DEFAULT_OVERLAP: f64 = 0.3;
+    const DEFAULT_OVERLAP: f64 = 0.3;
 
     /// Creates a cell with its bell centred at `center` volts and the
     /// default conduction window.

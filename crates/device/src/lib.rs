@@ -3,13 +3,12 @@
 //! The paper's Section II builds its likelihood engine out of six-transistor
 //! CMOS inverters whose *switching current* traces a Gaussian-like bell as a
 //! function of the input voltage (Fig. 2(b)), with the peak position made
-//! programmable through floating-gate threshold-voltage shifts. This crate
-//! models that stack from first principles:
+//! programmable through floating-gate threshold-voltage shifts (modelled
+//! here as the programmed centre voltage). This crate models that stack
+//! from first principles:
 //!
 //! - [`mosfet`] — a continuous EKV-style MOSFET current model valid from
 //!   subthreshold through saturation,
-//! - [`floating_gate`] — non-volatile threshold programming (charge-trap
-//!   style) with write quantization and retention drift,
 //! - [`inverter`] — the Gaussian-like cell (NMOS/PMOS series conduction) and
 //!   the multi-input inverter whose current composes as the harmonic mean of
 //!   its per-input cells, exactly the paper's
@@ -36,7 +35,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod floating_gate;
 pub mod inverter;
 pub mod mosfet;
 pub mod noise;

@@ -13,20 +13,10 @@
 
 use crate::params::TechParams;
 
-/// Transistor polarity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Polarity {
-    /// N-channel device: conducts when the gate is high.
-    Nmos,
-    /// P-channel device: conducts when the gate is low.
-    Pmos,
-}
-
 /// A single MOSFET with its effective parameters (after floating-gate
 /// programming and process variation have been applied).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Mosfet {
-    polarity: Polarity,
     /// Effective threshold voltage magnitude in volts.
     vth: f64,
     /// Effective transconductance factor β = k·(W/L) in A/V².
@@ -43,7 +33,6 @@ impl Mosfet {
     /// Creates a nominal NMOS device for the given technology.
     pub fn nmos(tech: &TechParams) -> Self {
         Self {
-            polarity: Polarity::Nmos,
             vth: tech.vth_n,
             beta: tech.k_n,
             slope_n: tech.slope_n,
@@ -55,28 +44,12 @@ impl Mosfet {
     /// Creates a nominal PMOS device for the given technology.
     pub fn pmos(tech: &TechParams) -> Self {
         Self {
-            polarity: Polarity::Pmos,
             vth: tech.vth_p,
             beta: tech.k_p,
             slope_n: tech.slope_n,
             u_t: tech.u_t,
             i_leak: tech.i_leak,
         }
-    }
-
-    /// Device polarity.
-    pub fn polarity(&self) -> Polarity {
-        self.polarity
-    }
-
-    /// Effective threshold voltage magnitude in volts.
-    pub fn vth(&self) -> f64 {
-        self.vth
-    }
-
-    /// Effective transconductance factor in A/V².
-    pub fn beta(&self) -> f64 {
-        self.beta
     }
 
     /// Returns a copy with the threshold shifted by `delta` volts
@@ -114,7 +87,8 @@ impl Mosfet {
     }
 
     /// Transconductance `dI/dV` at the given gate drive, via central
-    /// difference (used by the noise model).
+    /// difference.
+    // lint: allow(unused-pub) no caller outside its unit tests; removal deferred to a follow-up sweep
     pub fn transconductance(&self, v_gate_drive: f64) -> f64 {
         let h = 1e-6;
         (self.saturation_current(v_gate_drive + h) - self.saturation_current(v_gate_drive - h))
@@ -211,6 +185,6 @@ mod tests {
         let n = Mosfet::nmos(&tech);
         let p = Mosfet::pmos(&tech);
         assert!(n.saturation_current(0.8) > p.saturation_current(0.8));
-        assert_eq!(p.polarity(), Polarity::Pmos);
+        assert_eq!(p.beta, tech.k_p);
     }
 }

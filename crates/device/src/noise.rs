@@ -44,12 +44,12 @@ impl NoiseModel {
     }
 
     /// RMS thermal noise current for a device with transconductance `gm`.
-    pub fn thermal_rms(&self, gm: f64) -> f64 {
+    fn thermal_rms(&self, gm: f64) -> f64 {
         (4.0 * BOLTZMANN * self.temperature * self.gamma * gm * self.bandwidth).sqrt()
     }
 
     /// RMS shot noise current for a bias current `i_bias`.
-    pub fn shot_rms(&self, i_bias: f64) -> f64 {
+    fn shot_rms(&self, i_bias: f64) -> f64 {
         (2.0 * ELECTRON_CHARGE * i_bias.abs() * self.bandwidth).sqrt()
     }
 

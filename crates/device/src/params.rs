@@ -8,7 +8,7 @@
 
 /// Boltzmann constant over electron charge at 300 K: the thermal voltage
 /// `U_T = kT/q` in volts.
-pub const THERMAL_VOLTAGE_300K: f64 = 0.02585;
+const THERMAL_VOLTAGE_300K: f64 = 0.02585;
 
 /// Electron charge in coulombs, used by the shot-noise model.
 pub const ELECTRON_CHARGE: f64 = 1.602_176_634e-19;

@@ -45,7 +45,7 @@ impl AnalogCimProfile {
     /// # Errors
     ///
     /// Returns [`EnergyError::InvalidArgument`] for negative currents.
-    pub fn array_pj(&self, avg_current_a: f64) -> Result<f64> {
+    fn array_pj(&self, avg_current_a: f64) -> Result<f64> {
         if avg_current_a < 0.0 {
             return Err(EnergyError::InvalidArgument(
                 "average current must be non-negative".into(),
@@ -55,7 +55,7 @@ impl AnalogCimProfile {
     }
 
     /// Energy of one DAC conversion at the given resolution, in pJ.
-    pub fn dac_pj(&self, bits: u32) -> f64 {
+    fn dac_pj(&self, bits: u32) -> f64 {
         self.dac4_fj * bits as f64 / 4.0 * 1e-3
     }
 
@@ -72,7 +72,7 @@ impl AnalogCimProfile {
     ///
     /// # Errors
     ///
-    /// Propagates [`Self::array_pj`] validation.
+    /// Propagates `Self::array_pj` validation.
     pub fn likelihood_eval_pj(
         &self,
         avg_current_a: f64,
@@ -90,7 +90,7 @@ impl AnalogCimProfile {
     ///
     /// # Errors
     ///
-    /// Propagates [`Self::array_pj`] validation.
+    /// Propagates `Self::array_pj` validation.
     pub fn likelihood_eval_report(
         &self,
         avg_current_a: f64,

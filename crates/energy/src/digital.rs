@@ -57,13 +57,13 @@ impl DigitalProfile {
     }
 
     /// Energy of one addition at the given width, in pJ (linear scaling).
-    pub fn add_pj(&self, bits: u32) -> f64 {
+    fn add_pj(&self, bits: u32) -> f64 {
         self.add8_pj * bits as f64 / 8.0
     }
 
     /// Energy of one multiplication at the given width, in pJ (quadratic
     /// scaling).
-    pub fn mult_pj(&self, bits: u32) -> f64 {
+    fn mult_pj(&self, bits: u32) -> f64 {
         self.mult8_pj * (bits as f64 / 8.0).powi(2)
     }
 
@@ -73,12 +73,12 @@ impl DigitalProfile {
     }
 
     /// Energy of one local-memory read of the given width, in pJ.
-    pub fn read_pj(&self, bits: u32) -> f64 {
+    fn read_pj(&self, bits: u32) -> f64 {
         self.read8_pj * bits as f64 / 8.0
     }
 
     /// Energy of one exponential evaluation at the given width, in pJ.
-    pub fn exp_pj(&self, bits: u32) -> f64 {
+    fn exp_pj(&self, bits: u32) -> f64 {
         self.exp8_pj * bits as f64 / 8.0
     }
 

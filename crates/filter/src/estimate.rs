@@ -50,7 +50,7 @@ pub fn position_spread(particles: &ParticleSet<Pose>) -> f64 {
 /// Variance floor for [`position_nees`], in m²: axes the cloud has
 /// collapsed below this (σ < 1 µm) are treated as claiming that
 /// certainty, so any realized error there reads as inconsistency.
-pub const NEES_VAR_FLOOR: f64 = 1e-12;
+const NEES_VAR_FLOOR: f64 = 1e-12;
 
 /// Diagonal NEES (normalized estimation error squared) of the cloud's
 /// positional belief against the true position: per axis, squared
@@ -61,7 +61,7 @@ pub const NEES_VAR_FLOOR: f64 = 1e-12;
 /// covariance no longer explains its realized error — which is the
 /// per-frame trust metric faults and attacks show up in even while the
 /// raw error still looks plausible. Collapsed axes price their variance
-/// at [`NEES_VAR_FLOOR`], so the result is finite for every cloud.
+/// at `NEES_VAR_FLOOR`, so the result is finite for every cloud.
 pub fn position_nees(particles: &ParticleSet<Pose>, truth: Pose) -> f64 {
     let (mean, var) = particles.weighted_moments(|p| p.translation.to_array());
     let t = truth.translation.to_array();

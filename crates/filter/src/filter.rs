@@ -146,11 +146,6 @@ impl<S: Clone> ParticleFilter<S> {
         &self.particles
     }
 
-    /// Mutable access (e.g. for reinitialization).
-    pub fn particles_mut(&mut self) -> &mut ParticleSet<S> {
-        &mut self.particles
-    }
-
     /// Number of predict/update steps performed.
     pub fn steps(&self) -> u64 {
         self.step_count
@@ -201,11 +196,6 @@ impl<S: Clone> ParticleFilter<S> {
     /// computed from.
     pub fn last_mean_log_likelihood(&self) -> Option<f64> {
         self.last_mean_ll
-    }
-
-    /// Number of resampling events triggered.
-    pub fn resamples(&self) -> u64 {
-        self.resample_count
     }
 
     /// Prediction step: propagates every particle through the motion model.
@@ -347,31 +337,6 @@ impl<S: Clone> ParticleFilter<S> {
         self.predict(control, motion, rng);
         self.update(obs, sensor, rng)
     }
-
-    /// Combined predict + update step with the motion noise scaled by
-    /// `noise_scale` — see [`Self::predict_scaled`]. Bit-identical to
-    /// [`Self::step`] at `noise_scale == 1.0`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates measurement-update errors.
-    pub fn step_scaled<U, Z, MM, MS, R>(
-        &mut self,
-        control: &U,
-        obs: &Z,
-        motion: &MM,
-        noise_scale: f64,
-        sensor: &mut MS,
-        rng: &mut R,
-    ) -> Result<()>
-    where
-        MM: Motion<S, U>,
-        MS: Measurement<S, Z>,
-        R: Rng64,
-    {
-        self.predict_scaled(control, motion, noise_scale, rng);
-        self.update(obs, sensor, rng)
-    }
 }
 
 #[cfg(test)]
@@ -460,7 +425,7 @@ mod tests {
         let mut sensor = GaussianSensor { sigma: 0.1 }; // sharp likelihood
         let motion = walk_motion();
         pf.step(&0.0, &0.0, &motion, &mut sensor, &mut rng).unwrap();
-        assert!(pf.resamples() >= 1);
+        assert!(pf.resample_count >= 1);
     }
 
     #[test]
@@ -479,7 +444,7 @@ mod tests {
         for _ in 0..5 {
             pf.step(&0.0, &1.0, &motion, &mut sensor, &mut rng).unwrap();
         }
-        assert_eq!(pf.resamples(), 0);
+        assert_eq!(pf.resample_count, 0);
     }
 
     #[test]

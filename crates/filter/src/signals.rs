@@ -13,7 +13,7 @@ use crate::{FilterError, Result};
 /// Default EWMA smoothing factor of [`InnovationTracker`]: roughly a
 /// five-frame memory, short enough to track scene changes and long
 /// enough to ride out single-frame noise.
-pub const DEFAULT_INNOVATION_ALPHA: f64 = 0.2;
+const DEFAULT_INNOVATION_ALPHA: f64 = 0.2;
 
 /// Running innovation of a per-frame scalar (the filter's mean
 /// log-likelihood) against its exponentially-weighted moving average.
@@ -203,11 +203,6 @@ impl FaultDetector {
     /// The tuning this detector runs.
     pub fn config(&self) -> &FaultDetectorConfig {
         &self.config
-    }
-
-    /// The current CUSUM statistic, in nats of accumulated deficit.
-    pub fn score(&self) -> f64 {
-        self.score
     }
 
     /// Whether the alarm is latched.
@@ -438,12 +433,12 @@ mod tests {
         // `None` readings (tracker warm-up, blind frames) carry no
         // evidence in either direction.
         assert!(!d.observe(None));
-        assert_eq!(d.score(), 0.0);
+        assert_eq!(d.score, 0.0);
         // The first two finite readings are swallowed even when they
         // scream fault.
         assert!(!d.observe(Some(-100.0)));
         assert!(!d.observe(Some(-100.0)));
-        assert_eq!(d.score(), 0.0);
+        assert_eq!(d.score, 0.0);
         // The third reading counts.
         assert!(d.observe(Some(-100.0)));
         assert!(d.alarmed());
@@ -460,7 +455,7 @@ mod tests {
         // In-family wobble (|i| <= drift) never accumulates.
         for i in [-1.0, 0.5, -2.0, 1.5, -0.3, 2.0] {
             assert!(!d.observe(Some(i)));
-            assert_eq!(d.score(), 0.0);
+            assert_eq!(d.score, 0.0);
         }
         // A sustained moderate sag accumulates to the alarm: deficit
         // (5 - 2) = 3 per frame reaches 10 on the 4th frame.
@@ -482,11 +477,11 @@ mod tests {
         })
         .unwrap();
         d.observe(Some(-5.0)); // s = max(0, 5 - 1) = 4
-        assert_eq!(d.score(), 4.0);
+        assert_eq!(d.score, 4.0);
         // A strong positive frame pays the deficit back down to zero
         // instead of letting stale evidence linger.
         d.observe(Some(8.0)); // s = max(0, 4 - 8 - 1) = 0
-        assert_eq!(d.score(), 0.0);
+        assert_eq!(d.score, 0.0);
         assert!(!d.alarmed());
     }
 
@@ -503,7 +498,7 @@ mod tests {
         assert!(d.observe(Some(-5.0)));
         d.reset();
         assert!(!d.alarmed());
-        assert_eq!(d.score(), 0.0);
+        assert_eq!(d.score, 0.0);
         // Warm-up already served: the next deficit counts immediately.
         assert!(d.observe(Some(-5.0)));
     }
@@ -521,10 +516,10 @@ mod tests {
         d.observe(Some(-3.0)); // s = 2
         for _ in 0..5 {
             assert!(!d.observe(Some(f64::NEG_INFINITY)));
-            assert!(d.score().is_finite());
+            assert!(d.score.is_finite());
         }
-        assert_eq!(d.score(), 2.0);
+        assert_eq!(d.score, 2.0);
         assert!(!d.observe(Some(f64::NAN)));
-        assert_eq!(d.score(), 2.0);
+        assert_eq!(d.score, 2.0);
     }
 }

@@ -1,6 +1,6 @@
 //! Expectation-maximization fitting for Gaussian mixtures.
 
-use crate::gaussian::{Covariance, Gmm};
+use crate::gaussian::Gmm;
 use crate::kmeans::kmeans;
 use crate::{check_dims, GmmError, Result};
 use navicim_math::rng::Rng64;
@@ -92,46 +92,7 @@ pub fn fit_diag_gmm<R: Rng64 + ?Sized>(
         }
         prev_ll = mean_ll;
     }
-    Gmm::new(weights, means, Covariance::Diagonal(vars))
-}
-
-/// Selects the diagonal-GMM component count minimizing BIC over
-/// `candidates`.
-///
-/// # Errors
-///
-/// Returns the first fitting error if every candidate fails, or
-/// [`GmmError::InvalidArgument`] for an empty candidate list.
-pub fn select_components<R: Rng64 + ?Sized>(
-    points: &[Vec<f64>],
-    candidates: &[usize],
-    config: &FitConfig,
-    rng: &mut R,
-) -> Result<(usize, Gmm)> {
-    if candidates.is_empty() {
-        return Err(GmmError::InvalidArgument(
-            "candidate list must not be empty".into(),
-        ));
-    }
-    let mut best: Option<(usize, Gmm, f64)> = None;
-    let mut first_err = None;
-    for &k in candidates {
-        match fit_diag_gmm(points, k, config, rng) {
-            Ok(gmm) => {
-                let bic = gmm.bic(points);
-                if best.as_ref().map(|(_, _, b)| bic < *b).unwrap_or(true) {
-                    best = Some((k, gmm, bic));
-                }
-            }
-            Err(e) => {
-                first_err.get_or_insert(e);
-            }
-        }
-    }
-    match best {
-        Some((k, gmm, _)) => Ok((k, gmm)),
-        None => Err(first_err.expect("either a fit or an error must exist")),
-    }
+    Gmm::new(weights, means, vars)
 }
 
 /// Reused buffers of the EM E-step: per-component constants, refreshed
@@ -270,7 +231,7 @@ mod tests {
             assert!((w - 0.5).abs() < 0.05);
         }
         // Recovered sigmas in the right ballpark.
-        let sds = gmm.diag_std_devs().unwrap();
+        let sds = gmm.diag_std_devs();
         for sd in sds.iter().flatten() {
             assert!(*sd > 0.2 && *sd < 0.8, "sd = {sd}");
         }
@@ -354,20 +315,10 @@ mod tests {
         pts.extend(vec![vec![5.0, 5.0]; 50]);
         let mut rng = Pcg32::seed_from_u64(8);
         let gmm = fit_diag_gmm(&pts, 2, &FitConfig::default(), &mut rng).unwrap();
-        if let Covariance::Diagonal(vars) = gmm.covariance() {
-            for v in vars.iter().flatten() {
-                assert!(*v >= 1e-6);
-            }
+        for v in gmm.variances().iter().flatten() {
+            assert!(*v >= 1e-6);
         }
         // Density is finite at the data points.
         assert!(gmm.log_pdf(&[1.0, 1.0]).is_finite());
-    }
-
-    #[test]
-    fn select_components_finds_two() {
-        let pts = blob_data(9, 300);
-        let mut rng = Pcg32::seed_from_u64(10);
-        let (k, _) = select_components(&pts, &[1, 2, 4], &FitConfig::default(), &mut rng).unwrap();
-        assert_eq!(k, 2);
     }
 }

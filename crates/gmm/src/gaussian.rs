@@ -1,4 +1,4 @@
-//! Gaussian mixture models (diagonal and full covariance).
+//! Diagonal-covariance Gaussian mixture models.
 //!
 //! This is the *conventional* map representation of the paper's Section II:
 //! a point cloud fitted with a GMM whose density is evaluated per projected
@@ -8,33 +8,23 @@
 use crate::prune::{PruneConfig, PruneIndex, PruneScratch, PRUNE_TILE};
 use crate::{GmmError, Result};
 use navicim_backend::{check_batch_shape, par, LikelihoodBackend, PointBatch};
-use navicim_math::linalg::Matrix;
 use navicim_math::rng::{Rng64, SampleExt};
 use navicim_math::simd::{exp_fast, log_sum_exp_fast};
-use navicim_math::stats::{mvn_logpdf, LN_2PI};
+use navicim_math::stats::LN_2PI;
 
-/// Covariance parameterization of a [`Gmm`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum Covariance {
-    /// Per-component per-axis variances (axis-aligned ellipsoids).
-    Diagonal(Vec<Vec<f64>>),
-    /// Per-component full covariance matrices.
-    Full(Vec<Matrix>),
-}
-
-/// A Gaussian mixture model.
+/// A Gaussian mixture model with per-component per-axis variances
+/// (axis-aligned ellipsoids).
 #[derive(Debug, Clone)]
 pub struct Gmm {
     weights: Vec<f64>,
     means: Vec<Vec<f64>>,
-    covariance: Covariance,
+    vars: Vec<Vec<f64>>,
     /// Spatial culling index for the batch paths; `None` (the default)
     /// keeps every evaluation path untouched. See [`crate::prune`].
     prune: Option<PruneIndex>,
-    /// Hoisted diagonal-plan constants, built once at construction (the
-    /// parameters are immutable after [`Gmm::new`]). `None` for full
-    /// covariance.
-    diag_plan: Option<DiagPlan>,
+    /// Hoisted plan constants, built once at construction (the
+    /// parameters are immutable after [`Gmm::new`]).
+    diag_plan: DiagPlan,
     /// Reused component/axis scratch for the single-chunk batch path, so
     /// a warmed model evaluates frames without touching the heap.
     scratch: BatchScratch,
@@ -47,19 +37,21 @@ impl PartialEq for Gmm {
     fn eq(&self, other: &Self) -> bool {
         self.weights == other.weights
             && self.means == other.means
-            && self.covariance == other.covariance
+            && self.vars == other.vars
             && self.prune == other.prune
     }
 }
 
 impl Gmm {
-    /// Assembles a GMM from parts.
+    /// Assembles a GMM from weights, means and per-axis variances.
     ///
     /// # Errors
     ///
-    /// Returns [`GmmError::InvalidArgument`] when the component counts or
-    /// dimensions disagree, or weights are not a probability vector.
-    pub fn new(weights: Vec<f64>, means: Vec<Vec<f64>>, covariance: Covariance) -> Result<Self> {
+    /// Returns [`GmmError::InvalidArgument`] when the component counts
+    /// disagree, the weights are not a finite probability vector, a mean
+    /// is not finite or a variance is not finite and positive, and
+    /// [`GmmError::InconsistentDimensions`] when the dimensions disagree.
+    pub fn new(weights: Vec<f64>, means: Vec<Vec<f64>>, vars: Vec<Vec<f64>>) -> Result<Self> {
         let k = weights.len();
         if k == 0 || means.len() != k {
             return Err(GmmError::InvalidArgument(
@@ -71,33 +63,27 @@ impl Gmm {
             return Err(GmmError::InconsistentDimensions);
         }
         let wsum: f64 = weights.iter().sum();
-        if weights.iter().any(|&w| w < 0.0) || (wsum - 1.0).abs() > 1e-6 {
+        if weights.iter().any(|&w| !(w >= 0.0) || !w.is_finite()) || !((wsum - 1.0).abs() <= 1e-6) {
             return Err(GmmError::InvalidArgument(
-                "weights must be non-negative and sum to 1".into(),
+                "weights must be finite, non-negative and sum to 1".into(),
             ));
         }
-        match &covariance {
-            Covariance::Diagonal(vars) => {
-                if vars.len() != k || vars.iter().any(|v| v.len() != dim) {
-                    return Err(GmmError::InconsistentDimensions);
-                }
-                if vars.iter().flatten().any(|&v| v <= 0.0) {
-                    return Err(GmmError::InvalidArgument(
-                        "variances must be positive".into(),
-                    ));
-                }
-            }
-            Covariance::Full(covs) => {
-                if covs.len() != k || covs.iter().any(|c| c.rows() != dim || c.cols() != dim) {
-                    return Err(GmmError::InconsistentDimensions);
-                }
-            }
+        if means.iter().flatten().any(|m| !m.is_finite()) {
+            return Err(GmmError::InvalidArgument("means must be finite".into()));
         }
-        let diag_plan = DiagPlan::build(&weights, &covariance);
+        if vars.len() != k || vars.iter().any(|v| v.len() != dim) {
+            return Err(GmmError::InconsistentDimensions);
+        }
+        if vars.iter().flatten().any(|&v| !(v > 0.0) || !v.is_finite()) {
+            return Err(GmmError::InvalidArgument(
+                "variances must be finite and positive".into(),
+            ));
+        }
+        let diag_plan = DiagPlan::build(&weights, &vars);
         Ok(Self {
             weights,
             means,
-            covariance,
+            vars,
             prune: None,
             diag_plan,
             scratch: BatchScratch::default(),
@@ -105,8 +91,7 @@ impl Gmm {
     }
 
     /// Enables (or, with a disabled config, clears) spatial component
-    /// pruning for the batch paths. Builds the [`PruneIndex`] once; a
-    /// full-covariance model has no bound model and stays unpruned.
+    /// pruning for the batch paths. Builds the [`PruneIndex`] once.
     /// With pruning active, batch results carry the documented additive
     /// [`crate::prune::PRUNE_EPSILON`] tolerance; disabled (the default)
     /// they are bit-identical to a model that never saw this call.
@@ -139,23 +124,17 @@ impl Gmm {
         &self.means
     }
 
-    /// Covariance parameterization.
-    pub fn covariance(&self) -> &Covariance {
-        &self.covariance
+    /// Per-component per-axis variances.
+    pub fn variances(&self) -> &[Vec<f64>] {
+        &self.vars
     }
 
-    /// Per-component standard deviations for diagonal models.
-    ///
-    /// Returns `None` for full-covariance models.
-    pub fn diag_std_devs(&self) -> Option<Vec<Vec<f64>>> {
-        match &self.covariance {
-            Covariance::Diagonal(vars) => Some(
-                vars.iter()
-                    .map(|v| v.iter().map(|x| x.sqrt()).collect())
-                    .collect(),
-            ),
-            Covariance::Full(_) => None,
-        }
+    /// Per-component per-axis standard deviations.
+    pub fn diag_std_devs(&self) -> Vec<Vec<f64>> {
+        self.vars
+            .iter()
+            .map(|v| v.iter().map(|x| x.sqrt()).collect())
+            .collect()
     }
 
     /// Log-density of the mixture at `x`.
@@ -170,10 +149,8 @@ impl Gmm {
     /// Panics if `x.len()` differs from the model dimension (programming
     /// error at the call site).
     pub fn log_pdf(&self, x: &[f64]) -> f64 {
-        assert_eq!(x.len(), self.dim(), "query dimension mismatch");
-        let plan = self.eval_plan();
         let mut terms = Vec::with_capacity(self.num_components());
-        plan.log_pdf(x, &mut terms)
+        self.eval_plan().log_pdf(x, &mut terms)
     }
 
     /// The reusable evaluation plan for this mixture.
@@ -187,60 +164,34 @@ impl Gmm {
     pub fn eval_plan(&self) -> GmmEvalPlan<'_> {
         GmmEvalPlan {
             gmm: self,
-            diag: self.diag_plan.as_ref(),
+            diag: &self.diag_plan,
         }
-    }
-
-    /// Density of the mixture at `x`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len()` differs from the model dimension.
-    pub fn pdf(&self, x: &[f64]) -> f64 {
-        self.log_pdf(x).exp()
     }
 
     /// Draws one sample from the mixture.
     pub fn sample<R: Rng64 + ?Sized>(&self, rng: &mut R) -> Vec<f64> {
         let k = rng.sample_weighted(&self.weights);
-        match &self.covariance {
-            Covariance::Diagonal(vars) => self.means[k]
-                .iter()
-                .zip(&vars[k])
-                .map(|(&m, &v)| rng.sample_normal(m, v.sqrt()))
-                .collect(),
-            Covariance::Full(covs) => {
-                let chol = covs[k]
-                    .cholesky()
-                    .expect("covariances validated at construction");
-                let z: Vec<f64> = (0..self.dim())
-                    .map(|_| rng.sample_standard_normal())
-                    .collect();
-                let l = chol.lower();
-                // lint: reduction-order lower-triangular forward order, fixed by the Cholesky factor layout
-                (0..self.dim())
-                    .map(|i| self.means[k][i] + (0..=i).map(|j| l[(i, j)] * z[j]).sum::<f64>())
-                    .collect()
-            }
-        }
+        self.means[k]
+            .iter()
+            .zip(&self.vars[k])
+            .map(|(&m, &v)| rng.sample_normal(m, v.sqrt()))
+            .collect()
     }
 
     /// Bayesian information criterion for this model on a data set
     /// (lower is better).
+    // lint: allow(unused-pub) no caller outside its unit tests; removal deferred to a follow-up sweep
     pub fn bic(&self, points: &[Vec<f64>]) -> f64 {
         let n = points.len().max(1) as f64;
         let loglik: f64 = points.iter().map(|p| self.log_pdf(p)).sum();
         let d = self.dim() as f64;
         let k = self.num_components() as f64;
-        let params = match &self.covariance {
-            Covariance::Diagonal(_) => k * (2.0 * d) + (k - 1.0),
-            Covariance::Full(_) => k * (d + d * (d + 1.0) / 2.0) + (k - 1.0),
-        };
+        let params = k * (2.0 * d) + (k - 1.0);
         params * n.ln() - 2.0 * loglik
     }
 }
 
-/// Hoisted per-component constants for diagonal mixtures.
+/// Hoisted per-component constants of a mixture.
 #[derive(Debug, Clone)]
 struct DiagPlan {
     /// Per component: `ln w_k − Σᵢ ln σ_{k,i} − d/2 · ln 2π`.
@@ -250,12 +201,9 @@ struct DiagPlan {
 }
 
 impl DiagPlan {
-    /// Hoists the query-independent constants of a validated diagonal
-    /// parameter set; `None` for full covariance (no hoisted form).
-    fn build(weights: &[f64], covariance: &Covariance) -> Option<Self> {
-        let Covariance::Diagonal(vars) = covariance else {
-            return None;
-        };
+    /// Hoists the query-independent constants of a validated parameter
+    /// set.
+    fn build(weights: &[f64], vars: &[Vec<f64>]) -> Self {
         let dim = vars[0].len();
         let mut consts = Vec::with_capacity(weights.len());
         let mut neg_half_inv_vars = Vec::with_capacity(weights.len() * dim);
@@ -267,10 +215,10 @@ impl DiagPlan {
             }
             consts.push(c);
         }
-        Some(Self {
+        Self {
             consts,
             neg_half_inv_vars,
-        })
+        }
     }
 }
 
@@ -279,13 +227,11 @@ impl DiagPlan {
 pub const GMM_TILE: usize = 64;
 
 /// Reused per-evaluation buffers of the batch likelihood kernel: the
-/// scalar component terms (full covariance), the tile buffers and the
-/// pruning tile scratch. Held by the [`Gmm`] so the single-chunk path —
+/// tile buffers and the pruning tile scratch. Held by the [`Gmm`] so the single-chunk path —
 /// the per-frame production configuration — is allocation-free once
 /// warmed; the threaded path gives each chunk closure its own.
 #[derive(Debug, Clone, Default)]
 struct BatchScratch {
-    terms: Vec<f64>,
     tile: TileScratch,
     prune: PruneScratch,
 }
@@ -302,13 +248,12 @@ struct TileScratch {
 
 /// A reusable, query-independent evaluation plan for a [`Gmm`].
 ///
-/// Built once per batch (or per scalar call) by [`Gmm::eval_plan`]. For
-/// diagonal mixtures the plan carries hoisted constants; full-covariance
-/// mixtures fall back to the per-point Cholesky path.
+/// Built once per batch (or per scalar call) by [`Gmm::eval_plan`]; it
+/// borrows the mixture's hoisted constants.
 #[derive(Debug, Clone)]
 pub struct GmmEvalPlan<'a> {
     gmm: &'a Gmm,
-    diag: Option<&'a DiagPlan>,
+    diag: &'a DiagPlan,
 }
 
 impl GmmEvalPlan<'_> {
@@ -325,35 +270,7 @@ impl GmmEvalPlan<'_> {
     ///
     /// Panics if `x.len()` differs from the model dimension.
     pub fn log_pdf(&self, x: &[f64], terms: &mut Vec<f64>) -> f64 {
-        let gmm = self.gmm;
-        let dim = gmm.dim();
-        assert_eq!(x.len(), dim, "query dimension mismatch");
-        terms.clear();
-        match self.diag {
-            Some(plan) => {
-                for (k, &c) in plan.consts.iter().enumerate() {
-                    let nhiv = &plan.neg_half_inv_vars[k * dim..(k + 1) * dim];
-                    let mean = &gmm.means[k];
-                    let mut quad = 0.0;
-                    for i in 0..dim {
-                        let d = x[i] - mean[i];
-                        quad = (nhiv[i] * d).mul_add(d, quad);
-                    }
-                    terms.push(c + quad);
-                }
-            }
-            None => {
-                let Covariance::Full(covs) = &gmm.covariance else {
-                    unreachable!("plan without diag data implies full covariance")
-                };
-                for k in 0..gmm.num_components() {
-                    let lw = gmm.weights[k].max(1e-300).ln();
-                    let lp = mvn_logpdf(x, &gmm.means[k], &covs[k]).unwrap_or(f64::NEG_INFINITY);
-                    terms.push(lw + lp);
-                }
-            }
-        }
-        log_sum_exp_fast(terms)
+        self.log_pdf_over(x, 0..self.diag.consts.len(), terms)
     }
 
     /// [`Self::log_pdf`] restricted to the candidate components of a
@@ -366,25 +283,31 @@ impl GmmEvalPlan<'_> {
     ///
     /// # Panics
     ///
-    /// Panics on a full-covariance plan (no pruning path) or dimension
-    /// mismatch.
+    /// Panics on dimension mismatch.
     pub fn log_pdf_subset(&self, x: &[f64], cands: &[u32], terms: &mut Vec<f64>) -> f64 {
-        let plan = self.diag.expect("pruning requires a diagonal plan");
-        let gmm = self.gmm;
-        let dim = gmm.dim();
+        self.log_pdf_over(x, cands.iter().map(|&j| j as usize), terms)
+    }
+
+    /// The shared per-point body of [`Self::log_pdf`] and
+    /// [`Self::log_pdf_subset`] over the components `comps`.
+    fn log_pdf_over(
+        &self,
+        x: &[f64],
+        comps: impl Iterator<Item = usize>,
+        terms: &mut Vec<f64>,
+    ) -> f64 {
+        let dim = self.gmm.dim();
         assert_eq!(x.len(), dim, "query dimension mismatch");
         terms.clear();
-        for &j in cands {
-            let k = j as usize;
-            let c = plan.consts[k];
-            let nhiv = &plan.neg_half_inv_vars[k * dim..(k + 1) * dim];
-            let mean = &gmm.means[k];
+        for k in comps {
+            let nhiv = &self.diag.neg_half_inv_vars[k * dim..(k + 1) * dim];
+            let mean = &self.gmm.means[k];
             let mut quad = 0.0;
             for i in 0..dim {
                 let d = x[i] - mean[i];
                 quad = (nhiv[i] * d).mul_add(d, quad);
             }
-            terms.push(c + quad);
+            terms.push(self.diag.consts[k] + quad);
         }
         log_sum_exp_fast(terms)
     }
@@ -402,13 +325,12 @@ impl GmmEvalPlan<'_> {
     /// the compiler vectorize at the host's full width.
     fn eval_tiles(
         &self,
-        plan: &DiagPlan,
         comps: impl Iterator<Item = usize> + Clone,
         rows: &[f64],
         out: &mut [f64],
         s: &mut TileScratch,
     ) {
-        let dim = self.gmm.dim();
+        let (plan, dim) = (self.diag, self.gmm.dim());
         if s.axes.len() < dim {
             s.axes.resize(dim, [0.0; GMM_TILE]);
         }
@@ -495,24 +417,22 @@ impl Gmm {
             // buffers have grown to the component count.
             let mut scratch = std::mem::take(&mut self.scratch);
             let plan = self.eval_plan();
-            match (self.prune.as_ref(), plan.diag) {
-                (Some(index), Some(diag)) => {
-                    Self::eval_range_pruned(&plan, diag, index, batch, 0, out, &mut scratch)
-                }
-                _ => Self::eval_range(&plan, batch, 0, out, &mut scratch),
+            match self.prune.as_ref() {
+                Some(index) => Self::eval_range_pruned(&plan, index, batch, 0, out, &mut scratch),
+                None => Self::eval_range(&plan, batch, 0, out, &mut scratch),
             }
             self.scratch = scratch;
             return;
         }
         let plan = self.eval_plan();
-        if let (Some(index), Some(diag)) = (self.prune.as_ref(), plan.diag) {
+        if let Some(index) = self.prune.as_ref() {
             par::for_each_chunk_policy(policy, out, |start, chunk| {
                 // Threaded chunk: worker-local scratch (allocates by
                 // design — thread spawning already does). Bit-identical
                 // to the inline path: scratch capacity is unobservable.
                 // lint: allow(hot-path-alloc) threaded chunk closures own their scratch
                 let mut scratch = BatchScratch::default();
-                Self::eval_range_pruned(&plan, diag, index, batch, start, chunk, &mut scratch);
+                Self::eval_range_pruned(&plan, index, batch, start, chunk, &mut scratch);
             });
         } else {
             par::for_each_chunk_policy(policy, out, |start, chunk| {
@@ -530,7 +450,6 @@ impl Gmm {
     /// assignment.
     fn eval_range_pruned(
         plan: &GmmEvalPlan<'_>,
-        diag: &DiagPlan,
         index: &PruneIndex,
         batch: &PointBatch,
         start: usize,
@@ -547,24 +466,19 @@ impl Gmm {
             let rows = batch.flat_range(pos, piece_end);
             let out = &mut chunk[pos - start..piece_end - start];
             match index.candidates_for_points(tile, &mut s.prune) {
-                Some(cands) => plan.eval_tiles(
-                    diag,
-                    cands.iter().map(|&j| j as usize),
-                    rows,
-                    out,
-                    &mut s.tile,
-                ),
+                Some(cands) => {
+                    plan.eval_tiles(cands.iter().map(|&j| j as usize), rows, out, &mut s.tile)
+                }
                 // Non-finite tile: full evaluation, bit-identical
                 // to the unpruned path for these points.
-                None => plan.eval_tiles(diag, 0..diag.consts.len(), rows, out, &mut s.tile),
+                None => plan.eval_tiles(0..plan.diag.consts.len(), rows, out, &mut s.tile),
             }
             pos = piece_end;
         }
     }
 
     /// Unpruned evaluation of `chunk` (anchored at batch index `start`):
-    /// the tiled kernel over all components, or per-point scalar
-    /// evaluation for full-covariance models.
+    /// the tiled kernel over all components.
     fn eval_range(
         plan: &GmmEvalPlan<'_>,
         batch: &PointBatch,
@@ -572,17 +486,8 @@ impl Gmm {
         chunk: &mut [f64],
         s: &mut BatchScratch,
     ) {
-        match plan.diag {
-            Some(diag) => {
-                let rows = batch.flat_range(start, start + chunk.len());
-                plan.eval_tiles(diag, 0..diag.consts.len(), rows, chunk, &mut s.tile);
-            }
-            None => {
-                for (i, o) in chunk.iter_mut().enumerate() {
-                    *o = plan.log_pdf(batch.point(start + i), &mut s.terms);
-                }
-            }
-        }
+        let rows = batch.flat_range(start, start + chunk.len());
+        plan.eval_tiles(0..plan.diag.consts.len(), rows, chunk, &mut s.tile);
     }
 }
 
@@ -607,26 +512,45 @@ mod tests {
         Gmm::new(
             vec![0.4, 0.6],
             vec![vec![0.0, 0.0], vec![4.0, 4.0]],
-            Covariance::Diagonal(vec![vec![1.0, 1.0], vec![0.25, 0.25]]),
+            vec![vec![1.0, 1.0], vec![0.25, 0.25]],
         )
         .unwrap()
     }
 
     #[test]
     fn construction_validation() {
-        assert!(Gmm::new(vec![], vec![], Covariance::Diagonal(vec![])).is_err());
+        assert!(Gmm::new(vec![], vec![], vec![]).is_err());
         assert!(Gmm::new(
             vec![0.5, 0.6],
             vec![vec![0.0], vec![1.0]],
-            Covariance::Diagonal(vec![vec![1.0], vec![1.0]])
+            vec![vec![1.0], vec![1.0]]
         )
         .is_err());
-        assert!(Gmm::new(
-            vec![1.0],
-            vec![vec![0.0]],
-            Covariance::Diagonal(vec![vec![-1.0]])
-        )
-        .is_err());
+        assert!(Gmm::new(vec![1.0], vec![vec![0.0]], vec![vec![-1.0]]).is_err());
+    }
+
+    #[test]
+    fn construction_rejects_non_finite_parameters() {
+        let (w, m, v) = (
+            vec![0.5, 0.5],
+            vec![vec![0.0, 0.0], vec![1.0, 1.0]],
+            vec![vec![1.0, 1.0], vec![1.0, 1.0]],
+        );
+        assert!(Gmm::new(w.clone(), m.clone(), v.clone()).is_ok());
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut wb = w.clone();
+            wb[1] = bad;
+            assert!(Gmm::new(wb, m.clone(), v.clone()).is_err(), "weight {bad}");
+            let mut mb = m.clone();
+            mb[1][0] = bad;
+            assert!(Gmm::new(w.clone(), mb, v.clone()).is_err(), "mean {bad}");
+            let mut vb = v.clone();
+            vb[0][1] = bad;
+            assert!(
+                Gmm::new(w.clone(), m.clone(), vb).is_err(),
+                "variance {bad}"
+            );
+        }
     }
 
     #[test]
@@ -634,7 +558,7 @@ mod tests {
         let gmm = Gmm::new(
             vec![0.3, 0.7],
             vec![vec![-1.0], vec![2.0]],
-            Covariance::Diagonal(vec![vec![0.5], vec![1.5]]),
+            vec![vec![0.5], vec![1.5]],
         )
         .unwrap();
         // Trapezoid integration over a wide interval.
@@ -644,7 +568,7 @@ mod tests {
         for i in 0..=n {
             let x = lo + i as f64 * h;
             let w = if i == 0 || i == n { 0.5 } else { 1.0 };
-            integral += w * gmm.pdf(&[x]) * h;
+            integral += w * gmm.log_pdf(&[x]).exp() * h;
         }
         assert!(approx_eq(integral, 1.0, 1e-4), "integral = {integral}");
     }
@@ -654,20 +578,6 @@ mod tests {
         let gmm = simple_diag();
         assert!(gmm.log_pdf(&[4.0, 4.0]) > gmm.log_pdf(&[0.0, 0.0]));
         assert!(gmm.log_pdf(&[0.0, 0.0]) > gmm.log_pdf(&[10.0, -10.0]));
-    }
-
-    #[test]
-    fn full_covariance_matches_diagonal_when_diag() {
-        let diag = simple_diag();
-        let full = Gmm::new(
-            diag.weights().to_vec(),
-            diag.means().to_vec(),
-            Covariance::Full(vec![Matrix::diag(&[1.0, 1.0]), Matrix::diag(&[0.25, 0.25])]),
-        )
-        .unwrap();
-        for p in [[0.0, 0.0], [1.0, 2.0], [4.0, 3.5]] {
-            assert!(approx_eq(diag.log_pdf(&p), full.log_pdf(&p), 1e-9));
-        }
     }
 
     #[test]
@@ -685,36 +595,19 @@ mod tests {
     }
 
     #[test]
-    fn full_covariance_sampling_respects_correlation() {
-        let cov = Matrix::from_rows(&[&[1.0, 0.8], &[0.8, 1.0]]).unwrap();
-        let gmm = Gmm::new(vec![1.0], vec![vec![0.0, 0.0]], Covariance::Full(vec![cov])).unwrap();
-        let mut rng = Pcg32::seed_from_u64(2);
-        let samples: Vec<Vec<f64>> = (0..20_000).map(|_| gmm.sample(&mut rng)).collect();
-        let xs: Vec<f64> = samples.iter().map(|s| s[0]).collect();
-        let ys: Vec<f64> = samples.iter().map(|s| s[1]).collect();
-        let r = stats::pearson(&xs, &ys).unwrap();
-        assert!((r - 0.8).abs() < 0.03, "correlation = {r}");
-    }
-
-    #[test]
     fn bic_prefers_true_component_count() {
         // Data from 2 blobs: BIC(2) should beat BIC(1) built by merging.
         let gmm2 = simple_diag();
         let mut rng = Pcg32::seed_from_u64(3);
         let data: Vec<Vec<f64>> = (0..500).map(|_| gmm2.sample(&mut rng)).collect();
-        let gmm1 = Gmm::new(
-            vec![1.0],
-            vec![vec![2.4, 2.4]],
-            Covariance::Diagonal(vec![vec![4.8, 4.8]]),
-        )
-        .unwrap();
+        let gmm1 = Gmm::new(vec![1.0], vec![vec![2.4, 2.4]], vec![vec![4.8, 4.8]]).unwrap();
         assert!(gmm2.bic(&data) < gmm1.bic(&data));
     }
 
     #[test]
     fn diag_std_devs_accessor() {
         let gmm = simple_diag();
-        let sds = gmm.diag_std_devs().unwrap();
+        let sds = gmm.diag_std_devs();
         assert_eq!(sds[1], vec![0.5, 0.5]);
     }
 

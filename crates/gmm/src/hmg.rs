@@ -90,7 +90,7 @@ impl HmgKernel {
     ///
     /// Uses [`exp_fast`], so the whole HMG path carries its documented
     /// ulp-bounded tolerance relative to a `f64::exp` reference.
-    pub fn axis_factor(&self, axis: usize, x: f64) -> f64 {
+    fn axis_factor(&self, axis: usize, x: f64) -> f64 {
         let z = (x - self.means[axis]) / self.sigmas[axis];
         exp_fast(-0.5 * z * z)
     }
@@ -138,7 +138,7 @@ fn harmonic_eval(means: &[f64], sigmas: &[f64], amplitude: f64, x: &[f64]) -> f6
 /// A mixture of HMG kernels: the co-designed map model of Section II.
 ///
 /// It is served as inverter-array currents (`navicim_analog::engine`
-/// programs the array from it); its scalar [`Self::likelihood`] is the
+/// programs the array from it); its scalar `Self::likelihood` is the
 /// ideal reference the CIM evaluation is tested against.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HmgmModel {
@@ -201,7 +201,7 @@ impl HmgmModel {
     /// # Panics
     ///
     /// Panics if `x.len()` differs from the model dimension.
-    pub fn likelihood(&self, x: &[f64]) -> f64 {
+    fn likelihood(&self, x: &[f64]) -> f64 {
         let mut total = 0.0;
         for (w, k) in self.weights.iter().zip(&self.kernels) {
             total = w.mul_add(k.eval(x), total);
@@ -209,7 +209,7 @@ impl HmgmModel {
         total
     }
 
-    /// Natural log of [`Self::likelihood`], floored to stay finite.
+    /// Natural log of `Self::likelihood`, floored to stay finite.
     pub fn log_likelihood(&self, x: &[f64]) -> f64 {
         self.likelihood(x).max(1e-300).ln()
     }
@@ -276,18 +276,15 @@ pub fn fit_hmgm<R: Rng64 + ?Sized>(
 ///
 /// # Errors
 ///
-/// Returns [`GmmError::InvalidArgument`] for a full-covariance warm start,
-/// [`GmmError::InconsistentDimensions`] when `points` do not match its
-/// dimension, and propagates kernel validation errors (a sigma clamped to
+/// Returns [`GmmError::InconsistentDimensions`] when `points` do not match
+/// the warm start's dimension, and propagates kernel validation errors (a sigma clamped to
 /// a non-positive floor).
 pub fn fit_hmgm_from(gmm: &Gmm, points: &[Vec<f64>], config: &HmgmFitConfig) -> Result<HmgmModel> {
     let dim = check_dims(points)?;
     if dim != gmm.dim() {
         return Err(GmmError::InconsistentDimensions);
     }
-    let sds = gmm.diag_std_devs().ok_or_else(|| {
-        GmmError::InvalidArgument("the HMGM warm start must be a diagonal GMM".into())
-    })?;
+    let sds = gmm.diag_std_devs();
     let k = gmm.num_components();
 
     let clamp_sigma = |s: f64, axis: usize| {
@@ -549,16 +546,6 @@ mod tests {
     #[test]
     fn fit_from_rejects_bad_warm_starts() {
         let pts = vec![vec![0.0, 0.0], vec![1.0, 1.0], vec![0.5, 0.2]];
-        let full = Gmm::new(
-            vec![1.0],
-            vec![vec![0.0, 0.0]],
-            crate::gaussian::Covariance::Full(vec![navicim_math::linalg::Matrix::identity(2)]),
-        )
-        .unwrap();
-        assert!(matches!(
-            fit_hmgm_from(&full, &pts, &HmgmFitConfig::default()),
-            Err(GmmError::InvalidArgument(_))
-        ));
         let mut rng = Pcg32::seed_from_u64(6);
         let diag = fit_diag_gmm(&pts, 1, &FitConfig::default(), &mut rng).unwrap();
         let pts3 = vec![vec![0.0, 0.0, 0.0]; 3];

@@ -36,7 +36,7 @@
 //! to the full component set, so NaN/∞ propagation matches the unpruned
 //! path exactly.
 
-use crate::gaussian::{Covariance, Gmm};
+use crate::gaussian::Gmm;
 use navicim_math::stats::LN_2PI;
 
 /// Additive log-likelihood tolerance of a pruned evaluation, in nats.
@@ -124,18 +124,13 @@ pub struct PruneIndex {
 }
 
 impl PruneIndex {
-    /// Builds an index over a diagonal [`Gmm`]'s components.
-    ///
-    /// Returns `None` for full-covariance models (no bound model — the
-    /// full evaluation path is used unconditionally) and for disabled
-    /// configs.
+    /// Builds an index over a [`Gmm`]'s components; `None` for a
+    /// disabled config.
     pub fn for_diag_gmm(gmm: &Gmm, config: PruneConfig) -> Option<Self> {
         if !config.enabled {
             return None;
         }
-        let Covariance::Diagonal(vars) = gmm.covariance() else {
-            return None;
-        };
+        let vars = gmm.variances();
         let dim = gmm.dim();
         let k = gmm.num_components();
         let mut consts = Vec::with_capacity(k);
@@ -419,7 +414,6 @@ impl PruneIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gaussian::Covariance;
     use navicim_math::rng::{Pcg32, SampleExt};
 
     fn spread_gmm(k: usize) -> Gmm {
@@ -433,7 +427,7 @@ mod tests {
             })
             .collect();
         let vars = vec![vec![0.2, 0.3]; k];
-        Gmm::new(vec![1.0 / k as f64; k], means, Covariance::Diagonal(vars)).unwrap()
+        Gmm::new(vec![1.0 / k as f64; k], means, vars).unwrap()
     }
 
     #[test]
@@ -566,14 +560,7 @@ mod tests {
         let means: Vec<Vec<f64>> = (0..4)
             .map(|_| (0..dim).map(|_| rng.sample_uniform(-3.0, 3.0)).collect())
             .collect();
-        let gmm = || {
-            Gmm::new(
-                vec![0.25; 4],
-                means.clone(),
-                Covariance::Diagonal(vec![vec![0.5; dim]; 4]),
-            )
-            .unwrap()
-        };
+        let gmm = || Gmm::new(vec![0.25; 4], means.clone(), vec![vec![0.5; dim]; 4]).unwrap();
         let mut full = gmm();
         let mut pruned = gmm();
         pruned.set_prune(PruneConfig::enabled());

@@ -287,29 +287,25 @@ pub fn mask(src: &str) -> Masked {
     }
 }
 
-/// Blanks (space-fills, newlines kept) every `#[cfg(test)]` item in the
-/// masked code — test modules and test-gated items are outside the
-/// production invariants the lint enforces.
-///
-/// Finds each `#[cfg(test)]` attribute, then blanks from the attribute
-/// through the end of the item: either the matching `}` of the first
-/// brace block that follows, or the first `;` before any brace opens.
-pub fn strip_cfg_test(code: &str) -> String {
-    let bytes: Vec<char> = code.chars().collect();
-    let mut blanked = vec![false; bytes.len()];
+/// Character spans (start, end exclusive) of every `#[cfg(test)]` item
+/// in masked `chars`: each runs from the attribute through the end of the
+/// item — either the matching `}` of the first brace block that follows,
+/// or the first `;` before any brace opens.
+fn cfg_test_spans(chars: &[char]) -> Vec<(usize, usize)> {
     let needle: Vec<char> = "#[cfg(test)]".chars().collect();
+    let mut spans = Vec::new();
     let mut i = 0;
-    while i + needle.len() <= bytes.len() {
-        if bytes[i..i + needle.len()] != needle[..] {
+    while i + needle.len() <= chars.len() {
+        if chars[i..i + needle.len()] != needle[..] {
             i += 1;
             continue;
         }
         let start = i;
         let mut j = i + needle.len();
         let mut depth = 0i64;
-        let mut end = bytes.len();
-        while j < bytes.len() {
-            match bytes[j] {
+        let mut end = chars.len();
+        while j < chars.len() {
+            match chars[j] {
                 '{' => depth += 1,
                 '}' => {
                     depth -= 1;
@@ -326,18 +322,39 @@ pub fn strip_cfg_test(code: &str) -> String {
             }
             j += 1;
         }
-        for (k, flag) in blanked.iter_mut().enumerate().take(end).skip(start) {
-            if bytes[k] != '\n' {
-                *flag = true;
-            }
-        }
+        spans.push((start, end));
         i = end;
     }
-    bytes
-        .iter()
-        .zip(&blanked)
-        .map(|(&c, &b)| if b { ' ' } else { c })
-        .collect()
+    spans
+}
+
+/// Blanks (space-fills, newlines kept) every `#[cfg(test)]` item in the
+/// masked code — test modules and test-gated items are outside the
+/// production invariants the lint enforces.
+pub fn strip_cfg_test(code: &str) -> String {
+    let mut chars: Vec<char> = code.chars().collect();
+    for (start, end) in cfg_test_spans(&chars) {
+        for c in &mut chars[start..end] {
+            if *c != '\n' {
+                *c = ' ';
+            }
+        }
+    }
+    chars.into_iter().collect()
+}
+
+/// Lines of `source` outside its `#[cfg(test)]` items, counting blank
+/// and comment lines: a line is a test line when any part of it lies
+/// in such an item, from the attribute through the item's end.
+pub fn non_test_lines(source: &str) -> usize {
+    let chars: Vec<char> = mask(source).code.chars().collect();
+    let line_of = |pos: usize| chars[..pos].iter().filter(|&&c| c == '\n').count();
+    let total = source.lines().count();
+    let test: usize = cfg_test_spans(&chars)
+        .into_iter()
+        .map(|(start, end)| line_of(end.max(start + 1) - 1) - line_of(start) + 1)
+        .sum();
+    total - test
 }
 
 #[cfg(test)]
@@ -439,5 +456,14 @@ mod tests {
         let stripped = strip_cfg_test(src);
         assert!(!stripped.contains("foo::bar"));
         assert!(stripped.contains("fn keep"));
+    }
+
+    #[test]
+    fn non_test_lines_skip_cfg_test_items_whole() {
+        // Five lines, three of them (attribute through closing brace)
+        // in the test module; a brace in a comment does not end it.
+        let src = "/// doc\nfn prod() {}\n#[cfg(test)]\nmod tests { // }\n}\n";
+        assert_eq!(non_test_lines(src), 2);
+        assert_eq!(non_test_lines("fn a() {}\n\n// note\n"), 3);
     }
 }

@@ -19,6 +19,7 @@
 //! | `reduction-order` | float reductions in kernel files need a `// lint: reduction-order` ack |
 //! | `hot-path-alloc` | no allocating calls inside registered hot-path functions; every registered function exists |
 //! | `noise-stream-seq` | batch paths draw noise by absolute `.at(i)`, never sequentially |
+//! | `unused-pub` | every `pub` item is named by another file or exposed by a surviving item ([`lint_sources`]) |
 //!
 //! Any finding can be suppressed in place with
 //! `// lint: allow(<rule>) <reason>` on the offending line or the line
@@ -28,6 +29,7 @@
 #![forbid(unsafe_code)]
 
 pub mod lexer;
+mod unused_pub;
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -67,6 +69,7 @@ pub const RULES: &[&str] = &[
     "reduction-order",
     "hot-path-alloc",
     "noise-stream-seq",
+    "unused-pub",
 ];
 
 // ---------------------------------------------------------------------
@@ -104,18 +107,11 @@ const HOT_PATH_FILES: &[&str] = &[
 /// Per-file allowlist for `expect`/`unreachable!` in hot-path modules.
 /// Every entry carries the written reason the remaining sites are sound;
 /// `unwrap`/`panic!` stay forbidden even here.
-const HOT_PATH_EXPECT_ALLOW: &[(&str, &str)] = &[
-    (
-        "crates/gmm/src/gaussian.rs",
-        "expect/unreachable document covariance invariants validated in Gmm::new \
-         (diag plan existence mirrors Covariance::Diagonal)",
-    ),
-    (
-        "crates/filter/src/particle.rs",
-        "expects guard non-empty particle sets with finite weights, both validated \
+const HOT_PATH_EXPECT_ALLOW: &[(&str, &str)] = &[(
+    "crates/filter/src/particle.rs",
+    "expects guard non-empty particle sets with finite weights, both validated \
          at construction",
-    ),
-];
+)];
 
 /// Kernel files whose floating-point reductions are part of the
 /// bit-identity contract: summation order must be acknowledged.
@@ -240,10 +236,7 @@ struct FileCtx<'a> {
 impl FileCtx<'_> {
     /// 1-based line of byte offset `pos` in `code`.
     fn line_of(&self, pos: usize) -> usize {
-        match self.line_starts.binary_search(&pos) {
-            Ok(i) => i + 1,
-            Err(i) => i,
-        }
+        line_at(self.line_starts, pos)
     }
 
     /// Is `pos` preceded/followed by identifier chars (i.e. the match at
@@ -345,6 +338,14 @@ fn line_starts(code: &str) -> Vec<usize> {
     starts
 }
 
+/// 1-based line of byte offset `pos`, given the line start offsets.
+fn line_at(starts: &[usize], pos: usize) -> usize {
+    match starts.binary_search(&pos) {
+        Ok(i) => i + 1,
+        Err(i) => i,
+    }
+}
+
 fn in_scope(path: &str, prefixes: &[&str]) -> bool {
     prefixes.iter().any(|p| path.starts_with(p) || path == *p)
 }
@@ -367,7 +368,7 @@ pub fn lint_source(path: &str, source: &str) -> Vec<Finding> {
         acks: &acks,
     };
 
-    let mut findings = Vec::new();
+    let mut findings = directive_errors;
     rule_wall_clock(&ctx, &mut findings);
     rule_ambient_rng(&ctx, &mut findings);
     rule_hash_iteration(&ctx, &mut findings);
@@ -376,15 +377,25 @@ pub fn lint_source(path: &str, source: &str) -> Vec<Finding> {
     rule_reduction_order(&ctx, &mut findings);
     rule_hot_path_alloc(&ctx, &mut findings);
     rule_noise_stream_seq(&ctx, &mut findings);
+    let mut out = apply_suppressions(path, &allows, findings);
+    out.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
+    out
+}
 
-    // Apply suppressions: an allow on the finding's line or the line
-    // directly above silences it — but only with a reason.
-    let mut out = directive_errors;
+/// The allow covering `line` for `rule`: one on that line or the line
+/// directly above.
+fn allow_for<'s>(allows: &'s [Suppression], rule: &str, line: usize) -> Option<&'s Suppression> {
+    allows
+        .iter()
+        .find(|a| a.rule == rule && (a.line == line || a.line + 1 == line))
+}
+
+/// Drops each finding a reasoned allow covers; a reasonless allow turns
+/// its finding into a `lint-directive` finding.
+fn apply_suppressions(path: &str, allows: &[Suppression], findings: Vec<Finding>) -> Vec<Finding> {
+    let mut out = Vec::new();
     for f in findings {
-        let allow = allows
-            .iter()
-            .find(|a| a.rule == f.rule && (a.line == f.line || a.line + 1 == f.line));
-        match allow {
+        match allow_for(allows, f.rule, f.line) {
             Some(a) if a.has_reason => {}
             Some(a) => out.push(Finding {
                 file: path.to_string(),
@@ -398,7 +409,6 @@ pub fn lint_source(path: &str, source: &str) -> Vec<Finding> {
             None => out.push(f),
         }
     }
-    out.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
     out
 }
 
@@ -707,63 +717,112 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Lints every `crates/*/src/**.rs` under `root` (the workspace root).
-/// The lint crate's own sources are skipped — its rule tables and tests
-/// necessarily spell the forbidden tokens.
+/// What [`lint_tree`] found.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TreeReport {
+    /// Every finding, suppressions applied.
+    pub findings: Vec<Finding>,
+    /// Lines outside `#[cfg(test)]` items in `crates/*/src`, `src/` and
+    /// `examples/` — the workspace's production size.
+    pub non_test_lines: usize,
+}
+
+/// Directories, relative to the workspace root, whose `.rs` files can
+/// use a `pub` item of the linted crates.
+const USE_DIRS: &[&str] = &["crates", "src", "tests", "examples", "perfbench/src"];
+
+/// Is `path` linted, rather than only read for uses: a
+/// `crates/<name>/src/` file outside the lint crate, whose rule tables
+/// and tests necessarily spell the forbidden tokens.
+fn is_lint_target(path: &str) -> bool {
+    let mut parts = path.split('/');
+    parts.next() == Some("crates")
+        && parts.next().is_some_and(|c| c != "lint")
+        && parts.next() == Some("src")
+}
+
+/// Is `path` production code counted by [`TreeReport::non_test_lines`]?
+fn is_counted(path: &str) -> bool {
+    let mut parts = path.split('/');
+    match parts.next() {
+        Some("crates") => parts.nth(1) == Some("src"),
+        Some("src" | "examples") => true,
+        _ => false,
+    }
+}
+
+/// Lints every `crates/*/src/**.rs` under `root` (the workspace root),
+/// with the `.rs` files of `USE_DIRS` as the `unused-pub` use sites.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from walking or reading the tree.
-pub fn lint_tree(root: &Path) -> std::io::Result<Vec<Finding>> {
-    let crates = root.join("crates");
-    let mut crate_dirs: Vec<_> = std::fs::read_dir(&crates)?
-        .collect::<Result<Vec<_>, _>>()?
-        .into_iter()
-        .map(|e| e.path())
-        .filter(|p| p.is_dir())
-        .collect();
-    crate_dirs.sort();
-    let mut sources = Vec::new();
-    for crate_dir in crate_dirs {
-        if crate_dir.file_name().is_some_and(|n| n == "lint") {
-            continue;
-        }
-        let src = crate_dir.join("src");
-        if !src.is_dir() {
-            continue;
-        }
-        let mut files = Vec::new();
-        collect_rs(&src, &mut files)?;
-        for file in files {
-            let rel = file
-                .strip_prefix(root)
-                .unwrap_or(&file)
-                .to_string_lossy()
-                .replace('\\', "/");
-            sources.push((rel, std::fs::read_to_string(&file)?));
+pub fn lint_tree(root: &Path) -> std::io::Result<TreeReport> {
+    let mut files = Vec::new();
+    for dir in USE_DIRS {
+        let dir = root.join(dir);
+        if dir.is_dir() {
+            collect_rs(&dir, &mut files)?;
         }
     }
-    Ok(lint_sources(
+    let mut sources = Vec::new();
+    for file in files {
+        let rel = file
+            .strip_prefix(root)
+            .unwrap_or(&file)
+            .to_string_lossy()
+            .replace('\\', "/");
+        sources.push((rel, std::fs::read_to_string(&file)?));
+    }
+    let non_test_lines = sources
+        .iter()
+        .filter(|(rel, _)| is_counted(rel))
+        .map(|(_, src)| lexer::non_test_lines(src))
+        .sum();
+    let findings = lint_sources(
         sources
             .iter()
             .map(|(rel, src)| (rel.as_str(), src.as_str())),
-    ))
+    );
+    Ok(TreeReport {
+        findings,
+        non_test_lines,
+    })
 }
 
-/// Lints a set of `(workspace-relative path, source)` files: every
-/// per-file rule, plus a `hot-path-alloc` finding for each
-/// registered hot-path function entry whose file is missing from the set or defines
-/// no `fn` of that name. Such a stale entry would otherwise guard
-/// nothing, silently, after a function is renamed or deleted.
+/// Lints a set of `(workspace-relative path, source)` files. Each
+/// `crates/<name>/src/` file outside the lint crate gets every per-file
+/// rule ([`lint_source`]), plus two cross-file checks:
+///
+/// - a `hot-path-alloc` finding for each registered hot-path function
+///   entry whose file is missing from the set or defines no `fn` of that
+///   name. Such a stale entry would otherwise guard nothing, silently,
+///   after a function is renamed or deleted;
+/// - `unused-pub`: a `pub` item whose name occurs in no other file of
+///   the set, and that no surviving item exposes (see the
+///   `unused_pub` module).
+///
+/// Every file of the set, linted or not, is a use site for `unused-pub`.
 pub fn lint_sources<'a>(files: impl IntoIterator<Item = (&'a str, &'a str)>) -> Vec<Finding> {
+    let files: Vec<(&str, &str)> = files.into_iter().collect();
+    let masked: Vec<_> = files.iter().map(|(_, src)| mask(src)).collect();
+    let index: Vec<_> = masked
+        .iter()
+        .map(|m| unused_pub::ident_set(&m.code))
+        .collect();
     let mut findings = Vec::new();
     let mut registered = vec![false; HOT_PATH_FNS.len()];
-    for (path, source) in files {
+    let mut targets = Vec::new();
+    for (f, &(path, source)) in files.iter().enumerate() {
+        if !is_lint_target(path) {
+            continue;
+        }
         findings.extend(lint_source(path, source));
-        let code = strip_cfg_test(&mask(source).code);
+        let code = strip_cfg_test(&masked[f].code);
         for (seen, (file, name)) in registered.iter_mut().zip(HOT_PATH_FNS) {
             *seen |= *file == path && !fn_bodies(&code, name).is_empty();
         }
+        targets.push((f, code));
     }
     for (seen, (file, name)) in registered.iter().zip(HOT_PATH_FNS) {
         if !seen {
@@ -778,5 +837,77 @@ pub fn lint_sources<'a>(files: impl IntoIterator<Item = (&'a str, &'a str)>) -> 
             });
         }
     }
+    findings.extend(rule_unused_pub(&files, &masked, &index, &targets));
     findings
+}
+
+/// The `unused-pub` rule over the linted `targets` (file index, stripped
+/// masked code); see the `unused_pub` module for the survival rules.
+fn rule_unused_pub(
+    files: &[(&str, &str)],
+    masked: &[lexer::Masked],
+    index: &[std::collections::HashSet<&str>],
+    targets: &[(usize, String)],
+) -> Vec<Finding> {
+    struct Item<'a> {
+        file: usize,
+        allows: usize,
+        pub_item: unused_pub::PubItem<'a>,
+        alive: bool,
+    }
+    let mut allows = Vec::new();
+    let mut items = Vec::new();
+    for (f, code) in targets {
+        let starts = line_starts(code);
+        let (file_allows, _, _) = parse_directives(&masked[*f].comments);
+        for pub_item in unused_pub::pub_items(code, |pos| line_at(&starts, pos)) {
+            let named_elsewhere = index
+                .iter()
+                .enumerate()
+                .any(|(g, ids)| g != *f && ids.contains(pub_item.name));
+            let allowed =
+                allow_for(&file_allows, "unused-pub", pub_item.line).is_some_and(|a| a.has_reason);
+            items.push(Item {
+                file: *f,
+                allows: allows.len(),
+                alive: named_elsewhere || allowed,
+                pub_item,
+            });
+        }
+        allows.push(file_allows);
+    }
+    // Exposure to a fixed point: a surviving item keeps alive every item
+    // its signature, public fields or body name.
+    let mut exposed = std::collections::HashSet::new();
+    loop {
+        for it in items.iter().filter(|it| it.alive) {
+            exposed.extend(it.pub_item.exposes.iter().copied());
+        }
+        let mut grew = false;
+        for it in items.iter_mut().filter(|it| !it.alive) {
+            if exposed.contains(it.pub_item.name) {
+                it.alive = true;
+                grew = true;
+            }
+        }
+        if !grew {
+            break;
+        }
+    }
+    let mut out = Vec::new();
+    for it in items.iter().filter(|it| !it.alive) {
+        let path = files[it.file].0;
+        let finding = Finding {
+            file: path.to_string(),
+            line: it.pub_item.line,
+            rule: "unused-pub",
+            message: format!(
+                "`pub` item `{}` is named by no other file and exposed by no surviving item; \
+                 delete it, narrow its visibility, or allow it with a reason",
+                it.pub_item.name
+            ),
+        };
+        out.extend(apply_suppressions(path, &allows[it.allows], vec![finding]));
+    }
+    out
 }

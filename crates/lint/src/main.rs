@@ -2,7 +2,8 @@
 //!
 //! `cargo run -p navicim-lint` from anywhere inside the workspace:
 //! prints every finding as `file:line: [rule] message` and exits 1 if
-//! any exist, 0 on a clean tree.
+//! any exist, 0 on a clean tree. Either way it reports the workspace's
+//! non-test line count ([`navicim_lint::TreeReport::non_test_lines`]).
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -42,15 +43,22 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
     match navicim_lint::lint_tree(&root) {
-        Ok(findings) if findings.is_empty() => {
-            println!("navicim-lint: clean");
+        Ok(report) if report.findings.is_empty() => {
+            println!(
+                "navicim-lint: clean, {} non-test lines",
+                report.non_test_lines
+            );
             ExitCode::SUCCESS
         }
-        Ok(findings) => {
-            for f in &findings {
+        Ok(report) => {
+            for f in &report.findings {
                 println!("{f}");
             }
-            eprintln!("navicim-lint: {} finding(s)", findings.len());
+            eprintln!(
+                "navicim-lint: {} finding(s), {} non-test lines",
+                report.findings.len(),
+                report.non_test_lines
+            );
             ExitCode::FAILURE
         }
         Err(e) => {

@@ -64,8 +64,10 @@ fn hot_path_expect_allowlist_is_per_file() {
     let src = "pub fn f(x: Option<u32>) -> u32 { x.expect(\"invariant\") }\n";
     // particle.rs carries a written reason for documented expects…
     assert!(rules_at("crates/filter/src/particle.rs", src).is_empty());
-    // …pipeline.rs does not, so the same code is a finding there.
+    // …pipeline.rs does not, so the same code is a finding there…
     assert!(rules_at("crates/core/src/pipeline.rs", src).contains(&"hot-path-panic"));
+    // …and neither does the diagonal-only GMM kernel.
+    assert!(rules_at("crates/gmm/src/gaussian.rs", src).contains(&"hot-path-panic"));
 }
 
 #[test]
@@ -170,4 +172,83 @@ fn tokens_in_strings_and_comments_do_not_fire() {
                \"HashMap thread_rng Instant::now unsafe\"\n\
                }\n";
     assert!(rules_at("crates/gmm/src/fit.rs", src).is_empty());
+}
+
+/// `(file, line)` of every `unused-pub` finding naming `item`.
+fn unused_pub(files: &[(&str, &str)], item: &str) -> Vec<(String, usize)> {
+    let needle = format!("item `{item}`");
+    lint_sources(files.iter().copied())
+        .into_iter()
+        .filter(|f| f.rule == "unused-pub" && f.message.contains(&needle))
+        .map(|f| (f.file, f.line))
+        .collect()
+}
+
+const LIB: &str = "crates/demo/src/lib.rs";
+
+#[test]
+fn unused_pub_reports_an_item_no_other_file_names() {
+    let lib = "pub fn lonely() {}\npub fn used() {}\n";
+    let caller = "fn main() { demo::used(); }\n";
+    let files = [(LIB, lib), ("examples/run.rs", caller)];
+    assert_eq!(unused_pub(&files, "lonely"), [(LIB.to_string(), 1)]);
+    assert!(unused_pub(&files, "used").is_empty());
+    // The per-file entry point never runs the cross-file rule.
+    assert!(rules_at(LIB, lib).is_empty());
+}
+
+#[test]
+fn unused_pub_counts_a_use_in_a_tests_file() {
+    let lib = "pub struct Probe;\n";
+    let test = "#[test]\nfn t() { let _ = demo::Probe; }\n";
+    assert!(unused_pub(&[(LIB, lib), ("tests/probe.rs", test)], "Probe").is_empty());
+}
+
+#[test]
+fn unused_pub_ignores_mentions_in_comments_and_strings() {
+    let lib = "pub const LIMIT: u32 = 3;\n";
+    let other = "// LIMIT is documented here\nfn f() -> &'static str { \"LIMIT\" }\n";
+    let files = [(LIB, lib), ("crates/demo/src/other.rs", other)];
+    assert_eq!(unused_pub(&files, "LIMIT").len(), 1);
+}
+
+#[test]
+fn unused_pub_ignores_uses_in_its_own_cfg_test() {
+    let lib = "pub fn helper() -> u32 { 1 }\n\
+               #[cfg(test)]\n\
+               mod tests { #[test] fn t() { assert_eq!(super::helper(), 1); } }\n";
+    assert_eq!(unused_pub(&[(LIB, lib)], "helper").len(), 1);
+}
+
+#[test]
+fn unused_pub_keeps_types_exposed_by_surviving_items() {
+    // `Report` is named only by the signature of `run`, which another
+    // file calls; `Stats` only by a `pub` field of `Report`; `Hidden`
+    // only by a private field, so nothing reaches it.
+    let lib = "pub struct Report { pub stats: Stats, hidden: Hidden }\n\
+               pub struct Stats;\n\
+               pub struct Hidden;\n\
+               pub fn run() -> Report { todo() }\n";
+    let files = [(LIB, lib), ("src/main.rs", "fn main() { demo::run(); }\n")];
+    assert!(unused_pub(&files, "Report").is_empty());
+    assert!(unused_pub(&files, "Stats").is_empty());
+    assert_eq!(unused_pub(&files, "Hidden").len(), 1);
+}
+
+#[test]
+fn unused_pub_suppression_requires_a_reason() {
+    // Rules of the findings in the demo file (the stale hot-path
+    // entries of the absent registered files are reported elsewhere).
+    let rules = |src| -> Vec<&str> {
+        lint_sources([(LIB, src)])
+            .into_iter()
+            .filter(|f| f.file == LIB)
+            .map(|f| f.rule)
+            .collect()
+    };
+    let reasoned =
+        "// lint: allow(unused-pub) paper-figure API kept for one bin\npub fn figure() {}\n";
+    assert!(rules(reasoned).is_empty(), "{:?}", rules(reasoned));
+    let bare = "// lint: allow(unused-pub)\npub fn figure() {}\n";
+    assert_eq!(rules(bare), ["lint-directive"]);
 }

@@ -61,7 +61,7 @@ impl AllocCounts {
     ///
     /// Panics in debug builds if `earlier` is ahead of `self` (swapped
     /// snapshots).
-    pub fn since(&self, earlier: &AllocCounts) -> AllocCounts {
+    fn since(&self, earlier: &AllocCounts) -> AllocCounts {
         debug_assert!(
             self.allocs >= earlier.allocs
                 && self.reallocs >= earlier.reallocs
@@ -98,7 +98,7 @@ fn tally(counter: &'static std::thread::LocalKey<Cell<u64>>) {
 /// tallies it. Registered as the global allocator by this module, so
 /// simply enabling the `alloc-audit` feature puts the whole process
 /// under audit.
-pub struct CountingAllocator;
+struct CountingAllocator;
 
 // SAFETY: every method delegates verbatim to `System`, which upholds the
 // `GlobalAlloc` contract; the only addition is a thread-local counter

@@ -1,5 +1,5 @@
-//! 3-D geometry primitives: vectors, rotation matrices, quaternions, rigid
-//! poses (SE(3)) and rays.
+//! 3-D geometry primitives: vectors, quaternions, rigid poses (SE(3)) and
+//! rays.
 //!
 //! These types are the lingua franca between the synthetic scene simulator,
 //! the camera projection model and the localization pipelines.
@@ -40,6 +40,7 @@ impl Vec3 {
     };
 
     /// Unit vector along +Y.
+    // lint: allow(unused-pub) one of the X/Y/Z unit-axis triple; X and Z have callers
     pub const Y: Vec3 = Vec3 {
         x: 0.0,
         y: 1.0,
@@ -69,7 +70,7 @@ impl Vec3 {
     }
 
     /// Cross product.
-    pub fn cross(self, other: Vec3) -> Vec3 {
+    fn cross(self, other: Vec3) -> Vec3 {
         Vec3::new(
             self.y * other.z - self.z * other.y,
             self.z * other.x - self.x * other.z,
@@ -121,19 +122,9 @@ impl Vec3 {
         )
     }
 
-    /// Linear interpolation: `self` at `t = 0`, `other` at `t = 1`.
-    pub fn lerp(self, other: Vec3, t: f64) -> Vec3 {
-        self + (other - self) * t
-    }
-
     /// Components as a `[x, y, z]` array.
     pub fn to_array(self) -> [f64; 3] {
         [self.x, self.y, self.z]
-    }
-
-    /// Creates a vector from a `[x, y, z]` array.
-    pub fn from_array(a: [f64; 3]) -> Self {
-        Self::new(a[0], a[1], a[2])
     }
 
     /// Returns `true` when every component is finite.
@@ -180,89 +171,6 @@ impl Neg for Vec3 {
 impl fmt::Display for Vec3 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "({:.4}, {:.4}, {:.4})", self.x, self.y, self.z)
-    }
-}
-
-/// A 3×3 matrix, primarily used as a rotation matrix.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Mat3 {
-    /// Row-major entries.
-    pub m: [[f64; 3]; 3],
-}
-
-impl Mat3 {
-    /// The identity matrix.
-    pub const IDENTITY: Mat3 = Mat3 {
-        m: [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
-    };
-
-    /// Creates a matrix from row-major entries.
-    pub const fn from_rows(m: [[f64; 3]; 3]) -> Self {
-        Self { m }
-    }
-
-    /// Rotation about the X axis by `angle` radians.
-    pub fn rotation_x(angle: f64) -> Self {
-        let (s, c) = angle.sin_cos();
-        Self::from_rows([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-    }
-
-    /// Rotation about the Y axis by `angle` radians.
-    pub fn rotation_y(angle: f64) -> Self {
-        let (s, c) = angle.sin_cos();
-        Self::from_rows([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-    }
-
-    /// Rotation about the Z axis by `angle` radians.
-    pub fn rotation_z(angle: f64) -> Self {
-        let (s, c) = angle.sin_cos();
-        Self::from_rows([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    }
-
-    /// Matrix transpose (equals the inverse for rotations).
-    pub fn transpose(self) -> Mat3 {
-        let mut t = [[0.0; 3]; 3];
-        for (i, row) in self.m.iter().enumerate() {
-            for (j, &v) in row.iter().enumerate() {
-                t[j][i] = v;
-            }
-        }
-        Mat3::from_rows(t)
-    }
-
-    /// Matrix-vector product.
-    pub fn mul_vec(self, v: Vec3) -> Vec3 {
-        Vec3::new(
-            self.m[0][0] * v.x + self.m[0][1] * v.y + self.m[0][2] * v.z,
-            self.m[1][0] * v.x + self.m[1][1] * v.y + self.m[1][2] * v.z,
-            self.m[2][0] * v.x + self.m[2][1] * v.y + self.m[2][2] * v.z,
-        )
-    }
-
-    /// Matrix-matrix product.
-    pub fn mul_mat(self, o: Mat3) -> Mat3 {
-        let mut out = [[0.0; 3]; 3];
-        for i in 0..3 {
-            for j in 0..3 {
-                out[i][j] =
-                    self.m[i][0] * o.m[0][j] + self.m[i][1] * o.m[1][j] + self.m[i][2] * o.m[2][j];
-            }
-        }
-        Mat3::from_rows(out)
-    }
-
-    /// Determinant.
-    pub fn det(self) -> f64 {
-        let m = &self.m;
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    }
-}
-
-impl Default for Mat3 {
-    fn default() -> Self {
-        Self::IDENTITY
     }
 }
 
@@ -352,7 +260,7 @@ impl Quat {
     }
 
     /// The inverse rotation (conjugate, assuming unit norm).
-    pub fn conjugate(self) -> Quat {
+    fn conjugate(self) -> Quat {
         Quat::new(self.w, -self.x, -self.y, -self.z)
     }
 
@@ -374,97 +282,44 @@ impl Quat {
         v + t * self.w + u.cross(t)
     }
 
-    /// Converts to a rotation matrix.
-    pub fn to_mat3(self) -> Mat3 {
-        let q = self.normalized();
-        let (w, x, y, z) = (q.w, q.x, q.y, q.z);
-        Mat3::from_rows([
-            [
-                1.0 - 2.0 * (y * y + z * z),
-                2.0 * (x * y - w * z),
-                2.0 * (x * z + w * y),
-            ],
-            [
-                2.0 * (x * y + w * z),
-                1.0 - 2.0 * (x * x + z * z),
-                2.0 * (y * z - w * x),
-            ],
-            [
-                2.0 * (x * z - w * y),
-                2.0 * (y * z + w * x),
-                1.0 - 2.0 * (x * x + y * y),
-            ],
-        ])
-    }
-
-    /// Builds a quaternion from a rotation matrix (Shepperd's method).
-    pub fn from_mat3(m: Mat3) -> Quat {
-        let t = m.m[0][0] + m.m[1][1] + m.m[2][2];
+    /// Builds a quaternion from the rows of a rotation matrix (Shepperd's
+    /// method).
+    fn from_mat3(m: [[f64; 3]; 3]) -> Quat {
+        let t = m[0][0] + m[1][1] + m[2][2];
         let q = if t > 0.0 {
             let s = (t + 1.0).sqrt() * 2.0;
             Quat::new(
                 0.25 * s,
-                (m.m[2][1] - m.m[1][2]) / s,
-                (m.m[0][2] - m.m[2][0]) / s,
-                (m.m[1][0] - m.m[0][1]) / s,
+                (m[2][1] - m[1][2]) / s,
+                (m[0][2] - m[2][0]) / s,
+                (m[1][0] - m[0][1]) / s,
             )
-        } else if m.m[0][0] > m.m[1][1] && m.m[0][0] > m.m[2][2] {
-            let s = (1.0 + m.m[0][0] - m.m[1][1] - m.m[2][2]).sqrt() * 2.0;
+        } else if m[0][0] > m[1][1] && m[0][0] > m[2][2] {
+            let s = (1.0 + m[0][0] - m[1][1] - m[2][2]).sqrt() * 2.0;
             Quat::new(
-                (m.m[2][1] - m.m[1][2]) / s,
+                (m[2][1] - m[1][2]) / s,
                 0.25 * s,
-                (m.m[0][1] + m.m[1][0]) / s,
-                (m.m[0][2] + m.m[2][0]) / s,
+                (m[0][1] + m[1][0]) / s,
+                (m[0][2] + m[2][0]) / s,
             )
-        } else if m.m[1][1] > m.m[2][2] {
-            let s = (1.0 + m.m[1][1] - m.m[0][0] - m.m[2][2]).sqrt() * 2.0;
+        } else if m[1][1] > m[2][2] {
+            let s = (1.0 + m[1][1] - m[0][0] - m[2][2]).sqrt() * 2.0;
             Quat::new(
-                (m.m[0][2] - m.m[2][0]) / s,
-                (m.m[0][1] + m.m[1][0]) / s,
+                (m[0][2] - m[2][0]) / s,
+                (m[0][1] + m[1][0]) / s,
                 0.25 * s,
-                (m.m[1][2] + m.m[2][1]) / s,
+                (m[1][2] + m[2][1]) / s,
             )
         } else {
-            let s = (1.0 + m.m[2][2] - m.m[0][0] - m.m[1][1]).sqrt() * 2.0;
+            let s = (1.0 + m[2][2] - m[0][0] - m[1][1]).sqrt() * 2.0;
             Quat::new(
-                (m.m[1][0] - m.m[0][1]) / s,
-                (m.m[0][2] + m.m[2][0]) / s,
-                (m.m[1][2] + m.m[2][1]) / s,
+                (m[1][0] - m[0][1]) / s,
+                (m[0][2] + m[2][0]) / s,
+                (m[1][2] + m[2][1]) / s,
                 0.25 * s,
             )
         };
         q.normalized()
-    }
-
-    /// Spherical linear interpolation between two rotations.
-    pub fn slerp(self, other: Quat, t: f64) -> Quat {
-        let a = self.normalized();
-        let mut b = other.normalized();
-        let mut cos_theta = a.w * b.w + a.x * b.x + a.y * b.y + a.z * b.z;
-        if cos_theta < 0.0 {
-            b = Quat::new(-b.w, -b.x, -b.y, -b.z);
-            cos_theta = -cos_theta;
-        }
-        if cos_theta > 0.9995 {
-            // Nearly identical: fall back to lerp + renormalize.
-            return Quat::new(
-                a.w + (b.w - a.w) * t,
-                a.x + (b.x - a.x) * t,
-                a.y + (b.y - a.y) * t,
-                a.z + (b.z - a.z) * t,
-            )
-            .normalized();
-        }
-        let theta = cos_theta.acos();
-        let sin_theta = theta.sin();
-        let wa = ((1.0 - t) * theta).sin() / sin_theta;
-        let wb = (t * theta).sin() / sin_theta;
-        Quat::new(
-            a.w * wa + b.w * wb,
-            a.x * wa + b.x * wb,
-            a.y * wa + b.y * wb,
-            a.z * wa + b.z * wb,
-        )
     }
 
     /// Geodesic angle (radians) between two rotations.
@@ -535,11 +390,11 @@ impl Pose {
         );
         let x_c = x_c.normalized();
         let y_c = z_c.cross(x_c);
-        let m = Mat3::from_rows([
+        let m = [
             [x_c.x, y_c.x, z_c.x],
             [x_c.y, y_c.y, z_c.y],
             [x_c.z, y_c.z, z_c.z],
-        ]);
+        ];
         Pose::new(Quat::from_mat3(m), eye)
     }
 
@@ -724,32 +579,6 @@ mod tests {
     #[test]
     fn vec3_norm_and_lerp() {
         assert_eq!(Vec3::new(3.0, 4.0, 0.0).norm(), 5.0);
-        let m = Vec3::ZERO.lerp(Vec3::new(2.0, 4.0, 6.0), 0.5);
-        assert_eq!(m, Vec3::new(1.0, 2.0, 3.0));
-    }
-
-    #[test]
-    fn mat3_rotations_are_orthonormal() {
-        for r in [
-            Mat3::rotation_x(0.7),
-            Mat3::rotation_y(-1.2),
-            Mat3::rotation_z(2.9),
-        ] {
-            assert!(approx_eq(r.det(), 1.0, 1e-12));
-            let rt = r.mul_mat(r.transpose());
-            for i in 0..3 {
-                for j in 0..3 {
-                    let expect = if i == j { 1.0 } else { 0.0 };
-                    assert!(approx_eq(rt.m[i][j], expect, 1e-12));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn mat3_rotation_z_quarter_turn() {
-        let r = Mat3::rotation_z(FRAC_PI_2);
-        assert!(vec_close(r.mul_vec(Vec3::X), Vec3::Y, 1e-12));
     }
 
     #[test]
@@ -757,8 +586,6 @@ mod tests {
         let q = Quat::from_axis_angle(Vec3::Z, FRAC_PI_2);
         let v = q.rotate(Vec3::X);
         assert!(vec_close(v, Vec3::Y, 1e-12));
-        let m = q.to_mat3();
-        assert!(vec_close(m.mul_vec(Vec3::X), Vec3::Y, 1e-12));
     }
 
     #[test]
@@ -773,13 +600,12 @@ mod tests {
 
     #[test]
     fn quat_composition_order() {
-        // Rotate about Z then about the new X; check against matrices.
+        // Rotate about Z then about the new X: `qx` applies first.
         let qz = Quat::from_axis_angle(Vec3::Z, 0.5);
         let qx = Quat::from_axis_angle(Vec3::X, 0.25);
         let q = qz.mul_quat(qx);
-        let m = qz.to_mat3().mul_mat(qx.to_mat3());
         let v = Vec3::new(0.3, -1.0, 2.0);
-        assert!(vec_close(q.rotate(v), m.mul_vec(v), 1e-12));
+        assert!(vec_close(q.rotate(v), qz.rotate(qx.rotate(v)), 1e-12));
     }
 
     #[test]
@@ -787,16 +613,6 @@ mod tests {
         let q = Quat::from_euler(0.1, 0.2, 0.3);
         let v = Vec3::new(1.0, 2.0, 3.0);
         assert!(vec_close(q.conjugate().rotate(q.rotate(v)), v, 1e-12));
-    }
-
-    #[test]
-    fn quat_slerp_endpoints_and_midpoint() {
-        let a = Quat::IDENTITY;
-        let b = Quat::from_axis_angle(Vec3::Z, PI / 2.0);
-        assert!(approx_eq(a.slerp(b, 0.0).angle_to(a), 0.0, 1e-9));
-        assert!(approx_eq(a.slerp(b, 1.0).angle_to(b), 0.0, 1e-9));
-        let mid = a.slerp(b, 0.5);
-        assert!(approx_eq(mid.angle_to(a), PI / 4.0, 1e-9));
     }
 
     #[test]
@@ -837,7 +653,9 @@ mod tests {
             Quat::from_axis_angle(Vec3::new(1.0, 1.0, 1.0), 2.5),
             Quat::IDENTITY,
         ] {
-            let m = q.to_mat3();
+            // Columns are the rotated basis vectors.
+            let (x, y, z) = (q.rotate(Vec3::X), q.rotate(Vec3::Y), q.rotate(Vec3::Z));
+            let m = [[x.x, y.x, z.x], [x.y, y.y, z.y], [x.z, y.z, z.z]];
             let q2 = Quat::from_mat3(m);
             assert!(q.angle_to(q2) < 1e-9, "roundtrip failed for {q:?}");
         }

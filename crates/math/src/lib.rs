@@ -3,10 +3,10 @@
 //! This crate provides the dependency-free mathematical substrate used by
 //! every other navicim crate:
 //!
-//! - [`linalg`] — dense vectors/matrices with LU, Cholesky and Jacobi
-//!   eigendecomposition (used by the GMM fitter and filters),
-//! - [`geom`] — 3-D geometry: [`geom::Vec3`], [`geom::Mat3`],
-//!   [`geom::Quat`], rigid poses and rays (used by the scene simulator and
+//! - [`linalg`] — dense matrices with LU solves (used by the device
+//!   and readout curve fits),
+//! - [`geom`] — 3-D geometry: [`geom::Vec3`], [`geom::Quat`], rigid
+//!   poses and rays (used by the scene simulator and
 //!   the localization pipelines),
 //! - [`stats`] — descriptive statistics, correlation and Gaussian densities,
 //! - [`rng`] — small deterministic PRNGs ([`rng::SplitMix64`],

@@ -1,6 +1,5 @@
-//! Dense linear algebra: a row-major [`Matrix`] with the decompositions
-//! needed by the GMM fitter and the Bayesian filters (LU with partial
-//! pivoting, Cholesky, symmetric Jacobi eigendecomposition).
+//! Dense linear algebra: a row-major [`Matrix`] with LU decomposition
+//! (partial pivoting).
 
 use crate::{MathError, Result};
 use std::fmt;
@@ -10,9 +9,9 @@ use std::ops::{Add, Index, IndexMut, Mul, Sub};
 ///
 /// ```
 /// use navicim_math::linalg::Matrix;
-/// let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
-/// let b = a.matmul(&a.transpose()).unwrap();
-/// assert_eq!(b[(0, 0)], 5.0);
+/// let a = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 3.0]]).unwrap();
+/// let x = a.solve(&[3.0, 4.0]).unwrap();
+/// assert!((x[0] - 1.0).abs() < 1e-12 && (x[1] - 1.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
@@ -27,7 +26,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if either dimension is zero.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
+    fn zeros(rows: usize, cols: usize) -> Self {
         assert!(rows > 0 && cols > 0, "matrix dimensions must be positive");
         Self {
             rows,
@@ -86,21 +85,6 @@ impl Matrix {
         })
     }
 
-    /// Builds a matrix from a flat row-major buffer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MathError::DimensionMismatch`] if `data.len() != rows*cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Result<Self> {
-        if data.len() != rows * cols {
-            return Err(MathError::DimensionMismatch {
-                expected: format!("{} elements", rows * cols),
-                found: format!("{} elements", data.len()),
-            });
-        }
-        Ok(Self { rows, cols, data })
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -136,23 +120,13 @@ impl Matrix {
         (0..self.rows).map(|r| self[(r, c)]).collect()
     }
 
-    /// Returns the transpose.
-    pub fn transpose(&self) -> Matrix {
-        let mut t = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                t[(c, r)] = self[(r, c)];
-            }
-        }
-        t
-    }
-
     /// Matrix product `self * other`.
     ///
     /// # Errors
     ///
     /// Returns [`MathError::DimensionMismatch`] when inner dimensions
     /// disagree.
+    // lint: allow(unused-pub) no caller outside its unit tests; removal deferred to a follow-up sweep
     pub fn matmul(&self, other: &Matrix) -> Result<Matrix> {
         if self.cols != other.rows {
             return Err(MathError::DimensionMismatch {
@@ -201,33 +175,13 @@ impl Matrix {
         }
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-
-    /// Returns `true` when the matrix is square and symmetric within `tol`.
-    pub fn is_symmetric(&self, tol: f64) -> bool {
-        if self.rows != self.cols {
-            return false;
-        }
-        for i in 0..self.rows {
-            for j in (i + 1)..self.cols {
-                if (self[(i, j)] - self[(j, i)]).abs() > tol {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
     /// LU decomposition with partial pivoting.
     ///
     /// # Errors
     ///
     /// Returns [`MathError::Singular`] for numerically singular matrices and
     /// [`MathError::DimensionMismatch`] for non-square inputs.
-    pub fn lu(&self) -> Result<Lu> {
+    fn lu(&self) -> Result<Lu> {
         if self.rows != self.cols {
             return Err(MathError::DimensionMismatch {
                 expected: "square matrix".into(),
@@ -313,114 +267,6 @@ impl Matrix {
     /// Returns [`MathError::Singular`] for singular systems.
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
         self.lu()?.solve(b)
-    }
-
-    /// Cholesky decomposition `self = L Lᵀ` for symmetric positive-definite
-    /// matrices.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MathError::NotPositiveDefinite`] when a non-positive pivot
-    /// is encountered.
-    pub fn cholesky(&self) -> Result<Cholesky> {
-        if self.rows != self.cols {
-            return Err(MathError::DimensionMismatch {
-                expected: "square matrix".into(),
-                found: format!("{}x{}", self.rows, self.cols),
-            });
-        }
-        let n = self.rows;
-        let mut l = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..=i {
-                let mut sum = self[(i, j)];
-                for k in 0..j {
-                    sum -= l[(i, k)] * l[(j, k)];
-                }
-                if i == j {
-                    if sum <= 0.0 {
-                        return Err(MathError::NotPositiveDefinite);
-                    }
-                    l[(i, j)] = sum.sqrt();
-                } else {
-                    l[(i, j)] = sum / l[(j, j)];
-                }
-            }
-        }
-        Ok(Cholesky { l })
-    }
-
-    /// Eigendecomposition of a symmetric matrix via the cyclic Jacobi
-    /// method. Returns `(eigenvalues, eigenvectors)` with eigenvectors as
-    /// matrix columns, sorted by descending eigenvalue.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MathError::InvalidArgument`] when the matrix is not
-    /// symmetric and [`MathError::NoConvergence`] if the sweep budget is
-    /// exhausted.
-    pub fn symmetric_eigen(&self) -> Result<(Vec<f64>, Matrix)> {
-        if !self.is_symmetric(1e-9) {
-            return Err(MathError::InvalidArgument(
-                "symmetric_eigen requires a symmetric matrix".into(),
-            ));
-        }
-        let n = self.rows;
-        let mut a = self.clone();
-        let mut v = Matrix::identity(n);
-        let max_sweeps = 100;
-        for _sweep in 0..max_sweeps {
-            let mut off = 0.0;
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    off += a[(i, j)] * a[(i, j)];
-                }
-            }
-            if off.sqrt() < 1e-12 {
-                let mut pairs: Vec<(f64, usize)> = (0..n).map(|i| (a[(i, i)], i)).collect();
-                pairs.sort_by(|x, y| y.0.partial_cmp(&x.0).expect("eigenvalues are finite"));
-                let vals: Vec<f64> = pairs.iter().map(|p| p.0).collect();
-                let mut vecs = Matrix::zeros(n, n);
-                for (new_c, &(_, old_c)) in pairs.iter().enumerate() {
-                    for r in 0..n {
-                        vecs[(r, new_c)] = v[(r, old_c)];
-                    }
-                }
-                return Ok((vals, vecs));
-            }
-            for p in 0..n {
-                for q in (p + 1)..n {
-                    if a[(p, q)].abs() < 1e-300 {
-                        continue;
-                    }
-                    let theta = (a[(q, q)] - a[(p, p)]) / (2.0 * a[(p, q)]);
-                    let t = theta.signum() / (theta.abs() + (theta * theta + 1.0).sqrt());
-                    let c = 1.0 / (t * t + 1.0).sqrt();
-                    let s = t * c;
-                    for k in 0..n {
-                        let akp = a[(k, p)];
-                        let akq = a[(k, q)];
-                        a[(k, p)] = c * akp - s * akq;
-                        a[(k, q)] = s * akp + c * akq;
-                    }
-                    for k in 0..n {
-                        let apk = a[(p, k)];
-                        let aqk = a[(q, k)];
-                        a[(p, k)] = c * apk - s * aqk;
-                        a[(q, k)] = s * apk + c * aqk;
-                    }
-                    for k in 0..n {
-                        let vkp = v[(k, p)];
-                        let vkq = v[(k, q)];
-                        v[(k, p)] = c * vkp - s * vkq;
-                        v[(k, q)] = s * vkp + c * vkq;
-                    }
-                }
-            }
-        }
-        Err(MathError::NoConvergence {
-            iterations: max_sweeps,
-        })
     }
 }
 
@@ -509,7 +355,7 @@ impl fmt::Display for Matrix {
 
 /// LU decomposition with partial pivoting produced by [`Matrix::lu`].
 #[derive(Debug, Clone)]
-pub struct Lu {
+struct Lu {
     lu: Matrix,
     piv: Vec<usize>,
     sign: f64,
@@ -556,69 +402,6 @@ impl Lu {
             x[i] = sum / self.lu[(i, i)];
         }
         Ok(x)
-    }
-}
-
-/// Cholesky factor produced by [`Matrix::cholesky`].
-#[derive(Debug, Clone)]
-pub struct Cholesky {
-    l: Matrix,
-}
-
-impl Cholesky {
-    /// The lower-triangular factor `L` with `A = L Lᵀ`.
-    pub fn lower(&self) -> &Matrix {
-        &self.l
-    }
-
-    /// Solves `L y = b` (forward substitution).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MathError::DimensionMismatch`] when `b` has the wrong
-    /// length.
-    pub fn forward_substitute(&self, b: &[f64]) -> Result<Vec<f64>> {
-        let n = self.l.rows();
-        if b.len() != n {
-            return Err(MathError::DimensionMismatch {
-                expected: format!("vector of length {n}"),
-                found: format!("length {}", b.len()),
-            });
-        }
-        let mut y = vec![0.0; n];
-        for i in 0..n {
-            let mut sum = b[i];
-            for k in 0..i {
-                sum -= self.l[(i, k)] * y[k];
-            }
-            y[i] = sum / self.l[(i, i)];
-        }
-        Ok(y)
-    }
-
-    /// Solves `A x = b` where `A = L Lᵀ`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MathError::DimensionMismatch`] when `b` has the wrong
-    /// length.
-    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
-        let n = self.l.rows();
-        let y = self.forward_substitute(b)?;
-        let mut x = vec![0.0; n];
-        for i in (0..n).rev() {
-            let mut sum = y[i];
-            for k in (i + 1)..n {
-                sum -= self.l[(k, i)] * x[k];
-            }
-            x[i] = sum / self.l[(i, i)];
-        }
-        Ok(x)
-    }
-
-    /// Log-determinant of the decomposed matrix, `ln det(A)`.
-    pub fn log_det(&self) -> f64 {
-        (0..self.l.rows()).map(|i| 2.0 * self.l[(i, i)].ln()).sum()
     }
 }
 
@@ -728,67 +511,6 @@ mod tests {
     fn singular_inverse_fails() {
         let s = mat(&[&[1.0, 2.0], &[2.0, 4.0]]);
         assert_eq!(s.inverse().unwrap_err(), MathError::Singular);
-    }
-
-    #[test]
-    fn cholesky_reconstructs() {
-        let a = mat(&[&[4.0, 2.0, 0.6], &[2.0, 5.0, 1.0], &[0.6, 1.0, 3.0]]);
-        let chol = a.cholesky().unwrap();
-        let l = chol.lower();
-        let recon = l.matmul(&l.transpose()).unwrap();
-        for i in 0..3 {
-            for j in 0..3 {
-                assert!(approx_eq(recon[(i, j)], a[(i, j)], 1e-10));
-            }
-        }
-    }
-
-    #[test]
-    fn cholesky_rejects_indefinite() {
-        let a = mat(&[&[1.0, 2.0], &[2.0, 1.0]]);
-        assert_eq!(a.cholesky().unwrap_err(), MathError::NotPositiveDefinite);
-    }
-
-    #[test]
-    fn cholesky_solve_matches_lu_solve() {
-        let a = mat(&[&[4.0, 2.0], &[2.0, 5.0]]);
-        let b = [1.0, 2.0];
-        let x1 = a.cholesky().unwrap().solve(&b).unwrap();
-        let x2 = a.solve(&b).unwrap();
-        assert!(approx_eq(x1[0], x2[0], 1e-10));
-        assert!(approx_eq(x1[1], x2[1], 1e-10));
-    }
-
-    #[test]
-    fn cholesky_log_det() {
-        let a = mat(&[&[4.0, 0.0], &[0.0, 9.0]]);
-        let chol = a.cholesky().unwrap();
-        assert!(approx_eq(chol.log_det(), (36.0f64).ln(), 1e-12));
-    }
-
-    #[test]
-    fn jacobi_eigen_diagonal() {
-        let a = Matrix::diag(&[3.0, 1.0, 2.0]);
-        let (vals, _) = a.symmetric_eigen().unwrap();
-        assert!(approx_eq(vals[0], 3.0, 1e-10));
-        assert!(approx_eq(vals[1], 2.0, 1e-10));
-        assert!(approx_eq(vals[2], 1.0, 1e-10));
-    }
-
-    #[test]
-    fn jacobi_eigen_reconstruction() {
-        let a = mat(&[&[2.0, 1.0], &[1.0, 2.0]]);
-        let (vals, vecs) = a.symmetric_eigen().unwrap();
-        assert!(approx_eq(vals[0], 3.0, 1e-10));
-        assert!(approx_eq(vals[1], 1.0, 1e-10));
-        // A v = λ v for each eigenpair.
-        for (k, &lambda) in vals.iter().enumerate() {
-            let v = vecs.col(k);
-            let av = a.matvec(&v).unwrap();
-            for i in 0..2 {
-                assert!(approx_eq(av[i], lambda * v[i], 1e-9));
-            }
-        }
     }
 
     #[test]

@@ -2,8 +2,7 @@
 //!
 //! The paper evaluates its CIM macros at 4-, 6- and 8-bit precision. This
 //! module provides a symmetric uniform [`Quantizer`] (signed two's-complement
-//! codes), bit-plane decomposition for bit-serial CIM MACs, and saturating
-//! integer helpers.
+//! codes).
 
 use crate::{MathError, Result};
 
@@ -17,9 +16,9 @@ use crate::{MathError, Result};
 /// ```
 /// use navicim_math::quant::Quantizer;
 /// let q = Quantizer::new(4, 1.0).unwrap();
-/// assert_eq!(q.quantize(1.0), 7);
-/// assert_eq!(q.quantize(-1.0), -7);
-/// assert_eq!(q.quantize(0.0), 0);
+/// assert_eq!(q.max_code(), 7);
+/// assert_eq!(q.quantize_all(&[1.0, -1.0, 0.0]), [7, -7, 0]);
+/// assert_eq!(q.fake_quantize(2.0), 1.0); // saturates
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Quantizer {
@@ -81,13 +80,13 @@ impl Quantizer {
     }
 
     /// Quantizes one value to its integer code (round-to-nearest, saturate).
-    pub fn quantize(&self, x: f64) -> i64 {
+    fn quantize(&self, x: f64) -> i64 {
         let code = (x / self.scale).round() as i64;
         code.clamp(-self.max_code, self.max_code)
     }
 
     /// Reconstructs the real value of a code.
-    pub fn dequantize(&self, code: i64) -> f64 {
+    fn dequantize(&self, code: i64) -> f64 {
         code as f64 * self.scale
     }
 
@@ -108,89 +107,9 @@ impl Quantizer {
         codes.extend(xs.iter().map(|&x| self.quantize(x)));
     }
 
-    /// Applies fake quantization to a slice.
-    pub fn fake_quantize_all(&self, xs: &[f64]) -> Vec<f64> {
-        xs.iter().map(|&x| self.fake_quantize(x)).collect()
-    }
-
     /// Worst-case quantization error (half a step, before saturation).
     pub fn max_round_error(&self) -> f64 {
         self.scale * 0.5
-    }
-}
-
-/// Decomposes a non-negative code into `bits` binary planes, LSB first.
-///
-/// Bit-serial CIM macros stream input bits plane by plane; this is the
-/// software model of that decomposition.
-///
-/// # Panics
-///
-/// Panics if `code` is negative or does not fit in `bits` bits.
-pub fn to_bit_planes(code: u64, bits: u32) -> Vec<bool> {
-    assert!(
-        bits == 64 || code < (1u64 << bits),
-        "code {code} does not fit in {bits} bits"
-    );
-    (0..bits).map(|b| (code >> b) & 1 == 1).collect()
-}
-
-/// Recomposes a code from LSB-first bit planes.
-pub fn from_bit_planes(planes: &[bool]) -> u64 {
-    planes
-        .iter()
-        .enumerate()
-        .fold(0u64, |acc, (i, &b)| acc | ((b as u64) << i))
-}
-
-/// Splits a signed code into `(sign, magnitude)` for sign-magnitude CIM
-/// arrays.
-pub fn to_sign_magnitude(code: i64) -> (i64, u64) {
-    (code.signum(), code.unsigned_abs())
-}
-
-/// Saturating signed accumulation to a given accumulator bit-width, modeling
-/// limited-precision partial-sum registers.
-///
-/// # Panics
-///
-/// Panics if `acc_bits` is zero or greater than 63.
-pub fn saturating_acc(acc: i64, add: i64, acc_bits: u32) -> i64 {
-    assert!((1..=63).contains(&acc_bits), "acc_bits must be in [1, 63]");
-    let max = (1i64 << (acc_bits - 1)) - 1;
-    (acc.saturating_add(add)).clamp(-max, max)
-}
-
-/// Mean squared quantization error of a quantizer over a data set.
-pub fn quantization_mse(q: &Quantizer, data: &[f64]) -> f64 {
-    if data.is_empty() {
-        return 0.0;
-    }
-    data.iter()
-        .map(|&x| {
-            let e = x - q.fake_quantize(x);
-            e * e
-        })
-        .sum::<f64>()
-        / data.len() as f64
-}
-
-/// Signal-to-quantization-noise ratio in dB over a data set.
-///
-/// Returns `f64::INFINITY` when the quantization error is exactly zero.
-pub fn sqnr_db(q: &Quantizer, data: &[f64]) -> f64 {
-    let signal: f64 = data.iter().map(|x| x * x).sum();
-    let noise: f64 = data
-        .iter()
-        .map(|&x| {
-            let e = x - q.fake_quantize(x);
-            e * e
-        })
-        .sum();
-    if noise == 0.0 {
-        f64::INFINITY
-    } else {
-        10.0 * (signal / noise).log10()
     }
 }
 
@@ -253,37 +172,17 @@ mod tests {
     }
 
     #[test]
-    fn bit_planes_roundtrip() {
-        for code in 0u64..64 {
-            let planes = to_bit_planes(code, 6);
-            assert_eq!(planes.len(), 6);
-            assert_eq!(from_bit_planes(&planes), code);
-        }
-    }
-
-    #[test]
-    fn sign_magnitude() {
-        assert_eq!(to_sign_magnitude(-5), (-1, 5));
-        assert_eq!(to_sign_magnitude(0), (0, 0));
-        assert_eq!(to_sign_magnitude(9), (1, 9));
-    }
-
-    #[test]
-    fn saturating_acc_clamps() {
-        let max = (1i64 << 7) - 1;
-        assert_eq!(saturating_acc(120, 100, 8), max);
-        assert_eq!(saturating_acc(-120, -100, 8), -max);
-        assert_eq!(saturating_acc(5, 3, 8), 8);
-    }
-
-    #[test]
     fn sqnr_improves_with_bits() {
         let mut rng = Pcg32::seed_from_u64(2);
         let data: Vec<f64> = (0..2000).map(|_| rng.sample_uniform(-1.0, 1.0)).collect();
         let q4 = Quantizer::new(4, 1.0).unwrap();
         let q8 = Quantizer::new(8, 1.0).unwrap();
-        let s4 = sqnr_db(&q4, &data);
-        let s8 = sqnr_db(&q8, &data);
+        let sqnr_db = |q: &Quantizer| {
+            let signal: f64 = data.iter().map(|x| x * x).sum();
+            let noise: f64 = data.iter().map(|&x| (x - q.fake_quantize(x)).powi(2)).sum();
+            10.0 * (signal / noise).log10()
+        };
+        let (s4, s8) = (sqnr_db(&q4), sqnr_db(&q8));
         // ~6 dB per bit: expect roughly 24 dB improvement.
         assert!(s8 - s4 > 18.0, "s4={s4}, s8={s8}");
     }
@@ -293,6 +192,12 @@ mod tests {
         let data: Vec<f64> = (0..100).map(|i| (i as f64 / 50.0) - 1.0).collect();
         let q4 = Quantizer::new(4, 1.0).unwrap();
         let q6 = Quantizer::new(6, 1.0).unwrap();
-        assert!(quantization_mse(&q6, &data) < quantization_mse(&q4, &data));
+        let mse = |q: &Quantizer| {
+            data.iter()
+                .map(|&x| (x - q.fake_quantize(x)).powi(2))
+                .sum::<f64>()
+                / data.len() as f64
+        };
+        assert!(mse(&q6) < mse(&q4));
     }
 }

@@ -36,7 +36,7 @@ impl TestOutcome {
 /// Fraction of ones in a bitstream.
 ///
 /// Returns `0.5` for an empty stream (unbiased by convention).
-pub fn ones_fraction(bits: &[bool]) -> f64 {
+fn ones_fraction(bits: &[bool]) -> f64 {
     if bits.is_empty() {
         return 0.5;
     }
@@ -87,7 +87,7 @@ pub fn runs(bits: &[bool]) -> TestOutcome {
 /// # Panics
 ///
 /// Panics unless `0 < lag < bits.len()`.
-pub fn autocorrelation(bits: &[bool], lag: usize) -> TestOutcome {
+fn autocorrelation(bits: &[bool], lag: usize) -> TestOutcome {
     assert!(lag > 0 && lag < bits.len(), "lag must be in (0, n)");
     let n = bits.len() - lag;
     // Count agreements between b[i] and b[i+lag]; expect n/2.
@@ -103,7 +103,7 @@ pub fn autocorrelation(bits: &[bool], lag: usize) -> TestOutcome {
 /// # Panics
 ///
 /// Panics if the stream has fewer than 3 bits.
-pub fn serial_pairs(bits: &[bool]) -> TestOutcome {
+fn serial_pairs(bits: &[bool]) -> TestOutcome {
     assert!(bits.len() >= 3, "serial test requires at least 3 bits");
     let n = (bits.len() - 1) as f64;
     let mut counts = [0.0f64; 4];
@@ -128,7 +128,7 @@ pub fn serial_pairs(bits: &[bool]) -> TestOutcome {
 /// # Panics
 ///
 /// Panics unless the stream contains at least one full block.
-pub fn block_frequency(bits: &[bool], block_len: usize) -> TestOutcome {
+fn block_frequency(bits: &[bool], block_len: usize) -> TestOutcome {
     assert!(block_len > 0, "block_len must be positive");
     let nblocks = bits.len() / block_len;
     assert!(nblocks > 0, "stream shorter than one block");

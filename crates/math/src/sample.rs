@@ -106,25 +106,13 @@ fn normalized_into(weights: &[f64], norm: &mut Vec<f64>) {
     norm.extend(weights.iter().map(|w| w / total));
 }
 
-/// Systematic resampling: returns `weights.len()` selected indices.
-///
-/// # Panics
-///
-/// Panics if `weights` is empty or sums to a non-positive value.
-pub fn systematic<R: Rng64 + ?Sized>(weights: &[f64], rng: &mut R) -> Vec<usize> {
-    let mut scratch = ResampleScratch::default();
-    let mut out = Vec::new();
-    systematic_into(weights, rng, &mut scratch, &mut out);
-    out
-}
-
-/// [`systematic`] into caller-owned buffers (see
+/// Systematic resampling into caller-owned buffers (see
 /// [`ResampleScheme::resample_into`]).
 ///
 /// # Panics
 ///
 /// Panics if `weights` is empty or sums to a non-positive value.
-pub fn systematic_into<R: Rng64 + ?Sized>(
+fn systematic_into<R: Rng64 + ?Sized>(
     weights: &[f64],
     rng: &mut R,
     scratch: &mut ResampleScratch,
@@ -148,25 +136,13 @@ pub fn systematic_into<R: Rng64 + ?Sized>(
     }
 }
 
-/// Multinomial resampling: n independent categorical draws.
-///
-/// # Panics
-///
-/// Panics if `weights` is empty or sums to a non-positive value.
-pub fn multinomial<R: Rng64 + ?Sized>(weights: &[f64], rng: &mut R) -> Vec<usize> {
-    let mut scratch = ResampleScratch::default();
-    let mut out = Vec::new();
-    multinomial_into(weights, rng, &mut scratch, &mut out);
-    out
-}
-
-/// [`multinomial`] into caller-owned buffers (see
+/// Multinomial resampling into caller-owned buffers (see
 /// [`ResampleScheme::resample_into`]).
 ///
 /// # Panics
 ///
 /// Panics if `weights` is empty or sums to a non-positive value.
-pub fn multinomial_into<R: Rng64 + ?Sized>(
+fn multinomial_into<R: Rng64 + ?Sized>(
     weights: &[f64],
     rng: &mut R,
     scratch: &mut ResampleScratch,
@@ -193,25 +169,13 @@ pub fn multinomial_into<R: Rng64 + ?Sized>(
     }));
 }
 
-/// Stratified resampling: one uniform draw per equal-probability stratum.
-///
-/// # Panics
-///
-/// Panics if `weights` is empty or sums to a non-positive value.
-pub fn stratified<R: Rng64 + ?Sized>(weights: &[f64], rng: &mut R) -> Vec<usize> {
-    let mut scratch = ResampleScratch::default();
-    let mut out = Vec::new();
-    stratified_into(weights, rng, &mut scratch, &mut out);
-    out
-}
-
-/// [`stratified`] into caller-owned buffers (see
+/// Stratified resampling into caller-owned buffers (see
 /// [`ResampleScheme::resample_into`]).
 ///
 /// # Panics
 ///
 /// Panics if `weights` is empty or sums to a non-positive value.
-pub fn stratified_into<R: Rng64 + ?Sized>(
+fn stratified_into<R: Rng64 + ?Sized>(
     weights: &[f64],
     rng: &mut R,
     scratch: &mut ResampleScratch,
@@ -233,25 +197,14 @@ pub fn stratified_into<R: Rng64 + ?Sized>(
     }
 }
 
-/// Residual resampling: deterministic ⌊n wᵢ⌋ copies, multinomial remainder.
-///
-/// # Panics
-///
-/// Panics if `weights` is empty or sums to a non-positive value.
-pub fn residual<R: Rng64 + ?Sized>(weights: &[f64], rng: &mut R) -> Vec<usize> {
-    let mut scratch = ResampleScratch::default();
-    let mut out = Vec::new();
-    residual_into(weights, rng, &mut scratch, &mut out);
-    out
-}
-
-/// [`residual`] into caller-owned buffers (see
+/// Residual resampling (deterministic ⌊n wᵢ⌋ copies, multinomial
+/// remainder) into caller-owned buffers (see
 /// [`ResampleScheme::resample_into`]).
 ///
 /// # Panics
 ///
 /// Panics if `weights` is empty or sums to a non-positive value.
-pub fn residual_into<R: Rng64 + ?Sized>(
+fn residual_into<R: Rng64 + ?Sized>(
     weights: &[f64],
     rng: &mut R,
     scratch: &mut ResampleScratch,
@@ -368,7 +321,7 @@ mod tests {
         // exactly once.
         let weights = vec![1.0; 64];
         let mut rng = Pcg32::seed_from_u64(4);
-        let idx = systematic(&weights, &mut rng);
+        let idx = ResampleScheme::Systematic.resample(&weights, &mut rng);
         let c = counts(&idx, 64);
         assert!(c.iter().all(|&k| k == 1), "{c:?}");
     }
@@ -378,7 +331,7 @@ mod tests {
         // Weight 0.5 on index 0 of 4 particles => at least 2 copies of 0.
         let weights = [0.5, 0.2, 0.2, 0.1];
         let mut rng = Pcg32::seed_from_u64(5);
-        let idx = residual(&weights, &mut rng);
+        let idx = ResampleScheme::Residual.resample(&weights, &mut rng);
         assert!(counts(&idx, 4)[0] >= 2);
     }
 
@@ -394,6 +347,6 @@ mod tests {
     #[should_panic(expected = "resampling requires weights")]
     fn empty_weights_panic() {
         let mut rng = Pcg32::seed_from_u64(6);
-        let _ = systematic(&[], &mut rng);
+        let _ = ResampleScheme::Systematic.resample(&[], &mut rng);
     }
 }

@@ -22,7 +22,7 @@ impl Activation {
     }
 
     /// Derivative expressed in terms of the *pre-activation* input.
-    pub fn derivative(self, x: f64) -> f64 {
+    fn derivative(self, x: f64) -> f64 {
         match self {
             Activation::Relu => {
                 if x > 0.0 {
@@ -43,12 +43,12 @@ impl Activation {
     }
 
     /// Applies the activation to a slice.
-    pub fn apply_all(self, xs: &[f64]) -> Vec<f64> {
+    fn apply_all(self, xs: &[f64]) -> Vec<f64> {
         xs.iter().map(|&x| self.apply(x)).collect()
     }
 
     /// Applies the activation elementwise in place (the allocation-free
-    /// twin of [`Activation::apply_all`]).
+    /// twin of `Activation::apply_all`).
     pub fn apply_in_place(self, xs: &mut [f64]) {
         for x in xs {
             *x = self.apply(*x);

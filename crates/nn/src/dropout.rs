@@ -2,7 +2,7 @@
 //!
 //! Besides ordinary sampled dropout (training and MC-Dropout inference),
 //! the layer accepts *externally supplied* masks through
-//! [`Dropout::forward_with_mask`]. This is the hook the SRAM CIM path uses:
+//! `Dropout::forward_with_mask`. This is the hook the SRAM CIM path uses:
 //! in the paper, dropout bits come from the SRAM-embedded RNG and are
 //! AND-gated onto the column/row lines, and the compute-reuse scheduler
 //! must see (and reorder) the very same masks.
@@ -42,7 +42,7 @@ impl Dropout {
     }
 
     /// Samples a fresh mask of the given length (`true` = keep).
-    pub fn sample_mask<R: Rng64 + ?Sized>(&self, len: usize, rng: &mut R) -> Vec<bool> {
+    fn sample_mask<R: Rng64 + ?Sized>(&self, len: usize, rng: &mut R) -> Vec<bool> {
         (0..len).map(|_| !rng.sample_bool(self.p)).collect()
     }
 
@@ -57,7 +57,7 @@ impl Dropout {
     /// # Panics
     ///
     /// Panics on mask/input length mismatch.
-    pub fn forward_with_mask(&mut self, x: &[f64], mask: &[bool]) -> Vec<f64> {
+    fn forward_with_mask(&mut self, x: &[f64], mask: &[bool]) -> Vec<f64> {
         assert_eq!(x.len(), mask.len(), "dropout mask length mismatch");
         self.mask_cache = mask.to_vec();
         let scale = 1.0 / (1.0 - self.p);
@@ -76,7 +76,7 @@ impl Dropout {
     /// Allocation-free sampled forward pass into a reused buffer.
     ///
     /// Draws the mask element-by-element from `rng` in the same order as
-    /// [`Dropout::sample_mask`], so the output (and the RNG stream) is
+    /// `Dropout::sample_mask`, so the output (and the RNG stream) is
     /// bit-identical to [`Dropout::forward`]. Skips the backward-pass mask
     /// cache — inference only.
     pub fn forward_sampled_into<R: Rng64 + ?Sized>(
@@ -121,11 +121,6 @@ impl Dropout {
             .map(|(&g, &keep)| if keep { g * scale } else { 0.0 })
             .collect()
     }
-
-    /// The mask used by the most recent forward pass.
-    pub fn last_mask(&self) -> &[bool] {
-        &self.mask_cache
-    }
 }
 
 #[cfg(test)]
@@ -169,7 +164,7 @@ mod tests {
         let mut layer = Dropout::new(0.5).unwrap();
         let y = layer.forward_with_mask(&[1.0, 2.0, 3.0], &[true, false, true]);
         assert_eq!(y, vec![2.0, 0.0, 6.0]);
-        assert_eq!(layer.last_mask(), &[true, false, true]);
+        assert_eq!(layer.mask_cache, [true, false, true]);
     }
 
     #[test]

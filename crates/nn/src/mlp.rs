@@ -215,12 +215,6 @@ impl MlpBuilder {
         self
     }
 
-    /// Appends a sigmoid activation.
-    pub fn sigmoid(mut self) -> Self {
-        self.specs.push(LayerSpec::Activation(Activation::Sigmoid));
-        self
-    }
-
     /// Appends a dropout layer with drop probability `p`.
     pub fn dropout(mut self, p: f64) -> Self {
         self.specs.push(LayerSpec::Dropout(p));

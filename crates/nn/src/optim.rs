@@ -11,67 +11,6 @@ pub trait Optimizer {
     fn step(&mut self, net: &mut Mlp);
 }
 
-/// Stochastic gradient descent with optional momentum.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Sgd {
-    lr: f64,
-    momentum: f64,
-    velocity: Vec<f64>,
-}
-
-impl Sgd {
-    /// Creates plain SGD with the given learning rate.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::InvalidArgument`] for non-positive rates.
-    pub fn new(lr: f64) -> Result<Self> {
-        Self::with_momentum(lr, 0.0)
-    }
-
-    /// Creates SGD with momentum.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::InvalidArgument`] for non-positive rates or
-    /// momentum outside `[0, 1)`.
-    pub fn with_momentum(lr: f64, momentum: f64) -> Result<Self> {
-        if !(lr > 0.0) {
-            return Err(NnError::InvalidArgument(format!(
-                "learning rate must be positive, got {lr}"
-            )));
-        }
-        if !(0.0..1.0).contains(&momentum) {
-            return Err(NnError::InvalidArgument(format!(
-                "momentum must be in [0, 1), got {momentum}"
-            )));
-        }
-        Ok(Self {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-        })
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, net: &mut Mlp) {
-        if self.velocity.is_empty() {
-            self.velocity = vec![0.0; net.param_count()];
-        }
-        let mut idx = 0;
-        let lr = self.lr;
-        let mu = self.momentum;
-        let vel = &mut self.velocity;
-        net.visit_params(|p, g| {
-            let v = &mut vel[idx];
-            *v = mu * *v - lr * *g;
-            *p += *v;
-            idx += 1;
-        });
-    }
-}
-
 /// Adam optimizer (Kingma & Ba 2015).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Adam {
@@ -161,24 +100,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut opt = Sgd::new(0.1).unwrap();
-        let loss = quadratic_step(&mut opt, 200);
-        assert!(loss < 1e-6, "loss {loss}");
-    }
-
-    #[test]
-    fn momentum_accelerates() {
-        // With a conservatively small rate, plain SGD crawls while momentum
-        // makes visible progress in the same step budget.
-        let mut plain = Sgd::new(0.005).unwrap();
-        let mut heavy = Sgd::with_momentum(0.005, 0.9).unwrap();
-        let loss_plain = quadratic_step(&mut plain, 40);
-        let loss_heavy = quadratic_step(&mut heavy, 40);
-        assert!(loss_heavy < loss_plain, "{loss_heavy} vs {loss_plain}");
-    }
-
-    #[test]
     fn adam_converges_on_quadratic() {
         let mut opt = Adam::new(0.05).unwrap();
         let loss = quadratic_step(&mut opt, 300);
@@ -187,8 +108,7 @@ mod tests {
 
     #[test]
     fn validation() {
-        assert!(Sgd::new(0.0).is_err());
-        assert!(Sgd::with_momentum(0.1, 1.0).is_err());
+        assert!(Adam::new(0.0).is_err());
         assert!(Adam::new(-0.1).is_err());
     }
 }

@@ -112,6 +112,7 @@ where
 /// # Panics
 ///
 /// Panics on shape mismatches (validate with [`train`] first).
+// lint: allow(unused-pub) no caller outside its unit tests; removal deferred to a follow-up sweep
 pub fn evaluate<L: Loss, R: Rng64>(
     net: &mut Mlp,
     examples: &[Example],

@@ -73,11 +73,6 @@ impl<'a> ScenarioStream<'a> {
             next: 0,
         })
     }
-
-    /// Total frames this stream will yield.
-    pub fn len_frames(&self) -> usize {
-        self.script.frames
-    }
 }
 
 impl Iterator for ScenarioStream<'_> {

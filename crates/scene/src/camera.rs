@@ -47,7 +47,7 @@ impl CameraIntrinsics {
     }
 
     /// Camera-frame unit ray direction through pixel `(u, v)`.
-    pub fn pixel_ray(&self, u: usize, v: usize) -> Vec3 {
+    fn pixel_ray(&self, u: usize, v: usize) -> Vec3 {
         Vec3::new(
             (u as f64 - self.cx) / self.fx,
             (v as f64 - self.cy) / self.fy,

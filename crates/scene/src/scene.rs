@@ -23,11 +23,6 @@ impl Scene {
         self
     }
 
-    /// Shapes in the scene.
-    pub fn shapes(&self) -> &[Shape] {
-        &self.shapes
-    }
-
     /// Number of shapes.
     pub fn len(&self) -> usize {
         self.shapes.len()
@@ -204,64 +199,6 @@ pub fn tabletop_scene<R: Rng64 + ?Sized>(params: &TabletopParams, rng: &mut R) -
     Ok(scene)
 }
 
-/// Generates a cluttered room scene (for larger flying domains): a floor,
-/// four walls and `num_obstacles` free-standing obstacles.
-///
-/// # Errors
-///
-/// Returns [`SceneError::InvalidArgument`] for non-positive dimensions.
-pub fn room_scene<R: Rng64 + ?Sized>(
-    half_extent: f64,
-    height: f64,
-    num_obstacles: usize,
-    rng: &mut R,
-) -> Result<Scene> {
-    if half_extent <= 0.0 || height <= 0.0 {
-        return Err(SceneError::InvalidArgument(
-            "room dimensions must be positive".into(),
-        ));
-    }
-    let h = half_extent;
-    let wall = 0.05;
-    let mut scene = Scene::new();
-    scene.add(Shape::Cuboid(Aabb::new(
-        Vec3::new(-h, -h, -wall),
-        Vec3::new(h, h, 0.0),
-    )));
-    for (lo, hi) in [
-        (Vec3::new(-h, h, 0.0), Vec3::new(h, h + wall, height)),
-        (Vec3::new(-h, -h - wall, 0.0), Vec3::new(h, -h, height)),
-        (Vec3::new(-h - wall, -h, 0.0), Vec3::new(-h, h, height)),
-        (Vec3::new(h, -h, 0.0), Vec3::new(h + wall, h, height)),
-    ] {
-        scene.add(Shape::Cuboid(Aabb::new(lo, hi)));
-    }
-    for _ in 0..num_obstacles {
-        let x = rng.sample_uniform(-h * 0.7, h * 0.7);
-        let y = rng.sample_uniform(-h * 0.7, h * 0.7);
-        match rng.sample_index(2) {
-            0 => {
-                let r = rng.sample_uniform(0.1, 0.3);
-                let obj_h = rng.sample_uniform(0.5, height * 0.8);
-                scene.add(Shape::Cylinder {
-                    base: Vec3::new(x, y, 0.0),
-                    radius: r,
-                    height: obj_h,
-                });
-            }
-            _ => {
-                let s = rng.sample_uniform(0.15, 0.45);
-                let obj_h = rng.sample_uniform(0.3, height * 0.7);
-                scene.add(Shape::Cuboid(Aabb::new(
-                    Vec3::new(x - s, y - s, 0.0),
-                    Vec3::new(x + s, y + s, obj_h),
-                )));
-            }
-        }
-    }
-    Ok(scene)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -286,7 +223,6 @@ mod tests {
             ..TabletopParams::default()
         };
         assert!(tabletop_scene(&bad, &mut rng).is_err());
-        assert!(room_scene(0.0, 2.0, 3, &mut rng).is_err());
     }
 
     #[test]
@@ -324,13 +260,6 @@ mod tests {
         let mut rng = Pcg32::seed_from_u64(4);
         assert!(scene.sample_surface_points(10, &mut rng).is_err());
         assert!(scene.is_empty());
-    }
-
-    #[test]
-    fn room_scene_obstacle_count() {
-        let mut rng = Pcg32::seed_from_u64(5);
-        let scene = room_scene(3.0, 2.5, 7, &mut rng).unwrap();
-        assert_eq!(scene.len(), 5 + 7);
     }
 
     #[test]

@@ -172,11 +172,6 @@ impl Fleet {
         })
     }
 
-    /// Number of agents.
-    pub fn num_agents(&self) -> usize {
-        self.sessions.len()
-    }
-
     /// The serving configuration.
     pub fn config(&self) -> &FleetConfig {
         &self.config

@@ -78,16 +78,8 @@ pub fn greedy_order(masks: &[Vec<bool>]) -> Result<Vec<usize>> {
     Ok(order)
 }
 
-/// Convenience: concatenates per-dropout-layer masks of one MC iteration
-/// into a single vector for ordering purposes.
-pub fn flatten_iteration(masks: &[Vec<bool>]) -> Vec<bool> {
-    let mut flat = Vec::new();
-    flatten_iteration_into(masks, &mut flat);
-    flat
-}
-
-/// [`flatten_iteration`] into a reused buffer (cleared first) — the
-/// allocation-free variant for per-frame callers.
+/// Concatenates per-dropout-layer masks of one MC iteration into `flat`
+/// (cleared first) for ordering purposes, without allocating once warm.
 pub fn flatten_iteration_into(masks: &[Vec<bool>], flat: &mut Vec<bool>) {
     flat.clear();
     flat.extend(masks.iter().flatten().copied());
@@ -170,7 +162,8 @@ mod tests {
 
     #[test]
     fn flatten_concatenates() {
-        let flat = flatten_iteration(&[vec![true, false], vec![false]]);
+        let mut flat = vec![true; 5];
+        flatten_iteration_into(&[vec![true, false], vec![false]], &mut flat);
         assert_eq!(flat, vec![true, false, false]);
     }
 }

@@ -120,13 +120,6 @@ impl CciRng {
         })
     }
 
-    /// The residual static offset after trimming, as a z-score against the
-    /// cycle noise (0 = perfectly unbiased).
-    pub fn offset_z(&self) -> f64 {
-        (self.leak_imbalance + self.comparator_offset - self.trim_code as f64 * self.trim_step)
-            / self.noise_rms
-    }
-
     /// The comparator offset alone as a z-score against the cycle noise.
     ///
     /// This is the quantity the paper's column parallelism attacks: the
@@ -164,7 +157,7 @@ impl CciRng {
 
     /// Estimates the ones-fraction from `n` serial bits (the paper's
     /// calibration measurement).
-    pub fn estimate_bias(&mut self, n: usize) -> f64 {
+    fn estimate_bias(&mut self, n: usize) -> f64 {
         let ones = (0..n).filter(|_| self.next_bit()).count();
         ones as f64 / n.max(1) as f64
     }

@@ -28,7 +28,7 @@ use navicim::core::localization::LocalizerConfig;
 use navicim::core::pipeline::{GateConfig, LocalizationPipeline};
 use navicim::core::registry::DIGITAL_GMM;
 use navicim::device::params::TechParams;
-use navicim::gmm::gaussian::{Covariance, Gmm, GMM_TILE};
+use navicim::gmm::gaussian::{Gmm, GMM_TILE};
 use navicim::gmm::hmg::{HmgKernel, HmgmModel};
 use navicim::gmm::prune::PruneConfig;
 use navicim::math::alloc_audit;
@@ -85,7 +85,7 @@ fn gmm_batch_kernel_is_zero_alloc_when_warm() {
     let vars = (0..k)
         .map(|_| (0..3).map(|_| rng.sample_uniform(0.02, 0.3)).collect())
         .collect();
-    let base = Gmm::new(weights, means, Covariance::Diagonal(vars)).expect("gmm builds");
+    let base = Gmm::new(weights, means, vars).expect("gmm builds");
     let batch = query_batch(3, 3 * GMM_TILE + 5);
     for prune in [PruneConfig::default(), PruneConfig::enabled()] {
         let mut gmm = base.clone();

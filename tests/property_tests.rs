@@ -16,7 +16,7 @@ use navicim::core::vo::{AdaptiveMcConfig, AdaptiveMcPolicy, BayesianVo, VoPipeli
 use navicim::device::inverter::GaussianLikeCell;
 use navicim::device::noise::NoiseStream;
 use navicim::device::params::TechParams;
-use navicim::gmm::gaussian::{Covariance, Gmm, GMM_TILE};
+use navicim::gmm::gaussian::{Gmm, GMM_TILE};
 use navicim::gmm::hmg::{HmgKernel, HmgmModel};
 use navicim::gmm::prune::{PruneConfig, PruneScratch, PRUNE_TILE};
 use navicim::math::geom::{Pose, Quat, Vec3};
@@ -235,7 +235,7 @@ proptest! {
         let vars: Vec<Vec<f64>> = (0..k)
             .map(|_| (0..dim).map(|_| rng.sample_uniform(0.05, 2.0)).collect())
             .collect();
-        let mut gmm = Gmm::new(weights, means, Covariance::Diagonal(vars)).expect("valid gmm");
+        let mut gmm = Gmm::new(weights, means, vars).expect("valid gmm");
         let mut batch = PointBatch::new(dim);
         for _ in 0..n {
             let p: Vec<f64> = (0..dim).map(|_| rng.sample_uniform(-4.0, 4.0)).collect();
@@ -729,7 +729,7 @@ proptest! {
             .map(|_| (0..dim).map(|_| rng.sample_uniform(0.05, 2.0)).collect())
             .collect();
         let mut gmm =
-            Gmm::new(weights, means, Covariance::Diagonal(vars)).expect("valid gmm");
+            Gmm::new(weights, means, vars).expect("valid gmm");
         let mut points: Vec<Vec<f64>> = (0..n)
             .map(|_| (0..dim).map(|_| rng.sample_uniform(-4.0, 4.0)).collect())
             .collect();
@@ -786,7 +786,7 @@ proptest! {
         let vars: Vec<Vec<f64>> = (0..k)
             .map(|_| (0..dim).map(|_| rng.sample_uniform(0.05, 1.0)).collect())
             .collect();
-        let mut gmm = Gmm::new(weights, means, Covariance::Diagonal(vars)).expect("valid gmm");
+        let mut gmm = Gmm::new(weights, means, vars).expect("valid gmm");
         gmm.set_prune(PruneConfig::enabled());
         let mut batch = PointBatch::new(dim);
         let mut center = vec![0.0; dim];
