@@ -3,8 +3,7 @@
 //! The paper converts the summed column current to the digital domain with
 //! a *logarithmic* ADC, so that the produced code is directly proportional
 //! to the log-likelihood needed by the particle filter — one more workload
-//! reduction from co-design. A linear ADC is provided for comparison and
-//! for the SRAM partial-sum path.
+//! reduction from co-design.
 
 use crate::{AnalogError, Result};
 
@@ -102,72 +101,6 @@ impl LogAdc {
     }
 }
 
-/// Linear current-input ADC used by the digital partial-sum path.
-#[derive(Debug, Clone, Copy, PartialEq)]
-// lint: allow(unused-pub) no caller outside its unit tests; removal deferred to a follow-up sweep
-pub struct LinearAdc {
-    bits: u32,
-    i_max: f64,
-}
-
-impl LinearAdc {
-    /// Creates a linear ADC spanning `[0, i_max]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnalogError::InvalidArgument`] unless `1 <= bits <= 16`
-    /// and `i_max > 0`.
-    pub fn new(bits: u32, i_max: f64) -> Result<Self> {
-        if !(1..=16).contains(&bits) {
-            return Err(AnalogError::InvalidArgument(format!(
-                "adc bits must be in [1, 16], got {bits}"
-            )));
-        }
-        if !(i_max > 0.0 && i_max.is_finite()) {
-            return Err(AnalogError::InvalidArgument(format!(
-                "adc range must be positive, got {i_max}"
-            )));
-        }
-        Ok(Self { bits, i_max })
-    }
-
-    /// Resolution in bits.
-    pub fn bits(&self) -> u32 {
-        self.bits
-    }
-
-    /// Number of codes.
-    pub fn levels(&self) -> u64 {
-        1u64 << self.bits
-    }
-
-    /// Step size in amperes.
-    pub fn lsb(&self) -> f64 {
-        self.i_max / (self.levels() - 1) as f64
-    }
-
-    /// Code for a current (clamped into `[0, i_max]`).
-    pub fn code_for(&self, current: f64) -> u64 {
-        let i = current.clamp(0.0, self.i_max);
-        ((i / self.i_max * (self.levels() - 1) as f64).round() as u64).min(self.levels() - 1)
-    }
-
-    /// Reconstructed current for a code.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `code` exceeds the code range.
-    pub fn current(&self, code: u64) -> f64 {
-        assert!(code < self.levels(), "code out of range");
-        code as f64 * self.lsb()
-    }
-
-    /// One-step conversion: current → reconstructed current.
-    pub fn convert(&self, current: f64) -> f64 {
-        self.current(self.code_for(current))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,20 +146,5 @@ mod tests {
             assert!(code >= prev);
             prev = code;
         }
-    }
-
-    #[test]
-    fn linear_adc_roundtrip() {
-        let adc = LinearAdc::new(8, 1e-4).unwrap();
-        for k in 0..=100 {
-            let i = k as f64 / 100.0 * 1e-4;
-            assert!((adc.convert(i) - i).abs() <= adc.lsb() * 0.5 + 1e-18);
-        }
-    }
-
-    #[test]
-    fn linear_adc_clamps_negative() {
-        let adc = LinearAdc::new(8, 1e-4).unwrap();
-        assert_eq!(adc.code_for(-1.0), 0);
     }
 }

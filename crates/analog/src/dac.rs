@@ -1,9 +1,8 @@
 //! Input digital-to-analog converter model.
 //!
 //! Query coordinates reach the inverter gates through per-axis DACs. The
-//! model captures the two effects that matter for the co-design study:
-//! finite resolution (uniform code quantization across the output span)
-//! and static nonlinearity (INL), modeled as a smooth bowed error profile.
+//! model captures the effect that matters for the co-design study: finite
+//! resolution (uniform code quantization across the output span).
 
 use crate::{AnalogError, Result};
 
@@ -13,15 +12,13 @@ use crate::{AnalogError, Result};
 /// use navicim_analog::dac::Dac;
 /// let dac = Dac::new(8, 0.0, 1.0).unwrap();
 /// let v = dac.convert(0.5);
-/// assert!((v - 0.5).abs() <= dac.lsb());
+/// assert!((v - 0.5).abs() <= 0.5 / 255.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Dac {
     bits: u32,
     v_lo: f64,
     v_hi: f64,
-    /// Peak integral nonlinearity in LSBs.
-    inl_lsb: f64,
 }
 
 impl Dac {
@@ -42,19 +39,7 @@ impl Dac {
                 "dac span requires v_lo < v_hi, got [{v_lo}, {v_hi}]"
             )));
         }
-        Ok(Self {
-            bits,
-            v_lo,
-            v_hi,
-            inl_lsb: 0.0,
-        })
-    }
-
-    /// Returns a copy with the given peak INL (in LSBs).
-    // lint: allow(unused-pub) no caller outside its unit tests; removal deferred to a follow-up sweep
-    pub fn with_inl(mut self, inl_lsb: f64) -> Self {
-        self.inl_lsb = inl_lsb;
-        self
+        Ok(Self { bits, v_lo, v_hi })
     }
 
     /// Resolution in bits.
@@ -62,17 +47,12 @@ impl Dac {
         self.bits
     }
 
-    /// Output step size in volts.
-    pub fn lsb(&self) -> f64 {
-        (self.v_hi - self.v_lo) / (self.levels() - 1) as f64
-    }
-
     /// Number of output levels (`2^bits`).
     pub fn levels(&self) -> u64 {
         1u64 << self.bits
     }
 
-    /// Output span `(v_lo, v_hi)` in volts (before the INL bow).
+    /// Output span `(v_lo, v_hi)` in volts.
     pub fn range(&self) -> (f64, f64) {
         (self.v_lo, self.v_hi)
     }
@@ -84,7 +64,7 @@ impl Dac {
         ((frac * (self.levels() - 1) as f64).round() as u64).min(self.levels() - 1)
     }
 
-    /// Output voltage for a code, including the INL bow.
+    /// Output voltage for a code.
     ///
     /// # Panics
     ///
@@ -92,10 +72,7 @@ impl Dac {
     pub fn output(&self, code: u64) -> f64 {
         assert!(code < self.levels(), "code out of range");
         let frac = code as f64 / (self.levels() - 1) as f64;
-        let ideal = self.v_lo + frac * (self.v_hi - self.v_lo);
-        // Parabolic INL bow peaking mid-scale.
-        let inl = self.inl_lsb * self.lsb() * 4.0 * frac * (1.0 - frac);
-        ideal + inl
+        self.v_lo + frac * (self.v_hi - self.v_lo)
     }
 
     /// One-step conversion: target voltage → quantized output voltage.
@@ -107,6 +84,13 @@ impl Dac {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Dac {
+        /// Output step size in volts.
+        fn lsb(&self) -> f64 {
+            (self.v_hi - self.v_lo) / (self.levels() - 1) as f64
+        }
+    }
 
     #[test]
     fn validation() {
@@ -143,20 +127,8 @@ mod tests {
     }
 
     #[test]
-    fn inl_bows_midscale_only() {
-        let dac = Dac::new(8, 0.0, 1.0).unwrap().with_inl(2.0);
-        // Endpoints unaffected.
-        assert_eq!(dac.output(0), 0.0);
-        assert_eq!(dac.output(dac.levels() - 1), 1.0);
-        // Mid-scale shifted by ~2 LSB.
-        let mid = dac.levels() / 2;
-        let ideal = mid as f64 / (dac.levels() - 1) as f64;
-        assert!((dac.output(mid) - ideal) > 1.5 * dac.lsb());
-    }
-
-    #[test]
     fn codes_are_monotone() {
-        let dac = Dac::new(5, 0.0, 1.0).unwrap().with_inl(0.5);
+        let dac = Dac::new(5, 0.0, 1.0).unwrap();
         let mut prev = f64::NEG_INFINITY;
         for code in 0..dac.levels() {
             let v = dac.output(code);

@@ -55,10 +55,7 @@ pub fn fit_gaussian_1d(xs: &[f64], ys: &[f64]) -> Result<GaussianFit> {
             t[i] += w * basis[i] * ln_y;
         }
     }
-    let m = navicim_math::linalg::Matrix::from_rows(&[&s[0][..], &s[1][..], &s[2][..]])
-        .expect("3x3 system");
-    let coef = m
-        .solve(&t)
+    let coef = navicim_math::linalg::solve3(s, t)
         .map_err(|_| AnalogError::InvalidArgument("degenerate gaussian fit system".into()))?;
     let (a, b, c) = (coef[0], coef[1], coef[2]);
     if c >= 0.0 {

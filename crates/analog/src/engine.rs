@@ -1003,15 +1003,9 @@ impl HmgmCimEngine {
         self.compute.adc()
     }
 
-    /// Operation counters accumulated since construction or the last
-    /// [`Self::reset_stats`].
+    /// Operation counters accumulated since construction.
     pub fn stats(&self) -> EngineStats {
         self.stats
-    }
-
-    /// Clears the operation counters.
-    pub fn reset_stats(&mut self) {
-        self.stats = EngineStats::default();
     }
 }
 
@@ -1093,8 +1087,6 @@ mod tests {
         assert_eq!(s.evaluations, 3);
         assert_eq!(s.adc_conversions, 3);
         assert_eq!(s.dac_conversions, 9);
-        engine.reset_stats();
-        assert_eq!(engine.stats().evaluations, 0);
     }
 
     #[test]

@@ -12,16 +12,16 @@
 //! - [`pipeline`] — the localizer itself, [`pipeline::LocalizationPipeline`]:
 //!   one or more live backends from the registry, a per-frame
 //!   [`pipeline::UncertaintySignals`] bus (spread, ESS fraction,
-//!   likelihood innovation, VO predictive variance) feeding a
-//!   [`pipeline::GatePolicy`] that arbitrates digital↔analog, an
+//!   likelihood innovation, VO predictive variance) feeding the gate
+//!   that [`pipeline::GateConfig`] selects to arbitrate digital↔analog, an
 //!   optional [`pipeline::VoStage`] whose MC-Dropout depth adapts to
 //!   predictive variance ([`vo::AdaptiveMcPolicy`] — the second gated
 //!   compute axis), and [`pipeline::FrameReport`] joint map+VO energy
 //!   accounting (Fig. 2(i)). Single-backend and gated runs alike return
 //!   one [`pipeline::PipelineRun`].
 //! - [`registry`] — the pluggable map-backend registry: named
-//!   `Box<dyn MapBackend>` factories (digital GMM, digital HMGM and the
-//!   analog CIM engine by default) through which [`pipeline`] selects
+//!   `Box<dyn MapBackend>` factories (the digital GMM and the analog
+//!   CIM engine by default) through which [`pipeline`] selects
 //!   its backends, and through which downstream crates register custom
 //!   backends without touching this crate.
 //! - [`uncertainty`] — calibration utilities shared by both pipelines.

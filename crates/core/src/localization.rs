@@ -74,7 +74,7 @@ pub struct LocalizerConfig {
     /// off-mode evaluation is bit-identical to previous releases.
     pub prune: PruneConfig,
     /// Backend-arbitration section: which backend slots the streaming
-    /// pipeline instantiates and which [`crate::pipeline::GatePolicy`]
+    /// pipeline instantiates and which [`crate::pipeline::GateKind`]
     /// picks between them per frame. The default is single-backend mode:
     /// serve [`Self::backend`] on every frame.
     pub gate: GateConfig,

@@ -17,11 +17,13 @@
 //!   [`LocalizationPipeline::finish_frame`] (reweigh, resample, report).
 //!   [`LocalizationPipeline::step`] runs the three in a row; a serving
 //!   layer runs the middle one itself,
-//! - [`GatePolicy`] — the arbitration strategy (uncertainty metric →
-//!   backend slot). [`HysteresisGate`] is the default co-design: spread
-//!   enter/exit thresholds plus a dwell count so the gate never thrashes;
-//!   `AlwaysBackend` pins a slot and provides the always-digital /
-//!   always-analog baselines,
+//! - [`GateConfig`] — the arbitration strategy (uncertainty bus →
+//!   backend slot), one of the closed set [`GateKind`]: a pinned slot
+//!   (the always-digital / always-analog baselines), the
+//!   [`HysteresisGate`] default co-design (spread enter/exit thresholds
+//!   plus a dwell count so the gate never thrashes), the
+//!   [`MultiSignalGate`] with its innovation/ESS digital wake-ups, and
+//!   the uncertainty-blind [`PeriodicRefresh`] timer,
 //! - [`FrameReport`] / [`PipelineRun`] — per-frame records of the chosen
 //!   slot, the gate's uncertainty input, pose error and the Fig. 2(i)-style
 //!   map-evaluation energy priced through `navicim-energy`, so a run shows
@@ -124,83 +126,34 @@ pub struct GateContext {
     pub num_backends: usize,
 }
 
-/// Per-frame backend arbitration: an uncertainty metric in, a backend
-/// slot out.
-///
-/// Policies are stateful (`&mut self`) so hysteresis and dwell logic can
-/// live inside them; [`GatePolicy::reset`] returns a policy to its
-/// initial state for a fresh run.
-///
-/// Policies are `Send` so whole pipelines can move across worker
-/// threads in a serving fleet.
-pub trait GatePolicy: Send {
-    /// Policy name for reports.
-    fn name(&self) -> &str;
-
-    /// Chooses the backend slot for the upcoming frame.
-    fn select(&mut self, ctx: &GateContext) -> usize;
-
-    /// Resets internal state (dwell counters, switch counts).
-    fn reset(&mut self) {}
-
-    /// A fresh copy of this policy in its initial state, for spawning
-    /// per-session pipelines off one prototype
-    /// ([`LocalizationPipeline::fork_session`]). The default `None`
-    /// marks a policy that cannot be duplicated; every built-in gate
-    /// supports it.
-    fn fork(&self) -> Option<Box<dyn GatePolicy>> {
-        None
-    }
+/// Per-frame backend arbitration, built from [`GateConfig`]: the
+/// uncertainty bus in, a backend slot out. The stateful gates keep their
+/// dwell counters inside; a forked session builds its gate afresh from
+/// the config.
+enum Gate {
+    /// Every frame on one pinned slot: the always-digital /
+    /// always-analog baselines the gated runs are measured against.
+    Always(usize),
+    Hysteresis(HysteresisGate),
+    MultiSignal(MultiSignalGate),
+    Periodic(PeriodicRefresh),
 }
 
-/// The trivial policy: every frame on one pinned slot. Provides the
-/// always-digital / always-analog baselines the gated runs are measured
-/// against.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct AlwaysBackend {
-    slot: usize,
-    name: String,
-}
-
-impl AlwaysBackend {
-    /// Pins all frames to `slot`.
-    pub fn new(slot: usize) -> Self {
-        Self {
-            slot,
-            name: format!("always-slot{slot}"),
+impl Gate {
+    /// Policy name for reports. A pinned slot keeps the generic
+    /// `always-slot{n}` label in single-backend mode; with several slots
+    /// the conventional ones get their baseline names.
+    fn name(&self, num_slots: usize) -> String {
+        match *self {
+            Gate::Always(slot) => match (slot, num_slots) {
+                (DIGITAL_SLOT, 2..) => "always-digital".into(),
+                (ANALOG_SLOT, 2..) => "always-analog".into(),
+                _ => format!("always-slot{slot}"),
+            },
+            Gate::Hysteresis(_) => "hysteresis".into(),
+            Gate::MultiSignal(_) => "multi-signal".into(),
+            Gate::Periodic(_) => "periodic-refresh".into(),
         }
-    }
-
-    /// The always-digital baseline ([`DIGITAL_SLOT`]).
-    pub fn digital() -> Self {
-        Self {
-            slot: DIGITAL_SLOT,
-            name: "always-digital".into(),
-        }
-    }
-
-    /// The always-analog baseline ([`ANALOG_SLOT`]).
-    pub fn analog() -> Self {
-        Self {
-            slot: ANALOG_SLOT,
-            name: "always-analog".into(),
-        }
-    }
-}
-
-impl GatePolicy for AlwaysBackend {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn select(&mut self, _ctx: &GateContext) -> usize {
-        self.slot
-    }
-
-    fn fork(&self) -> Option<Box<dyn GatePolicy>> {
-        let mut g = self.clone();
-        g.reset();
-        Some(Box::new(g))
     }
 }
 
@@ -325,23 +278,13 @@ impl HysteresisGate {
         })
     }
 
-    /// The gate's thresholds.
-    pub fn config(&self) -> &HysteresisConfig {
-        &self.config
-    }
-
-    /// Number of backend switches performed since construction/reset.
+    /// Number of backend switches performed since construction.
     pub fn switches(&self) -> u64 {
         self.switches
     }
-}
 
-impl GatePolicy for HysteresisGate {
-    fn name(&self) -> &str {
-        "hysteresis"
-    }
-
-    fn select(&mut self, ctx: &GateContext) -> usize {
+    /// Chooses the backend slot for the upcoming frame.
+    pub fn select(&mut self, ctx: &GateContext) -> usize {
         if !self.started {
             self.started = true;
             self.current = self.config.start;
@@ -358,19 +301,6 @@ impl GatePolicy for HysteresisGate {
             }
         }
         self.current
-    }
-
-    fn reset(&mut self) {
-        self.current = self.config.start;
-        self.since_switch = 0;
-        self.switches = 0;
-        self.started = false;
-    }
-
-    fn fork(&self) -> Option<Box<dyn GatePolicy>> {
-        let mut g = self.clone();
-        g.reset();
-        Some(Box::new(g))
     }
 }
 
@@ -459,12 +389,7 @@ impl MultiSignalGate {
         })
     }
 
-    /// The gate's thresholds.
-    pub fn config(&self) -> &MultiSignalConfig {
-        &self.config
-    }
-
-    /// Number of backend switches performed since construction/reset.
+    /// Number of backend switches performed since construction.
     pub fn switches(&self) -> u64 {
         self.switches
     }
@@ -487,14 +412,9 @@ impl MultiSignalGate {
             signals.ess_fraction.is_finite() && signals.ess_fraction <= self.config.ess_wake;
         innovation_fires || ess_fires
     }
-}
 
-impl GatePolicy for MultiSignalGate {
-    fn name(&self) -> &str {
-        "multi-signal"
-    }
-
-    fn select(&mut self, ctx: &GateContext) -> usize {
+    /// Chooses the backend slot for the upcoming frame.
+    pub fn select(&mut self, ctx: &GateContext) -> usize {
         if !self.started {
             self.started = true;
             self.current = self.config.spread.start;
@@ -519,20 +439,6 @@ impl GatePolicy for MultiSignalGate {
             }
         }
         self.current
-    }
-
-    fn reset(&mut self) {
-        self.current = self.config.spread.start;
-        self.since_switch = 0;
-        self.switches = 0;
-        self.rescues = 0;
-        self.started = false;
-    }
-
-    fn fork(&self) -> Option<Box<dyn GatePolicy>> {
-        let mut g = self.clone();
-        g.reset();
-        Some(Box::new(g))
     }
 }
 
@@ -590,37 +496,21 @@ impl PeriodicRefresh {
         Ok(Self { config })
     }
 
-    /// The gate's schedule.
-    pub fn config(&self) -> &PeriodicRefreshConfig {
-        &self.config
-    }
-
     /// Length of one digital+analog duty cycle, in frames.
     fn cycle_len(&self) -> usize {
         self.config.period + self.config.refresh_len
     }
-}
 
-impl GatePolicy for PeriodicRefresh {
-    fn name(&self) -> &str {
-        "periodic-refresh"
-    }
-
-    /// Selection is a pure function of the frame index, so the policy is
-    /// stateless and trivially deterministic: frames `0..refresh_len` of
-    /// every cycle are digital, the remaining `period` frames analog.
-    fn select(&mut self, ctx: &GateContext) -> usize {
+    /// Chooses the backend slot for the upcoming frame. Selection is a
+    /// pure function of the frame index, so the policy is stateless and
+    /// trivially deterministic: frames `0..refresh_len` of every cycle
+    /// are digital, the remaining `period` frames analog.
+    pub fn select(&self, ctx: &GateContext) -> usize {
         if ctx.frame % self.cycle_len() < self.config.refresh_len {
             DIGITAL_SLOT
         } else {
             ANALOG_SLOT
         }
-    }
-
-    fn fork(&self) -> Option<Box<dyn GatePolicy>> {
-        let mut g = self.clone();
-        g.reset();
-        Some(Box::new(g))
     }
 }
 
@@ -748,7 +638,7 @@ impl GateConfig {
     /// Returns [`CoreError::InvalidArgument`] when the pinned slot is out
     /// of range or a hysteresis gate is configured without both a digital
     /// and an analog slot.
-    fn build_policy(&self, num_slots: usize) -> Result<Box<dyn GatePolicy>> {
+    fn build_gate(&self, num_slots: usize) -> Result<Gate> {
         match &self.policy {
             GateKind::Always(slot) => {
                 if *slot >= num_slots {
@@ -756,15 +646,7 @@ impl GateConfig {
                         "gate pins slot {slot} but only {num_slots} backend(s) are configured"
                     )));
                 }
-                Ok(Box::new(match (*slot, num_slots) {
-                    // Single-backend mode keeps the generic label; in
-                    // multi-slot mode the conventional slots get their
-                    // baseline names.
-                    (_, 1) => AlwaysBackend::new(*slot),
-                    (DIGITAL_SLOT, _) => AlwaysBackend::digital(),
-                    (ANALOG_SLOT, _) => AlwaysBackend::analog(),
-                    _ => AlwaysBackend::new(*slot),
-                }))
+                Ok(Gate::Always(*slot))
             }
             GateKind::Hysteresis(config) => {
                 if num_slots < 2 {
@@ -772,7 +654,7 @@ impl GateConfig {
                         "hysteresis gating requires a digital and an analog backend slot".into(),
                     ));
                 }
-                Ok(Box::new(HysteresisGate::new(*config)?))
+                Ok(Gate::Hysteresis(HysteresisGate::new(*config)?))
             }
             GateKind::MultiSignal(config) => {
                 if num_slots < 2 {
@@ -780,7 +662,7 @@ impl GateConfig {
                         "multi-signal gating requires a digital and an analog backend slot".into(),
                     ));
                 }
-                Ok(Box::new(MultiSignalGate::new(*config)?))
+                Ok(Gate::MultiSignal(MultiSignalGate::new(*config)?))
             }
             GateKind::Periodic(config) => {
                 if num_slots < 2 {
@@ -788,7 +670,7 @@ impl GateConfig {
                         "periodic refresh requires a digital and an analog backend slot".into(),
                     ));
                 }
-                Ok(Box::new(PeriodicRefresh::new(*config)?))
+                Ok(Gate::Periodic(PeriodicRefresh::new(*config)?))
             }
         }
     }
@@ -1714,7 +1596,7 @@ impl PendingFrame {
 pub struct LocalizationPipeline {
     backends: Vec<Box<dyn MapBackend>>,
     names: Vec<String>,
-    gate: Box<dyn GatePolicy>,
+    gate: Gate,
     camera: DepthCamera,
     pf: ParticleFilter<Pose>,
     config: LocalizerConfig,
@@ -1747,7 +1629,7 @@ impl fmt::Debug for LocalizationPipeline {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("LocalizationPipeline")
             .field("backends", &self.names)
-            .field("gate", &self.gate.name())
+            .field("gate", &self.gate.name(self.backends.len()))
             .field("particles", &self.pf.particles().len())
             .field("frame", &self.frame)
             .finish_non_exhaustive()
@@ -1789,31 +1671,9 @@ impl LocalizationPipeline {
             .into_iter()
             .map(str::to_string)
             .collect();
-        let gate = config.gate.build_policy(slot_names.len())?;
-        Self::with_gate(dataset, config, registry, &slot_names, gate)
-    }
-
-    /// The general constructor behind the public builders: explicit slot
-    /// names and a built [`GatePolicy`].
-    ///
-    /// # Errors
-    ///
-    /// Rejects empty datasets, empty slot lists and a zero
-    /// `pixel_stride`; propagates registry and fit errors.
-    fn with_gate(
-        dataset: &LocalizationDataset,
-        config: LocalizerConfig,
-        registry: &BackendRegistry,
-        slot_names: &[String],
-        gate: Box<dyn GatePolicy>,
-    ) -> Result<Self> {
+        let gate = config.gate.build_gate(slot_names.len())?;
         if dataset.frames.is_empty() {
             return Err(CoreError::InvalidArgument("dataset has no frames".into()));
-        }
-        if slot_names.is_empty() {
-            return Err(CoreError::InvalidArgument(
-                "pipeline requires at least one backend slot".into(),
-            ));
         }
         if config.pixel_stride == 0 {
             return Err(CoreError::InvalidArgument(
@@ -1838,7 +1698,7 @@ impl LocalizationPipeline {
             diag_fit: &diag_fit,
         };
         let mut backends = Vec::with_capacity(slot_names.len());
-        for name in slot_names {
+        for name in &slot_names {
             backends.push(registry.build(name, &ctx)?);
         }
         let names: Vec<String> = backends.iter().map(|b| b.name().to_string()).collect();
@@ -2013,9 +1873,8 @@ impl LocalizationPipeline {
     ///
     /// # Errors
     ///
-    /// Propagates filter degeneracy and pricing errors; rejects gates
-    /// that select an out-of-range slot and closed-loop mode without an
-    /// attached [`VoStage`].
+    /// Propagates filter degeneracy and pricing errors; rejects
+    /// closed-loop mode without an attached [`VoStage`].
     pub fn step(&mut self, control: &Pose, depth: &DepthImage, truth: Pose) -> Result<FrameReport> {
         let pending = self.begin_frame(control, depth)?;
         let mut lls = std::mem::take(&mut self.scratch.lls);
@@ -2042,8 +1901,8 @@ impl LocalizationPipeline {
     ///
     /// # Errors
     ///
-    /// Rejects gates that select an out-of-range slot and closed-loop
-    /// mode without an attached [`VoStage`]; propagates VO errors.
+    /// Rejects closed-loop mode without an attached [`VoStage`];
+    /// propagates VO errors.
     pub fn begin_frame(&mut self, control: &Pose, depth: &DepthImage) -> Result<PendingFrame> {
         let signals = self.signals();
         // Fault detection runs on the same bus snapshot the gate sees:
@@ -2063,15 +1922,14 @@ impl LocalizationPipeline {
         // The gate still selects (and advances its own dwell/schedule
         // state) every frame; safe mode overrides the *outcome*, so on
         // recovery the policy resumes from a coherent state instead of
-        // a frozen one.
-        let mut slot = self.gate.select(&ctx);
-        if slot >= self.backends.len() {
-            return Err(CoreError::InvalidArgument(format!(
-                "gate '{}' selected slot {slot} but only {} backend(s) are live",
-                self.gate.name(),
-                self.backends.len()
-            )));
-        }
+        // a frozen one. `GateConfig` validated every selectable slot
+        // against the live backends at build.
+        let mut slot = match &mut self.gate {
+            Gate::Always(slot) => *slot,
+            Gate::Hysteresis(gate) => gate.select(&ctx),
+            Gate::MultiSignal(gate) => gate.select(&ctx),
+            Gate::Periodic(gate) => gate.select(&ctx),
+        };
         if safe_mode {
             // Force-digital: the accurate substrate re-acquires the
             // track while the fault (or its aftermath) persists.
@@ -2276,9 +2134,8 @@ impl LocalizationPipeline {
     /// # Errors
     ///
     /// Rejects pipelines that have already stepped (session state such
-    /// as VO frame pairs and innovation trends is not rewound), gates
-    /// without [`GatePolicy::fork`] support, and backends without
-    /// [`MapBackend::fork_session`] support.
+    /// as VO frame pairs and innovation trends is not rewound) and
+    /// backends without [`MapBackend::fork_session`] support.
     pub fn fork_session(&self, session_seed: u64) -> Result<Self> {
         if self.frame != 0 {
             return Err(CoreError::InvalidArgument(format!(
@@ -2286,12 +2143,9 @@ impl LocalizationPipeline {
                 self.frame
             )));
         }
-        let gate = self.gate.fork().ok_or_else(|| {
-            CoreError::InvalidArgument(format!(
-                "gate '{}' does not support session forking",
-                self.gate.name()
-            ))
-        })?;
+        // The gate is rebuilt from its config, never cloned: a prototype
+        // whose first frame failed after gating has already advanced it.
+        let gate = self.config.gate.build_gate(self.backends.len())?;
         let mut backends = Vec::with_capacity(self.backends.len());
         for (backend, name) in self.backends.iter().zip(&self.names) {
             backends.push(backend.fork_session().ok_or_else(|| {
@@ -2365,7 +2219,7 @@ impl LocalizationPipeline {
         }
         Ok(PipelineRun {
             backends: self.names.clone(),
-            gate: self.gate.name().to_string(),
+            gate: self.gate.name(self.backends.len()),
             vo_policy: self.vo.as_ref().map(|s| s.policy.name()),
             frames,
             stats: self.backends.iter().map(|b| b.stats()).collect(),
@@ -2440,9 +2294,6 @@ mod tests {
         // Dead zone again: stay digital.
         assert_eq!(gate.select(&ctx(4, 0.15, DIGITAL_SLOT)), DIGITAL_SLOT);
         assert_eq!(gate.switches(), 2);
-        gate.reset();
-        assert_eq!(gate.switches(), 0);
-        assert_eq!(gate.select(&ctx(0, 0.01, DIGITAL_SLOT)), DIGITAL_SLOT);
     }
 
     #[test]
@@ -2496,16 +2347,16 @@ mod tests {
     fn gate_config_validation() {
         // Pinned slot out of range.
         assert!(GateConfig::always(vec![DIGITAL_GMM], 1)
-            .build_policy(1)
+            .build_gate(1)
             .is_err());
         // Hysteresis needs two slots.
         let gated = GateConfig {
             backends: vec![DIGITAL_GMM.into()],
             policy: GateKind::Hysteresis(HysteresisConfig::default()),
         };
-        assert!(gated.build_policy(1).is_err());
+        assert!(gated.build_gate(1).is_err());
         assert!(GateConfig::gated(DIGITAL_GMM, CIM_HMGM)
-            .build_policy(2)
+            .build_gate(2)
             .is_ok());
         // The default single-backend config resolves to the fallback name.
         assert_eq!(GateConfig::default().slot_names("x"), vec!["x"]);
@@ -2593,7 +2444,7 @@ mod tests {
         ));
         let mut pipeline = LocalizationPipeline::build(&ds, config).unwrap();
         assert_eq!(pipeline.num_backends(), 2);
-        assert_eq!(pipeline.gate.name(), "hysteresis");
+        assert_eq!(pipeline.gate.name(2), "hysteresis");
         let run = pipeline.run(&ds).unwrap();
         assert_eq!(run.frames.len(), 9);
         // The cloud starts wide (digital) and collapses (analog).
@@ -2768,12 +2619,11 @@ mod tests {
 
     #[test]
     fn periodic_refresh_follows_its_schedule() {
-        let mut gate = PeriodicRefresh::new(PeriodicRefreshConfig {
+        let gate = PeriodicRefresh::new(PeriodicRefreshConfig {
             period: 3,
             refresh_len: 2,
         })
         .unwrap();
-        assert_eq!(gate.name(), "periodic-refresh");
         assert_eq!(gate.cycle_len(), 5);
         // Two digital frames, three analog frames, repeating — dwell-style
         // check: runs of each slot have exactly the configured length.
@@ -2792,7 +2642,7 @@ mod tests {
         };
         assert!(PeriodicRefresh::new(config).is_err());
         assert!(GateConfig::periodic(DIGITAL_GMM, CIM_HMGM, config)
-            .build_policy(2)
+            .build_gate(2)
             .is_err());
         // The largest representable cycle is still accepted.
         assert!(PeriodicRefresh::new(PeriodicRefreshConfig {
@@ -2820,10 +2670,10 @@ mod tests {
             backends: vec![DIGITAL_GMM.into()],
             policy: GateKind::Periodic(PeriodicRefreshConfig::default()),
         };
-        assert!(config.build_policy(1).is_err());
+        assert!(config.build_gate(1).is_err());
         assert!(
             GateConfig::periodic(DIGITAL_GMM, CIM_HMGM, PeriodicRefreshConfig::default())
-                .build_policy(2)
+                .build_gate(2)
                 .is_ok()
         );
     }
@@ -3158,9 +3008,6 @@ mod tests {
         );
         assert_eq!(gate.rescues(), 1);
         assert_eq!(gate.switches(), 1);
-        gate.reset();
-        assert_eq!(gate.rescues(), 0);
-        assert_eq!(gate.switches(), 0);
     }
 
     #[test]
@@ -3238,10 +3085,10 @@ mod tests {
             backends: vec![DIGITAL_GMM.into()],
             policy: GateKind::MultiSignal(MultiSignalConfig::default()),
         };
-        assert!(config.build_policy(1).is_err());
+        assert!(config.build_gate(1).is_err());
         assert!(
             GateConfig::multi_signal(DIGITAL_GMM, CIM_HMGM, MultiSignalConfig::default())
-                .build_policy(2)
+                .build_gate(2)
                 .is_ok()
         );
     }
@@ -3796,6 +3643,96 @@ mod tests {
             .log_likelihood_into(&batch, &mut lls);
         let report = split.finish_frame(pending, &lls, truth).unwrap();
         assert_eq!(report, expected);
+    }
+
+    #[test]
+    fn run_records_the_gate_name_of_every_gate_kind() {
+        let mut ds = small_dataset();
+        ds.frames.truncate(2);
+        let gate_name = |backends: &[&str], policy: &GateKind| {
+            let gate = GateConfig {
+                backends: backends.iter().map(|b| b.to_string()).collect(),
+                policy: policy.clone(),
+            };
+            LocalizationPipeline::build(&ds, small_config(gate))
+                .ok()
+                .map(|mut p| p.run(&ds).unwrap().gate)
+        };
+        // (kind, name at one slot, name at two slots); the gated kinds
+        // need both a digital and an analog slot.
+        let cases = [
+            (
+                GateKind::Always(DIGITAL_SLOT),
+                Some("always-slot0"),
+                "always-digital",
+            ),
+            (GateKind::Always(ANALOG_SLOT), None, "always-analog"),
+            (
+                GateKind::Hysteresis(HysteresisConfig::default()),
+                None,
+                "hysteresis",
+            ),
+            (
+                GateKind::MultiSignal(MultiSignalConfig::default()),
+                None,
+                "multi-signal",
+            ),
+            (
+                GateKind::Periodic(PeriodicRefreshConfig::default()),
+                None,
+                "periodic-refresh",
+            ),
+        ];
+        for (kind, one, two) in &cases {
+            assert_eq!(gate_name(&[DIGITAL_GMM], kind).as_deref(), *one, "{kind:?}");
+            assert_eq!(
+                gate_name(&[DIGITAL_GMM, CIM_HMGM], kind).as_deref(),
+                Some(*two),
+                "{kind:?}"
+            );
+        }
+        // A slot past the conventional two keeps the generic label.
+        assert_eq!(
+            gate_name(&[DIGITAL_GMM, CIM_HMGM, DIGITAL_GMM], &GateKind::Always(2)).as_deref(),
+            Some("always-slot2")
+        );
+    }
+
+    #[test]
+    fn fork_session_builds_a_fresh_gate_after_a_failed_first_frame() {
+        let ds = small_dataset();
+        // Every spread sits below `analog_enter`, so the gate leaves its
+        // digital start slot at the first dwell boundary (frame 2).
+        let config = small_config(GateConfig::gated(DIGITAL_GMM, CIM_HMGM).with_hysteresis(
+            HysteresisConfig {
+                analog_enter: 1e6,
+                digital_enter: 2e6,
+                dwell: 2,
+                start: DIGITAL_SLOT,
+            },
+        ));
+        let slots = |mut p: LocalizationPipeline| -> Vec<usize> {
+            p.run(&ds).unwrap().frames.iter().map(|f| f.slot).collect()
+        };
+        let want = slots(
+            LocalizationPipeline::build(&ds, config.clone())
+                .unwrap()
+                .fork_session(11)
+                .unwrap(),
+        );
+        assert_eq!(want[..3], [DIGITAL_SLOT, DIGITAL_SLOT, ANALOG_SLOT]);
+        // Closed loop without a VO stage fails the first frame after the
+        // gate has selected, leaving the prototype unstepped but its gate
+        // one frame in.
+        let mut stale = LocalizationPipeline::build(&ds, config)
+            .unwrap()
+            .with_control(ControlSource::VisualOdometry);
+        let control = ds.control_deltas()[0];
+        assert!(stale
+            .step(&control, &ds.frames[1].depth, ds.frames[1].pose)
+            .is_err());
+        let stale = stale.with_control(ControlSource::GroundTruth);
+        assert_eq!(slots(stale.fork_session(11).unwrap()), want);
     }
 
     #[test]

@@ -268,7 +268,7 @@ pub struct AdaptiveMcConfig {
 /// Per-frame MC-Dropout depth selection from the previous frame's
 /// predictive variance.
 ///
-/// Stateful like [`crate::pipeline::GatePolicy`]: the first call returns
+/// Stateful like [`crate::pipeline::HysteresisGate`]: the first call returns
 /// `max_iterations` (no variance history yet), later calls apply the
 /// hysteresis band with the dwell lock. Depth decisions are a pure
 /// function of the observed variance sequence, so repeated runs are

@@ -368,9 +368,8 @@ mod tests {
             sxy += x * y;
             sx2y += x * x * y;
         }
-        use navicim_math::linalg::Matrix;
-        let a = Matrix::from_rows(&[&[n, sx, sx2], &[sx, sx2, sx3], &[sx2, sx3, sx4]]).unwrap();
-        let coef = a.solve(&[sy, sxy, sx2y]).unwrap();
+        let a = [[n, sx, sx2], [sx, sx2, sx3], [sx2, sx3, sx4]];
+        let coef = navicim_math::linalg::solve3(a, [sy, sxy, sx2y]).unwrap();
         let mean_y = sy / n;
         let mut ss_res = 0.0;
         let mut ss_tot = 0.0;

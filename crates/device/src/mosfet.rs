@@ -85,15 +85,6 @@ impl Mosfet {
         let i_f = 2.0 * self.slope_n * self.beta * self.u_t * self.u_t * softplus * softplus;
         i_f + self.i_leak
     }
-
-    /// Transconductance `dI/dV` at the given gate drive, via central
-    /// difference.
-    // lint: allow(unused-pub) no caller outside its unit tests; removal deferred to a follow-up sweep
-    pub fn transconductance(&self, v_gate_drive: f64) -> f64 {
-        let h = 1e-6;
-        (self.saturation_current(v_gate_drive + h) - self.saturation_current(v_gate_drive - h))
-            / (2.0 * h)
-    }
 }
 
 #[cfg(test)]
@@ -168,15 +159,6 @@ mod tests {
         let d = nmos();
         // Even with the gate at 0 the current never drops to zero.
         assert!(d.saturation_current(0.0) >= 1e-12);
-    }
-
-    #[test]
-    fn transconductance_positive_and_peaks_above_threshold() {
-        let d = nmos();
-        let gm_sub = d.transconductance(0.1);
-        let gm_on = d.transconductance(0.8);
-        assert!(gm_sub > 0.0);
-        assert!(gm_on > gm_sub);
     }
 
     #[test]

@@ -177,18 +177,6 @@ impl Gmm {
             .map(|(&m, &v)| rng.sample_normal(m, v.sqrt()))
             .collect()
     }
-
-    /// Bayesian information criterion for this model on a data set
-    /// (lower is better).
-    // lint: allow(unused-pub) no caller outside its unit tests; removal deferred to a follow-up sweep
-    pub fn bic(&self, points: &[Vec<f64>]) -> f64 {
-        let n = points.len().max(1) as f64;
-        let loglik: f64 = points.iter().map(|p| self.log_pdf(p)).sum();
-        let d = self.dim() as f64;
-        let k = self.num_components() as f64;
-        let params = k * (2.0 * d) + (k - 1.0);
-        params * n.ln() - 2.0 * loglik
-    }
 }
 
 /// Hoisted per-component constants of a mixture.
@@ -592,16 +580,6 @@ mod tests {
         let xs: Vec<f64> = samples.iter().map(|s| s[0]).collect();
         let expect_mean = 0.4 * 0.0 + 0.6 * 4.0;
         assert!((stats::mean(&xs) - expect_mean).abs() < 0.05);
-    }
-
-    #[test]
-    fn bic_prefers_true_component_count() {
-        // Data from 2 blobs: BIC(2) should beat BIC(1) built by merging.
-        let gmm2 = simple_diag();
-        let mut rng = Pcg32::seed_from_u64(3);
-        let data: Vec<Vec<f64>> = (0..500).map(|_| gmm2.sample(&mut rng)).collect();
-        let gmm1 = Gmm::new(vec![1.0], vec![vec![2.4, 2.4]], vec![vec![4.8, 4.8]]).unwrap();
-        assert!(gmm2.bic(&data) < gmm1.bic(&data));
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! | `reduction-order` | float reductions in kernel files need a `// lint: reduction-order` ack |
 //! | `hot-path-alloc` | no allocating calls inside registered hot-path functions; every registered function exists |
 //! | `noise-stream-seq` | batch paths draw noise by absolute `.at(i)`, never sequentially |
-//! | `unused-pub` | every `pub` item is named by another file or exposed by a surviving item ([`lint_sources`]) |
+//! | `unused-pub` | every `pub` item is named by another file (a `fn` definition of the same name is not a use) or exposed by a surviving item ([`lint_sources`]) |
 //!
 //! Any finding can be suppressed in place with
 //! `// lint: allow(<rule>) <reason>` on the offending line or the line
@@ -799,8 +799,8 @@ pub fn lint_tree(root: &Path) -> std::io::Result<TreeReport> {
 ///   name. Such a stale entry would otherwise guard nothing, silently,
 ///   after a function is renamed or deleted;
 /// - `unused-pub`: a `pub` item whose name occurs in no other file of
-///   the set, and that no surviving item exposes (see the
-///   `unused_pub` module).
+///   the set (other than as the name a `fn` defines), and that no
+///   surviving item exposes (see the `unused_pub` module).
 ///
 /// Every file of the set, linted or not, is a use site for `unused-pub`.
 pub fn lint_sources<'a>(files: impl IntoIterator<Item = (&'a str, &'a str)>) -> Vec<Finding> {

@@ -2,14 +2,15 @@
 //! whose name no other file mentions is public surface nothing uses.
 //!
 //! Every file contributes one identifier index over its masked code
-//! (comments and strings never count as uses). An item survives when its
+//! (comments, strings and the name a `fn` defines never count as uses).
+//! An item survives when its
 //! name is in another file's index, when a reasoned
 //! `// lint: allow(unused-pub)` covers it, or — iterated to a fixed
 //! point — when a surviving item exposes it: a type named in a surviving
 //! `pub fn` signature, a `pub` field, an enum or trait body, or a type
 //! alias or constant's type is reachable without being named elsewhere.
-//! Name matching can only under-report: a common name (`new`) mentioned
-//! anywhere keeps every item of that name.
+//! Name matching can only under-report: a common name (`new`) called
+//! anywhere keeps every item of that name, whatever the receiver's type.
 
 use std::collections::HashSet;
 
@@ -49,9 +50,18 @@ pub(crate) fn idents(code: &str) -> impl Iterator<Item = (usize, &str)> {
     })
 }
 
-/// The identifier index of one file's masked code.
+/// The identifier index of one file's masked code. The name after `fn`
+/// is a definition, not a use, so it is left out: a same-named method of
+/// another type does not keep an item alive.
 pub(crate) fn ident_set(code: &str) -> HashSet<&str> {
-    idents(code).map(|(_, id)| id).collect()
+    let mut prev = "";
+    idents(code)
+        .filter_map(|(_, id)| {
+            let defined = prev == "fn";
+            prev = id;
+            (!defined).then_some(id)
+        })
+        .collect()
 }
 
 /// Offset of the first `stop` byte at bracket depth 0 from `from`, or

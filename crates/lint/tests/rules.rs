@@ -213,6 +213,25 @@ fn unused_pub_ignores_mentions_in_comments_and_strings() {
 }
 
 #[test]
+fn unused_pub_does_not_count_a_same_named_definition_as_a_use() {
+    // Two types define `reset` and nothing calls either: neither file's
+    // `fn reset` is a use of the other's.
+    const B: &str = "crates/demo/src/b.rs";
+    let a = "pub struct A;\nimpl A {\n    pub fn reset(&mut self) {}\n}\n";
+    let b = "pub struct B;\nimpl B {\n    pub fn reset(&mut self) {}\n}\n";
+    let caller = "fn main() { let _ = (demo::A, demo::b::B); }\n";
+    let files = [(LIB, a), (B, b), ("src/main.rs", caller)];
+    assert_eq!(
+        unused_pub(&files, "reset"),
+        [(LIB.to_string(), 3), (B.to_string(), 3)]
+    );
+    // One call anywhere keeps both: names are not resolved to types.
+    let called = "fn main() { demo::A.reset(); let _ = demo::b::B; }\n";
+    let files = [(LIB, a), (B, b), ("src/main.rs", called)];
+    assert!(unused_pub(&files, "reset").is_empty());
+}
+
+#[test]
 fn unused_pub_ignores_uses_in_its_own_cfg_test() {
     let lib = "pub fn helper() -> u32 { 1 }\n\
                #[cfg(test)]\n\

@@ -3,8 +3,8 @@
 //! This crate provides the dependency-free mathematical substrate used by
 //! every other navicim crate:
 //!
-//! - [`linalg`] — dense matrices with LU solves (used by the device
-//!   and readout curve fits),
+//! - [`linalg`] — a 3×3 LU solve (the Fig. 2(b) Gaussian fit) and
+//!   squared distances,
 //! - [`geom`] — 3-D geometry: [`geom::Vec3`], [`geom::Quat`], rigid
 //!   poses and rays (used by the scene simulator and
 //!   the localization pipelines),
@@ -14,7 +14,7 @@
 //!   systematic resampling indices, …),
 //! - [`quant`] — fixed-point quantization used to model low-precision CIM
 //!   datapaths,
-//! - [`metrics`] — trajectory/error metrics (RMSE, ATE, …),
+//! - [`metrics`] — trajectory error metrics (ATE, drift),
 //! - [`randtest`] — a lightweight randomness test battery for the
 //!   SRAM-embedded RNG of the paper's Section III,
 //! - [`simd`] — branch-free `exp`, `ln` and `cos` that keep the
@@ -69,15 +69,8 @@ pub enum MathError {
     },
     /// A matrix required to be invertible was (numerically) singular.
     Singular,
-    /// A matrix required to be positive definite was not.
-    NotPositiveDefinite,
     /// An argument was outside its valid domain.
     InvalidArgument(String),
-    /// An iterative routine failed to converge within its iteration budget.
-    NoConvergence {
-        /// Number of iterations performed before giving up.
-        iterations: usize,
-    },
 }
 
 impl fmt::Display for MathError {
@@ -87,11 +80,7 @@ impl fmt::Display for MathError {
                 write!(f, "dimension mismatch: expected {expected}, found {found}")
             }
             MathError::Singular => write!(f, "matrix is singular"),
-            MathError::NotPositiveDefinite => write!(f, "matrix is not positive definite"),
             MathError::InvalidArgument(msg) => write!(f, "invalid argument: {msg}"),
-            MathError::NoConvergence { iterations } => {
-                write!(f, "no convergence after {iterations} iterations")
-            }
         }
     }
 }

@@ -145,167 +145,6 @@ fn ranks(xs: &[f64]) -> Vec<f64> {
     out
 }
 
-/// Online accumulator for mean/variance (Welford's algorithm).
-///
-/// ```
-/// use navicim_math::stats::RunningStats;
-/// let mut acc = RunningStats::new();
-/// for x in [1.0, 2.0, 3.0, 4.0] { acc.push(x); }
-/// assert_eq!(acc.mean(), 2.5);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-// lint: allow(unused-pub) no caller outside its unit tests; removal deferred to a follow-up sweep
-pub struct RunningStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl RunningStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds one observation.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations so far.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Current mean (`0.0` when empty).
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Unbiased variance (`0.0` with fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation (`+inf` when empty).
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest observation (`-inf` when empty).
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Merges another accumulator into this one (parallel Welford).
-    // lint: allow(unused-pub) no caller outside its unit tests; removal deferred to a follow-up sweep
-    pub fn merge(&mut self, other: &RunningStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n = self.n + other.n;
-        let delta = other.mean - self.mean;
-        self.mean += delta * other.n as f64 / n as f64;
-        self.m2 += other.m2 + delta * delta * (self.n as f64 * other.n as f64) / n as f64;
-        self.n = n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
-/// Equal-width histogram over `[lo, hi]`.
-#[derive(Debug, Clone, PartialEq)]
-// lint: allow(unused-pub) no caller outside its unit tests; removal deferred to a follow-up sweep
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    counts: Vec<u64>,
-    outliers: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `bins` equal-width bins spanning `[lo, hi]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins == 0` or `lo >= hi`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(bins > 0, "histogram requires at least one bin");
-        assert!(lo < hi, "histogram requires lo < hi");
-        Self {
-            lo,
-            hi,
-            counts: vec![0; bins],
-            outliers: 0,
-        }
-    }
-
-    /// Adds one observation; values outside `[lo, hi]` count as outliers.
-    pub fn push(&mut self, x: f64) {
-        if x < self.lo || x > self.hi || x.is_nan() {
-            self.outliers += 1;
-            return;
-        }
-        let bins = self.counts.len();
-        let idx = (((x - self.lo) / (self.hi - self.lo)) * bins as f64) as usize;
-        self.counts[idx.min(bins - 1)] += 1;
-    }
-
-    /// Per-bin counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Observations that fell outside the histogram range.
-    // lint: allow(unused-pub) no caller outside its unit tests; removal deferred to a follow-up sweep
-    pub fn outliers(&self) -> u64 {
-        self.outliers
-    }
-
-    /// Center of bin `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of bounds.
-    // lint: allow(unused-pub) no caller outside its unit tests; removal deferred to a follow-up sweep
-    pub fn bin_center(&self, i: usize) -> f64 {
-        assert!(i < self.counts.len(), "bin index out of bounds");
-        let w = (self.hi - self.lo) / self.counts.len() as f64;
-        self.lo + (i as f64 + 0.5) * w
-    }
-
-    /// Total in-range count.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-}
-
 /// Log-density of the univariate normal distribution.
 pub fn normal_logpdf(x: f64, mean: f64, std_dev: f64) -> f64 {
     let z = (x - mean) / std_dev;
@@ -405,46 +244,6 @@ mod tests {
     fn ranks_handle_ties() {
         let r = ranks(&[10.0, 20.0, 20.0, 30.0]);
         assert_eq!(r, vec![1.0, 2.5, 2.5, 4.0]);
-    }
-
-    #[test]
-    fn running_stats_matches_batch() {
-        let xs = [1.5, -2.0, 3.25, 0.0, 9.0, -4.0];
-        let mut acc = RunningStats::new();
-        for &x in &xs {
-            acc.push(x);
-        }
-        assert!(approx_eq(acc.mean(), mean(&xs), 1e-12));
-        assert!(approx_eq(acc.variance(), variance(&xs), 1e-12));
-        assert_eq!(acc.min(), -4.0);
-        assert_eq!(acc.max(), 9.0);
-    }
-
-    #[test]
-    fn running_stats_merge() {
-        let xs = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
-        let mut a = RunningStats::new();
-        let mut b = RunningStats::new();
-        for &x in &xs[..3] {
-            a.push(x);
-        }
-        for &x in &xs[3..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        assert!(approx_eq(a.mean(), 3.5, 1e-12));
-        assert!(approx_eq(a.variance(), variance(&xs), 1e-12));
-    }
-
-    #[test]
-    fn histogram_bins_and_outliers() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        for x in [0.5, 1.5, 2.5, 9.9, 10.0, -1.0, 11.0] {
-            h.push(x);
-        }
-        assert_eq!(h.counts(), &[2, 1, 0, 0, 2]);
-        assert_eq!(h.outliers(), 2);
-        assert!(approx_eq(h.bin_center(0), 1.0, 1e-12));
     }
 
     #[test]

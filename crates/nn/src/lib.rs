@@ -8,7 +8,7 @@
 //! - [`mlp`] — multilayer perceptrons from [`dense::Dense`],
 //!   [`activation::Activation`] and [`dropout::Dropout`] layers, with
 //!   manual backpropagation,
-//! - [`loss`] / [`optim`] / [`train`] — MSE/Huber losses, Adam,
+//! - [`loss`] / [`optim`] / [`train`] — the MSE loss, Adam,
 //!   and a shuffling epoch trainer,
 //! - [`mc`] — MC-Dropout inference: repeated stochastic forward passes
 //!   yielding predictive mean *and* variance,

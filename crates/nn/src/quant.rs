@@ -644,18 +644,6 @@ impl QuantizedMlp {
         }
         out.resize(rows, true);
     }
-
-    /// Dense-layer MAC count of one full (non-reused, unmasked) pass.
-    // lint: allow(unused-pub) no caller outside its unit tests; removal deferred to a follow-up sweep
-    pub fn macs_per_pass(&self) -> u64 {
-        self.layers
-            .iter()
-            .map(|l| match l {
-                QuantLayer::Dense { matrix, .. } => (matrix.rows() * matrix.cols()) as u64,
-                _ => 0,
-            })
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -812,7 +800,11 @@ mod tests {
     fn macs_per_pass_accounting() {
         let net = trained_like_net(8);
         let qnet = QuantizedMlp::from_mlp(&net, 8, 8, &calib()).unwrap();
-        assert_eq!(qnet.macs_per_pass(), (4 * 8 + 8 * 3) as u64);
+        // One unmasked pass runs every dense layer's full matrix.
+        let mut backend = ExactBackend::new();
+        let mut rng = Pcg32::seed_from_u64(8);
+        qnet.forward(&mut backend, &calib()[0], Mode::Deterministic, &mut rng);
+        assert_eq!(backend.macs, (4 * 8 + 8 * 3) as u64);
     }
 
     #[test]

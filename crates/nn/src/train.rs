@@ -107,35 +107,10 @@ where
     Ok(history)
 }
 
-/// Mean loss of `net` (deterministic mode) over a validation set.
-///
-/// # Panics
-///
-/// Panics on shape mismatches (validate with [`train`] first).
-// lint: allow(unused-pub) no caller outside its unit tests; removal deferred to a follow-up sweep
-pub fn evaluate<L: Loss, R: Rng64>(
-    net: &mut Mlp,
-    examples: &[Example],
-    loss: &L,
-    rng: &mut R,
-) -> f64 {
-    if examples.is_empty() {
-        return 0.0;
-    }
-    let total: f64 = examples
-        .iter()
-        .map(|ex| {
-            let y = net.forward(&ex.input, Mode::Deterministic, rng);
-            loss.value(&y, &ex.target)
-        })
-        .sum();
-    total / examples.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::loss::Mse;
+    use crate::loss::{Loss, Mse};
     use crate::mlp::Mlp;
     use crate::optim::Adam;
     use navicim_math::rng::Pcg32;
@@ -230,7 +205,17 @@ mod tests {
         )
         .unwrap();
         assert!(history[0] > history[history.len() - 1] * 10.0);
-        assert!(evaluate(&mut net, &examples, &Mse, &mut rng) < 1e-3);
+        let validation: f64 = examples
+            .iter()
+            .map(|ex| {
+                Mse.value(
+                    &net.forward(&ex.input, Mode::Deterministic, &mut rng),
+                    &ex.target,
+                )
+            })
+            .sum::<f64>()
+            / examples.len() as f64;
+        assert!(validation < 1e-3);
     }
 
     #[test]
@@ -275,12 +260,5 @@ mod tests {
             &mut rng
         )
         .is_err());
-    }
-
-    #[test]
-    fn empty_validation_set_scores_zero() {
-        let mut rng = Pcg32::seed_from_u64(4);
-        let mut net = Mlp::builder(2).dense(1).build(&mut rng).unwrap();
-        assert_eq!(evaluate(&mut net, &[], &Mse, &mut rng), 0.0);
     }
 }

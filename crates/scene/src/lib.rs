@@ -13,8 +13,7 @@
 //! - [`camera`] — pinhole intrinsics, ray-cast depth rendering,
 //!   back-projection,
 //! - [`noise`] — Kinect-style depth noise and pixel dropout,
-//! - [`trajectory`] — smooth camera trajectories (orbit, lawnmower,
-//!   waypoint),
+//! - [`trajectory`] — smooth camera trajectories (orbit, waypoint),
 //! - [`dataset`] — bundled localization and visual-odometry datasets.
 
 #![warn(missing_docs)]

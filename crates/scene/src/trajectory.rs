@@ -41,42 +41,6 @@ pub fn orbit(
         .collect())
 }
 
-/// A lawnmower (boustrophedon) sweep over a rectangle at fixed height,
-/// gazing at `gaze`.
-///
-/// # Errors
-///
-/// Returns [`SceneError::InvalidArgument`] for degenerate sweep parameters.
-// lint: allow(unused-pub) no caller outside its unit tests; removal deferred to a follow-up sweep
-pub fn lawnmower(
-    half_extent: f64,
-    height: f64,
-    rows: usize,
-    frames_per_row: usize,
-    gaze: Vec3,
-) -> Result<Vec<Pose>> {
-    if half_extent <= 0.0 || rows < 2 || frames_per_row < 2 {
-        return Err(SceneError::InvalidArgument(
-            "lawnmower requires positive extent, >=2 rows and >=2 frames per row".into(),
-        ));
-    }
-    let mut poses = Vec::with_capacity(rows * frames_per_row);
-    for r in 0..rows {
-        let y = -half_extent + 2.0 * half_extent * r as f64 / (rows - 1) as f64;
-        for f in 0..frames_per_row {
-            let frac = f as f64 / (frames_per_row - 1) as f64;
-            let x = if r % 2 == 0 {
-                -half_extent + 2.0 * half_extent * frac
-            } else {
-                half_extent - 2.0 * half_extent * frac
-            };
-            let eye = Vec3::new(x, y, height);
-            poses.push(Pose::looking_at(eye, gaze, Vec3::Z));
-        }
-    }
-    Ok(poses)
-}
-
 /// A smooth random walk through an axis-aligned flight box, gazing at
 /// `gaze`: random waypoints connected by Catmull-Rom-interpolated arcs.
 ///
@@ -168,15 +132,6 @@ mod tests {
     }
 
     #[test]
-    fn lawnmower_alternates_direction() {
-        let poses = lawnmower(1.0, 0.5, 2, 5, Vec3::ZERO).unwrap();
-        assert_eq!(poses.len(), 10);
-        // Row 0 goes -x → +x; row 1 goes +x → -x.
-        assert!(poses[0].translation.x < poses[4].translation.x);
-        assert!(poses[5].translation.x > poses[9].translation.x);
-    }
-
-    #[test]
     fn random_waypoints_stay_near_box() {
         let mut rng = Pcg32::seed_from_u64(1);
         let lo = Vec3::new(-1.0, -1.0, 0.5);
@@ -215,7 +170,6 @@ mod tests {
         let mut rng = Pcg32::seed_from_u64(3);
         assert!(orbit(Vec3::ZERO, 0.0, 1.0, 1.0, 10).is_err());
         assert!(orbit(Vec3::ZERO, 1.0, 1.0, 1.0, 1).is_err());
-        assert!(lawnmower(1.0, 0.5, 1, 5, Vec3::ZERO).is_err());
         assert!(random_waypoints(Vec3::ZERO, Vec3::ZERO, 3, 5, Vec3::ZERO, &mut rng).is_err());
     }
 }

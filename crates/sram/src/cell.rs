@@ -81,12 +81,6 @@ impl SramColumn {
     pub fn cells(&self) -> usize {
         self.cells
     }
-
-    /// Draws the column's instantaneous current for one cycle.
-    // lint: allow(unused-pub) no caller outside its unit tests; removal deferred to a follow-up sweep
-    pub fn sample_current<R: Rng64 + ?Sized>(&self, rng: &mut R) -> f64 {
-        self.total_leakage + rng.sample_normal(0.0, self.noise_rms)
-    }
 }
 
 #[cfg(test)]
@@ -151,15 +145,5 @@ mod tests {
         let c16 = SramColumn::fabricate(16, &stats_model, &mut rng);
         let c256 = SramColumn::fabricate(256, &stats_model, &mut rng);
         assert!((c256.noise_rms() / c16.noise_rms() - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn sampled_current_centers_on_leakage() {
-        let stats_model = PortStats::node_16nm();
-        let mut rng = Pcg32::seed_from_u64(3);
-        let col = SramColumn::fabricate(64, &stats_model, &mut rng);
-        let xs: Vec<f64> = (0..20_000).map(|_| col.sample_current(&mut rng)).collect();
-        assert!((stats::mean(&xs) / col.total_leakage() - 1.0).abs() < 0.01);
-        assert!((stats::std_dev(&xs) / col.noise_rms() - 1.0).abs() < 0.05);
     }
 }

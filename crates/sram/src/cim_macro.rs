@@ -296,11 +296,6 @@ impl SramCimMacro {
     pub fn stats(&self) -> MacroStats {
         self.stats
     }
-
-    /// Clears the operation counters.
-    pub fn reset_stats(&mut self) {
-        self.stats = MacroStats::default();
-    }
 }
 
 /// Quantizes an exact accumulator through an `adc_bits` ADC spanning

@@ -7,9 +7,9 @@ use navicim::backend::par::ChunkPolicy;
 use navicim::backend::{LikelihoodBackend, PointBatch};
 use navicim::core::localization::LocalizerConfig;
 use navicim::core::pipeline::{
-    ControlSource, GateConfig, GateContext, GatePolicy, HysteresisConfig, HysteresisGate,
-    LocalizationPipeline, MultiSignalConfig, MultiSignalGate, NoiseInflation, PeriodicRefresh,
-    PeriodicRefreshConfig, UncertaintySignals, VoStage, ANALOG_SLOT, DIGITAL_SLOT,
+    ControlSource, GateConfig, GateContext, HysteresisConfig, HysteresisGate, LocalizationPipeline,
+    MultiSignalConfig, MultiSignalGate, NoiseInflation, PeriodicRefresh, PeriodicRefreshConfig,
+    UncertaintySignals, VoStage, ANALOG_SLOT, DIGITAL_SLOT,
 };
 use navicim::core::registry::{CIM_HMGM, DIGITAL_GMM};
 use navicim::core::vo::{AdaptiveMcConfig, AdaptiveMcPolicy, BayesianVo, VoPipelineConfig};
@@ -511,7 +511,7 @@ proptest! {
     ) {
         let mut rng = Pcg32::seed_from_u64(seed ^ 0x9e81);
         use navicim::math::rng::SampleExt;
-        let mut gate = PeriodicRefresh::new(PeriodicRefreshConfig { period, refresh_len })
+        let gate = PeriodicRefresh::new(PeriodicRefreshConfig { period, refresh_len })
             .expect("valid schedule");
         let cycle = period + refresh_len;
         for frame in 0..frames {
