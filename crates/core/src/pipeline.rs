@@ -119,11 +119,6 @@ pub struct GateContext {
     pub frame: usize,
     /// The uncertainty bus for this frame.
     pub signals: UncertaintySignals,
-    /// Slot that served the previous frame (the gate's start slot on
-    /// frame 0).
-    pub current: usize,
-    /// Number of live backend slots.
-    pub num_backends: usize,
 }
 
 /// Per-frame backend arbitration, built from [`GateConfig`]: the
@@ -1622,7 +1617,6 @@ pub struct LocalizationPipeline {
     /// own particle clouds around the same prior.
     init_prior: Pose,
     frame: usize,
-    current: usize,
 }
 
 impl fmt::Debug for LocalizationPipeline {
@@ -1740,7 +1734,6 @@ impl LocalizationPipeline {
             safe: None,
             init_prior: prior,
             frame: 0,
-            current: 0,
         })
     }
 
@@ -1916,8 +1909,6 @@ impl LocalizationPipeline {
         let ctx = GateContext {
             frame: self.frame,
             signals,
-            current: self.current,
-            num_backends: self.backends.len(),
         };
         // The gate still selects (and advances its own dwell/schedule
         // state) every frame; safe mode overrides the *outcome*, so on
@@ -2081,11 +2072,10 @@ impl LocalizationPipeline {
         self.prev_stats[slot] = stats;
         // The filter and the gate have both committed to this frame, so
         // advance the stream counters before anything else can fail —
-        // a pricing error below must not leave `frame`/`current` out of
-        // sync with the gate's internal state.
+        // a pricing error below must not leave `frame` out of sync with
+        // the gate's internal state.
         let frame = self.frame;
         self.frame += 1;
-        self.current = slot;
         let map_energy_pj = self.pricing.frame_pj(
             &delta,
             self.backends[slot].components(),
@@ -2197,7 +2187,6 @@ impl LocalizationPipeline {
             safe,
             init_prior: self.init_prior,
             frame: 0,
-            current: 0,
         })
     }
 
@@ -2265,12 +2254,10 @@ mod tests {
         }
     }
 
-    fn ctx(frame: usize, spread: f64, current: usize) -> GateContext {
+    fn ctx(frame: usize, spread: f64) -> GateContext {
         GateContext {
             frame,
             signals: UncertaintySignals::from_spread(spread),
-            current,
-            num_backends: 2,
         }
     }
 
@@ -2284,15 +2271,15 @@ mod tests {
         })
         .unwrap();
         // Frame 0: start slot regardless of signal.
-        assert_eq!(gate.select(&ctx(0, 0.01, DIGITAL_SLOT)), DIGITAL_SLOT);
+        assert_eq!(gate.select(&ctx(0, 0.01)), DIGITAL_SLOT);
         // Collapsed spread: go analog.
-        assert_eq!(gate.select(&ctx(1, 0.05, DIGITAL_SLOT)), ANALOG_SLOT);
+        assert_eq!(gate.select(&ctx(1, 0.05)), ANALOG_SLOT);
         // Dead zone: keep the current slot.
-        assert_eq!(gate.select(&ctx(2, 0.15, ANALOG_SLOT)), ANALOG_SLOT);
+        assert_eq!(gate.select(&ctx(2, 0.15)), ANALOG_SLOT);
         // Spread grows past the digital threshold: wake the digital path.
-        assert_eq!(gate.select(&ctx(3, 0.25, ANALOG_SLOT)), DIGITAL_SLOT);
+        assert_eq!(gate.select(&ctx(3, 0.25)), DIGITAL_SLOT);
         // Dead zone again: stay digital.
-        assert_eq!(gate.select(&ctx(4, 0.15, DIGITAL_SLOT)), DIGITAL_SLOT);
+        assert_eq!(gate.select(&ctx(4, 0.15)), DIGITAL_SLOT);
         assert_eq!(gate.switches(), 2);
     }
 
@@ -2310,7 +2297,7 @@ mod tests {
         let mut current = DIGITAL_SLOT;
         let mut last_switch: Option<usize> = None;
         for (frame, &s) in spreads.iter().enumerate() {
-            let next = gate.select(&ctx(frame, s, current));
+            let next = gate.select(&ctx(frame, s));
             if next != current {
                 if let Some(prev) = last_switch {
                     assert!(
@@ -2627,10 +2614,10 @@ mod tests {
         assert_eq!(gate.cycle_len(), 5);
         // Two digital frames, three analog frames, repeating — dwell-style
         // check: runs of each slot have exactly the configured length.
-        let slots: Vec<usize> = (0..12).map(|f| gate.select(&ctx(f, 0.5, 0))).collect();
+        let slots: Vec<usize> = (0..12).map(|f| gate.select(&ctx(f, 0.5))).collect();
         assert_eq!(slots, vec![0, 0, 1, 1, 1, 0, 0, 1, 1, 1, 0, 0]);
         // The schedule ignores the uncertainty bus entirely.
-        let blind: Vec<usize> = (0..12).map(|f| gate.select(&ctx(f, 1e9, 1))).collect();
+        let blind: Vec<usize> = (0..12).map(|f| gate.select(&ctx(f, 1e9))).collect();
         assert_eq!(slots, blind);
     }
 
@@ -2900,13 +2887,8 @@ mod tests {
         }
     }
 
-    fn ms_ctx(frame: usize, signals: UncertaintySignals, current: usize) -> GateContext {
-        GateContext {
-            frame,
-            signals,
-            current,
-            num_backends: 2,
-        }
+    fn ms_ctx(frame: usize, signals: UncertaintySignals) -> GateContext {
+        GateContext { frame, signals }
     }
 
     #[test]
@@ -2928,12 +2910,10 @@ mod tests {
         })
         .unwrap();
         let spreads = [0.3, 0.05, 0.05, 0.15, 0.25, 0.05, 0.3, 0.05, 0.05];
-        let mut cur_a = DIGITAL_SLOT;
-        let mut cur_b = DIGITAL_SLOT;
         for (frame, &s) in spreads.iter().enumerate() {
-            cur_a = plain.select(&ctx(frame, s, cur_a));
-            cur_b = multi.select(&ms_ctx(frame, bus(s, 1.0, None), cur_b));
-            assert_eq!(cur_a, cur_b, "frame {frame}");
+            let a = plain.select(&ctx(frame, s));
+            let b = multi.select(&ms_ctx(frame, bus(s, 1.0, None)));
+            assert_eq!(a, b, "frame {frame}");
         }
         assert_eq!(plain.switches(), multi.switches());
         assert_eq!(multi.rescues(), 0);
@@ -2955,36 +2935,30 @@ mod tests {
             ess_wake: 0.05,
         })
         .unwrap();
-        assert_eq!(
-            gate.select(&ms_ctx(0, bus(0.05, 1.0, None), 1)),
-            ANALOG_SLOT
-        );
+        assert_eq!(gate.select(&ms_ctx(0, bus(0.05, 1.0, None))), ANALOG_SLOT);
         // Mildly negative innovation: no rescue.
         assert_eq!(
-            gate.select(&ms_ctx(1, bus(0.05, 1.0, Some(-0.5)), 1)),
+            gate.select(&ms_ctx(1, bus(0.05, 1.0, Some(-0.5)))),
             ANALOG_SLOT
         );
         // Strongly negative innovation: digital despite the tight cloud.
         assert_eq!(
-            gate.select(&ms_ctx(2, bus(0.05, 1.0, Some(-3.0)), 1)),
+            gate.select(&ms_ctx(2, bus(0.05, 1.0, Some(-3.0)))),
             DIGITAL_SLOT
         );
         assert_eq!(gate.rescues(), 1);
         // The override also *holds* digital while it keeps firing.
         assert_eq!(
-            gate.select(&ms_ctx(3, bus(0.05, 1.0, Some(-3.0)), 0)),
+            gate.select(&ms_ctx(3, bus(0.05, 1.0, Some(-3.0)))),
             DIGITAL_SLOT
         );
         // Signal recovers: the spread band takes back over.
         assert_eq!(
-            gate.select(&ms_ctx(4, bus(0.05, 1.0, Some(0.0)), 0)),
+            gate.select(&ms_ctx(4, bus(0.05, 1.0, Some(0.0)))),
             ANALOG_SLOT
         );
         // A warm-up innovation (None) never fires the override.
-        assert_eq!(
-            gate.select(&ms_ctx(5, bus(0.05, 1.0, None), 1)),
-            ANALOG_SLOT
-        );
+        assert_eq!(gate.select(&ms_ctx(5, bus(0.05, 1.0, None))), ANALOG_SLOT);
     }
 
     #[test]
@@ -3000,12 +2974,9 @@ mod tests {
             ess_wake: 0.1,
         })
         .unwrap();
-        gate.select(&ms_ctx(0, bus(0.05, 1.0, None), 1));
+        gate.select(&ms_ctx(0, bus(0.05, 1.0, None)));
         // Weight mass collapsed onto a sliver of the cloud: rescue.
-        assert_eq!(
-            gate.select(&ms_ctx(1, bus(0.05, 0.02, None), 1)),
-            DIGITAL_SLOT
-        );
+        assert_eq!(gate.select(&ms_ctx(1, bus(0.05, 0.02, None))), DIGITAL_SLOT);
         assert_eq!(gate.rescues(), 1);
         assert_eq!(gate.switches(), 1);
     }
@@ -3026,24 +2997,24 @@ mod tests {
             ess_wake: 0.05,
         })
         .unwrap();
-        gate.select(&ms_ctx(0, bus(0.3, 1.0, None), 0));
+        gate.select(&ms_ctx(0, bus(0.3, 1.0, None)));
         // Collapse: switch to analog at frame 3 (dwell satisfied).
-        gate.select(&ms_ctx(1, bus(0.05, 1.0, None), 0));
-        gate.select(&ms_ctx(2, bus(0.05, 1.0, None), 0));
-        let s3 = gate.select(&ms_ctx(3, bus(0.05, 1.0, None), 0));
+        gate.select(&ms_ctx(1, bus(0.05, 1.0, None)));
+        gate.select(&ms_ctx(2, bus(0.05, 1.0, None)));
+        let s3 = gate.select(&ms_ctx(3, bus(0.05, 1.0, None)));
         assert_eq!(s3, ANALOG_SLOT);
         // Bad innovation right after the switch: dwell-locked.
         assert_eq!(
-            gate.select(&ms_ctx(4, bus(0.05, 1.0, Some(-9.0)), 1)),
+            gate.select(&ms_ctx(4, bus(0.05, 1.0, Some(-9.0)))),
             ANALOG_SLOT
         );
         assert_eq!(
-            gate.select(&ms_ctx(5, bus(0.05, 1.0, Some(-9.0)), 1)),
+            gate.select(&ms_ctx(5, bus(0.05, 1.0, Some(-9.0)))),
             ANALOG_SLOT
         );
         // Window expired: the rescue fires.
         assert_eq!(
-            gate.select(&ms_ctx(6, bus(0.05, 1.0, Some(-9.0)), 1)),
+            gate.select(&ms_ctx(6, bus(0.05, 1.0, Some(-9.0)))),
             DIGITAL_SLOT
         );
         assert_eq!(gate.rescues(), 1);

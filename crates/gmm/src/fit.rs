@@ -4,7 +4,7 @@ use crate::gaussian::Gmm;
 use crate::kmeans::kmeans;
 use crate::{check_dims, GmmError, Result};
 use navicim_math::rng::Rng64;
-use navicim_math::stats::{log_sum_exp, LN_2PI};
+use navicim_math::stats::{exp_or_zero_in_place, log_sum_exp, LN_2PI};
 
 /// Configuration of an EM run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -42,7 +42,7 @@ pub fn fit_diag_gmm<R: Rng64 + ?Sized>(
     config: &FitConfig,
     rng: &mut R,
 ) -> Result<Gmm> {
-    let dim = check_dims(points)?;
+    check_dims(points)?;
     if points.len() < 2 * k {
         return Err(GmmError::TooFewPoints {
             points: points.len(),
@@ -50,40 +50,47 @@ pub fn fit_diag_gmm<R: Rng64 + ?Sized>(
         });
     }
     let init = kmeans(points, k, config.kmeans_iters, rng)?;
-    let mut weights = vec![1.0 / k as f64; k];
-    let mut means = init.centroids;
-    let mut vars = initial_vars(points, &init.assignments, &means, config.var_floor);
+    let vars = initial_vars(points, &init.assignments, &init.centroids, config.var_floor);
+    run_em(
+        points,
+        vec![1.0 / k as f64; k],
+        init.centroids,
+        vars,
+        config,
+    )
+}
 
-    let n = points.len();
+/// EM from the given start parameters until the mean log-likelihood
+/// settles or `config.max_iters` runs out.
+fn run_em(
+    points: &[Vec<f64>],
+    mut weights: Vec<f64>,
+    mut means: Vec<Vec<f64>>,
+    mut vars: Vec<Vec<f64>>,
+    config: &FitConfig,
+) -> Result<Gmm> {
+    let (n, k, dim) = (points.len(), weights.len(), points[0].len());
     let mut e_step = EStep::new(k, dim);
-    let mut log_resp = vec![0.0f64; n * k];
-    let mut resp = vec![0.0f64; n];
+    let mut moments = Moments::new(k, dim);
+    // Log-responsibilities from the E-step, exponentiated in place into
+    // the M-step's responsibilities.
+    let mut resp = vec![0.0f64; n * k];
     let mut prev_ll = f64::NEG_INFINITY;
     for _iter in 0..config.max_iters {
-        // E-step.
-        let total_ll = e_step.run(points, &weights, &means, &vars, &mut log_resp);
-        // M-step.
+        let total_ll = e_step.run(points, &weights, &means, &vars, &mut resp);
+        exp_or_zero_in_place(&mut resp);
+        moments.first(points, &resp);
+        if let Some(j) = moments.nk.iter().position(|&nk| nk < 1e-9) {
+            return Err(GmmError::DegenerateFit(format!(
+                "component {j} lost all responsibility"
+            )));
+        }
+        moments.second(points, &resp);
         for j in 0..k {
-            for (r, row) in resp.iter_mut().zip(log_resp.chunks_exact(k)) {
-                *r = row[j].exp();
-            }
-            let nk: f64 = resp.iter().sum();
-            if nk < 1e-9 {
-                return Err(GmmError::DegenerateFit(format!(
-                    "component {j} lost all responsibility"
-                )));
-            }
-            weights[j] = nk / n as f64;
+            weights[j] = moments.nk[j] / n as f64;
             for d in 0..dim {
-                let mu: f64 = points.iter().zip(&resp).map(|(p, r)| r * p[d]).sum::<f64>() / nk;
-                means[j][d] = mu;
-                let var: f64 = points
-                    .iter()
-                    .zip(&resp)
-                    .map(|(p, r)| r * (p[d] - mu) * (p[d] - mu))
-                    .sum::<f64>()
-                    / nk;
-                vars[j][d] = var.max(config.var_floor);
+                means[j][d] = moments.mean[d * k + j];
+                vars[j][d] = moments.var[d * k + j].max(config.var_floor);
             }
         }
         let mean_ll = total_ll / n as f64;
@@ -95,23 +102,110 @@ pub fn fit_diag_gmm<R: Rng64 + ?Sized>(
     Gmm::new(weights, means, vars)
 }
 
+/// The start value of `Iterator::sum` over `f64`, so an accumulator
+/// folded from it by hand reproduces the iterator's bits.
+fn sum_start() -> f64 {
+    std::iter::empty::<f64>().sum()
+}
+
+/// Responsibility-weighted moments of every component at once: the
+/// M-step of both the diagonal EM and the HMGM refinement.
+///
+/// `resp` holds one row of `k` responsibilities per point. Each of the
+/// `k·(1 + 2·dim)` sums keeps its own accumulator, started from
+/// `Iterator::sum`'s start value and folded in point order, so it equals
+/// a per-component `.sum()` over the points bit for bit; one pass over
+/// the points updates all of a moment's sums, vectorized across
+/// components.
+pub(crate) struct Moments {
+    k: usize,
+    /// `nkⱼ = Σᵢ rᵢⱼ`.
+    pub(crate) nk: Vec<f64>,
+    /// `μⱼ = Σᵢ rᵢⱼ·xᵢ / nkⱼ`, axis-major (`[d·k + j]`).
+    pub(crate) mean: Vec<f64>,
+    /// `Σᵢ rᵢⱼ·(xᵢ − μⱼ)² / nkⱼ`, axis-major.
+    pub(crate) var: Vec<f64>,
+}
+
+impl Moments {
+    pub(crate) fn new(k: usize, dim: usize) -> Self {
+        Self {
+            k,
+            nk: vec![0.0; k],
+            mean: vec![0.0; dim * k],
+            var: vec![0.0; dim * k],
+        }
+    }
+
+    /// Fills `nk` and `mean` in one pass. A component with `nk = 0`
+    /// gets a non-finite mean, which callers must not read.
+    pub(crate) fn first(&mut self, points: &[Vec<f64>], resp: &[f64]) {
+        let k = self.k;
+        let start = sum_start();
+        self.nk.fill(start);
+        self.mean.fill(start);
+        // lint: reduction-order one accumulator per component and axis, folded in point order like `Iterator::sum`
+        for (p, row) in points.iter().zip(resp.chunks_exact(k)) {
+            for (acc, &r) in self.nk.iter_mut().zip(row) {
+                *acc += r;
+            }
+            for (sums, &x) in self.mean.chunks_exact_mut(k).zip(p) {
+                for (acc, &r) in sums.iter_mut().zip(row) {
+                    *acc += r * x;
+                }
+            }
+        }
+        for sums in self.mean.chunks_exact_mut(k) {
+            for (m, &nk) in sums.iter_mut().zip(&self.nk) {
+                *m /= nk;
+            }
+        }
+    }
+
+    /// Fills `var` in one pass about the means of [`Self::first`].
+    pub(crate) fn second(&mut self, points: &[Vec<f64>], resp: &[f64]) {
+        let k = self.k;
+        self.var.fill(sum_start());
+        // lint: reduction-order one accumulator per component and axis, folded in point order like `Iterator::sum`
+        for (p, row) in points.iter().zip(resp.chunks_exact(k)) {
+            for ((sums, mus), &x) in self
+                .var
+                .chunks_exact_mut(k)
+                .zip(self.mean.chunks_exact(k))
+                .zip(p)
+            {
+                for ((acc, &r), &mu) in sums.iter_mut().zip(row).zip(mus) {
+                    *acc += r * (x - mu) * (x - mu);
+                }
+            }
+        }
+        for sums in self.var.chunks_exact_mut(k) {
+            for (v, &nk) in sums.iter_mut().zip(&self.nk) {
+                *v /= nk;
+            }
+        }
+    }
+}
+
 /// Reused buffers of the EM E-step: per-component constants, refreshed
-/// once per iteration because the M-step moves them, and one row of
-/// per-component terms.
+/// once per iteration because the M-step moves them, laid out axis-major
+/// (`[d·k + j]`) so each axis's terms vectorize across components.
 struct EStep {
-    sds: Vec<Vec<f64>>,
-    ln_sds: Vec<Vec<f64>>,
+    k: usize,
+    means: Vec<f64>,
+    sds: Vec<f64>,
+    ln_sds: Vec<f64>,
     ln_weights: Vec<f64>,
-    terms: Vec<f64>,
 }
 
 impl EStep {
     fn new(k: usize, dim: usize) -> Self {
         Self {
-            sds: vec![vec![0.0; dim]; k],
-            ln_sds: vec![vec![0.0; dim]; k],
+            k,
+            means: vec![0.0; dim * k],
+            sds: vec![0.0; dim * k],
+            ln_sds: vec![0.0; dim * k],
             ln_weights: vec![0.0; k],
-            terms: vec![0.0; k],
         }
     }
 
@@ -119,9 +213,9 @@ impl EStep {
     /// log-responsibilities of `points` under the mixture and returns
     /// their summed log-likelihood. Each term is
     /// `ln max(w, 1e-300) + Σ_d normal_logpdf(p_d, μ_d, σ_d)` with the
-    /// normal log-density written out and summed over axes in order, so
-    /// it equals the per-point [`navicim_math::stats::diag_mvn_logpdf`]
-    /// bit for bit.
+    /// normal log-density written out and summed over axes in order from
+    /// `Iterator::sum`'s start value, so it equals the per-point
+    /// [`navicim_math::stats::diag_mvn_logpdf`] bit for bit.
     fn run(
         &mut self,
         points: &[Vec<f64>],
@@ -130,30 +224,40 @@ impl EStep {
         vars: &[Vec<f64>],
         log_resp: &mut [f64],
     ) -> f64 {
-        let k = weights.len();
+        let k = self.k;
         for j in 0..k {
             for (d, &v) in vars[j].iter().enumerate() {
-                self.sds[j][d] = v.sqrt();
-                self.ln_sds[j][d] = self.sds[j][d].ln();
+                let sd = v.sqrt();
+                self.means[d * k + j] = means[j][d];
+                self.sds[d * k + j] = sd;
+                self.ln_sds[d * k + j] = sd.ln();
             }
             self.ln_weights[j] = weights[j].max(1e-300).ln();
         }
+        let start = sum_start();
         let mut total_ll = 0.0;
         for (p, row) in points.iter().zip(log_resp.chunks_exact_mut(k)) {
-            for j in 0..k {
-                let (mean, sd, ln_sd) = (&means[j], &self.sds[j], &self.ln_sds[j]);
-                let log_pdf: f64 = (0..p.len())
-                    .map(|d| {
-                        let z = (p[d] - mean[d]) / sd[d];
-                        -0.5 * (LN_2PI + z * z) - ln_sd[d]
-                    })
-                    .sum();
-                self.terms[j] = self.ln_weights[j] + log_pdf;
+            // The row accumulates each component's log-density first.
+            row.fill(start);
+            // lint: reduction-order one accumulator per component, folded in axis order like `Iterator::sum`
+            for (d, &x) in p.iter().enumerate() {
+                let axis = d * k..(d + 1) * k;
+                let consts = self.means[axis.clone()]
+                    .iter()
+                    .zip(&self.sds[axis.clone()])
+                    .zip(&self.ln_sds[axis]);
+                for (acc, ((&mu, &sd), &ln_sd)) in row.iter_mut().zip(consts) {
+                    let z = (x - mu) / sd;
+                    *acc += -0.5 * (LN_2PI + z * z) - ln_sd;
+                }
             }
-            let lse = log_sum_exp(&self.terms);
+            for (t, &ln_w) in row.iter_mut().zip(&self.ln_weights) {
+                *t += ln_w;
+            }
+            let lse = log_sum_exp(row);
             total_ll += lse;
-            for (r, &t) in row.iter_mut().zip(&self.terms) {
-                *r = t - lse;
+            for t in row.iter_mut() {
+                *t -= lse;
             }
         }
         total_ll
@@ -280,6 +384,165 @@ mod tests {
             let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&log_resp), bits(&want_resp), "case {case}");
         }
+    }
+
+    /// `run_em` as it was before the one-pass M-step, kept as its oracle:
+    /// the per-point E-step (`diag_mvn_logpdf`, libm `exp` in the
+    /// log-sum-exp), then per component one `Vec` of responsibilities and
+    /// `1 + 2·dim` sequential `.sum()` passes. `seen` counts the
+    /// responsibilities that underflowed to zero and the subnormal ones.
+    fn run_em_reference(
+        points: &[Vec<f64>],
+        mut weights: Vec<f64>,
+        mut means: Vec<Vec<f64>>,
+        mut vars: Vec<Vec<f64>>,
+        config: &FitConfig,
+        seen: &mut [usize; 2],
+    ) -> Result<Gmm> {
+        let (n, k, dim) = (points.len(), weights.len(), points[0].len());
+        let mut log_resp = vec![0.0f64; n * k];
+        let mut resp = vec![0.0f64; n];
+        let mut prev_ll = f64::NEG_INFINITY;
+        for _iter in 0..config.max_iters {
+            let mut total_ll = 0.0;
+            for (p, row) in points.iter().zip(log_resp.chunks_exact_mut(k)) {
+                let terms: Vec<f64> = (0..k)
+                    .map(|j| {
+                        let sds: Vec<f64> = vars[j].iter().map(|v| v.sqrt()).collect();
+                        weights[j].max(1e-300).ln()
+                            + navicim_math::stats::diag_mvn_logpdf(p, &means[j], &sds)
+                    })
+                    .collect();
+                let m = terms.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+                let lse = m + terms.iter().map(|t| (t - m).exp()).sum::<f64>().ln();
+                total_ll += lse;
+                for (r, t) in row.iter_mut().zip(&terms) {
+                    *r = t - lse;
+                }
+            }
+            for j in 0..k {
+                for (r, row) in resp.iter_mut().zip(log_resp.chunks_exact(k)) {
+                    *r = row[j].exp();
+                    seen[0] += usize::from(*r == 0.0);
+                    seen[1] += usize::from(*r != 0.0 && !r.is_normal());
+                }
+                let nk: f64 = resp.iter().sum();
+                if nk < 1e-9 {
+                    return Err(GmmError::DegenerateFit(format!(
+                        "component {j} lost all responsibility"
+                    )));
+                }
+                weights[j] = nk / n as f64;
+                for d in 0..dim {
+                    let mu: f64 = points.iter().zip(&resp).map(|(p, r)| r * p[d]).sum::<f64>() / nk;
+                    means[j][d] = mu;
+                    let var: f64 = points
+                        .iter()
+                        .zip(&resp)
+                        .map(|(p, r)| r * (p[d] - mu) * (p[d] - mu))
+                        .sum::<f64>()
+                        / nk;
+                    vars[j][d] = var.max(config.var_floor);
+                }
+            }
+            let mean_ll = total_ll / n as f64;
+            if (mean_ll - prev_ll).abs() < config.tol {
+                break;
+            }
+            prev_ll = mean_ll;
+        }
+        Gmm::new(weights, means, vars)
+    }
+
+    fn gmm_bits(g: &Gmm) -> Vec<u64> {
+        g.weights()
+            .iter()
+            .chain(g.means().iter().flatten())
+            .chain(g.variances().iter().flatten())
+            .map(|x| x.to_bits())
+            .collect()
+    }
+
+    /// Clusters at scales from 0.01 to 1 and centres up to 60 apart, so
+    /// responsibilities span the normal range, the subnormal range and
+    /// underflow to zero.
+    fn multiscale_cloud(rng: &mut Pcg32, n: usize, dim: usize, clusters: usize) -> Vec<Vec<f64>> {
+        let centres: Vec<(Vec<f64>, f64)> = (0..clusters)
+            .map(|_| {
+                let c = (0..dim).map(|_| rng.sample_uniform(-30.0, 30.0)).collect();
+                (c, 10f64.powf(rng.sample_uniform(-2.0, 0.0)))
+            })
+            .collect();
+        (0..n)
+            .map(|i| {
+                let (c, sd) = &centres[i % clusters];
+                c.iter().map(|&m| rng.sample_normal(m, *sd)).collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn one_pass_m_step_matches_per_component_reference() {
+        let mut rng = Pcg32::seed_from_u64(25);
+        let mut seen = [0usize; 2];
+        let (mut fitted, mut degenerate) = (0, 0);
+        for case in 0..18 {
+            let (dim, k) = (1 + case % 3, 2 + case % 5);
+            let n = 30 + 11 * case;
+            let points = multiscale_cloud(&mut rng, n, dim, 1 + case % 6);
+            let config = FitConfig {
+                max_iters: 40,
+                ..FitConfig::default()
+            };
+            // From the k-means start `fit_diag_gmm` uses.
+            let init = kmeans(&points, k, config.kmeans_iters, &mut rng).unwrap();
+            let vars = initial_vars(
+                &points,
+                &init.assignments,
+                &init.centroids,
+                config.var_floor,
+            );
+            let weights = vec![1.0 / k as f64; k];
+            // From a random start whose first component has zero weight:
+            // it lies on the `1e-300` floor, and EM stops on it.
+            let mut zero_weight: Vec<f64> = (0..k).map(|_| rng.sample_uniform(0.1, 1.0)).collect();
+            zero_weight[0] = 0.0;
+            let total: f64 = zero_weight.iter().sum();
+            zero_weight.iter_mut().for_each(|w| *w /= total);
+            let starts = [
+                (weights, init.centroids.clone(), vars.clone()),
+                (zero_weight, init.centroids, vars),
+            ];
+            for (weights, means, vars) in starts {
+                let got = run_em(
+                    &points,
+                    weights.clone(),
+                    means.clone(),
+                    vars.clone(),
+                    &config,
+                );
+                let want = run_em_reference(&points, weights, means, vars, &config, &mut seen);
+                match (got, want) {
+                    (Ok(got), Ok(want)) => {
+                        assert_eq!(gmm_bits(&got), gmm_bits(&want), "case {case}");
+                        fitted += 1;
+                    }
+                    (Err(got), Err(want)) => {
+                        assert_eq!(got.to_string(), want.to_string(), "case {case}");
+                        degenerate += 1;
+                    }
+                    (got, want) => panic!("case {case}: {got:?} vs {want:?}"),
+                }
+            }
+        }
+        assert!(
+            fitted >= 12 && degenerate >= 9,
+            "{fitted} fits, {degenerate} stops"
+        );
+        assert!(
+            seen[0] > 1000 && seen[1] > 10,
+            "zero / subnormal responsibilities: {seen:?}"
+        );
     }
 
     #[test]

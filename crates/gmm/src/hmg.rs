@@ -12,7 +12,7 @@
 //! diagonal GMM ([`fit_hmgm`], or [`fit_hmgm_from`] given an already fitted
 //! one).
 
-use crate::fit::{fit_diag_gmm, FitConfig};
+use crate::fit::{fit_diag_gmm, FitConfig, Moments};
 use crate::gaussian::Gmm;
 use crate::{check_dims, GmmError, Result};
 use navicim_math::rng::Rng64;
@@ -128,11 +128,23 @@ fn harmonic_eval(means: &[f64], sigmas: &[f64], amplitude: f64, x: &[f64]) -> f6
     let d = means.len() as f64;
     let mut inv_sum = 0.0;
     for ((&xi, &mu), &sigma) in x.iter().zip(means).zip(sigmas) {
-        let z = (xi - mu) / sigma;
-        let g = exp_fast(-0.5 * z * z).max(1e-300);
-        inv_sum += 1.0 / g;
+        inv_sum += inverse_factor(xi, mu, sigma);
     }
     amplitude * d / inv_sum
+}
+
+/// Exponents below this give `exp_fast(·) < 1e-300`, where the axis
+/// factor's floor wins: clamping to it changes no result, and keeps
+/// `exp_fast` out of its subnormal range, where each vector multiply
+/// takes a microcode assist.
+const FACTOR_EXPONENT_FLOOR: f64 = -700.0;
+
+/// One axis's `1 / max(gᵢ(xᵢ), 1e-300)`, the summand of
+/// `harmonic_eval`.
+#[inline(always)]
+fn inverse_factor(x: f64, mu: f64, sigma: f64) -> f64 {
+    let z = (x - mu) / sigma;
+    1.0 / exp_fast((-0.5 * z * z).max(FACTOR_EXPONENT_FLOOR)).max(1e-300)
 }
 
 /// A mixture of HMG kernels: the co-designed map model of Section II.
@@ -305,28 +317,45 @@ pub fn fit_hmgm_from(gmm: &Gmm, points: &[Vec<f64>], config: &HmgmFitConfig) -> 
         }
     };
 
+    // Means and clamped sigmas, axis-major (`[d·k + j]`) so each axis's
+    // factors vectorize across components.
     let mut weights = gmm.weights().to_vec();
-    let mut means = gmm.means().to_vec();
-    let mut sigmas: Vec<Vec<f64>> = sds
-        .iter()
-        .map(|row| {
-            row.iter()
-                .enumerate()
-                .map(|(axis, &s)| clamp_sigma(s, axis))
-                .collect()
-        })
-        .collect();
+    let mut means = vec![0.0; dim * k];
+    let mut sigmas = vec![0.0; dim * k];
+    for (j, (mean, sd)) in gmm.means().iter().zip(&sds).enumerate() {
+        for d in 0..dim {
+            means[d * k + j] = mean[d];
+            sigmas[d * k + j] = clamp_sigma(sd[d], d);
+        }
+    }
 
     let n = points.len();
+    let dim_f = dim as f64;
     // Responsibilities, one row of `k` per point, reused every round.
     let mut resp = vec![0.0f64; n * k];
+    let mut moments = Moments::new(k, dim);
     for _round in 0..config.refine_iters {
-        // Responsibilities under the HMG kernels.
+        // Responsibilities under the HMG kernels: `harmonic_eval` for all
+        // components at once, each summing its axes in the same order and
+        // from the same start, so the two agree bit for bit.
         for (p, row) in points.iter().zip(resp.chunks_exact_mut(k)) {
+            row.fill(0.0);
+            // lint: reduction-order one accumulator per component, folded in axis order from 0.0 like `harmonic_eval`
+            for (d, &x) in p.iter().enumerate() {
+                let axis = d * k..(d + 1) * k;
+                let consts = means[axis.clone()].iter().zip(&sigmas[axis]);
+                for (inv_sum, (&mu, &sigma)) in row.iter_mut().zip(consts) {
+                    *inv_sum += inverse_factor(x, mu, sigma);
+                }
+            }
+            // `w · (amplitude · d / inv_sum)` at amplitude 1, where
+            // `1.0 · d` is `d` exactly.
+            for (v, &w) in row.iter_mut().zip(&weights) {
+                *v = w * (dim_f / *v);
+            }
             let mut total = 0.0;
-            for j in 0..k {
-                let v = weights[j] * harmonic_eval(&means[j], &sigmas[j], 1.0, p);
-                row[j] = v;
+            // lint: reduction-order component order
+            for &v in row.iter() {
                 total += v;
             }
             if total > 0.0 {
@@ -338,38 +367,27 @@ pub fn fit_hmgm_from(gmm: &Gmm, points: &[Vec<f64>], config: &HmgmFitConfig) -> 
                 row.fill(1.0 / k as f64);
             }
         }
-        // Reweighted parameter updates.
-        for j in 0..k {
-            let nk: f64 = resp.chunks_exact(k).map(|row| row[j]).sum();
+        // Reweighted parameter updates; a starved kernel keeps its
+        // previous parameters.
+        moments.first(points, &resp);
+        moments.second(points, &resp);
+        for (j, &nk) in moments.nk.iter().enumerate() {
             if nk < 1e-9 {
-                continue; // keep the previous parameters for starved kernels
+                continue;
             }
             weights[j] = nk / n as f64;
             for d in 0..dim {
-                // lint: reduction-order point-index order, matching the scalar EM update
-                let mu: f64 = points
-                    .iter()
-                    .zip(resp.chunks_exact(k))
-                    .map(|(p, row)| row[j] * p[d])
-                    .sum::<f64>()
-                    / nk;
-                means[j][d] = mu;
-                // lint: reduction-order point-index order, matching the scalar EM update
-                let var: f64 = points
-                    .iter()
-                    .zip(resp.chunks_exact(k))
-                    .map(|(p, row)| row[j] * (p[d] - mu) * (p[d] - mu))
-                    .sum::<f64>()
-                    / nk;
-                sigmas[j][d] = clamp_sigma(var.sqrt(), d);
+                means[d * k + j] = moments.mean[d * k + j];
+                sigmas[d * k + j] = clamp_sigma(moments.var[d * k + j].sqrt(), d);
             }
         }
     }
 
-    let kernels = means
-        .into_iter()
-        .zip(sigmas)
-        .map(|(m, s)| HmgKernel::new(m, s, 1.0))
+    let kernels = (0..k)
+        .map(|j| {
+            let axes = |v: &[f64]| (0..dim).map(|d| v[d * k + j]).collect();
+            HmgKernel::new(axes(&means), axes(&sigmas), 1.0)
+        })
         .collect::<Result<Vec<_>>>()?;
     HmgmModel::new(weights, kernels)
 }
@@ -540,6 +558,189 @@ mod tests {
                 assert_eq!(from, whole, "seed {seed}, k {k}");
                 assert_eq!(a.next_u64(), b.next_u64(), "RNGs left in step");
             }
+        }
+    }
+
+    /// `fit_hmgm_from`'s refinement as it was before the one-pass M-step,
+    /// kept as its oracle: per point and component the unclamped
+    /// harmonic value, then per component `1 + 2·dim` sequential `.sum()`
+    /// passes over the responsibility rows. `seen` counts the
+    /// responsibilities that are zero and the subnormal ones.
+    fn fit_hmgm_from_reference(
+        gmm: &Gmm,
+        points: &[Vec<f64>],
+        config: &HmgmFitConfig,
+        seen: &mut [usize; 2],
+    ) -> HmgmModel {
+        let (dim, k, n) = (gmm.dim(), gmm.num_components(), points.len());
+        let clamp_sigma = |s: f64, axis: usize| {
+            let floor = config
+                .sigma_floor_axes
+                .as_ref()
+                .map_or(config.sigma_floor, |f| f[axis]);
+            let s = s.max(floor);
+            match config
+                .sigma_ceiling_axes
+                .as_ref()
+                .map(|c| c[axis])
+                .or(config.sigma_ceiling)
+            {
+                Some(c) => s.min(c.max(floor)),
+                None => s,
+            }
+        };
+        let mut weights = gmm.weights().to_vec();
+        let mut means = gmm.means().to_vec();
+        let mut sigmas: Vec<Vec<f64>> = gmm
+            .diag_std_devs()
+            .iter()
+            .map(|row| {
+                row.iter()
+                    .enumerate()
+                    .map(|(d, &s)| clamp_sigma(s, d))
+                    .collect()
+            })
+            .collect();
+        let harmonic = |means: &[f64], sigmas: &[f64], x: &[f64]| {
+            let mut inv_sum = 0.0;
+            for ((&xi, &mu), &sigma) in x.iter().zip(means).zip(sigmas) {
+                let z = (xi - mu) / sigma;
+                inv_sum += 1.0 / exp_fast(-0.5 * z * z).max(1e-300);
+            }
+            1.0 * dim as f64 / inv_sum
+        };
+        let mut resp = vec![0.0f64; n * k];
+        for _round in 0..config.refine_iters {
+            for (p, row) in points.iter().zip(resp.chunks_exact_mut(k)) {
+                let mut total = 0.0;
+                for j in 0..k {
+                    let v = weights[j] * harmonic(&means[j], &sigmas[j], p);
+                    row[j] = v;
+                    total += v;
+                }
+                if total > 0.0 {
+                    for r in row.iter_mut() {
+                        *r /= total;
+                        seen[0] += usize::from(*r == 0.0);
+                        seen[1] += usize::from(*r != 0.0 && !r.is_normal());
+                    }
+                } else {
+                    row.fill(1.0 / k as f64);
+                }
+            }
+            for j in 0..k {
+                let nk: f64 = resp.chunks_exact(k).map(|row| row[j]).sum();
+                if nk < 1e-9 {
+                    continue;
+                }
+                weights[j] = nk / n as f64;
+                for d in 0..dim {
+                    let mu: f64 = points
+                        .iter()
+                        .zip(resp.chunks_exact(k))
+                        .map(|(p, row)| row[j] * p[d])
+                        .sum::<f64>()
+                        / nk;
+                    means[j][d] = mu;
+                    let var: f64 = points
+                        .iter()
+                        .zip(resp.chunks_exact(k))
+                        .map(|(p, row)| row[j] * (p[d] - mu) * (p[d] - mu))
+                        .sum::<f64>()
+                        / nk;
+                    sigmas[j][d] = clamp_sigma(var.sqrt(), d);
+                }
+            }
+        }
+        let kernels = means
+            .into_iter()
+            .zip(sigmas)
+            .map(|(m, s)| HmgKernel::new(m, s, 1.0).unwrap())
+            .collect();
+        HmgmModel::new(weights, kernels).unwrap()
+    }
+
+    fn model_bits(m: &HmgmModel) -> Vec<u64> {
+        let kernels = m
+            .kernels()
+            .iter()
+            .flat_map(|k| k.means().iter().chain(k.sigmas()));
+        m.weights()
+            .iter()
+            .chain(kernels)
+            .map(|x| x.to_bits())
+            .collect()
+    }
+
+    #[test]
+    fn one_pass_refine_matches_per_component_reference() {
+        let mut rng = Pcg32::seed_from_u64(26);
+        let mut seen = [0usize; 2];
+        for case in 0..12 {
+            let (dim, k) = (1 + case % 3, 2 + case % 5);
+            // Blobs at scales from 0.01 to 1, plus far points where every
+            // axis factor sits on the `1e-300` floor.
+            let mut points: Vec<Vec<f64>> = (0..40 + 9 * case)
+                .map(|i| {
+                    let (c, sd) = ((i % 4) as f64 * 6.0, 10f64.powf(-((i % 3) as f64)));
+                    (0..dim).map(|_| rng.sample_normal(c, sd)).collect()
+                })
+                .collect();
+            points.extend(
+                (0..5).map(|_| (0..dim).map(|_| rng.sample_uniform(200.0, 400.0)).collect()),
+            );
+            // A fitted warm start, and a drawn one whose weights include
+            // a zero (a starved kernel) and tiny values (subnormal
+            // responsibilities).
+            let fitted = fit_diag_gmm(&points, k, &FitConfig::default(), &mut rng).unwrap();
+            let mut weights: Vec<f64> = (0..k).map(|_| rng.sample_uniform(0.1, 1.0)).collect();
+            weights[0] = 0.0;
+            weights[1] = 1e-300;
+            let total: f64 = weights.iter().sum();
+            weights.iter_mut().for_each(|w| *w /= total);
+            let means = (0..k)
+                .map(|_| (0..dim).map(|_| rng.sample_uniform(-2.0, 20.0)).collect())
+                .collect();
+            let vars = (0..k)
+                .map(|_| (0..dim).map(|_| rng.sample_uniform(1e-4, 4.0)).collect())
+                .collect();
+            let drawn = Gmm::new(weights, means, vars).unwrap();
+            let configs = [
+                HmgmFitConfig::default(),
+                HmgmFitConfig {
+                    sigma_floor_axes: Some(vec![0.05; dim]),
+                    sigma_ceiling_axes: Some(vec![0.8; dim]),
+                    refine_iters: 4,
+                    ..HmgmFitConfig::default()
+                },
+            ];
+            for gmm in [&fitted, &drawn] {
+                for config in &configs {
+                    let got = fit_hmgm_from(gmm, &points, config).unwrap();
+                    let want = fit_hmgm_from_reference(gmm, &points, config, &mut seen);
+                    assert_eq!(model_bits(&got), model_bits(&want), "case {case}");
+                }
+            }
+        }
+        assert!(
+            seen[0] > 1000 && seen[1] > 10,
+            "zero / subnormal responsibilities: {seen:?}"
+        );
+    }
+
+    #[test]
+    fn clamped_factor_exponent_keeps_bits() {
+        // Below -700 `exp_fast` is under `1e-300` (e^-700 ≈ 9.9e-305, and
+        // the result is within 4 ulp there, subnormal or zero further
+        // down), so the floor wins with or without the clamp.
+        assert!(exp_fast(-700.0) < 1e-300);
+        let floored = |a: f64| exp_fast(a).max(1e-300).to_bits();
+        for i in 0..=400_000 {
+            let a = -800.0 + 800.0 * f64::from(i) / 400_000.0;
+            assert_eq!(floored(a), floored(a.max(FACTOR_EXPONENT_FLOOR)), "{a}");
+        }
+        for a in [f64::NEG_INFINITY, f64::NAN, -1e300, -0.0] {
+            assert_eq!(floored(a), floored(a.max(FACTOR_EXPONENT_FLOOR)), "{a}");
         }
     }
 

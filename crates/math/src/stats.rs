@@ -185,15 +185,92 @@ pub fn diag_mvn_logpdf(x: &[f64], mean: &[f64], std_devs: &[f64]) -> f64 {
         .sum()
 }
 
+/// The least `f64` whose libm `exp` is not `+0.0`: `exp` of anything
+/// below it is under half the least subnormal (`e^x < 2⁻¹⁰⁷⁵` for
+/// `x < −1075·ln 2 ≈ −745.1332`) and rounds to zero.
+const EXP_ZERO_BELOW: f64 = -745.133_219_101_941_1;
+
+/// [`f64::exp`] without the libm call where the result is `+0.0`: inputs
+/// below [`EXP_ZERO_BELOW`] (and `-inf`) return `0.0`, every other input
+/// (`NaN` included) goes to libm. The result is bit-identical to
+/// `x.exp()` for every input. EM's log-responsibilities fall below the
+/// cutoff for most far components, and each such libm call costs as
+/// much as a real one.
+#[inline]
+fn exp_or_zero(x: f64) -> f64 {
+    if x < EXP_ZERO_BELOW {
+        0.0
+    } else {
+        x.exp()
+    }
+}
+
+/// Inputs per block when gathering the ones that reach libm.
+const EXP_BLOCK: usize = 64;
+
+/// `f64::exp` over `xs`, in place and bit for bit, without calling libm
+/// where the result is `+0.0` (inputs below about −745.13). Each block
+/// first gathers the indices of the inputs that do reach libm, without a
+/// branch per element, so the data-dependent cutoff costs no
+/// mispredictions.
+pub fn exp_or_zero_in_place(xs: &mut [f64]) {
+    let mut live = [0u8; EXP_BLOCK];
+    for block in xs.chunks_mut(EXP_BLOCK) {
+        let mut n = 0;
+        for (i, x) in block.iter_mut().enumerate() {
+            let reaches_libm = !(*x < EXP_ZERO_BELOW);
+            live[n] = i as u8;
+            n += usize::from(reaches_libm);
+            *x = if reaches_libm { *x } else { 0.0 };
+        }
+        for &i in &live[..n] {
+            let x = &mut block[usize::from(i)];
+            *x = exp_or_zero(*x);
+        }
+    }
+}
+
 /// Numerically stable `log(Σ exp(x_i))`.
 ///
-/// Returns `-inf` for an empty slice.
+/// Returns `-inf` for an empty slice. The result equals
+/// `m + ln Σ exp(x − m)` with `m` the sequential [`max`] fold, the libm
+/// `exp` and the sum folded in slice order, bit for bit, though none of
+/// the three runs that way: the max runs in four lanes (the same value up
+/// to the sign of a zero `m`, which cannot reach the result), and the sum
+/// skips the terms whose `exp` is `+0.0` without calling libm (adding
+/// `+0.0` to a nonzero partial sum is exact, and a sum of zeros has
+/// `ln = -inf` at either sign).
 pub fn log_sum_exp(xs: &[f64]) -> f64 {
-    let m = max(xs);
+    let mut lanes = [f64::NEG_INFINITY; 4];
+    let blocks = xs.chunks_exact(4);
+    // lint: reduction-order max is exact: any order gives the sequential fold's value
+    for &x in blocks.remainder() {
+        lanes[0] = lanes[0].max(x);
+    }
+    for block in blocks {
+        for (lane, &x) in lanes.iter_mut().zip(block) {
+            *lane = lane.max(x);
+        }
+    }
+    let m = lanes[0].max(lanes[1]).max(lanes[2].max(lanes[3]));
     if m == f64::NEG_INFINITY {
         return f64::NEG_INFINITY;
     }
-    m + xs.iter().map(|x| (x - m).exp()).sum::<f64>().ln()
+    let mut live = [0.0f64; EXP_BLOCK];
+    let mut sum = std::iter::empty::<f64>().sum::<f64>();
+    // lint: reduction-order slice order from `Iterator::sum`'s start value, zero terms skipped
+    for block in xs.chunks(EXP_BLOCK) {
+        let mut n = 0;
+        for &x in block {
+            let a = x - m;
+            live[n] = a;
+            n += usize::from(!(a < EXP_ZERO_BELOW));
+        }
+        for &a in &live[..n] {
+            sum += exp_or_zero(a);
+        }
+    }
+    m + sum.ln()
 }
 
 #[cfg(test)]
@@ -274,5 +351,102 @@ mod tests {
         let xs = [-1000.0, -1000.0];
         assert!(approx_eq(log_sum_exp(&xs), -1000.0 + (2.0f64).ln(), 1e-9));
         assert_eq!(log_sum_exp(&[]), f64::NEG_INFINITY);
+    }
+
+    #[test]
+    fn exp_or_zero_matches_libm_bit_for_bit() {
+        let check = |x: f64| {
+            let (got, want) = (exp_or_zero(x), x.exp());
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "exp({x:e}): {got:e} vs {want:e}"
+            );
+        };
+        // Dense sweep over [-760, -700]: below, across and above the cutoff.
+        for i in 0..=600_000 {
+            check(-760.0 + 60.0 * f64::from(i) / 600_000.0);
+        }
+        // The cutoff and its neighbours, a few thousand ulp each way. If
+        // a platform libm returns nonzero below the cutoff (or zero at
+        // it), this fails rather than letting fits drift.
+        let bits = EXP_ZERO_BELOW.to_bits();
+        for d in 0..4096 {
+            check(f64::from_bits(bits + d));
+            check(f64::from_bits(bits - d));
+        }
+        let below = f64::from_bits(bits + 1);
+        assert_eq!(below.exp(), 0.0, "libm exp({below:e}) is not zero");
+        assert!(EXP_ZERO_BELOW.exp() > 0.0, "libm exp at the cutoff is zero");
+        // Subnormal outputs: exp(x) < f64::MIN_POSITIVE for x below
+        // about -708.40.
+        let mut subnormal = 0;
+        for i in 0..=200_000 {
+            let x = -745.2 + 36.9 * f64::from(i) / 200_000.0;
+            check(x);
+            subnormal += usize::from(x.exp() > 0.0 && !x.exp().is_normal());
+        }
+        assert!(subnormal > 100_000, "sweep reached {subnormal} subnormals");
+        for x in [
+            0.0,
+            -0.0,
+            f64::NEG_INFINITY,
+            f64::INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ] {
+            check(x);
+        }
+        assert_eq!(exp_or_zero(-1e300).to_bits(), 0);
+    }
+
+    #[test]
+    fn gathered_exp_forms_match_the_sequential_libm_forms() {
+        use crate::rng::{Pcg32, SampleExt};
+        // The sequential forms they replace: a `max` fold and a libm `exp`
+        // per element, summed in slice order.
+        let lse_ref = |xs: &[f64]| {
+            let m = max(xs);
+            if m == f64::NEG_INFINITY {
+                return f64::NEG_INFINITY;
+            }
+            m + xs.iter().map(|x| (x - m).exp()).sum::<f64>().ln()
+        };
+        // NaN payloads are not part of the contract: any NaN equals any NaN.
+        let same = |a: f64, b: f64| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
+        let specials = [
+            0.0,
+            -0.0,
+            f64::NEG_INFINITY,
+            f64::INFINITY,
+            f64::NAN,
+            -745.2,
+            -745.1,
+        ];
+        let mut rng = Pcg32::seed_from_u64(3);
+        for case in 0..3000 {
+            let len = case % 150;
+            let spread = [1.0, 300.0, 800.0, 3000.0][case % 4];
+            let mut xs: Vec<f64> = (0..len)
+                .map(|_| rng.sample_uniform(-spread, 0.0) + rng.sample_normal(0.0, 1.0))
+                .collect();
+            if case % 5 == 0 && len > 0 {
+                for _ in 0..3 {
+                    let i = rng.sample_index(len);
+                    xs[i] = specials[rng.sample_index(specials.len())];
+                }
+            }
+            if case % 7 == 0 {
+                xs.iter_mut()
+                    .for_each(|x| *x = if *x < -1.0 { -0.0 } else { 0.0 });
+            }
+            let (got, want) = (log_sum_exp(&xs), lse_ref(&xs));
+            assert!(same(got, want), "case {case}: {got} vs {want} on {xs:?}");
+            let mut got = xs.clone();
+            exp_or_zero_in_place(&mut got);
+            for (g, x) in got.iter().zip(&xs) {
+                assert!(same(*g, x.exp()), "case {case}: exp({x}) = {g}");
+            }
+        }
     }
 }

@@ -1,24 +1,16 @@
-//! Regression losses.
-
-/// A differentiable scalar loss over prediction/target vectors.
-pub trait Loss {
-    /// Loss value.
-    ///
-    /// # Panics
-    ///
-    /// Implementations panic on length mismatch.
-    fn value(&self, prediction: &[f64], target: &[f64]) -> f64;
-
-    /// Gradient of the loss with respect to the prediction.
-    fn gradient(&self, prediction: &[f64], target: &[f64]) -> Vec<f64>;
-}
+//! The regression loss.
 
 /// Mean squared error: `L = (1/n) Σ (y − t)²`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Mse;
 
-impl Loss for Mse {
-    fn value(&self, prediction: &[f64], target: &[f64]) -> f64 {
+impl Mse {
+    /// Loss value.
+    ///
+    /// # Panics
+    ///
+    /// Panics on length mismatch.
+    pub fn value(&self, prediction: &[f64], target: &[f64]) -> f64 {
         assert_eq!(prediction.len(), target.len(), "loss length mismatch");
         let n = prediction.len().max(1) as f64;
         prediction
@@ -29,7 +21,12 @@ impl Loss for Mse {
             / n
     }
 
-    fn gradient(&self, prediction: &[f64], target: &[f64]) -> Vec<f64> {
+    /// Gradient of the loss with respect to the prediction.
+    ///
+    /// # Panics
+    ///
+    /// Panics on length mismatch.
+    pub fn gradient(&self, prediction: &[f64], target: &[f64]) -> Vec<f64> {
         assert_eq!(prediction.len(), target.len(), "loss length mismatch");
         let n = prediction.len().max(1) as f64;
         prediction
@@ -72,11 +69,5 @@ mod tests {
                 g[i]
             );
         }
-    }
-
-    #[test]
-    fn loss_is_object_safe() {
-        let l: Box<dyn Loss> = Box::new(Mse);
-        assert_eq!(l.value(&[1.0], &[1.0]), 0.0);
     }
 }

@@ -74,7 +74,7 @@ impl Optimizer for Adam {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::loss::{Loss, Mse};
+    use crate::loss::Mse;
     use crate::mlp::Mlp;
     use crate::Mode;
     use navicim_math::rng::Pcg32;

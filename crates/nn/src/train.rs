@@ -1,6 +1,6 @@
 //! Epoch-based training loop.
 
-use crate::loss::Loss;
+use crate::loss::Mse;
 use crate::mlp::Mlp;
 use crate::optim::Optimizer;
 use crate::{Mode, NnError, Result};
@@ -42,16 +42,15 @@ impl Default for TrainConfig {
 ///
 /// Returns [`NnError::InvalidArgument`] for empty data, zero batch size or
 /// shape mismatches against the network.
-pub fn train<L, O, R>(
+pub fn train<O, R>(
     net: &mut Mlp,
     examples: &[Example],
-    loss: &L,
+    loss: &Mse,
     optimizer: &mut O,
     config: &TrainConfig,
     rng: &mut R,
 ) -> Result<Vec<f64>>
 where
-    L: Loss,
     O: Optimizer,
     R: Rng64,
 {
@@ -110,7 +109,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::loss::{Loss, Mse};
+    use crate::loss::Mse;
     use crate::mlp::Mlp;
     use crate::optim::Adam;
     use navicim_math::rng::Pcg32;

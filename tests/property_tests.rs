@@ -419,8 +419,6 @@ proptest! {
             let next = gate.select(&GateContext {
                 frame,
                 signals: UncertaintySignals::from_spread(spread),
-                current,
-                num_backends: 2,
             });
             prop_assert!(next == DIGITAL_SLOT || next == ANALOG_SLOT);
             if next != current {
@@ -520,8 +518,6 @@ proptest! {
             let slot = gate.select(&GateContext {
                 frame,
                 signals: UncertaintySignals::from_spread(spread),
-                current: frame % 2,
-                num_backends: 2,
             });
             let expected = if frame % cycle < refresh_len {
                 DIGITAL_SLOT
@@ -639,18 +635,14 @@ proptest! {
         let mut plain = HysteresisGate::new(spread_cfg).expect("valid gate");
         let mut multi = MultiSignalGate::new(ms_cfg).expect("valid gate");
         let spreads: Vec<f64> = (0..frames).map(|_| rng.sample_uniform(0.0, 0.3)).collect();
-        let mut cur = DIGITAL_SLOT;
         for (frame, &s) in spreads.iter().enumerate() {
             let ctx = GateContext {
                 frame,
                 signals: UncertaintySignals::from_spread(s),
-                current: cur,
-                num_backends: 2,
             };
             let a = plain.select(&ctx);
             let b = multi.select(&ctx);
             prop_assert_eq!(a, b);
-            cur = a;
         }
         prop_assert_eq!(plain.switches(), multi.switches());
         prop_assert_eq!(multi.rescues(), 0);
@@ -672,8 +664,6 @@ proptest! {
                     innovation,
                     vo_variance: None,
                 },
-                current: cur,
-                num_backends: 2,
             };
             let next = gate.select(&ctx);
             prop_assert!(next == DIGITAL_SLOT || next == ANALOG_SLOT);
