@@ -12,6 +12,16 @@
 //!   current table disabled ([`HmgmCimEngine::with_direct_eval`]), i.e.
 //!   the seed's DAC → EKV device model → Kirchhoff sum per evaluation.
 //!
+//! Besides the blob-map rows, a `spread` row pair scores the `wide-map`
+//! shape (32 tight components over an oversized room, scan-like
+//! queries), where the digital kernel skips the exact-zero exponentials
+//! of about 46 % of its 4-point groups.
+//!
+//! Each row pair is timed in alternating samples, so host noise falls
+//! on both rows alike, and every row records the minimum (`ns_per_point`,
+//! the headline) and the quartiles (`ns_q1`, `ns_median`, `ns_q3`) of its
+//! samples.
+//!
 //! Every pairing is parity-checked inline: the analog pair must agree
 //! *bitwise* (the code LUT is an exact cache); the digital pair carries
 //! the documented `exp_fast` ulp-bounded tolerance and is gated at
@@ -69,28 +79,65 @@ fn blob_points(n: usize, seed: u64) -> Vec<Vec<f64>> {
         .collect()
 }
 
-/// Best (minimum) ns per call of `f`, over `reps` samples of `iters`
-/// calls each. Minimum beats median on a shared/1-core host: scheduler
-/// noise only ever adds time, so the fastest sample is the closest
-/// estimate of the kernel's intrinsic cost.
-fn time_ns<F: FnMut()>(reps: usize, iters: usize, mut f: F) -> f64 {
-    f(); // warm caches and branch predictors
-    (0..reps.max(1))
-        .map(|_| {
-            let t = Instant::now();
-            for _ in 0..iters {
-                f();
-            }
-            t.elapsed().as_nanos() as f64 / iters as f64
-        })
-        .fold(f64::INFINITY, f64::min)
+/// One row's timing in ns per point: the minimum and the quartiles of
+/// its samples. The minimum is the headline: noise on a shared host only
+/// ever adds time, so the fastest sample is the closest estimate of the
+/// kernel's intrinsic cost. The quartiles show how noisy the run was.
+#[derive(Debug, Clone, Copy)]
+struct Timing {
+    min: f64,
+    q1: f64,
+    median: f64,
+    q3: f64,
 }
 
-/// Picks an iteration count so one timing sample runs ≥ `target_ns`.
-fn calibrate_iters<F: FnMut()>(target_ns: f64, mut f: F) -> usize {
+impl Timing {
+    /// Summarizes per-call samples as ns per point of an `n`-point call.
+    fn per_point(mut samples: Vec<f64>, n: usize) -> Self {
+        samples.sort_by(f64::total_cmp);
+        let at = |p: f64| samples[((samples.len() - 1) as f64 * p).round() as usize] / n as f64;
+        Self {
+            min: at(0.0),
+            q1: at(0.25),
+            median: at(0.5),
+            q3: at(0.75),
+        }
+    }
+}
+
+/// Mean ns per call of `f` over `iters` calls.
+fn sample_ns(iters: usize, f: &mut impl FnMut()) -> f64 {
     let t = Instant::now();
-    f();
-    let once = t.elapsed().as_nanos().max(1) as f64;
+    for _ in 0..iters {
+        f();
+    }
+    t.elapsed().as_nanos() as f64 / iters as f64
+}
+
+/// Times two `n`-point calls against each other in alternating samples
+/// (`a`, `b`, `a`, `b`, …), `reps` samples each of enough calls to run
+/// at least `target_ns`, so the host's noise falls on both rows alike.
+fn time_pair(
+    reps: usize,
+    target_ns: f64,
+    n: usize,
+    mut a: impl FnMut(),
+    mut b: impl FnMut(),
+) -> [Timing; 2] {
+    let iters_a = calibrate_iters(target_ns, &mut a);
+    let iters_b = calibrate_iters(target_ns, &mut b);
+    let (mut sa, mut sb) = (Vec::new(), Vec::new());
+    for _ in 0..reps.max(1) {
+        sa.push(sample_ns(iters_a, &mut a));
+        sb.push(sample_ns(iters_b, &mut b));
+    }
+    [Timing::per_point(sa, n), Timing::per_point(sb, n)]
+}
+
+/// Picks an iteration count so one timing sample runs ≥ `target_ns`
+/// (the call it times also warms caches and branch predictors).
+fn calibrate_iters(target_ns: f64, f: &mut impl FnMut()) -> usize {
+    let once = sample_ns(1, f).max(1.0);
     ((target_ns / once).ceil() as usize).clamp(1, 1_000_000)
 }
 
@@ -142,13 +189,91 @@ impl GmmScalarRef {
     }
 }
 
+/// [`time_pair`] of the digital GMM batch kernel against the scalar
+/// reference on one batch.
+fn time_gmm_pair(
+    reps: usize,
+    target_ns: f64,
+    gmm: &mut Gmm,
+    gmm_ref: &GmmScalarRef,
+    batch: &PointBatch,
+) -> [Timing; 2] {
+    let n = batch.len();
+    let (mut out, mut out_ref) = (vec![0.0; n], vec![0.0; n]);
+    time_pair(
+        reps,
+        target_ns,
+        n,
+        || {
+            gmm.log_likelihood_into(batch, &mut out);
+            std::hint::black_box(out[0]);
+        },
+        || {
+            let mut terms = Vec::new();
+            for (i, o) in out_ref.iter_mut().enumerate() {
+                *o = gmm_ref.log_pdf(batch.point(i), &mut terms);
+            }
+            std::hint::black_box(out_ref[0]);
+        },
+    )
+}
+
+/// Worst ulp distance between the digital GMM batch kernel and the
+/// scalar reference on `batch`.
+fn gmm_parity_ulp(gmm: &mut Gmm, gmm_ref: &GmmScalarRef, batch: &PointBatch) -> u64 {
+    let out = gmm.log_likelihood_batch(batch);
+    let mut terms = Vec::new();
+    out.iter()
+        .enumerate()
+        .map(|(i, &v)| ulp_distance(v, gmm_ref.log_pdf(batch.point(i), &mut terms)))
+        .max()
+        .unwrap_or(0)
+}
+
+/// The `wide-map` shape: 32 tight components spread over an oversized
+/// room (12 × 12 × 3 m), scored by a scan-like batch of `n` points —
+/// runs of 16 consecutive points drawn from one component, as
+/// neighbouring pixels see one surface. Most components sit more than
+/// 746 nats below a run's best one, so the digital kernel skips their
+/// exact-zero exponentials.
+fn spread_map(n: usize) -> (Gmm, PointBatch) {
+    const K: usize = 32;
+    let mut rng = Pcg32::seed_from_u64(26);
+    let means: Vec<Vec<f64>> = (0..K)
+        .map(|_| {
+            vec![
+                rng.sample_uniform(-6.0, 6.0),
+                rng.sample_uniform(-6.0, 6.0),
+                rng.sample_uniform(0.0, 3.0),
+            ]
+        })
+        .collect();
+    let vars: Vec<Vec<f64>> = (0..K)
+        .map(|_| (0..3).map(|_| rng.sample_uniform(0.01, 0.05)).collect())
+        .collect();
+    let gmm = Gmm::new(vec![1.0 / K as f64; K], means, vars).unwrap();
+    let mut batch = PointBatch::with_capacity(3, n);
+    let mut sample = Vec::new();
+    for i in 0..n {
+        if i % 16 == 0 {
+            sample = gmm.sample(&mut rng);
+        }
+        let p: Vec<f64> = sample
+            .iter()
+            .map(|&c| c + rng.sample_normal(0.0, 0.1))
+            .collect();
+        batch.push(&p);
+    }
+    (gmm, batch)
+}
+
 struct Row {
     kernel: &'static str,
     variant: &'static str,
     k: usize,
     n: usize,
     workers: usize,
-    ns_per_point: f64,
+    ns: Timing,
 }
 
 /// Component counts of the pruning sweep: wide mixtures are where the
@@ -202,13 +327,16 @@ fn json_escape_free(s: &str) -> &str {
 
 fn row_json(r: &Row) -> String {
     format!(
-        "    {{\"kernel\": \"{}\", \"variant\": \"{}\", \"components\": {}, \"batch_size\": {}, \"workers\": {}, \"ns_per_point\": {:.2}}}",
+        "    {{\"kernel\": \"{}\", \"variant\": \"{}\", \"components\": {}, \"batch_size\": {}, \"workers\": {}, \"ns_per_point\": {:.2}, \"ns_q1\": {:.2}, \"ns_median\": {:.2}, \"ns_q3\": {:.2}}}",
         json_escape_free(r.kernel),
         json_escape_free(r.variant),
         r.k,
         r.n,
         r.workers,
-        r.ns_per_point
+        r.ns.min,
+        r.ns.q1,
+        r.ns.median,
+        r.ns.q3
     )
 }
 
@@ -283,43 +411,15 @@ fn main() {
 
             // --- digital GMM plan ---
             let mut gmm_b = gmm.clone();
-            gmm_b.log_likelihood_into(&batch, &mut out);
-            {
-                let mut terms = Vec::new();
-                for (i, o) in out_ref.iter_mut().enumerate() {
-                    *o = gmm_ref.log_pdf(batch.point(i), &mut terms);
-                }
-            }
-            for (a, b) in out.iter().zip(&out_ref) {
-                gmm_max_ulp = gmm_max_ulp.max(ulp_distance(*a, *b));
-            }
-            let iters = calibrate_iters(target_ns, || {
-                gmm_b.log_likelihood_into(&batch, &mut out);
-            });
-            let simd_ns = time_ns(reps, iters, || {
-                gmm_b.log_likelihood_into(&batch, &mut out);
-                std::hint::black_box(out[0]);
-            }) / n as f64;
-            let iters = calibrate_iters(target_ns, || {
-                let mut terms = Vec::new();
-                for (i, o) in out_ref.iter_mut().enumerate() {
-                    *o = gmm_ref.log_pdf(batch.point(i), &mut terms);
-                }
-            });
-            let ref_ns = time_ns(reps, iters, || {
-                let mut terms = Vec::new();
-                for (i, o) in out_ref.iter_mut().enumerate() {
-                    *o = gmm_ref.log_pdf(batch.point(i), &mut terms);
-                }
-                std::hint::black_box(out_ref[0]);
-            }) / n as f64;
+            gmm_max_ulp = gmm_max_ulp.max(gmm_parity_ulp(&mut gmm_b, &gmm_ref, &batch));
+            let [simd_ns, ref_ns] = time_gmm_pair(reps, target_ns, &mut gmm_b, &gmm_ref, &batch);
             rows.push(Row {
                 kernel: "gmm_plan",
                 variant: "simd",
                 k,
                 n,
                 workers: auto_workers(n),
-                ns_per_point: simd_ns,
+                ns: simd_ns,
             });
             rows.push(Row {
                 kernel: "gmm_plan",
@@ -327,7 +427,7 @@ fn main() {
                 k,
                 n,
                 workers: 1,
-                ns_per_point: ref_ns,
+                ns: ref_ns,
             });
 
             // --- analog CIM engine (LUT vs direct device model) ---
@@ -351,27 +451,26 @@ fn main() {
                 b.log_likelihood_into(&batch, &mut out_ref);
                 cim_exact &= out == out_ref;
             }
-            let iters = calibrate_iters(target_ns, || {
-                engine.log_likelihood_into(&batch, &mut out);
-            });
-            let simd_ns = time_ns(reps, iters, || {
-                engine.log_likelihood_into(&batch, &mut out);
-                std::hint::black_box(out[0]);
-            }) / n as f64;
-            let iters = calibrate_iters(target_ns, || {
-                engine_direct.log_likelihood_into(&batch, &mut out_ref);
-            });
-            let ref_ns = time_ns(reps, iters, || {
-                engine_direct.log_likelihood_into(&batch, &mut out_ref);
-                std::hint::black_box(out_ref[0]);
-            }) / n as f64;
+            let [simd_ns, ref_ns] = time_pair(
+                reps,
+                target_ns,
+                n,
+                || {
+                    engine.log_likelihood_into(&batch, &mut out);
+                    std::hint::black_box(out[0]);
+                },
+                || {
+                    engine_direct.log_likelihood_into(&batch, &mut out_ref);
+                    std::hint::black_box(out_ref[0]);
+                },
+            );
             rows.push(Row {
                 kernel: "cim_engine",
                 variant: "simd",
                 k,
                 n,
                 workers: auto_workers(n),
-                ns_per_point: simd_ns,
+                ns: simd_ns,
             });
             rows.push(Row {
                 kernel: "cim_engine",
@@ -379,7 +478,7 @@ fn main() {
                 k,
                 n,
                 workers: auto_workers(n),
-                ns_per_point: ref_ns,
+                ns: ref_ns,
             });
         }
 
@@ -402,44 +501,57 @@ fn main() {
                 for i in 0..n {
                     batch.push(&points[i % points.len()]);
                 }
-                let mut out = vec![0.0; n];
+                let (mut out, mut out_cim) = (vec![0.0; n], vec![0.0; n]);
                 for &w in &worker_counts {
                     let policy = ChunkPolicy::exact(n.div_ceil(w), w);
-
-                    let iters = calibrate_iters(target_ns, || {
-                        gmm_t.log_likelihood_into_policy(&batch, &mut out, policy);
-                    });
-                    let ns = time_ns(reps, iters, || {
-                        gmm_t.log_likelihood_into_policy(&batch, &mut out, policy);
-                        std::hint::black_box(out[0]);
-                    }) / n as f64;
-                    thread_rows.push(Row {
-                        kernel: "gmm_plan",
-                        variant: "threads",
-                        k,
+                    let timings = time_pair(
+                        reps,
+                        target_ns,
                         n,
-                        workers: w,
-                        ns_per_point: ns,
-                    });
-
-                    let iters = calibrate_iters(target_ns, || {
-                        engine.log_likelihood_into_chunked(&batch, &mut out, policy);
-                    });
-                    let ns = time_ns(reps, iters, || {
-                        engine.log_likelihood_into_chunked(&batch, &mut out, policy);
-                        std::hint::black_box(out[0]);
-                    }) / n as f64;
-                    thread_rows.push(Row {
-                        kernel: "cim_engine",
-                        variant: "threads",
-                        k,
-                        n,
-                        workers: w,
-                        ns_per_point: ns,
-                    });
+                        || {
+                            gmm_t.log_likelihood_into_policy(&batch, &mut out, policy);
+                            std::hint::black_box(out[0]);
+                        },
+                        || {
+                            engine.log_likelihood_into_chunked(&batch, &mut out_cim, policy);
+                            std::hint::black_box(out_cim[0]);
+                        },
+                    );
+                    for (kernel, ns) in ["gmm_plan", "cim_engine"].into_iter().zip(timings) {
+                        thread_rows.push(Row {
+                            kernel,
+                            variant: "threads",
+                            k,
+                            n,
+                            workers: w,
+                            ns,
+                        });
+                    }
                 }
             }
         }
+    }
+
+    // ---- the spread map ----
+    // One row pair on the `wide-map` shape, where the digital kernel
+    // skips its exact-zero exponentials; the blob rows above have few.
+    let n = *batch_sizes.last().expect("at least one batch size");
+    let (mut spread, spread_batch) = spread_map(n);
+    let spread_ref = GmmScalarRef::new(&spread);
+    gmm_max_ulp = gmm_max_ulp.max(gmm_parity_ulp(&mut spread, &spread_ref, &spread_batch));
+    let timings = time_gmm_pair(reps, target_ns, &mut spread, &spread_ref, &spread_batch);
+    for ((variant, workers), ns) in [("spread", auto_workers(n)), ("spread_scalar_ref", 1)]
+        .into_iter()
+        .zip(timings)
+    {
+        rows.push(Row {
+            kernel: "gmm_plan",
+            variant,
+            k: spread.num_components(),
+            n,
+            workers,
+            ns,
+        });
     }
 
     // ---- spatial component pruning ----
@@ -478,33 +590,28 @@ fn main() {
                 .all(|(a, b)| a.to_bits() == b.to_bits());
 
             // Timings: pruned row first, full row second (pairwise).
-            let pruned_ns = {
-                let iters = calibrate_iters(target_ns, || {
-                    gmm_pruned.log_likelihood_into(&batch, &mut out);
-                });
-                time_ns(reps, iters, || {
+            let mut full = gmm_full.clone();
+            let timings = time_pair(
+                reps,
+                target_ns,
+                n,
+                || {
                     gmm_pruned.log_likelihood_into(&batch, &mut out);
                     std::hint::black_box(out[0]);
-                }) / n as f64
-            };
-            let full_ns = {
-                let mut full = gmm_full.clone();
-                let iters = calibrate_iters(target_ns, || {
-                    full.log_likelihood_into(&batch, &mut out);
-                });
-                time_ns(reps, iters, || {
-                    full.log_likelihood_into(&batch, &mut out);
-                    std::hint::black_box(out[0]);
-                }) / n as f64
-            };
-            for (variant, ns_per_point) in [("pruned", pruned_ns), ("full", full_ns)] {
+                },
+                || {
+                    full.log_likelihood_into(&batch, &mut out_full);
+                    std::hint::black_box(out_full[0]);
+                },
+            );
+            for (variant, ns) in ["pruned", "full"].into_iter().zip(timings) {
                 prune_rows.push(Row {
                     kernel: "gmm_plan",
                     variant,
                     k,
                     n,
                     workers: auto_workers(n),
-                    ns_per_point,
+                    ns,
                 });
             }
         }
@@ -512,14 +619,19 @@ fn main() {
 
     // ---- report ----
     let mut ok = true;
-    println!("kernel      k   n      scalar_ref  simd      speedup");
+    println!("kernel:variant      k   n      scalar_ref  simd      speedup");
     let mut json_rows = String::new();
     for pair in rows.chunks(2) {
         let [simd, refr] = pair else { unreachable!() };
-        let speedup = refr.ns_per_point / simd.ns_per_point;
+        let speedup = refr.ns.min / simd.ns.min;
         println!(
-            "{:<10} {:>3} {:>5}  {:>8.1}ns {:>8.1}ns  {:>5.2}x",
-            simd.kernel, simd.k, simd.n, refr.ns_per_point, simd.ns_per_point, speedup
+            "{:<18} {:>3} {:>5}  {:>8.1}ns {:>8.1}ns  {:>5.2}x",
+            format!("{}:{}", simd.kernel, simd.variant),
+            simd.k,
+            simd.n,
+            refr.ns.min,
+            simd.ns.min,
+            speedup
         );
         for r in [simd, refr] {
             if !json_rows.is_empty() {
@@ -558,8 +670,8 @@ fn main() {
                 r.k,
                 r.n,
                 r.workers,
-                r.ns_per_point,
-                base.ns_per_point / r.ns_per_point
+                r.ns.min,
+                base.ns.min / r.ns.min
             );
         }
     }
@@ -574,9 +686,9 @@ fn main() {
             pruned.kernel,
             pruned.k,
             pruned.n,
-            full.ns_per_point,
-            pruned.ns_per_point,
-            full.ns_per_point / pruned.ns_per_point
+            full.ns.min,
+            pruned.ns.min,
+            full.ns.min / pruned.ns.min
         );
         for r in [pruned, full] {
             if !json_rows.is_empty() {

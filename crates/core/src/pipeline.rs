@@ -3317,6 +3317,39 @@ mod tests {
     }
 
     #[test]
+    fn all_inf_depth_frame_is_blind_like_all_nan() {
+        // An all-`+inf` frame holds no finite return, so two forks of one
+        // session, one stepped on an all-`+inf` frame and one on an
+        // all-`NaN` frame, report the same bits, and both step the next
+        // clean frame alike.
+        let ds = small_dataset();
+        let config = small_config(GateConfig::gated(DIGITAL_GMM, CIM_HMGM));
+        let prototype = LocalizationPipeline::build(&ds, config).unwrap();
+        let controls = ds.control_deltas();
+        let clean = &ds.frames[1].depth;
+        let mut reports = Vec::new();
+        for fill in [f64::INFINITY, f64::NAN] {
+            let mut frame = DepthImage::new(clean.width(), clean.height());
+            for v in 0..clean.height() {
+                for u in 0..clean.width() {
+                    frame.set_depth(u, v, fill);
+                }
+            }
+            let mut session = prototype.fork_session(5).unwrap();
+            let blind = session
+                .step(&controls[0], &frame, ds.frames[1].pose)
+                .unwrap();
+            let next = session
+                .step(&controls[1], &ds.frames[2].depth, ds.frames[2].pose)
+                .unwrap();
+            // `Debug` prints each f64 in its shortest round-trip form, so
+            // equal strings mean equal bits.
+            reports.push(format!("{blind:?}\n{next:?}"));
+        }
+        assert_eq!(reports[0], reports[1]);
+    }
+
+    #[test]
     fn blind_burst_trips_safe_mode_forces_digital_and_recovers() {
         // An analog-pinned gate + a mid-run blind burst: the detector
         // must alarm within two frames of the burst, the response must

@@ -91,11 +91,13 @@ fn hot_path_alloc_fixture_pair() {
 #[test]
 fn stale_hot_path_entry_is_reported() {
     // gaussian.rs registers `log_likelihood_into_policy`, `eval_range`,
-    // `eval_range_pruned` and `eval_tiles`; this version defines the first
-    // and the last, `eval_range` only under `cfg(test)` (which does not
-    // count) and `eval_range_pruned` not at all.
+    // `eval_range_pruned`, `eval_tiles` and `exp_sum_live_groups`; this
+    // version defines the first and the last two, `eval_range` only under
+    // `cfg(test)` (which does not count) and `eval_range_pruned` not at
+    // all.
     let gaussian = "pub fn log_likelihood_into_policy() {}\n\
                     fn eval_tiles() {}\n\
+                    fn exp_sum_live_groups() {}\n\
                     #[cfg(test)]\n\
                     mod tests { fn eval_range() {} }\n";
     let findings = lint_sources([("crates/gmm/src/gaussian.rs", gaussian)]);

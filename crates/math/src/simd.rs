@@ -77,8 +77,17 @@ const LN2_LO: f64 = 1.908_214_929_270_587_7e-10;
 
 /// Inputs above this map to `+inf` (`exp` overflows at ≈709.78).
 const EXP_OVERFLOW: f64 = 710.0;
-/// Inputs below this map to `0.0` (`exp` underflows below ≈-745.13).
-const EXP_UNDERFLOW: f64 = -746.0;
+/// The zero cutoff of [`exp_fast`]: for every `x < EXP_UNDERFLOW`
+/// (`-inf` included) `exp_fast(x)` is exactly `+0.0`, bit pattern `0`,
+/// never `-0.0`. `exp` itself underflows to zero below ≈ −745.13, so
+/// this is also where `f64::exp` is already `+0.0`.
+///
+/// The contract is what lets a sum of `exp_fast` terms skip the terms
+/// below the cutoff and keep its bits: a running sum that starts at
+/// `+0.0` and adds non-negative terms is unchanged by `+ 0.0`. `NaN`
+/// fails the `<` test, so a skip test written as `x < EXP_UNDERFLOW`
+/// never drops a `NaN` term. The GMM batch kernel relies on this.
+pub const EXP_UNDERFLOW: f64 = -746.0;
 
 /// Fast exponential: branch-free argument reduction + degree-13 Horner
 /// polynomial, within [`EXP_FAST_MAX_ULP`] ulp of `f64::exp` (see the
@@ -354,6 +363,60 @@ mod tests {
             }
         }
         assert!(worst <= EXP_FAST_MAX_ULP, "worst ulp distance {worst}");
+    }
+
+    #[test]
+    fn exp_fast_is_positive_zero_below_the_cutoff() {
+        // Below the cutoff the final select forces `+0.0`. At the cutoff
+        // and its upper neighbour the core's own result rounds to `+0.0`
+        // (e^−746 is under half the least subnormal), so the select and
+        // the arithmetic agree across the boundary.
+        for x in [
+            EXP_UNDERFLOW.next_down(),
+            EXP_UNDERFLOW,
+            EXP_UNDERFLOW.next_up(),
+        ] {
+            assert_eq!(exp_fast(x).to_bits(), 0, "exp_fast({x})");
+        }
+        assert!(exp_fast(-745.0) > 0.0);
+        assert_eq!(exp_fast(f64::NEG_INFINITY).to_bits(), 0);
+        assert_eq!(exp_fast(f64::MIN).to_bits(), 0);
+        // A dense linear sweep just below the cutoff, then a log-spaced
+        // sweep down to −1e300.
+        let mut x = EXP_UNDERFLOW.next_down();
+        for _ in 0..100_000 {
+            assert_eq!(exp_fast(x).to_bits(), 0, "exp_fast({x})");
+            x -= 1e-3;
+        }
+        let (lo, hi) = (746f64.log10(), 300.0);
+        for k in 1..=30_000 {
+            let x = -(10f64.powf(lo + (hi - lo) * k as f64 / 30_000.0));
+            assert_eq!(exp_fast(x).to_bits(), 0, "exp_fast({x})");
+        }
+        assert_eq!(exp_fast(-1e300).to_bits(), 0);
+    }
+
+    #[test]
+    fn exp_fast_never_returns_negative_zero() {
+        // Every result is `+0.0` or positive: a sign bit would break the
+        // GMM kernel's skip of zero terms at a sum of zeros.
+        let mut x = -800.0;
+        while x < 720.0 {
+            let v = exp_fast(x);
+            assert!(v.is_sign_positive(), "exp_fast({x}) = {v:e}");
+            x += 1.0 / 64.0;
+        }
+        for x in [
+            f64::NEG_INFINITY,
+            f64::MIN,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::INFINITY,
+        ] {
+            assert!(exp_fast(x).is_sign_positive(), "exp_fast({x})");
+        }
     }
 
     #[test]

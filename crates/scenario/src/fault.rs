@@ -105,7 +105,9 @@ impl FaultKind {
             Self::Dropout { fraction } => {
                 for v in 0..depth.height() {
                     for u in 0..depth.width() {
-                        if depth.depth(u, v) > 0.0 && rng.sample_bool(fraction) {
+                        if DepthImage::is_valid_depth(depth.depth(u, v))
+                            && rng.sample_bool(fraction)
+                        {
                             depth.set_depth(u, v, 0.0);
                         }
                     }
@@ -122,7 +124,7 @@ impl FaultKind {
                 for v in 0..depth.height() {
                     for u in 0..depth.width() {
                         let d = depth.depth(u, v);
-                        if d > 0.0 {
+                        if DepthImage::is_valid_depth(d) {
                             depth.set_depth(u, v, (d + bias_m).max(0.0));
                         }
                     }
@@ -150,7 +152,7 @@ impl FaultKind {
                 let mean = sum / n as f64;
                 for v in 0..depth.height() {
                     for u in 0..depth.width() {
-                        if depth.depth(u, v) > 0.0 {
+                        if DepthImage::is_valid_depth(depth.depth(u, v)) {
                             depth.set_depth(u, v, mean);
                         }
                     }

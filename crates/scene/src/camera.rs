@@ -126,16 +126,27 @@ impl DepthImage {
         &self.data
     }
 
-    /// Number of valid (non-zero) pixels.
-    pub fn valid_count(&self) -> usize {
-        self.data.iter().filter(|&&d| d > 0.0).count()
+    /// Whether a depth reading is a return: finite and positive. `0.0`
+    /// (missing), negative, `NaN` and `±inf` readings are all blind, so
+    /// an all-`+inf` frame is blind exactly as an all-`NaN` one is.
+    pub fn is_valid_depth(d: f64) -> bool {
+        d.is_finite() && d > 0.0
     }
 
-    /// Iterates over `(u, v, depth)` for valid pixels only.
+    /// Number of valid pixels ([`Self::is_valid_depth`]).
+    pub fn valid_count(&self) -> usize {
+        self.data
+            .iter()
+            .filter(|&&d| Self::is_valid_depth(d))
+            .count()
+    }
+
+    /// Iterates over `(u, v, depth)` for valid pixels
+    /// ([`Self::is_valid_depth`]) only.
     pub fn valid_pixels(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
         let w = self.width;
         self.data.iter().enumerate().filter_map(move |(i, &d)| {
-            if d > 0.0 {
+            if Self::is_valid_depth(d) {
                 Some((i % w, i / w, d))
             } else {
                 None

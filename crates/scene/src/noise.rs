@@ -45,7 +45,7 @@ impl DepthNoise {
         for v in 0..h {
             for u in 0..w {
                 let d = image.depth(u, v);
-                if d <= 0.0 {
+                if !DepthImage::is_valid_depth(d) {
                     continue;
                 }
                 if self.dropout_prob > 0.0 && rng.sample_bool(self.dropout_prob) {

@@ -816,6 +816,121 @@ proptest! {
         prop_assert_eq!(expected, batched);
     }
 
+    /// Far-field parity of the digital GMM kernel, which skips the
+    /// `exp_fast` terms that are exactly zero in groups of 4 lanes. Two
+    /// components sit 12 m apart with tight equal variances, and the
+    /// rest spread over a room-sized box far from them. The first three
+    /// 4-point groups of every tile are all dead for the far component,
+    /// mixed (one lane on it), and in the subnormal band
+    /// (`t − m ∈ [−746, −708]`, checked). The remaining groups draw one
+    /// of those, random room points, or a lane with a `NaN`, `+inf` or
+    /// `-inf` coordinate (an all-`-inf` column for the infinities).
+    /// Pruned and unpruned batches of 0–3 full tiles plus every tail
+    /// width equal `log_pdf` / `log_pdf_subset` bit for bit. This catches
+    /// a wrong or dropped live group; a cutoff moved anywhere below
+    /// about −37 nats cannot show here, because each sum holds the max
+    /// term's `exp_fast(0) = 1`, so the unit test
+    /// `live_group_sum_matches_the_dense_sum_bit_for_bit` pins the cutoff
+    /// and the `NaN` lanes on raised maxima.
+    #[test]
+    fn gmm_far_field_tiles_equal_scalar(
+        seed in 0u64..500,
+        k in 2usize..24,
+        tiles in 0usize..4,
+        tail in 0usize..GMM_TILE,
+        pruned in 0usize..2,
+    ) {
+        let n = tiles * GMM_TILE + tail;
+        if n == 0 {
+            return Ok(());
+        }
+        let mut rng = Pcg32::seed_from_u64(seed ^ 0xfa7f);
+        use navicim::math::rng::SampleExt;
+        let (var, gap) = (rng.sample_uniform(0.01, 0.03), 12.0);
+        let (near, far) = ([0.0, -30.0, 1.0], [gap, -30.0, 1.0]);
+        // With equal weights and variances, a point `a` along the axis
+        // from `near` has `t_far − t_near = −(gap² − 2·gap·a) / (2·var)`;
+        // this `a` puts it at −727, the middle of the subnormal band.
+        let band = (gap * gap - 2.0 * 727.0 * var) / (2.0 * gap);
+        let mut means = vec![near.to_vec(), far.to_vec()];
+        let mut vars = vec![vec![var; 3]; 2];
+        for _ in 2..k {
+            means.push(vec![
+                rng.sample_uniform(-6.0, 6.0),
+                rng.sample_uniform(-6.0, 6.0),
+                rng.sample_uniform(0.0, 3.0),
+            ]);
+            vars.push((0..3).map(|_| rng.sample_uniform(0.004, 0.05)).collect());
+        }
+        let mut gmm = Gmm::new(vec![1.0 / k as f64; k], means, vars).expect("valid gmm");
+        if pruned == 1 {
+            gmm.set_prune(PruneConfig::enabled());
+        }
+        let jitter = |rng: &mut Pcg32, p: [f64; 3]| p.map(|c| c + rng.sample_uniform(-0.05, 0.05));
+        let mut batch = PointBatch::new(3);
+        let mut band_points = Vec::new();
+        let mut pattern = 0;
+        for i in 0..n {
+            let (group, lane) = ((i % GMM_TILE) / 4, i % 4);
+            if lane == 0 {
+                pattern = if group < 3 { group } else { rng.sample_index(5) };
+            }
+            let p = match pattern {
+                0 => jitter(&mut rng, near),
+                1 if lane == 3 => jitter(&mut rng, far),
+                1 => jitter(&mut rng, near),
+                2 => {
+                    let mut p = jitter(&mut rng, near);
+                    p[0] = band + rng.sample_uniform(-0.005, 0.005);
+                    band_points.push(batch.len());
+                    p
+                }
+                3 => [
+                    rng.sample_uniform(-6.0, 6.0),
+                    rng.sample_uniform(-6.0, 6.0),
+                    rng.sample_uniform(0.0, 3.0),
+                ],
+                _ => {
+                    let mut p = jitter(&mut rng, near);
+                    p[rng.sample_index(3)] =
+                        [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][rng.sample_index(3)];
+                    p
+                }
+            };
+            batch.push(&p);
+        }
+        let plan = gmm.eval_plan();
+        let mut terms = Vec::new();
+        for &i in &band_points {
+            let x = batch.point(i);
+            let t_near = plan.log_pdf_subset(x, &[0], &mut terms);
+            let gap_nats = plan.log_pdf_subset(x, &[1], &mut terms) - t_near;
+            prop_assert!((-746.0..=-708.0).contains(&gap_nats), "t − m = {}", gap_nats);
+            for j in 2..k as u32 {
+                prop_assert!(plan.log_pdf_subset(x, &[j], &mut terms) < t_near);
+            }
+        }
+        let cands = match gmm.prune_index() {
+            Some(index) => index
+                .candidates_for_points(batch.flat_range(0, n), &mut PruneScratch::default())
+                .map(<[u32]>::to_vec),
+            None => None,
+        };
+        let expected: Vec<u64> = (0..n)
+            .map(|i| match &cands {
+                Some(c) => plan.log_pdf_subset(batch.point(i), c, &mut terms),
+                None => plan.log_pdf(batch.point(i), &mut terms),
+            })
+            .map(f64::to_bits)
+            .collect();
+        let batched: Vec<u64> = gmm
+            .log_likelihood_batch(&batch)
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
+        prop_assert_eq!(expected, batched);
+    }
+
     /// `exp_fast` honours its documented accuracy contract on random
     /// inputs across the whole finite-result range: within
     /// `EXP_FAST_MAX_ULP` of the correctly rounded `f64::exp` wherever
@@ -907,7 +1022,11 @@ proptest! {
                 };
                 image.set_depth(u, v, d);
                 // Every invalid kind, so the blank image has no valid pixel.
-                blank.set_depth(u, v, [0.0, f64::NAN, f64::NEG_INFINITY, -0.25][(u + v) % 4]);
+                blank.set_depth(
+                    u,
+                    v,
+                    [0.0, f64::NAN, f64::NEG_INFINITY, -0.25, f64::INFINITY][(u + v) % 5],
+                );
             }
         }
         let states: Vec<Pose> = (0..particles)
@@ -934,7 +1053,7 @@ proptest! {
                 // count through every remainder mod 4.
                 let mut img = image.clone();
                 let kept: Vec<usize> = (0..width * height)
-                    .filter(|&i| i % stride == 0 && img.as_slice()[i] > 0.0)
+                    .filter(|&i| i % stride == 0 && DepthImage::is_valid_depth(img.as_slice()[i]))
                     .collect();
                 for &i in kept.iter().rev().take(trim) {
                     img.set_depth(i % width, i / width, 0.0);
